@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -25,35 +25,9 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .corpus import CorpusStore
+from .seqtag.metrics import TagMetrics
 from .textfeat import Lexicon, TextFeatures, extract_text_features
-
-FEATURE_NAMES: tuple[str, ...] = (
-    "ocr_confidence",
-    "n_active_verbs_v",
-    "readability_v",
-    "n_sentences_v",
-    "n_shots",
-    "shot_change_confidence",
-    "n_summary_words_v",
-    "transcription_confidence",
-    "n_transition_words_v",
-    "n_words_v",
-    "n_unique_words_v",
-    "has_title",
-    "has_description",
-    "has_tags",
-    "readability_m",
-    "n_sentences_m",
-    "n_words_m",
-    "n_unique_words_m",
-    "n_transition_words_m",
-    "n_summary_words_m",
-    "n_active_verbs_m",
-    "duration_s",
-    "n_unique_medical_terms",
-    "medical_info_high",
-    "understandable",
-)
+from .tsv import read_tsv, write_tsv
 
 BINARY_FEATURES = frozenset({
     "has_title", "has_description", "has_tags",
@@ -129,6 +103,17 @@ class FeatureVector:
         if name not in FEATURE_NAMES:
             raise KeyError(name)
         return getattr(self, name)
+
+
+# The feature table has one column per FeatureVector field, in field
+# order; the classifier inputs are all of them but the id and the
+# recommendation label.
+FEATURES_HEADER: tuple[str, ...] = tuple(
+    f.name for f in fields(FeatureVector)
+)
+FEATURE_NAMES: tuple[str, ...] = tuple(
+    n for n in FEATURES_HEADER if n not in ("video_id", "recommended")
+)
 
 
 @dataclass(frozen=True)
@@ -306,7 +291,9 @@ def assemble_from_records(
     records: Mapping[str, Mapping[str, float]],
     ner_counts: Mapping[str, int],
 ) -> list[FeatureVector]:
-    """Join document features, tagger counts, and labels, sorted by id."""
+    """One FeatureVector per labeled video, sorted by id: document feature
+    records (see ``doc_feature_records``) joined with tagger term counts
+    and labels."""
     rows = []
     for vid in store.labeled_ids():
         if vid not in store.videos:
@@ -329,21 +316,6 @@ def assemble_from_records(
             **kwargs,
         ))
     return rows
-
-
-def assemble_features(
-    store: CorpusStore,
-    text_blocks: Mapping[str, VideoTextBlocks],
-    ner_counts: Mapping[str, int],
-) -> list[FeatureVector]:
-    """One FeatureVector per labeled video, sorted by id.
-
-    Videos without a transcript or OCR document get zero-valued fields for
-    those blocks; a labeled video with no metadata record is an error.
-    """
-    return assemble_from_records(
-        store, doc_feature_records(store, text_blocks), ner_counts
-    )
 
 
 def rows_to_matrix(
@@ -453,10 +425,10 @@ def fit_logreg(
     """Maximize the regularized log-likelihood by gradient ascent.
 
     Steps follow the gradient under a backtracking (sufficient-increase)
-    line search whose step size doubles after every accepted move, and the
-    objective is asserted non-decreasing at each iteration. Stops when the
-    gradient norm reaches ``tol``; exceeding ``max_iter`` raises
-    ConvergenceError reporting the final norm.
+    line search whose step size doubles after every accepted move, so the
+    objective never decreases. Stops when the gradient norm reaches
+    ``tol``; exceeding ``max_iter`` raises ConvergenceError reporting the
+    final norm.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -485,7 +457,6 @@ def fit_logreg(
                 raise ConvergenceError(
                     f"line search stalled at gradient norm {norm:.3e}"
                 )
-        assert new_obj >= obj, "objective decreased"
         beta, obj, grad = candidate, new_obj, new_grad
         step *= 2.0
     raise ConvergenceError(
@@ -631,16 +602,9 @@ def predict_batch(
 
 
 @dataclass(frozen=True)
-class ClassReport:
-    precision: float
-    recall: float
-    f_measure: float
-
-
-@dataclass(frozen=True)
 class ClfMetrics:
-    positive: ClassReport
-    negative: ClassReport
+    positive: TagMetrics
+    negative: TagMetrics
     accuracy: float
 
 
@@ -658,14 +622,6 @@ def confusion_counts(
     return tp, fp, fn, tn
 
 
-def _report(tp: int, fp: int, fn: int) -> ClassReport:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f = (2 * precision * recall / (precision + recall)
-         if precision + recall > 0 else 0.0)
-    return ClassReport(precision, recall, f)
-
-
 def metrics_from_confusion(
     tp: int, fp: int, fn: int, tn: int
 ) -> ClfMetrics:
@@ -678,8 +634,8 @@ def metrics_from_confusion(
     if total == 0:
         raise ValueError("empty confusion matrix")
     return ClfMetrics(
-        positive=_report(tp, fp, fn),
-        negative=_report(tn, fn, fp),
+        positive=TagMetrics.from_counts(tp, fp, fn),
+        negative=TagMetrics.from_counts(tn, fn, fp),
         accuracy=(tp + tn) / total,
     )
 
@@ -749,50 +705,29 @@ def format_cell(value) -> str:
 
 def write_features_tsv(rows: Sequence[FeatureVector], path) -> None:
     """Feature matrix as TSV: id column, 25 features, recommended label."""
-    header = ("video_id", *FEATURE_NAMES, "recommended")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            cells = [row.video_id]
-            cells += [format_cell(getattr(row, n)) for n in FEATURE_NAMES]
-            cells.append(format_cell(row.recommended))
-            fh.write("\t".join(cells) + "\n")
+    write_tsv(path, FEATURES_HEADER, (
+        [row.video_id] + [format_cell(getattr(row, n))
+                          for n in FEATURES_HEADER[1:]]
+        for row in rows
+    ))
+
+
+def _parse_feature_row(cells: list[str]) -> FeatureVector:
+    kwargs: dict = {"video_id": cells[0]}
+    for name, cell in zip(FEATURES_HEADER[1:], cells[1:]):
+        if cell == "":
+            if name not in TARGET_FIELDS.values():
+                raise ValueError(f"empty value for {name!r}")
+            kwargs[name] = None
+        elif name in BINARY_FEATURES or name == "recommended":
+            kwargs[name] = int(float(cell))
+        else:
+            kwargs[name] = float(cell)
+    return FeatureVector(**kwargs)
 
 
 def read_features_tsv(path) -> list[FeatureVector]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
-        raise ValueError(f"{path}: empty feature table")
-    header = lines[0].split("\t")
-    expected = ["video_id", *FEATURE_NAMES, "recommended"]
-    if header != expected:
-        raise ValueError(f"{path}: unexpected feature table header")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(expected):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(expected)} columns, "
-                f"got {len(cells)}"
-            )
-        kwargs: dict = {"video_id": cells[0]}
-        for name, cell in zip(expected[1:], cells[1:]):
-            if cell == "":
-                if name not in ("medical_info_high", "understandable",
-                                "recommended"):
-                    raise ValueError(
-                        f"{path}:{lineno}: empty value for {name!r}"
-                    )
-                kwargs[name] = None
-            elif name in BINARY_FEATURES or name == "recommended":
-                kwargs[name] = int(float(cell))
-            else:
-                kwargs[name] = float(cell)
-        rows.append(FeatureVector(**kwargs))
-    return rows
+    return read_tsv(path, FEATURES_HEADER, _parse_feature_row)
 
 
 CLF_FORMAT_NAME = "vidtriage-classifier"

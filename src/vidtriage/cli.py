@@ -28,9 +28,11 @@ from . import classify as clf
 from . import corpus as corpuslib
 from . import medterm, textfeat
 from .data_files import data_path
+from .tsv import read_tsv, write_tsv
 from .seqtag import (
     ARCH_BLSTM,
     ARCH_CRF,
+    TagMetrics,
     TrainConfig,
     TrainingDivergedError,
     evaluate_tagger,
@@ -50,6 +52,16 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 
 ARCHS = (ARCH_CRF, ARCH_BLSTM)
+
+# Table headers, each shared by the table's writer and its reader.
+_TEXT_FEATURES_HEADER = ("video_id", *clf.DOC_FEATURE_NAMES)
+_TERM_COUNTS_HEADER = ("video_id", "n_unique_medical_terms")
+_PREDICTIONS_HEADER = ("video_id", "probability", "label")
+_TAGGER_METRICS_HEADER = ("model", "precision", "recall", "f_measure",
+                          "n_test_sentences")
+_CLF_METRICS_HEADER = ("target", "precision_pos", "recall_pos",
+                       "f_measure_pos", "precision_neg", "recall_neg",
+                       "f_measure_neg", "accuracy", "n_test_videos")
 
 _LEXICON_FILES = {
     "transition": "transition_words.txt",
@@ -166,23 +178,6 @@ def _load_lexicons(cfg) -> tuple[textfeat.Lexicon, ...]:
     )
 
 
-def _write_tsv(path: Path, header: Sequence[str],
-               rows: Sequence[Sequence[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-
-
-def _read_tsv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(_require(path), "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty table")
-    return lines[0].split("\t"), [line.split("\t") for line in lines[1:]]
-
-
 # ---------------------------------------------------------------- ingest
 
 
@@ -276,25 +271,9 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
         record = records[vid]
         rows.append([vid] + [clf.format_cell(record[name])
                              for name in clf.DOC_FEATURE_NAMES])
-    _write_tsv(out, ("video_id", *clf.DOC_FEATURE_NAMES), rows)
+    write_tsv(out, _TEXT_FEATURES_HEADER, rows)
     print(f"wrote text features for {len(rows)} videos -> {out}")
     return EXIT_OK
-
-
-def _read_doc_features(path: Path) -> dict[str, dict[str, float]]:
-    header, rows = _read_tsv(path)
-    expected = ["video_id", *clf.DOC_FEATURE_NAMES]
-    if header != expected:
-        raise ValueError(f"{path}: unexpected text-feature header")
-    records = {}
-    for cells in rows:
-        if len(cells) != len(expected):
-            raise ValueError(f"{path}: ragged row for {cells[0]!r}")
-        records[cells[0]] = {
-            name: float(cell)
-            for name, cell in zip(clf.DOC_FEATURE_NAMES, cells[1:])
-        }
-    return records
 
 
 # ------------------------------------------------------- build-ner-corpus
@@ -356,13 +335,13 @@ def _split_conll(cfg, seed):
             if v not in train_set]
     if not train:
         raise ValueError("empty training split")
-    return sentences, video_ids, train, test, train_videos, test_videos
+    return train, test, train_videos, test_videos
 
 
 def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
     seed = cfg.require_seed()
     config = _tagger_train_config(cfg, args, seed)
-    _, _, train, test, train_videos, test_videos = _split_conll(cfg, seed)
+    train, test, train_videos, test_videos = _split_conll(cfg, seed)
     if args.arch == ARCH_CRF:
         params, history = train_crf(train, config)
         vocab = None
@@ -422,9 +401,9 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
     ner_dir.mkdir(parents=True, exist_ok=True)
     medterm.write_conll(tagged, ner_dir / f"tagged_{args.arch}.conll",
                         video_ids=video_ids)
-    _write_tsv(
+    write_tsv(
         ner_dir / "term_counts.tsv",
-        ("video_id", "n_unique_medical_terms"),
+        _TERM_COUNTS_HEADER,
         [[vid, str(counts[vid])] for vid in sorted(counts)],
     )
     print(
@@ -434,25 +413,26 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _read_term_counts(path: Path) -> dict[str, int]:
-    header, rows = _read_tsv(path)
-    if header != ["video_id", "n_unique_medical_terms"]:
-        raise ValueError(f"{path}: unexpected term-count header")
-    return {cells[0]: int(cells[1]) for cells in rows}
-
-
 # --------------------------------------------------------------- assemble
 
 
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
-    records = _read_doc_features(
-        cfg.work_dir / "features" / "text_features.tsv"
-    )
-    counts = _read_term_counts(cfg.work_dir / "ner" / "term_counts.tsv")
+    records = dict(read_tsv(
+        _require(cfg.work_dir / "features" / "text_features.tsv"),
+        _TEXT_FEATURES_HEADER,
+        lambda cells: (cells[0], {
+            name: float(cell)
+            for name, cell in zip(clf.DOC_FEATURE_NAMES, cells[1:])
+        }),
+    ))
+    counts = dict(read_tsv(
+        _require(cfg.work_dir / "ner" / "term_counts.tsv"),
+        _TERM_COUNTS_HEADER,
+        lambda cells: (cells[0], int(cells[1])),
+    ))
     rows = clf.assemble_from_records(store, records, counts)
     out = cfg.work_dir / "features" / "features.tsv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     clf.write_features_tsv(rows, out)
     print(f"assembled features for {len(rows)} labeled videos -> {out}")
     return EXIT_OK
@@ -517,9 +497,9 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
         predicted_labels[target] = {
             row.video_id: int(lab) for row, lab in zip(eval_rows, labels)
         }
-        _write_tsv(
+        write_tsv(
             out_dir / f"{target}.tsv",
-            ("video_id", "probability", "label"),
+            _PREDICTIONS_HEADER,
             [[row.video_id, f"{prob:.6f}", str(int(lab))]
              for row, prob, lab in zip(eval_rows, p, labels)],
         )
@@ -560,6 +540,10 @@ def _impute_annotations(cfg, rows, predicted_labels):
 # ------------------------------------------------------------------- eval
 
 
+def _prf_cells(m: TagMetrics) -> list[str]:
+    return [f"{v:.6f}" for v in (m.precision, m.recall, m.f_measure)]
+
+
 def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
     archs = ARCHS if args.arch == "both" else (args.arch,)
     conll = _require(cfg.work_dir / "ner" / "corpus.conll")
@@ -581,19 +565,15 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
         gold_labels = [list(s.labels) for s in gold]
         token = evaluate_tagger(predicted, gold_labels)
         spans = evaluate_tagger_spans(predicted, gold_labels)
-        token_rows.append([arch, f"{token.precision:.6f}",
-                           f"{token.recall:.6f}", f"{token.f_measure:.6f}",
-                           str(len(gold))])
-        span_rows.append([arch, f"{spans.precision:.6f}",
-                          f"{spans.recall:.6f}", f"{spans.f_measure:.6f}",
-                          str(len(gold))])
+        token_rows.append([arch, *_prf_cells(token), str(len(gold))])
+        span_rows.append([arch, *_prf_cells(spans), str(len(gold))])
         log.info("%s token F=%.3f on %d test sentences",
                  arch, token.f_measure, len(gold))
     eval_dir = cfg.work_dir / "eval"
-    header = ("model", "precision", "recall", "f_measure",
-              "n_test_sentences")
-    _write_tsv(eval_dir / "tagger_metrics.tsv", header, token_rows)
-    _write_tsv(eval_dir / "tagger_span_metrics.tsv", header, span_rows)
+    write_tsv(eval_dir / "tagger_metrics.tsv", _TAGGER_METRICS_HEADER,
+              token_rows)
+    write_tsv(eval_dir / "tagger_span_metrics.tsv", _TAGGER_METRICS_HEADER,
+              span_rows)
     print(
         f"evaluated {len(archs)} tagger(s) -> "
         f"{eval_dir / 'tagger_metrics.tsv'}"
@@ -616,26 +596,14 @@ def cmd_eval_clf(cfg: PipelineConfig, args) -> int:
             raise ValueError(f"no test rows for target {target!r}")
         metrics = clf.evaluate(model, test_rows)
         out_rows.append([
-            target,
-            f"{metrics.positive.precision:.6f}",
-            f"{metrics.positive.recall:.6f}",
-            f"{metrics.positive.f_measure:.6f}",
-            f"{metrics.negative.precision:.6f}",
-            f"{metrics.negative.recall:.6f}",
-            f"{metrics.negative.f_measure:.6f}",
-            f"{metrics.accuracy:.6f}",
+            target, *_prf_cells(metrics.positive),
+            *_prf_cells(metrics.negative), f"{metrics.accuracy:.6f}",
             str(len(test_rows)),
         ])
         log.info("%s accuracy=%.3f on %d test videos",
                  target, metrics.accuracy, len(test_rows))
     eval_dir = cfg.work_dir / "eval"
-    _write_tsv(
-        eval_dir / "clf_metrics.tsv",
-        ("target", "precision_pos", "recall_pos", "f_measure_pos",
-         "precision_neg", "recall_neg", "f_measure_neg", "accuracy",
-         "n_test_videos"),
-        out_rows,
-    )
+    write_tsv(eval_dir / "clf_metrics.tsv", _CLF_METRICS_HEADER, out_rows)
     print(
         f"evaluated {len(targets)} classifier(s) -> "
         f"{eval_dir / 'clf_metrics.tsv'}"
@@ -644,97 +612,62 @@ def cmd_eval_clf(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
-    ran = 0
     if args.kind in ("tagger", "all"):
         cmd_eval_tagger(cfg, argparse.Namespace(arch="both"))
-        ran += 1
     if args.kind in ("clf", "all"):
         cmd_eval_clf(cfg, argparse.Namespace(target="all"))
-        ran += 1
-    if ran == 0:
-        raise ValueError(f"unknown eval kind {args.kind!r}")
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- report
 
 
-def _report_path(cfg, args, table: str) -> Path:
-    if args.output is not None:
-        return args.output
-    return cfg.work_dir / "reports" / f"table{table}.tsv"
-
-
-def _read_eval_rows(path: Path, key_column: str) -> dict[str, dict[str, str]]:
-    header, rows = _read_tsv(path)
-    out = {}
-    for cells in rows:
-        record = dict(zip(header, cells))
-        out[record[key_column]] = record
-    return out
+# Tables 2, 5 and 7 copy metrics out of an evaluation table keyed by its
+# first column: table -> (evaluation file, its header, report header,
+# rows). A row is (first cell, evaluation row key, metric columns), padded
+# with empty cells to the report header's width.
+_METRIC_REPORTS = {
+    "2": ("tagger_metrics.tsv", _TAGGER_METRICS_HEADER,
+          ("model", "precision", "recall", "f_measure"),
+          [(arch, arch, ("precision", "recall", "f_measure"))
+           for arch in ARCHS]),
+    "5": ("clf_metrics.tsv", _CLF_METRICS_HEADER,
+          ("classifier", "precision", "recall", "f_measure",
+           "overall_accuracy"),
+          [(t, t, ("precision_pos", "recall_pos", "f_measure_pos",
+                   "accuracy"))
+           for t in ("medical_info", "understandability")]),
+    "7": ("clf_metrics.tsv", _CLF_METRICS_HEADER,
+          ("class", "precision", "recall", "f_measure"),
+          [("recommended", "recommendation",
+            ("precision_pos", "recall_pos", "f_measure_pos")),
+           ("not_recommended", "recommendation",
+            ("precision_neg", "recall_neg", "f_measure_neg")),
+           ("overall_accuracy", "recommendation", ("accuracy",))]),
+}
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
-    out = _report_path(cfg, args, args.table)
-    if args.table == "2":
-        metrics = _read_eval_rows(
-            cfg.work_dir / "eval" / "tagger_metrics.tsv", "model"
-        )
-        rows = []
-        for arch in ARCHS:
-            if arch not in metrics:
-                raise ValueError(f"no tagger evaluation for {arch!r}")
-            rec = metrics[arch]
-            rows.append([arch] + [f"{float(rec[c]):.3f}"
-                                  for c in ("precision", "recall",
-                                            "f_measure")])
-        _write_tsv(out, ("model", "precision", "recall", "f_measure"), rows)
-    elif args.table == "5":
-        metrics = _read_eval_rows(
-            cfg.work_dir / "eval" / "clf_metrics.tsv", "target"
-        )
-        rows = []
-        for target in ("medical_info", "understandability"):
-            if target not in metrics:
-                raise ValueError(f"no classifier evaluation for {target!r}")
-            rec = metrics[target]
-            rows.append([
-                target,
-                f"{float(rec['precision_pos']):.3f}",
-                f"{float(rec['recall_pos']):.3f}",
-                f"{float(rec['f_measure_pos']):.3f}",
-                f"{float(rec['accuracy']):.3f}",
-            ])
-        _write_tsv(out, ("classifier", "precision", "recall", "f_measure",
-                         "overall_accuracy"), rows)
-    elif args.table == "6":
-        rows = _table6_rows(cfg)
-        _write_tsv(out, ("coefficient",
-                         "recommendation_estimate", "recommendation_p",
-                         "medical_info_estimate", "medical_info_p",
-                         "understandability_estimate", "understandability_p"),
-                   rows)
-    elif args.table == "7":
-        metrics = _read_eval_rows(
-            cfg.work_dir / "eval" / "clf_metrics.tsv", "target"
-        )
-        if "recommendation" not in metrics:
-            raise ValueError("no classifier evaluation for 'recommendation'")
-        rec = metrics["recommendation"]
-        rows = [
-            ["recommended",
-             f"{float(rec['precision_pos']):.3f}",
-             f"{float(rec['recall_pos']):.3f}",
-             f"{float(rec['f_measure_pos']):.3f}"],
-            ["not_recommended",
-             f"{float(rec['precision_neg']):.3f}",
-             f"{float(rec['recall_neg']):.3f}",
-             f"{float(rec['f_measure_neg']):.3f}"],
-            ["overall_accuracy", f"{float(rec['accuracy']):.3f}", "", ""],
-        ]
-        _write_tsv(out, ("class", "precision", "recall", "f_measure"), rows)
+    out = args.output or cfg.work_dir / "reports" / f"table{args.table}.tsv"
+    if args.table == "6":
+        write_tsv(out, ("coefficient",
+                        "recommendation_estimate", "recommendation_p",
+                        "medical_info_estimate", "medical_info_p",
+                        "understandability_estimate", "understandability_p"),
+                  _table6_rows(cfg))
     else:
-        raise ValueError(f"unknown table {args.table!r}")
+        source, source_header, header, spec = _METRIC_REPORTS[args.table]
+        path = _require(cfg.work_dir / "eval" / source)
+        metrics = dict(read_tsv(path, source_header, lambda cells: (
+            cells[0], dict(zip(source_header[1:], map(float, cells[1:])))
+        )))
+        rows = []
+        for first, key, columns in spec:
+            if key not in metrics:
+                raise ValueError(f"{path}: no row for {key!r}")
+            cells = [first] + [f"{metrics[key][c]:.3f}" for c in columns]
+            rows.append(cells + [""] * (len(header) - len(cells)))
+        write_tsv(out, header, rows)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -742,13 +675,9 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
 def _table6_rows(cfg) -> list[list[str]]:
     """Coefficient table across the three models, sorted by the
     recommendation estimate descending; absent features print '-'."""
-    models = {}
-    for target in clf.TARGETS:
-        models[target] = clf.load_lr_model(
-            _require(_clf_model_path(cfg, target))
-        )
     per_target: dict[str, dict[str, tuple[float, float]]] = {}
-    for target, model in models.items():
+    for target in clf.TARGETS:
+        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
         entries = {"(intercept)": (model.intercept, model.p_values[0])}
         for j, name in enumerate(model.spec.features):
             entries[name] = (model.coefficients[j], model.p_values[j + 1])

@@ -25,8 +25,8 @@ from .blstm import (
     blstm_loss_grad,
     train_blstm,
     tag_with_blstm,
-    TrainingDivergedError,
 )
+from ._trainutil import TrainingDivergedError
 from .model_io import (
     ARCH_BLSTM,
     ARCH_CRF,

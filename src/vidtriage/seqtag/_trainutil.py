@@ -1,11 +1,15 @@
-"""Helpers shared by the two tagger training loops."""
+"""The training loop and checks shared by the two taggers."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+
+from .config import TrainConfig
+
+P = TypeVar("P")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -43,6 +47,83 @@ def split_train_dev(
     return perm[n_dev:], perm[:n_dev]
 
 
-def minibatches(indices: np.ndarray, batch_size: int) -> Iterator[np.ndarray]:
-    for lo in range(0, len(indices), batch_size):
-        yield indices[lo:lo + batch_size]
+def _check_corpus(sentences, labels):
+    if len(sentences) == 0:
+        raise ValueError("no sentences")
+    if len(sentences) != len(labels):
+        raise ValueError(
+            f"{len(sentences)} sentences vs {len(labels)} label sequences"
+        )
+    for i, (s, l) in enumerate(zip(sentences, labels)):
+        if len(s) == 0:
+            raise ValueError(f"sentence {i} is empty")
+        if len(s) != len(l):
+            raise ValueError(
+                f"sentence {i}: {len(s)} tokens vs {len(l)} labels"
+            )
+
+
+def fit_tagger(
+    name: str,
+    params: P,
+    loss_grad: Callable[[P, list, list], tuple[float, Sequence[np.ndarray]]],
+    dev_loss: Callable[[P, list, list], float],
+    inputs: Sequence,
+    labels: Sequence,
+    config: TrainConfig,
+    rng: np.random.Generator,
+) -> tuple[P, list[dict]]:
+    """Mini-batch gradient descent with early stopping on a held-out slice.
+
+    ``loss_grad(params, inputs, labels)`` returns a batch's loss and its
+    gradients in ``params.arrays()`` order; ``dev_loss`` scores the dev
+    slice. The seeded shuffle splits off the dev slice, then draws one
+    permutation per epoch. Training stops once the dev loss has failed to
+    improve for ``patience`` epochs, and the best parameters are restored.
+    A non-finite train or dev loss raises TrainingDivergedError naming the
+    epoch.
+    """
+
+    def pick(indices):
+        return [inputs[i] for i in indices], [labels[i] for i in indices]
+
+    train_idx, dev_idx = split_train_dev(len(inputs), config.dev_fraction,
+                                         rng)
+    best_dev = np.inf
+    best_params = params.copy()
+    bad_epochs = 0
+    history: list[dict] = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(train_idx)
+        weighted = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            loss, grads = loss_grad(params, *pick(batch))
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"{name} training diverged at epoch {epoch}"
+                )
+            clip_gradients(grads, config.clip_norm)
+            for w, g in zip(params.arrays(), grads):
+                w -= config.lr * g
+            weighted += loss * len(batch)
+        record = {"epoch": epoch, "train_loss": weighted / len(order)}
+        if len(dev_idx):
+            dev = dev_loss(params, *pick(dev_idx))
+            if not np.isfinite(dev):
+                raise TrainingDivergedError(
+                    f"{name} training diverged at epoch {epoch}"
+                )
+            record["dev_loss"] = dev
+            if dev < best_dev:
+                best_dev = dev
+                best_params = params.copy()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+        history.append(record)
+        if len(dev_idx) and bad_epochs >= config.patience:
+            break
+    if len(dev_idx):
+        params = best_params
+    return params, history

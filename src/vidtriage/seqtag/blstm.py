@@ -18,12 +18,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import (
-    TrainingDivergedError,
-    clip_gradients,
-    minibatches,
-    split_train_dev,
-)
+from ._trainutil import _check_corpus, fit_tagger
 from .config import TrainConfig
 from .crf import encode_labels
 from .metrics import repair_bio
@@ -216,17 +211,7 @@ def blstm_loss_grad(
     batch, so duplicating every sentence leaves the loss unchanged. The L2
     term is `l2` times the sum of squares of all parameters.
     """
-    if len(batch_ids) == 0:
-        raise ValueError("empty batch")
-    if len(batch_ids) != len(batch_labels):
-        raise ValueError(
-            f"{len(batch_ids)} sentences vs {len(batch_labels)} label sequences"
-        )
-    for i, (s, l) in enumerate(zip(batch_ids, batch_labels)):
-        if len(s) == 0:
-            raise ValueError(f"sentence {i} is empty")
-        if len(s) != len(l):
-            raise ValueError(f"sentence {i}: {len(s)} tokens vs {len(l)} labels")
+    _check_corpus(batch_ids, batch_labels)
     ids, mask = _pad_batch(batch_ids, PAD_ID)
     labels, _ = _pad_batch(batch_labels, 0)
     n, t_max = ids.shape
@@ -267,14 +252,13 @@ def _dev_loss(
     params: BlstmParams,
     encoded: Sequence[Sequence[int]],
     label_ids: Sequence[Sequence[int]],
-    indices: np.ndarray,
 ) -> float:
-    """Mean per-token cross-entropy on a slice, without the L2 term."""
+    """Mean per-token cross-entropy, without the L2 term."""
     ce = 0.0
     n_tokens = 0.0
-    for batch in minibatches(indices, 64):
-        ids, mask = _pad_batch([encoded[i] for i in batch], PAD_ID)
-        labels, _ = _pad_batch([label_ids[i] for i in batch], 0)
+    for lo in range(0, len(encoded), 64):
+        ids, mask = _pad_batch(encoded[lo:lo + 64], PAD_ID)
+        labels, _ = _pad_batch(label_ids[lo:lo + 64], 0)
         _, _, _, _, logp = _forward_batch(params, ids, mask)
         rows = np.arange(ids.shape[0])[:, None]
         cols = np.arange(ids.shape[1])[None, :]
@@ -295,62 +279,20 @@ def train_blstm(
     stops and the best parameters are restored. A non-finite loss raises
     TrainingDivergedError naming the epoch.
     """
-    if len(corpus) == 0:
-        raise ValueError("no sentences")
-    for i, sent in enumerate(corpus):
-        if len(sent.tokens) == 0:
-            raise ValueError(f"sentence {i} is empty")
+    _check_corpus([s.tokens for s in corpus], [s.labels for s in corpus])
     vocab = build_vocab(corpus)
     encoded = [vocab.encode(sent.tokens) for sent in corpus]
     label_ids = [encode_labels(sent.labels) for sent in corpus]
 
+    def loss_grad(params, batch_ids, batch_labels):
+        loss, g = blstm_loss_grad(params, batch_ids, batch_labels, config.l2)
+        return loss, [g[name] for name in PARAM_NAMES]
+
+    # The init weights come from the same generator, before the split.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_blstm(vocab.size, config, rng)
-    train_idx, dev_idx = split_train_dev(
-        len(encoded), config.dev_fraction, rng
-    )
-    best_dev = np.inf
-    best_params = params.copy()
-    bad_epochs = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(train_idx)
-        weighted = 0.0
-        for batch in minibatches(order, config.batch_size):
-            loss, grads = blstm_loss_grad(
-                params,
-                [encoded[i] for i in batch],
-                [label_ids[i] for i in batch],
-                config.l2,
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"blstm training diverged at epoch {epoch}"
-                )
-            grad_list = [grads[name] for name in PARAM_NAMES]
-            clip_gradients(grad_list, config.clip_norm)
-            for name, w in zip(PARAM_NAMES, params.arrays()):
-                w -= config.lr * grads[name]
-            weighted += loss * len(batch)
-        record = {"epoch": epoch, "train_loss": weighted / len(order)}
-        if len(dev_idx):
-            dev = _dev_loss(params, encoded, label_ids, dev_idx)
-            if not np.isfinite(dev):
-                raise TrainingDivergedError(
-                    f"blstm training diverged at epoch {epoch}"
-                )
-            record["dev_loss"] = dev
-            if dev < best_dev:
-                best_dev = dev
-                best_params = params.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-        history.append(record)
-        if len(dev_idx) and bad_epochs >= config.patience:
-            break
-    if len(dev_idx):
-        params = best_params
+    params, history = fit_tagger("blstm", params, loss_grad, _dev_loss,
+                                 encoded, label_ids, config, rng)
     return params, vocab, history
 
 

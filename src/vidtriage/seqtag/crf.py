@@ -16,12 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import (
-    TrainingDivergedError,
-    clip_gradients,
-    minibatches,
-    split_train_dev,
-)
+from ._trainutil import _check_corpus, fit_tagger
 from .config import TrainConfig
 from .metrics import repair_bio
 
@@ -296,22 +291,6 @@ def _mean_nll(
     return total / len(encoded)
 
 
-def _check_corpus(sentences, labels):
-    if len(sentences) == 0:
-        raise ValueError("no sentences")
-    if len(sentences) != len(labels):
-        raise ValueError(
-            f"{len(sentences)} sentences vs {len(labels)} label sequences"
-        )
-    for i, (s, l) in enumerate(zip(sentences, labels)):
-        if len(s) == 0:
-            raise ValueError(f"sentence {i} is empty")
-        if len(s) != len(l):
-            raise ValueError(
-                f"sentence {i}: {len(s)} tokens vs {len(l)} labels"
-            )
-
-
 def train_crf(
     corpus: Sequence[TaggedSentence],
     config: TrainConfig,
@@ -329,58 +308,14 @@ def train_crf(
     encoded = [encode_sentence(params.feature_index, s) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
 
+    def loss_grad(params, batch_encoded, batch_labels):
+        loss, g = _loss_grad_encoded(params, batch_encoded, batch_labels,
+                                     config.l2)
+        return loss, [g["w_emit"], g["w_trans"], g["w_start"]]
+
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    train_idx, dev_idx = split_train_dev(
-        len(encoded), config.dev_fraction, rng
-    )
-    best_dev = np.inf
-    best_params = params.copy()
-    bad_epochs = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(train_idx)
-        weighted = 0.0
-        for batch in minibatches(order, config.batch_size):
-            loss, grads = _loss_grad_encoded(
-                params,
-                [encoded[i] for i in batch],
-                [label_ids[i] for i in batch],
-                config.l2,
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"crf training diverged at epoch {epoch}"
-                )
-            grad_list = [grads["w_emit"], grads["w_trans"], grads["w_start"]]
-            clip_gradients(grad_list, config.clip_norm)
-            params.w_emit -= config.lr * grads["w_emit"]
-            params.w_trans -= config.lr * grads["w_trans"]
-            params.w_start -= config.lr * grads["w_start"]
-            weighted += loss * len(batch)
-        record = {"epoch": epoch, "train_loss": weighted / len(order)}
-        if len(dev_idx):
-            dev_loss = _mean_nll(
-                params,
-                [encoded[i] for i in dev_idx],
-                [label_ids[i] for i in dev_idx],
-            )
-            if not np.isfinite(dev_loss):
-                raise TrainingDivergedError(
-                    f"crf training diverged at epoch {epoch}"
-                )
-            record["dev_loss"] = dev_loss
-            if dev_loss < best_dev:
-                best_dev = dev_loss
-                best_params = params.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-        history.append(record)
-        if len(dev_idx) and bad_epochs >= config.patience:
-            break
-    if len(dev_idx):
-        params = best_params
-    return params, history
+    return fit_tagger("crf", params, loss_grad, _mean_nll, encoded,
+                      label_ids, config, rng)
 
 
 def tag_with_crf(

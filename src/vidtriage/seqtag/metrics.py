@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..medterm import B_MED, I_MED, O, TaggedSentence
+from ..medterm import B_MED, I_MED, O
 
 _POSITIVE = (B_MED, I_MED)
 
@@ -114,6 +114,3 @@ def _span_offsets(labels: Sequence[str]) -> set[tuple[int, int]]:
         spans.add((start, len(labels)))
     return spans
 
-
-def tagged_to_labels(sentences: Sequence[TaggedSentence]) -> list[list[str]]:
-    return [list(s.labels) for s in sentences]

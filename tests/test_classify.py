@@ -66,7 +66,8 @@ def test_assemble_features_from_fixture(store, lexicons):
     transition, summary, verbs = lexicons
     blocks = clf.compute_text_features(store, transition, summary, verbs)
     counts = {vid: 3 for vid in store.videos}
-    rows = clf.assemble_features(store, blocks, counts)
+    records = clf.doc_feature_records(store, blocks)
+    rows = clf.assemble_from_records(store, records, counts)
     assert [r.video_id for r in rows] == sorted(store.labels)
     by_id = {r.video_id: r for r in rows}
     v4 = by_id["vid004"]

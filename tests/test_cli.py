@@ -197,3 +197,46 @@ def test_report_without_eval_exits_1(tmp_path, caplog):
                    "--work-dir", str(tmp_path / "w")])
     assert rc == 1
     assert "missing input file" in caplog.text
+
+
+def _edit_table(path, line, edit):
+    """Apply ``edit`` to the cells of one line, or of every line if None."""
+    lines = path.read_text().splitlines()
+    for i, text in enumerate(lines, start=1):
+        if line is None or i == line:
+            lines[i - 1] = "\t".join(edit(text.split("\t")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("table, line, edit, command, bad_line", [
+    ("ner/term_counts.tsv", 3, lambda c: c[:1], ["assemble"], 3),
+    ("eval/tagger_metrics.tsv", None, lambda c: c[:2] + c[3:],
+     ["report", "--table", "2"], 1),
+    ("features/features.tsv", 2, lambda c: [c[0], "abc", *c[2:]],
+     ["train-clf", "--target", "understandability", "--seed", "1"], 2),
+    ("features/text_features.tsv", 3, lambda c: c[:-1], ["assemble"], 3),
+], ids=["term-count-one-cell", "metrics-without-recall",
+        "feature-not-a-number", "text-feature-ragged"])
+def test_malformed_table_exits_1_naming_file_and_line(
+        tmp_path, corpus_paths, caplog, capsys,
+        table, line, edit, command, bad_line):
+    work = tmp_path / "work"
+    assert main(_ingest_args(corpus_paths, work)) == 0
+    assert main(["featurize", "--work-dir", str(work)]) == 0
+    (work / "ner").mkdir()
+    (work / "ner" / "term_counts.tsv").write_text(
+        "video_id\tn_unique_medical_terms\n"
+        + "".join(f"vid00{i}\t{i}\n" for i in range(1, 6))
+    )
+    assert main(["assemble", "--work-dir", str(work)]) == 0
+    (work / "eval").mkdir()
+    (work / "eval" / "tagger_metrics.tsv").write_text(
+        "model\tprecision\trecall\tf_measure\tn_test_sentences\n"
+        "crf\t0.9\t0.8\t0.85\t4\nblstm\t0.7\t0.6\t0.65\t4\n"
+    )
+    capsys.readouterr()
+    _edit_table(work / table, line, edit)
+    with caplog.at_level(logging.ERROR):
+        assert main([*command, "--work-dir", str(work)]) == 1
+    assert f"{work / table}:{bad_line}:" in caplog.text
+    assert "Traceback" not in caplog.text
