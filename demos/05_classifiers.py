@@ -24,8 +24,8 @@ X, y = clf.simulate_design(
 )
 print("simulated:", X.shape, "positives:", int(y.sum()))
 
-# The fit standardizes features, runs gradient ascent with line search,
-# and attaches Wald standard errors from the observed information.
+# The fit standardizes features, takes damped Newton steps, and attaches
+# Wald standard errors from the same observed information matrix.
 model = clf.train_logreg(X, y, spec=spec)
 print("iterations:", model.train_meta["iterations"])
 

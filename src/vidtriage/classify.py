@@ -8,17 +8,17 @@ recommendation model conditions on human annotations at predict time;
 its scores are not label-free, so unannotated videos need the other two
 models' predictions imputed first. Features are z-scored before fitting
 (binaries pass through), the regularized Bernoulli log-likelihood is
-maximized by full-batch gradient ascent with a backtracking line search,
-and coefficient significance comes from Wald tests against the observed
-information.
+maximized by damped Newton steps, and coefficient significance comes from
+Wald tests against the same observed information matrix.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -415,21 +415,34 @@ def logreg_objective_grad(
     return obj, grad
 
 
+def _information(Xa: np.ndarray, beta: np.ndarray, l2: float) -> np.ndarray:
+    """Xa' W Xa + 2 n l2 D at ``beta``, W = diag(p(1-p)) and D the identity
+    but zero for the intercept: minus the Hessian of the summed objective."""
+    p = expit(Xa @ beta)
+    ridge = np.full(len(beta), 2.0 * len(Xa) * l2)
+    ridge[0] = 0.0
+    return Xa.T @ (Xa * (p * (1.0 - p))[:, None]) + np.diag(ridge)
+
+
 def fit_logreg(
     X: np.ndarray,
     y: np.ndarray,
     l2: float,
-    max_iter: int = 20000,
+    max_iter: int = 100,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, dict]:
-    """Maximize the regularized log-likelihood by gradient ascent.
+    """Maximize the regularized log-likelihood by damped Newton steps.
 
-    Steps follow the gradient under a backtracking (sufficient-increase)
-    line search whose step size doubles after every accepted move, so the
-    objective never decreases. Stops when the gradient norm reaches
-    ``tol``; exceeding ``max_iter`` raises ConvergenceError reporting the
-    final norm.
+    Each step is halved until it gives a sufficient increase or still
+    ends uphill, so the objective never decreases. Stops when the gradient
+    norm reaches ``tol``; a stalled line search or more than ``max_iter``
+    steps raise ConvergenceError.
     """
+    if (isinstance(l2, bool) or not isinstance(l2, numbers.Real)
+            or not 0 <= l2 < np.inf):
+        raise ValueError(
+            f"l2 must be a finite non-negative number, got {l2!r}"
+        )
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
@@ -438,19 +451,29 @@ def fit_logreg(
         raise ValueError("need at least two rows")
     if len(np.unique(y)) < 2:
         raise ValueError("labels are single-class; cannot fit")
-    beta = np.zeros(X.shape[1] + 1)
+    Xa = np.hstack([np.ones((len(X), 1)), X])
+    beta = np.zeros(Xa.shape[1])
     obj, grad = logreg_objective_grad(beta, X, y, l2)
-    step = 1.0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(max_iter + 1):
         norm = float(np.linalg.norm(grad))
         if norm <= tol:
-            return beta, {"iterations": iteration - 1, "grad_norm": norm,
+            return beta, {"iterations": iteration, "grad_norm": norm,
                           "objective": obj}
-        gg = norm * norm
+        if iteration == max_iter:
+            raise ConvergenceError(f"no convergence in {max_iter} "
+                                   f"iterations; gradient norm {norm:.3e}")
+        # The Hessian of the mean objective is -information / n; pinv skips
+        # directions an unpenalized collinearity leaves flat.
+        direction = len(y) * np.linalg.pinv(_information(Xa, beta, l2)) @ grad
+        slope = float(grad @ direction)
+        step = 1.0
         while True:
-            candidate = beta + step * grad
+            candidate = beta + step * direction
             new_obj, new_grad = logreg_objective_grad(candidate, X, y, l2)
-            if new_obj >= obj + 1e-4 * step * gg:
+            # Ending uphill certifies a gain on a concave objective, also
+            # where the gain is below the rounding of the objective.
+            if (new_obj >= obj + 1e-4 * step * slope
+                    or float(new_grad @ direction) >= 0.0):
                 break
             step *= 0.5
             if step < 1e-18:
@@ -458,25 +481,21 @@ def fit_logreg(
                     f"line search stalled at gradient norm {norm:.3e}"
                 )
         beta, obj, grad = candidate, new_obj, new_grad
-        step *= 2.0
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations; "
-        f"gradient norm {float(np.linalg.norm(grad)):.3e}"
-    )
 
 
 @dataclass
 class LrModel:
-    """Fitted classifier: scaler, coefficients, and Wald inference."""
+    """Fitted classifier: scaler, coefficients, and the Wald inference
+    (intercept first) that ``train_logreg`` sets from ``wald_pvalues``."""
 
     spec: FeatureSpec
     scaler: Scaler
     intercept: float
     coefficients: np.ndarray
-    standard_errors: np.ndarray
-    p_values: np.ndarray
     l2: float
     train_meta: dict
+    standard_errors: Optional[np.ndarray] = None
+    p_values: Optional[np.ndarray] = None
 
     @property
     def beta(self) -> np.ndarray:
@@ -490,8 +509,6 @@ def train_logreg(
     *,
     spec: FeatureSpec,
     scaler: Optional[Scaler] = None,
-    max_iter: int = 20000,
-    tol: float = 1e-8,
     train_meta: Optional[dict] = None,
 ) -> LrModel:
     """Standardize a raw design matrix, fit, and attach Wald inference.
@@ -510,46 +527,30 @@ def train_logreg(
         l2 = 1.0 / max(len(y), 1)
     if scaler is None:
         scaler = standardize_fit(X, spec)
-    Xs = standardize_apply(scaler, X)
-    beta, opt_info = fit_logreg(Xs, y, l2, max_iter=max_iter, tol=tol)
-    meta = dict(train_meta or {})
-    meta.update({"n_rows": len(y), "l2": l2, **opt_info})
+    beta, opt_info = fit_logreg(standardize_apply(scaler, X), y, l2)
     model = LrModel(
         spec=spec,
         scaler=scaler,
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
-        standard_errors=np.zeros(len(beta)),
-        p_values=np.ones(len(beta)),
         l2=l2,
-        train_meta=meta,
+        train_meta={**(train_meta or {}), "n_rows": len(y), "l2": l2,
+                    **opt_info},
     )
-    se, p = wald_pvalues(model, X)
-    model.standard_errors = se
-    model.p_values = p
+    model.standard_errors, model.p_values = wald_pvalues(model, X)
     return model
 
 
 def wald_pvalues(
     model: LrModel, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard errors and two-sided p-values from observed information.
-
-    The information matrix is Xa' W Xa + 2 n l2 D over the standardized
-    training design, W = diag(p(1-p)), with D zero for the intercept.
-    A singular matrix is an error suggesting stronger regularization.
-    """
-    Xs = standardize_apply(model.scaler, np.asarray(X, dtype=float))
-    Xa = np.hstack([np.ones((len(Xs), 1)), Xs])
+    """Standard errors and two-sided p-values from the information matrix
+    over the standardized training design; a singular matrix is an error
+    suggesting stronger regularization."""
+    Xa = np.hstack([np.ones((len(X), 1)), standardize_apply(model.scaler, X)])
     beta = model.beta
-    p = expit(Xa @ beta)
-    w = p * (1.0 - p)
-    info = Xa.T @ (Xa * w[:, None])
-    ridge = np.full(len(beta), 2.0 * len(Xs) * model.l2)
-    ridge[0] = 0.0
-    info += np.diag(ridge)
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(_information(Xa, beta, model.l2))
     except np.linalg.LinAlgError:
         raise ConvergenceError(
             "information matrix is singular; refit with a larger l2"
@@ -561,8 +562,7 @@ def wald_pvalues(
             "refit with a larger l2"
         )
     se = np.sqrt(diag)
-    z = beta / se
-    return se, 2.0 * norm.sf(np.abs(z))
+    return se, 2.0 * norm.sf(np.abs(beta / se))
 
 
 def format_pvalue(p: float) -> str:
@@ -574,27 +574,10 @@ def format_pvalue(p: float) -> str:
     return f"{p:.3f}"
 
 
-def predict(
-    model: LrModel, x: Union[FeatureVector, Mapping[str, float]]
-) -> tuple[float, int]:
-    """Probability and 0/1 label (threshold 0.5, ties classified 1)."""
-    values = []
-    for name in model.spec.features:
-        if isinstance(x, FeatureVector):
-            value = getattr(x, name)
-        else:
-            value = x.get(name)
-        if value is None:
-            raise ValueError(f"missing feature {name!r}")
-        values.append(float(value))
-    row = standardize_apply(model.scaler, np.asarray([values]))[0]
-    p = float(expit(model.intercept + row @ model.coefficients))
-    return p, int(p >= 0.5)
-
-
 def predict_batch(
     model: LrModel, rows: Sequence[FeatureVector]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and 0/1 labels (threshold 0.5, ties classified 1)."""
     X = rows_to_matrix(rows, model.spec)
     Xs = standardize_apply(model.scaler, X)
     p = expit(model.intercept + Xs @ model.coefficients)

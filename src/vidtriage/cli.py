@@ -124,6 +124,7 @@ def _load_config_file(path: Path) -> dict:
     for section, allowed in (
         ("corpus", {"videos", "transcripts", "ocr", "labels"}),
         ("lexicons", set(_LEXICON_FILES)),
+        ("classifier", {"l2"}),
     ):
         bad = sorted(set(doc.get(section, {})) - allowed)
         if bad:
@@ -454,9 +455,8 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
     X = clf.rows_to_matrix(train_rows, spec)
     y = clf.target_vector(train_rows, args.target)
     l2 = args.l2 if args.l2 is not None else cfg.classifier.get("l2")
-    max_iter = int(cfg.classifier.get("max_iter", 20000))
     model = clf.train_logreg(
-        X, y, l2, spec=spec, max_iter=max_iter,
+        X, y, l2, spec=spec,
         train_meta={
             "seed": seed,
             "split_fraction": cfg.split_fraction,
@@ -487,16 +487,12 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
         _require(cfg.work_dir / "features" / "features.tsv")
     )
     out_dir = cfg.work_dir / "predictions"
-    predicted_labels: dict[str, dict[str, int]] = {}
-    for target in sorted(targets, key=lambda t: t == "recommendation"):
+    for target in targets:
         model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
         eval_rows = rows
         if target == "recommendation" and args.impute_annotations:
-            eval_rows = _impute_annotations(cfg, rows, predicted_labels)
+            eval_rows = _impute_annotations(cfg, rows)
         p, labels = clf.predict_batch(model, eval_rows)
-        predicted_labels[target] = {
-            row.video_id: int(lab) for row, lab in zip(eval_rows, labels)
-        }
         write_tsv(
             out_dir / f"{target}.tsv",
             _PREDICTIONS_HEADER,
@@ -510,31 +506,19 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _impute_annotations(cfg, rows, predicted_labels):
+def _impute_annotations(cfg, rows):
     """Fill missing annotation features from the other two classifiers."""
-    patched = []
-    needed = [row for row in rows
-              if row.medical_info_high is None or row.understandable is None]
-    if not needed:
+    if all(row.medical_info_high is not None
+           and row.understandable is not None for row in rows):
         return rows
+    imputed = {}
     for target in ("medical_info", "understandability"):
-        if target not in predicted_labels:
-            model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
-            _, labels = clf.predict_batch(model, rows)
-            predicted_labels[target] = {
-                row.video_id: int(lab) for row, lab in zip(rows, labels)
-            }
-    for row in rows:
-        med = row.medical_info_high
-        und = row.understandable
-        if med is None:
-            med = predicted_labels["medical_info"][row.video_id]
-        if und is None:
-            und = predicted_labels["understandability"][row.video_id]
-        patched.append(dataclasses.replace(
-            row, medical_info_high=med, understandable=und
-        ))
-    return patched
+        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
+        imputed[clf.TARGET_FIELDS[target]] = clf.predict_batch(model, rows)[1]
+    return [dataclasses.replace(row, **{
+        name: int(labels[i]) for name, labels in imputed.items()
+        if getattr(row, name) is None
+    }) for i, row in enumerate(rows)]
 
 
 # ------------------------------------------------------------------- eval
@@ -695,7 +679,9 @@ def _table6_rows(cfg) -> list[list[str]]:
             if entry is None:
                 row += ["-", "-"]
             else:
-                row += [f"{entry[0]:.2f}", clf.format_pvalue(entry[1])]
+                # An estimate that rounds to zero prints as 0.00, never -0.00.
+                estimate = f"{entry[0]:.2f}".replace("-0.00", "0.00")
+                row += [estimate, clf.format_pvalue(entry[1])]
         rows.append(row)
     return rows
 

@@ -199,6 +199,14 @@ def blstm_forward(
     return logp[0]
 
 
+def _summed_nll(logp: np.ndarray, labels: np.ndarray,
+                mask: np.ndarray) -> float:
+    """Cross-entropy summed over the real tokens of a padded batch."""
+    rows = np.arange(logp.shape[0])[:, None]
+    cols = np.arange(logp.shape[1])[None, :]
+    return float(-(logp[rows, cols, labels] * mask).sum())
+
+
 def blstm_loss_grad(
     params: BlstmParams,
     batch_ids: Sequence[Sequence[int]],
@@ -220,7 +228,7 @@ def blstm_loss_grad(
 
     rows = np.arange(n)[:, None]
     cols = np.arange(t_max)[None, :]
-    loss = float(-(logp[rows, cols, labels] * mask).sum() / n_tokens)
+    loss = _summed_nll(logp, labels, mask) / n_tokens
 
     dlogits = np.exp(logp)
     dlogits[rows, cols, labels] -= 1.0
@@ -260,9 +268,7 @@ def _dev_loss(
         ids, mask = _pad_batch(encoded[lo:lo + 64], PAD_ID)
         labels, _ = _pad_batch(label_ids[lo:lo + 64], 0)
         _, _, _, _, logp = _forward_batch(params, ids, mask)
-        rows = np.arange(ids.shape[0])[:, None]
-        cols = np.arange(ids.shape[1])[None, :]
-        ce += float(-(logp[rows, cols, labels] * mask).sum())
+        ce += _summed_nll(logp, labels, mask)
         n_tokens += float(mask.sum())
     return ce / n_tokens
 

@@ -148,10 +148,7 @@ def crf_log_partition(
 ) -> float:
     """Log of the summed exponentiated scores of every label sequence."""
     emit, trans, start = _check_scores(emit, trans, start)
-    alpha = start + emit[0]
-    for t in range(1, emit.shape[0]):
-        alpha = emit[t] + logsumexp(alpha[:, None] + trans, axis=0)
-    return float(logsumexp(alpha))
+    return float(logsumexp(_forward(emit, trans, start)[-1]))
 
 
 def crf_sequence_score(
@@ -195,14 +192,21 @@ def crf_viterbi(
     return path
 
 
+def _forward(emit: np.ndarray, trans: np.ndarray,
+             start: np.ndarray) -> np.ndarray:
+    """(T, L) log forward scores of every label prefix ending at (t, j)."""
+    alpha = np.empty_like(emit)
+    alpha[0] = start + emit[0]
+    for t in range(1, emit.shape[0]):
+        alpha[t] = emit[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
+    return alpha
+
+
 def _forward_backward(
     emit: np.ndarray, trans: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n_tok = emit.shape[0]
-    alpha = np.empty_like(emit)
-    alpha[0] = start + emit[0]
-    for t in range(1, n_tok):
-        alpha[t] = emit[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
+    alpha = _forward(emit, trans, start)
     beta = np.zeros_like(emit)
     for t in range(n_tok - 2, -1, -1):
         beta[t] = logsumexp(trans + (emit[t + 1] + beta[t + 1])[None, :],

@@ -3,8 +3,10 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
+import vidtriage.classify as clf
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 
@@ -240,3 +242,108 @@ def test_malformed_table_exits_1_naming_file_and_line(
         assert main([*command, "--work-dir", str(work)]) == 1
     assert f"{work / table}:{bad_line}:" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def _assembled_work(tmp_path, corpus_paths):
+    """Work dir holding features.tsv for the fixture corpus."""
+    work = tmp_path / "work"
+    assert main(_ingest_args(corpus_paths, work)) == 0
+    assert main(["featurize", "--work-dir", str(work)]) == 0
+    (work / "ner").mkdir()
+    (work / "ner" / "term_counts.tsv").write_text(
+        "video_id\tn_unique_medical_terms\n"
+        + "".join(f"vid00{i}\t{i}\n" for i in range(1, 6))
+    )
+    assert main(["assemble", "--work-dir", str(work)]) == 0
+    return work
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"classifier": {"l2": "0.1"}}, []),
+    ({}, ["--l2", "-5"]),
+    ({}, ["--l2", "nan"]),
+], ids=["config-string", "flag-negative", "flag-nan"])
+def test_train_clf_rejects_bad_l2(tmp_path, corpus_paths, caplog, capsys,
+                                  config, flags):
+    work = _assembled_work(tmp_path, corpus_paths)
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main(["train-clf", "--target", "medical_info", "--seed", "1",
+                     "--config", str(cfg), "--work-dir", str(work),
+                     *flags]) == 1
+    assert "l2 must be a finite non-negative number" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (work / "models" / "clf_medical_info.json").exists()
+
+
+def test_config_unknown_classifier_key(tmp_path, caplog):
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"classifier": {"l2": 0.1, "max_iter": 100}}))
+    with caplog.at_level(logging.ERROR):
+        assert main(["ingest", "--config", str(cfg)]) == 1
+    assert "unknown classifier keys ['max_iter']" in caplog.text
+
+
+def _save_clf_model(work, target, intercept, coefficients):
+    """Identity-scaled model of ``target``; unnamed coefficients are 0."""
+    spec = clf.FEATURE_SPECS[target]
+    k = len(spec.features)
+    (work / "models").mkdir(parents=True, exist_ok=True)
+    clf.save_lr_model(work / "models" / f"clf_{target}.json", clf.LrModel(
+        spec=spec, scaler=clf.Scaler(spec.features, (0.0,) * k, (1.0,) * k),
+        intercept=intercept,
+        coefficients=np.array([coefficients.get(n, 0.0)
+                               for n in spec.features]),
+        l2=0.1, train_meta={}, standard_errors=np.ones(k + 1),
+        p_values=np.full(k + 1, 0.5),
+    ))
+
+
+def test_table6_prints_no_negative_zero(tmp_path, capsys):
+    work = tmp_path / "work"
+    for target in clf.TARGETS:
+        _save_clf_model(work, target, -1e-12, {
+            name: (-1e-12 if name == "n_words_v" else 0.5)
+            for name in clf.FEATURE_SPECS[target].features
+        })
+    assert main(["report", "--table", "6", "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    text = (work / "reports" / "table6.tsv").read_text()
+    rows = {line.split("\t")[0]: line.split("\t")
+            for line in text.splitlines()}
+    assert rows["(intercept)"][1::2] == ["0.00"] * 3
+    assert rows["n_words_v"][1::2] == ["0.00"] * 3
+    assert "-0.00" not in text
+
+
+def test_classify_imputes_missing_annotations(tmp_path, capsys):
+    # medical_info predicts has_title, understandability predicts
+    # ocr_confidence, and recommendation needs both annotations.
+    work = tmp_path / "work"
+    _save_clf_model(work, "medical_info", -1.0, {"has_title": 2.0})
+    _save_clf_model(work, "understandability", -1.0,
+                    {"ocr_confidence": 2.0})
+    _save_clf_model(work, "recommendation", -3.0,
+                    {"medical_info_high": 2.0, "understandable": 2.0})
+    cases = [  # has_title, ocr, medical_info_high, understandable, expected
+        (1, 1.0, None, None, 1),
+        (1, 0.0, None, 1, 1),
+        (0, 1.0, 1, None, 1),
+        (0, 0.0, None, None, 0),
+        (1, 1.0, 0, 1, 0),
+    ]
+    clf.write_features_tsv([
+        clf.FeatureVector(video_id=f"v{i}", has_title=title,
+                          ocr_confidence=ocr, medical_info_high=med,
+                          understandable=und)
+        for i, (title, ocr, med, und, _) in enumerate(cases)
+    ], work / "features" / "features.tsv")
+    assert main(["classify", "--target", "recommendation",
+                 "--impute-annotations", "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    lines = (work / "predictions" / "recommendation.tsv").read_text()
+    assert [line.split("\t")[2] for line in lines.splitlines()[1:]] == [
+        str(case[-1]) for case in cases
+    ]
