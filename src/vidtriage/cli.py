@@ -376,20 +376,22 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
     )
     model = load_model(model_path)
     store = _load_work_corpus(cfg)
-    tagged, video_ids = [], []
-    counts = {}
-    n_sentences = 0
+    per_video = {}
     for vid in sorted(store.videos):
         if args.source == "description":
             text = store.videos[vid].description
         else:
             tdoc = store.transcripts.get(vid)
             text = tdoc.text if tdoc is not None else ""
-        sentences = textfeat.tokenize(text).sentence_tokens()
-        if not sentences:
-            counts[vid] = 0
-            continue
-        predicted = tag_sentences(model, sentences)
+        per_video[vid] = textfeat.tokenize(text).sentence_tokens()
+    # One call tags every video's sentences, so the taggers batch across
+    # videos; the labels come back in the same order.
+    predicted = iter(tag_sentences(
+        model, [s for sentences in per_video.values() for s in sentences]
+    ))
+    tagged, video_ids = [], []
+    counts = {}
+    for vid, sentences in per_video.items():
         sents = [
             medterm.TaggedSentence(tokens=tuple(s), labels=tuple(p))
             for s, p in zip(sentences, predicted)
@@ -397,7 +399,6 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
         counts[vid] = medterm.unique_medical_terms(sents)
         tagged.extend(sents)
         video_ids.extend([vid] * len(sents))
-        n_sentences += len(sents)
     ner_dir = cfg.work_dir / "ner"
     ner_dir.mkdir(parents=True, exist_ok=True)
     medterm.write_conll(tagged, ner_dir / f"tagged_{args.arch}.conll",
@@ -408,7 +409,7 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
         [[vid, str(counts[vid])] for vid in sorted(counts)],
     )
     print(
-        f"tagged {n_sentences} sentences across {len(counts)} videos "
+        f"tagged {len(tagged)} sentences across {len(counts)} videos "
         f"with {args.arch} -> {ner_dir / 'term_counts.tsv'}"
     )
     return EXIT_OK

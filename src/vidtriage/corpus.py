@@ -213,10 +213,6 @@ class LoadSummary:
     n_labeled_videos: int = 0
     n_skipped_lines: int = 0
 
-    @property
-    def labels_empty(self) -> bool:
-        return self.n_label_rows == 0
-
     def one_line(self) -> str:
         return (
             f"{self.n_videos} videos, {self.n_transcripts} transcripts, "

@@ -1,4 +1,4 @@
-"""The training loop and checks shared by the two taggers."""
+"""The training loop, checks and batched decode shared by the two taggers."""
 
 from __future__ import annotations
 
@@ -7,9 +7,14 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from ..medterm import LABELS
 from .config import TrainConfig
+from .metrics import repair_bio
 
 P = TypeVar("P")
+
+# Sentences per padded forward pass outside training: dev loss and tagging.
+EVAL_BATCH = 64
 
 
 class TrainingDivergedError(RuntimeError):
@@ -127,3 +132,27 @@ def fit_tagger(
     if len(dev_idx):
         params = best_params
     return params, history
+
+
+def decode_in_batches(
+    sentences: Sequence[Sequence[str]],
+    best_ids: Callable[[list], np.ndarray],
+) -> list[list[str]]:
+    """BIO labels for every sentence, decoded in length-sorted batches.
+
+    The non-empty sentences are stably sorted by length and cut into
+    batches of EVAL_BATCH; ``best_ids(batch)`` returns a right-padded
+    (B, T) array of label ids, of which each row's first len(sentence)
+    entries are kept. Labels are BIO-repaired and returned in input
+    order; an empty sentence gets no labels.
+    """
+    tagged: list[list[str]] = [[] for _ in sentences]
+    order = sorted((i for i, s in enumerate(sentences) if len(s)),
+                   key=lambda i: len(sentences[i]))
+    for lo in range(0, len(order), EVAL_BATCH):
+        rows = order[lo:lo + EVAL_BATCH]
+        best = best_ids([sentences[i] for i in rows])
+        for i, ids in zip(rows, best):
+            tagged[i] = repair_bio([LABELS[k]
+                                    for k in ids[:len(sentences[i])]])
+    return tagged

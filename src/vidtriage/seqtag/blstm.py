@@ -18,10 +18,11 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import _check_corpus, fit_tagger
+from ._trainutil import (
+    EVAL_BATCH, _check_corpus, decode_in_batches, fit_tagger,
+)
 from .config import TrainConfig
 from .crf import encode_labels
-from .metrics import repair_bio
 from .vocab import PAD_ID, Vocab, build_vocab
 
 N_LABELS = len(LABELS)
@@ -264,9 +265,9 @@ def _dev_loss(
     """Mean per-token cross-entropy, without the L2 term."""
     ce = 0.0
     n_tokens = 0.0
-    for lo in range(0, len(encoded), 64):
-        ids, mask = _pad_batch(encoded[lo:lo + 64], PAD_ID)
-        labels, _ = _pad_batch(label_ids[lo:lo + 64], 0)
+    for lo in range(0, len(encoded), EVAL_BATCH):
+        ids, mask = _pad_batch(encoded[lo:lo + EVAL_BATCH], PAD_ID)
+        labels, _ = _pad_batch(label_ids[lo:lo + EVAL_BATCH], 0)
         _, _, _, _, logp = _forward_batch(params, ids, mask)
         ce += _summed_nll(logp, labels, mask)
         n_tokens += float(mask.sum())
@@ -307,15 +308,13 @@ def tag_with_blstm(
 ) -> list[list[str]]:
     """Argmax-decode each sentence; ties keep the lower label id.
 
-    The per-token argmax can produce an I-MED with no span start, so the
-    output is BIO-repaired before being returned.
+    Sentences run through the padded forward pass in length-sorted
+    batches. The per-token argmax can produce an I-MED with no span
+    start, so the output is BIO-repaired before being returned.
     """
-    tagged = []
-    for tokens in sentences:
-        if len(tokens) == 0:
-            tagged.append([])
-            continue
-        logp = blstm_forward(params, vocab.encode(tokens))
-        ids = np.argmax(logp, axis=1)
-        tagged.append(repair_bio([LABELS[i] for i in ids]))
-    return tagged
+
+    def best_ids(batch):
+        ids, mask = _pad_batch([vocab.encode(s) for s in batch], PAD_ID)
+        return np.argmax(_forward_batch(params, ids, mask)[-1], axis=2)
+
+    return decode_in_batches(sentences, best_ids)

@@ -16,9 +16,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import _check_corpus, fit_tagger
+from ._trainutil import _check_corpus, decode_in_batches, fit_tagger
 from .config import TrainConfig
-from .metrics import repair_bio
 
 N_LABELS = len(LABELS)
 _LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
@@ -105,11 +104,6 @@ class CrfParams:
             w_start=self.w_start.copy(),
         )
 
-    def emissions(self, tokens: Sequence[str]) -> np.ndarray:
-        """Emission score matrix, one row per token."""
-        encoded = encode_sentence(self.feature_index, tokens)
-        return _emission_matrix(self.w_emit, encoded)
-
 
 def init_crf(feature_index: dict[str, int]) -> CrfParams:
     """Zero-initialized weights; the objective is convex so zeros suffice."""
@@ -128,6 +122,28 @@ def _emission_matrix(
     for t, ids in enumerate(encoded):
         if len(ids):
             emit[t] = w_emit[ids].sum(axis=0)
+    return emit
+
+
+def _padded_emissions(
+    w_pad: np.ndarray, encoded: Sequence[Sequence[np.ndarray]]
+) -> np.ndarray:
+    """(B, T, L) emissions of a right-padded batch, from one gather.
+
+    ``w_pad`` is ``w_emit`` plus one all-zero last row. Every token's
+    feature ids are padded with that row's id to the longest feature list,
+    so each token sums its own rows in order, exactly as _emission_matrix
+    does, and then zeros. Padding positions score zero.
+    """
+    tokens = [ids for sent in encoded for ids in sent]
+    n_ids = np.array([len(ids) for ids in tokens])
+    ids = np.full((len(tokens), n_ids.max()), w_pad.shape[0] - 1,
+                  dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < n_ids[:, None]] = np.concatenate(tokens)
+    lengths = np.array([len(sent) for sent in encoded])
+    emit = np.zeros((len(encoded), lengths.max(), w_pad.shape[1]))
+    emit[np.arange(emit.shape[1]) < lengths[:, None]] = \
+        w_pad[ids].sum(axis=1)
     return emit
 
 
@@ -179,16 +195,32 @@ def crf_viterbi(
     lexicographically smallest (argmax keeps the first maximum).
     """
     emit, trans, start = _check_scores(emit, trans, start)
-    n_tok = emit.shape[0]
-    best_to_end = np.empty_like(emit)
-    best_to_end[-1] = emit[-1]
-    for t in range(n_tok - 2, -1, -1):
-        best_to_end[t] = emit[t] + np.max(
-            trans + best_to_end[t + 1][None, :], axis=1
+    lengths = np.array([emit.shape[0]])
+    return _viterbi_batch(emit[None], lengths, trans, start)[0].tolist()
+
+
+def _viterbi_batch(
+    emit: np.ndarray, lengths: np.ndarray, trans: np.ndarray,
+    start: np.ndarray,
+) -> np.ndarray:
+    """(B, T) best label ids of right-padded (B, T, L) emissions.
+
+    Row b runs crf_viterbi's recursion over its first lengths[b] tokens;
+    its entries past that length are padding and mean nothing.
+    """
+    n, t_max, _ = emit.shape
+    best_to_end = emit.copy()
+    for t in range(t_max - 2, -1, -1):
+        step = emit[:, t] + np.max(
+            trans[None] + best_to_end[:, t + 1][:, None, :], axis=2
         )
-    path = [int(np.argmax(start + best_to_end[0]))]
-    for t in range(1, n_tok):
-        path.append(int(np.argmax(trans[path[-1]] + best_to_end[t])))
+        inner = (t < lengths - 1)[:, None]
+        best_to_end[:, t] = np.where(inner, step, emit[:, t])
+    path = np.empty((n, t_max), dtype=np.intp)
+    path[:, 0] = np.argmax(start + best_to_end[:, 0], axis=1)
+    for t in range(1, t_max):
+        path[:, t] = np.argmax(trans[path[:, t - 1]] + best_to_end[:, t],
+                               axis=1)
     return path
 
 
@@ -327,15 +359,17 @@ def tag_with_crf(
 ) -> list[list[str]]:
     """Viterbi-decode each sentence to BIO labels.
 
+    Sentences are decoded in length-sorted, right-padded batches.
     Transitions are learned, not constrained, so a decode can start a
     sentence with I-MED; the output is BIO-repaired before being returned.
     """
-    tagged = []
-    for tokens in sentences:
-        if len(tokens) == 0:
-            tagged.append([])
-            continue
-        emit = params.emissions(tokens)
-        ids = crf_viterbi(emit, params.w_trans, params.w_start)
-        tagged.append(repair_bio([LABELS[i] for i in ids]))
-    return tagged
+    w_pad = np.vstack([params.w_emit, np.zeros((1, params.w_emit.shape[1]))])
+
+    def best_ids(batch):
+        emit = _padded_emissions(
+            w_pad, [encode_sentence(params.feature_index, s) for s in batch]
+        )
+        lengths = np.array([len(s) for s in batch])
+        return _viterbi_batch(emit, lengths, params.w_trans, params.w_start)
+
+    return decode_in_batches(sentences, best_ids)

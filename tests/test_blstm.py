@@ -1,9 +1,12 @@
 """BLSTM tagger: forward pass, gradients, masking, training loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vidtriage.medterm import TaggedSentence
+from vidtriage.medterm import LABELS, TaggedSentence
 from vidtriage.seqtag import (
     PAD_ID,
     UNK_ID,
@@ -13,9 +16,11 @@ from vidtriage.seqtag import (
     blstm_loss_grad,
     build_vocab,
     init_blstm,
+    repair_bio,
     tag_with_blstm,
     train_blstm,
 )
+from vidtriage.seqtag import blstm
 from vidtriage.seqtag.blstm import PARAM_NAMES
 
 B, I, O = "B-MED", "I-MED", "O"
@@ -202,3 +207,49 @@ def test_tag_with_blstm_outputs_well_formed():
             assert lab in (B, I, O)
             assert not (lab == I and prev == O)
             prev = lab
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 12), min_size=blstm.EVAL_BATCH + 1,
+                     max_size=3 * blstm.EVAL_BATCH),
+    empty_at=st.lists(st.integers(0, 3 * blstm.EVAL_BATCH), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
+    # More non-empty sentences than one batch holds, with empty ones
+    # mixed in.
+    for i in empty_at:
+        lengths.insert(i, 0)
+    rng = np.random.default_rng(seed)
+    words = ["polyp", "water", "colitis", "advice", "colon", "visit"]
+    vocab = build_vocab([TaggedSentence(tokens=tuple(words),
+                                        labels=(O,) * len(words))])
+    params = small_params(seed=seed, vocab_size=vocab.size)
+    # "unseen" maps to the unknown-word id.
+    pool = [*words, "unseen"]
+    sentences = [[pool[i] for i in rng.integers(0, len(pool), size=n)]
+                 for n in lengths]
+
+    batches = []
+    forward = blstm._forward_batch
+
+    def recording(p, ids, mask):
+        out = forward(p, ids, mask)
+        batches.append((ids, mask, out[-1]))
+        return out
+
+    with mock.patch.object(blstm, "_forward_batch", recording):
+        tagged = tag_with_blstm(params, vocab, sentences)
+    n_real = len(lengths) - len(empty_at)
+    assert len(batches) == -(-n_real // blstm.EVAL_BATCH) >= 2
+    for ids, mask, logp in batches:
+        for row_ids, row_mask, row_logp in zip(ids, mask, logp):
+            n = int(row_mask.sum())
+            single = blstm_forward(params, row_ids[:n].tolist())
+            np.testing.assert_allclose(row_logp[:n], single, rtol=0,
+                                       atol=1e-12)
+    for tokens, labels in zip(sentences, tagged):
+        logp = blstm_forward(params, vocab.encode(tokens))
+        expected = repair_bio([LABELS[i] for i in np.argmax(logp, axis=1)])
+        assert labels == expected

@@ -9,6 +9,10 @@ import pytest
 import vidtriage.classify as clf
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
+from vidtriage.medterm import TaggedSentence, unique_medical_terms
+from vidtriage.seqtag import load_model, tag_sentences
+from vidtriage.synth import SynthConfig, write_synthetic_corpus
+from vidtriage.textfeat import tokenize
 
 FIXDIR = "tests/fixtures/corpus"
 
@@ -158,6 +162,48 @@ def test_build_ner_corpus(tmp_path, corpus_paths, capsys):
     conll = (work / "ner" / "corpus.conll").read_text()
     assert "B-MED" in conll
     assert "colonoscopy\tB-MED" in conll
+
+
+@pytest.mark.parametrize("arch", ["crf", "blstm"])
+def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
+    corpus = tmp_path / "corpus"
+    write_synthetic_corpus(
+        corpus, SynthConfig(seed=5, n_videos=20, sentences_per_video=5))
+    videos = [json.loads(line)
+              for line in (corpus / "videos.jsonl").read_text().splitlines()]
+    empty = videos[4]["video_id"]
+    videos[4]["description"] = ""
+    (corpus / "videos.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in videos))
+    work = tmp_path / "work"
+    paths = {name: corpus / f"{name}.jsonl"
+             for name in ("videos", "transcripts", "ocr", "labels")}
+    assert main(_ingest_args(paths, work)) == 0
+    assert main(["build-ner-corpus", "--work-dir", str(work),
+                 "--dictionary", str(corpus / "dictionary.tsv")]) == 0
+    assert main(["train-tagger", "--arch", arch, "--seed", "3", "--epochs",
+                 "15", "--lr", "1.0", "--work-dir", str(work)]) == 0
+    assert main(["tag", "--arch", arch, "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+
+    counts = dict(
+        line.split("\t")
+        for line in (work / "ner" / "term_counts.tsv").read_text()
+        .splitlines()[1:]
+    )
+    assert counts[empty] == "0"
+    assert sorted(counts) == sorted(doc["video_id"] for doc in videos)
+    conll = (work / "ner" / f"tagged_{arch}.conll").read_text()
+    assert f"# video_id = {empty}\n" not in conll
+    # Tagging each video on its own gives the same counts.
+    model = load_model(work / "models" / f"tagger_{arch}.json")
+    for doc in videos:
+        sentences = tokenize(doc["description"]).sentence_tokens()
+        tagged = [TaggedSentence(tokens=tuple(s), labels=tuple(p))
+                  for s, p in zip(sentences,
+                                  tag_sentences(model, sentences))]
+        assert counts[doc["video_id"]] == str(unique_medical_terms(tagged))
+    assert sum(map(int, counts.values())) > 0
 
 
 def test_config_file_paths(tmp_path, corpus_paths, capsys):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from vidtriage.medterm import TaggedSentence
@@ -18,6 +19,9 @@ from vidtriage.seqtag import (
 )
 from vidtriage.seqtag.crf import (
     N_LABELS,
+    _emission_matrix,
+    _padded_emissions,
+    _viterbi_batch,
     build_feature_index,
     init_crf,
     token_features,
@@ -89,6 +93,48 @@ def test_viterbi_tie_prefers_lower_label_id():
     trans = np.zeros((3, 3))
     start = np.zeros(3)
     assert crf_viterbi(emit, trans, start) == [0, 0, 0, 0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    integer=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_viterbi_matches_brute_force(lengths, integer, seed):
+    # Integer-valued scores make exact ties, which must go to the lower
+    # label id in every row; padding holds junk that must not matter.
+    rng = np.random.default_rng(seed)
+
+    def scores(shape):
+        if integer:
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.normal(0.0, 2.0, size=shape)
+
+    trans, start = scores((N_LABELS, N_LABELS)), scores(N_LABELS)
+    emit = scores((len(lengths), max(lengths), N_LABELS))
+    paths = _viterbi_batch(emit, np.array(lengths), trans, start)
+    for row, path, n in zip(emit, paths, lengths):
+        expected = brute_force_viterbi(row[:n], trans, start)
+        assert path[:n].tolist() == expected
+        assert crf_viterbi(row[:n], trans, start) == expected
+
+
+def test_padded_emissions_equal_per_sentence_bits():
+    rng = np.random.default_rng(404)
+    w_emit = rng.normal(0.0, 1.0, size=(40, N_LABELS))
+    w_pad = np.vstack([w_emit, np.zeros((1, N_LABELS))])
+    encoded = [
+        [rng.integers(0, 40, size=int(rng.integers(0, 12)))
+         for _ in range(int(rng.integers(1, 8)))]
+        for _ in range(9)
+    ]
+    emit = _padded_emissions(w_pad, encoded)
+    assert emit.shape == (9, max(len(s) for s in encoded), N_LABELS)
+    for row, sent in zip(emit, encoded):
+        np.testing.assert_array_equal(row[:len(sent)],
+                                      _emission_matrix(w_emit, sent))
+        assert not row[len(sent):].any()
 
 
 def test_sequence_score_consistency():
