@@ -4,9 +4,8 @@ Three binary classifiers share one 25-field feature vector: medical
 information level uses 18 metadata-plus-text features, understandability
 uses the 11 video-level features, and recommendation uses everything,
 including the other two annotation labels. That last choice means the
-recommendation model conditions on human annotations at predict time;
-its scores are not label-free, so unannotated videos need the other two
-models' predictions imputed first. Features are z-scored before fitting
+recommendation model conditions on human annotations at predict time,
+so its scores are not label-free. Features are z-scored before fitting
 (binaries pass through), the regularized Bernoulli log-likelihood is
 maximized by damped Newton steps, and coefficient significance comes from
 Wald tests against the same observed information matrix.

@@ -16,7 +16,6 @@ error, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -490,36 +489,18 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
     out_dir = cfg.work_dir / "predictions"
     for target in targets:
         model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
-        eval_rows = rows
-        if target == "recommendation" and args.impute_annotations:
-            eval_rows = _impute_annotations(cfg, rows)
-        p, labels = clf.predict_batch(model, eval_rows)
+        p, labels = clf.predict_batch(model, rows)
         write_tsv(
             out_dir / f"{target}.tsv",
             _PREDICTIONS_HEADER,
             [[row.video_id, f"{prob:.6f}", str(int(lab))]
-             for row, prob, lab in zip(eval_rows, p, labels)],
+             for row, prob, lab in zip(rows, p, labels)],
         )
     print(
         f"classified {len(rows)} videos for {len(targets)} "
         f"target(s) -> {out_dir}"
     )
     return EXIT_OK
-
-
-def _impute_annotations(cfg, rows):
-    """Fill missing annotation features from the other two classifiers."""
-    if all(row.medical_info_high is not None
-           and row.understandable is not None for row in rows):
-        return rows
-    imputed = {}
-    for target in ("medical_info", "understandability"):
-        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
-        imputed[clf.TARGET_FIELDS[target]] = clf.predict_batch(model, rows)[1]
-    return [dataclasses.replace(row, **{
-        name: int(labels[i]) for name, labels in imputed.items()
-        if getattr(row, name) is None
-    }) for i, row in enumerate(rows)]
 
 
 # ------------------------------------------------------------------- eval
@@ -760,10 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="predict labels for every video in the "
                             "feature table")
     p.add_argument("--target", choices=(*clf.TARGETS, "all"), default="all")
-    p.add_argument("--impute-annotations", action="store_true",
-                   help="substitute predicted medical-info and "
-                        "understandability labels when annotations are "
-                        "missing (recommendation only)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval", parents=[common],

@@ -1,4 +1,4 @@
-"""The training loop, checks and batched decode shared by the two taggers."""
+"""The training loop, checks, padding and batched decode of both taggers."""
 
 from __future__ import annotations
 
@@ -19,6 +19,24 @@ EVAL_BATCH = 64
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss turns non-finite."""
+
+
+def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along one axis, shifted by the maximum first."""
+    top = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def _pad_batch(
+    sequences: Sequence[Sequence[int]], fill: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad integer sequences to (B, T) with ``fill``; 0/1 float mask."""
+    lengths = np.array([len(seq) for seq in sequences])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    out = np.full(mask.shape, fill, dtype=np.intp)
+    out[mask] = np.concatenate(sequences)
+    return out, mask.astype(float)
 
 
 def clip_gradients(grads: Sequence[np.ndarray], clip_norm: float) -> float:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from ..medterm import LABELS, TaggedSentence
 from ._trainutil import (
-    EVAL_BATCH, _check_corpus, decode_in_batches, fit_tagger,
+    EVAL_BATCH, _check_corpus, _pad_batch, decode_in_batches, fit_tagger,
+    logsumexp,
 )
 from .config import TrainConfig
 from .crf import encode_labels
@@ -93,37 +94,26 @@ def init_blstm(
     )
 
 
-def _pad_batch(
-    sequences: Sequence[Sequence[int]], fill: int
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(sequences)
-    t_max = max(len(s) for s in sequences)
-    out = np.full((n, t_max), fill, dtype=np.intp)
-    mask = np.zeros((n, t_max))
-    for i, seq in enumerate(sequences):
-        out[i, :len(seq)] = seq
-        mask[i, :len(seq)] = 1.0
-    return out, mask
-
-
 def _run_direction(
     w: np.ndarray,
     b: np.ndarray,
     x: np.ndarray,
     mask: np.ndarray,
     reverse: bool,
-) -> tuple[np.ndarray, list[dict]]:
-    """One LSTM pass over a padded batch; returns hidden states and caches.
+    steps: Optional[list[dict]] = None,
+) -> np.ndarray:
+    """One LSTM pass over a padded batch; returns the hidden states.
 
     On a padding step the mask holds h and c at their previous values, so
-    right-padded sequences behave exactly like unpadded ones.
+    right-padded sequences behave exactly like unpadded ones. Given a
+    ``steps`` list, each step's gate cache is appended to it for
+    backpropagation; decoding passes none and keeps only h and c.
     """
     n, t_max, _ = x.shape
     h_dim = w.shape[0] // 4
     h = np.zeros((n, h_dim))
     c = np.zeros((n, h_dim))
     h_out = np.zeros((n, t_max, h_dim))
-    steps: list[dict] = []
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
         z = np.concatenate([x[:, t], h], axis=1) @ w.T + b
@@ -134,14 +124,15 @@ def _run_direction(
         c_hat = gate_f * c + gate_i * gate_g
         tanh_c = np.tanh(c_hat)
         m = mask[:, t][:, None]
-        steps.append({
-            "t": t, "h_prev": h, "c_prev": c, "i": gate_i, "f": gate_f,
-            "o": gate_o, "g": gate_g, "tanh_c": tanh_c, "m": m,
-        })
+        if steps is not None:
+            steps.append({
+                "t": t, "h_prev": h, "c_prev": c, "i": gate_i, "f": gate_f,
+                "o": gate_o, "g": gate_g, "tanh_c": tanh_c, "m": m,
+            })
         c = m * c_hat + (1.0 - m) * c
         h = m * (gate_o * tanh_c) + (1.0 - m) * h
         h_out[:, t] = h
-    return h_out, steps
+    return h_out
 
 
 def _back_direction(
@@ -179,10 +170,13 @@ def _back_direction(
     return g_w, g_b, dx
 
 
-def _forward_batch(params: BlstmParams, ids: np.ndarray, mask: np.ndarray):
+def _forward_batch(params: BlstmParams, ids: np.ndarray, mask: np.ndarray,
+                   keep_steps: bool = False):
+    """Padded forward pass; the step caches are kept only for training."""
     x = params.embed[ids]
-    h_f, steps_f = _run_direction(params.w_fwd, params.b_fwd, x, mask, False)
-    h_b, steps_b = _run_direction(params.w_bwd, params.b_bwd, x, mask, True)
+    steps_f, steps_b = ([], []) if keep_steps else (None, None)
+    h_f = _run_direction(params.w_fwd, params.b_fwd, x, mask, False, steps_f)
+    h_b = _run_direction(params.w_bwd, params.b_bwd, x, mask, True, steps_b)
     h2 = np.concatenate([h_f, h_b], axis=2)
     logits = h2 @ params.w_out.T + params.b_out
     logp = logits - logsumexp(logits, axis=2, keepdims=True)
@@ -225,7 +219,8 @@ def blstm_loss_grad(
     labels, _ = _pad_batch(batch_labels, 0)
     n, t_max = ids.shape
     n_tokens = float(mask.sum())
-    x, h2, steps_f, steps_b, logp = _forward_batch(params, ids, mask)
+    x, h2, steps_f, steps_b, logp = _forward_batch(params, ids, mask,
+                                                   keep_steps=True)
 
     rows = np.arange(n)[:, None]
     cols = np.arange(t_max)[None, :]

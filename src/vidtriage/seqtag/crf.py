@@ -4,7 +4,8 @@ Inference is exact: the partition function comes from a log-space forward
 pass and decoding from a max-product recursion. Scores live in three
 weight blocks: per-feature emission weights, a label transition matrix,
 and a start vector. Training minimizes the mean per-sentence negative
-log-likelihood plus an L2 penalty by mini-batch gradient descent.
+log-likelihood plus an L2 penalty by mini-batch gradient descent; each
+minibatch runs one forward-backward over right-padded emissions.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import _check_corpus, decode_in_batches, fit_tagger
+from ._trainutil import (
+    EVAL_BATCH, _check_corpus, _pad_batch, decode_in_batches, fit_tagger,
+    logsumexp,
+)
 from .config import TrainConfig
 
 N_LABELS = len(LABELS)
@@ -115,16 +118,6 @@ def init_crf(feature_index: dict[str, int]) -> CrfParams:
     )
 
 
-def _emission_matrix(
-    w_emit: np.ndarray, encoded: Sequence[np.ndarray]
-) -> np.ndarray:
-    emit = np.zeros((len(encoded), w_emit.shape[1]))
-    for t, ids in enumerate(encoded):
-        if len(ids):
-            emit[t] = w_emit[ids].sum(axis=0)
-    return emit
-
-
 def _padded_emissions(
     w_pad: np.ndarray, encoded: Sequence[Sequence[np.ndarray]]
 ) -> np.ndarray:
@@ -132,8 +125,8 @@ def _padded_emissions(
 
     ``w_pad`` is ``w_emit`` plus one all-zero last row. Every token's
     feature ids are padded with that row's id to the longest feature list,
-    so each token sums its own rows in order, exactly as _emission_matrix
-    does, and then zeros. Padding positions score zero.
+    so each token sums its own rows in order, and then zeros. Padding
+    positions score zero.
     """
     tokens = [ids for sent in encoded for ids in sent]
     n_ids = np.array([len(ids) for ids in tokens])
@@ -164,7 +157,8 @@ def crf_log_partition(
 ) -> float:
     """Log of the summed exponentiated scores of every label sequence."""
     emit, trans, start = _check_scores(emit, trans, start)
-    return float(logsumexp(_forward(emit, trans, start)[-1]))
+    lengths = np.array([emit.shape[0]])
+    return float(_forward_batch(emit[None], lengths, trans, start)[1][0])
 
 
 def crf_sequence_score(
@@ -224,26 +218,42 @@ def _viterbi_batch(
     return path
 
 
-def _forward(emit: np.ndarray, trans: np.ndarray,
-             start: np.ndarray) -> np.ndarray:
-    """(T, L) log forward scores of every label prefix ending at (t, j)."""
+def _forward_batch(emit, lengths, trans, start):
+    """(B, T, L) log forward scores and (B,) log-partitions of a padded batch.
+
+    alpha[b, t, j] sums, in log space, the scores of every label prefix of
+    row b that ends in label j at token t; past a row's length it is junk.
+    """
     alpha = np.empty_like(emit)
-    alpha[0] = start + emit[0]
-    for t in range(1, emit.shape[0]):
-        alpha[t] = emit[t] + logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    return alpha
+    alpha[:, 0] = start + emit[:, 0]
+    for t in range(1, emit.shape[1]):
+        alpha[:, t] = emit[:, t] + logsumexp(alpha[:, t - 1, :, None] + trans,
+                                             axis=1)
+    return alpha, logsumexp(alpha[np.arange(len(emit)), lengths - 1], axis=1)
 
 
-def _forward_backward(
-    emit: np.ndarray, trans: np.ndarray, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    n_tok = emit.shape[0]
-    alpha = _forward(emit, trans, start)
+def _marginals(emit, lengths, trans, start):
+    """(B, T, L) token and (B, T-1, L, L) pair marginals, and (B,) log Z.
+
+    pair[b, t] is the joint marginal of the labels at tokens t and t+1.
+    Beta is held at 0 from each row's last real token onward, and both
+    marginals are 0 wherever a token is padding.
+    """
+    alpha, log_z = _forward_batch(emit, lengths, trans, start)
     beta = np.zeros_like(emit)
-    for t in range(n_tok - 2, -1, -1):
-        beta[t] = logsumexp(trans + (emit[t + 1] + beta[t + 1])[None, :],
-                            axis=1)
-    return alpha, beta, float(logsumexp(alpha[-1]))
+    for t in range(emit.shape[1] - 2, -1, -1):
+        step = logsumexp(trans + (emit[:, t + 1] + beta[:, t + 1])[:, None],
+                         axis=2)
+        beta[:, t] = np.where((t < lengths - 1)[:, None], step, 0.0)
+    real = (np.arange(emit.shape[1]) < lengths[:, None])[:, :, None]
+    shift = log_z[:, None, None]
+    token = np.exp(np.where(real, alpha + beta - shift, -np.inf))
+    pair = np.exp(np.where(
+        real[:, 1:, None],
+        alpha[:, :-1, :, None] + trans
+        + (emit[:, 1:] + beta[:, 1:] - shift)[:, :, None], -np.inf,
+    ))
+    return token, pair, log_z
 
 
 def encode_labels(labels: Sequence[str]) -> list[int]:
@@ -253,39 +263,38 @@ def encode_labels(labels: Sequence[str]) -> list[int]:
         raise ValueError(f"unknown label {exc.args[0]!r}") from None
 
 
-def _loss_grad_encoded(
-    params: CrfParams,
-    encoded: Sequence[Sequence[np.ndarray]],
-    label_ids: Sequence[Sequence[int]],
-    l2: float,
-) -> tuple[float, dict[str, np.ndarray]]:
+def _padded_batch(params, encoded, label_ids):
+    """Emissions, lengths, gold labels and gold scores of a padded batch."""
+    w_pad = np.vstack([params.w_emit, np.zeros((1, N_LABELS))])
+    emit = _padded_emissions(w_pad, encoded)
+    gold, mask = _pad_batch(label_ids, 0)
+    picked = np.take_along_axis(emit, gold[:, :, None], axis=2)[:, :, 0]
+    gold_score = params.w_start[gold[:, 0]] + (
+        (picked * mask).sum(axis=1)
+        + (params.w_trans[gold[:, :-1], gold[:, 1:]] * mask[:, 1:]).sum(axis=1)
+    )
+    return emit, mask.sum(axis=1).astype(np.intp), gold, gold_score
+
+
+def _loss_grad_encoded(params: CrfParams, encoded: list, label_ids: list,
+                       l2: float) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean NLL plus L2 and its gradients: expected minus observed counts."""
+    emit, lengths, gold, gold_score = _padded_batch(params, encoded,
+                                                    label_ids)
+    token, pair, log_z = _marginals(emit, lengths, params.w_trans,
+                                    params.w_start)
+    rows, cols = np.arange(len(encoded))[:, None], np.arange(emit.shape[1])
+    real = cols < lengths[:, None]
+    token[rows, cols, gold] -= real
+    pair[rows, cols[:-1], gold[:, :-1], gold[:, 1:]] -= real[:, 1:]
+    tokens = [ids for sent in encoded for ids in sent]
+    owner = np.repeat(np.arange(len(tokens)), [len(ids) for ids in tokens])
     g_emit = np.zeros_like(params.w_emit)
-    g_trans = np.zeros_like(params.w_trans)
-    g_start = np.zeros_like(params.w_start)
-    total_nll = 0.0
-    for feat_ids, y in zip(encoded, label_ids):
-        emit = _emission_matrix(params.w_emit, feat_ids)
-        alpha, beta, log_z = _forward_backward(
-            emit, params.w_trans, params.w_start
-        )
-        total_nll += log_z - crf_sequence_score(
-            emit, params.w_trans, params.w_start, y
-        )
-        delta = np.exp(alpha + beta - log_z)
-        delta[np.arange(len(y)), y] -= 1.0
-        for t, ids in enumerate(feat_ids):
-            if len(ids):
-                np.add.at(g_emit, ids, delta[t])
-        g_start += delta[0]
-        for t in range(1, len(y)):
-            pair = np.exp(
-                alpha[t - 1][:, None] + params.w_trans
-                + (emit[t] + beta[t])[None, :] - log_z
-            )
-            pair[y[t - 1], y[t]] -= 1.0
-            g_trans += pair
+    np.add.at(g_emit, np.concatenate(tokens), token[real][owner])
+    g_trans = pair.sum(axis=(0, 1))
+    g_start = token[:, 0].sum(axis=0)
     n = len(encoded)
-    loss = total_nll / n
+    loss = float(np.sum(log_z - gold_score)) / n
     for g in (g_emit, g_trans, g_start):
         g /= n
     if l2:
@@ -312,18 +321,16 @@ def crf_loss_grad(
     return _loss_grad_encoded(params, encoded, label_ids, l2)
 
 
-def _mean_nll(
-    params: CrfParams,
-    encoded: Sequence[Sequence[np.ndarray]],
-    label_ids: Sequence[Sequence[int]],
-) -> float:
+def _mean_nll(params: CrfParams, encoded: list, label_ids: list) -> float:
+    """Mean per-sentence negative log-likelihood, without the L2 term."""
     total = 0.0
-    for feat_ids, y in zip(encoded, label_ids):
-        emit = _emission_matrix(params.w_emit, feat_ids)
-        log_z = crf_log_partition(emit, params.w_trans, params.w_start)
-        total += log_z - crf_sequence_score(
-            emit, params.w_trans, params.w_start, y
+    for lo in range(0, len(encoded), EVAL_BATCH):
+        emit, lengths, _, gold_score = _padded_batch(
+            params, encoded[lo:lo + EVAL_BATCH], label_ids[lo:lo + EVAL_BATCH]
         )
+        log_z = _forward_batch(emit, lengths, params.w_trans,
+                               params.w_start)[1]
+        total += float(np.sum(log_z - gold_score))
     return total / len(encoded)
 
 

@@ -362,34 +362,3 @@ def test_table6_prints_no_negative_zero(tmp_path, capsys):
     assert rows["(intercept)"][1::2] == ["0.00"] * 3
     assert rows["n_words_v"][1::2] == ["0.00"] * 3
     assert "-0.00" not in text
-
-
-def test_classify_imputes_missing_annotations(tmp_path, capsys):
-    # medical_info predicts has_title, understandability predicts
-    # ocr_confidence, and recommendation needs both annotations.
-    work = tmp_path / "work"
-    _save_clf_model(work, "medical_info", -1.0, {"has_title": 2.0})
-    _save_clf_model(work, "understandability", -1.0,
-                    {"ocr_confidence": 2.0})
-    _save_clf_model(work, "recommendation", -3.0,
-                    {"medical_info_high": 2.0, "understandable": 2.0})
-    cases = [  # has_title, ocr, medical_info_high, understandable, expected
-        (1, 1.0, None, None, 1),
-        (1, 0.0, None, 1, 1),
-        (0, 1.0, 1, None, 1),
-        (0, 0.0, None, None, 0),
-        (1, 1.0, 0, 1, 0),
-    ]
-    clf.write_features_tsv([
-        clf.FeatureVector(video_id=f"v{i}", has_title=title,
-                          ocr_confidence=ocr, medical_info_high=med,
-                          understandable=und)
-        for i, (title, ocr, med, und, _) in enumerate(cases)
-    ], work / "features" / "features.tsv")
-    assert main(["classify", "--target", "recommendation",
-                 "--impute-annotations", "--work-dir", str(work)]) == 0
-    capsys.readouterr()
-    lines = (work / "predictions" / "recommendation.tsv").read_text()
-    assert [line.split("\t")[2] for line in lines.splitlines()[1:]] == [
-        str(case[-1]) for case in cases
-    ]

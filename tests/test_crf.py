@@ -19,10 +19,13 @@ from vidtriage.seqtag import (
 )
 from vidtriage.seqtag.crf import (
     N_LABELS,
-    _emission_matrix,
+    _loss_grad_encoded,
+    _marginals,
     _padded_emissions,
     _viterbi_batch,
     build_feature_index,
+    encode_labels,
+    encode_sentence,
     init_crf,
     token_features,
     word_shape,
@@ -45,6 +48,21 @@ def sequence_score(emit, trans, start, seq):
     for t in range(1, len(seq)):
         total += trans[seq[t - 1], seq[t]] + emit[t, seq[t]]
     return float(total)
+
+
+def brute_force_marginals(emit, trans, start):
+    """Token (T, L) and pairwise (T-1, L, L) marginals by enumeration."""
+    n, n_labels = emit.shape
+    log_z = brute_force_partition(emit, trans, start)
+    token = np.zeros((n, n_labels))
+    pair = np.zeros((max(n - 1, 0), n_labels, n_labels))
+    for seq in itertools.product(range(n_labels), repeat=n):
+        p = np.exp(sequence_score(emit, trans, start, seq) - log_z)
+        for t in range(n):
+            token[t, seq[t]] += p
+            if t:
+                pair[t - 1, seq[t - 1], seq[t]] += p
+    return token, pair
 
 
 def brute_force_viterbi(emit, trans, start):
@@ -120,6 +138,61 @@ def test_batched_viterbi_matches_brute_force(lengths, integer, seed):
         assert crf_viterbi(row[:n], trans, start) == expected
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_marginals_match_brute_force(lengths, seed):
+    # Padding holds junk that must not reach any row's result.
+    rng = np.random.default_rng(seed)
+    trans = rng.normal(0.0, 2.0, size=(N_LABELS, N_LABELS))
+    start = rng.normal(0.0, 2.0, size=N_LABELS)
+    emit = rng.normal(0.0, 2.0, size=(len(lengths), max(lengths), N_LABELS))
+    token, pair, log_z = _marginals(emit, np.array(lengths), trans, start)
+    for b, n in enumerate(lengths):
+        exp_token, exp_pair = brute_force_marginals(emit[b, :n], trans,
+                                                    start)
+        assert log_z[b] == pytest.approx(
+            brute_force_partition(emit[b, :n], trans, start), abs=1e-9)
+        np.testing.assert_allclose(token[b, :n], exp_token, rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(pair[b, :n - 1], exp_pair, rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(pair[b, :n - 1].sum(axis=2),
+                                   token[b, :n - 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair[b, :n - 1].sum(axis=1),
+                                   token[b, 1:n], rtol=0, atol=1e-12)
+        assert not token[b, n:].any() and not pair[b, n - 1:].any()
+
+
+def test_batch_loss_grad_is_mean_of_single_sentence_calls():
+    rng = np.random.default_rng(606)
+    words = ["polyp", "colon", "cancer", "water", "Visit", "x-ray", "b12"]
+    sentences = [
+        [words[i] for i in rng.integers(0, len(words),
+                                        size=int(rng.integers(1, 9)))]
+        for _ in range(7)
+    ]
+    labels = [[(B, I, O)[i] for i in rng.integers(0, 3, size=len(s))]
+              for s in sentences]
+    params = init_crf(build_feature_index(sentences[:4]))
+    for arr in params.arrays():
+        arr += rng.normal(0.0, 0.5, size=arr.shape)
+    # Sentences past the fourth may carry features the index has not seen.
+    encoded = [encode_sentence(params.feature_index, s) for s in sentences]
+    label_ids = [encode_labels(l) for l in labels]
+    loss, grads = _loss_grad_encoded(params, encoded, label_ids, 0.0)
+    singles = [_loss_grad_encoded(params, [e], [y], 0.0)
+               for e, y in zip(encoded, label_ids)]
+    assert loss == pytest.approx(np.mean([l for l, _ in singles]),
+                                 rel=0, abs=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(
+            g, np.mean([single[name] for _, single in singles], axis=0),
+            rtol=0, atol=1e-12)
+
+
 def test_padded_emissions_equal_per_sentence_bits():
     rng = np.random.default_rng(404)
     w_emit = rng.normal(0.0, 1.0, size=(40, N_LABELS))
@@ -132,8 +205,12 @@ def test_padded_emissions_equal_per_sentence_bits():
     emit = _padded_emissions(w_pad, encoded)
     assert emit.shape == (9, max(len(s) for s in encoded), N_LABELS)
     for row, sent in zip(emit, encoded):
-        np.testing.assert_array_equal(row[:len(sent)],
-                                      _emission_matrix(w_emit, sent))
+        # Reference: each token sums its own rows of w_emit in order.
+        expected = np.zeros((len(sent), N_LABELS))
+        for t, ids in enumerate(sent):
+            if len(ids):
+                expected[t] = w_emit[ids].sum(axis=0)
+        np.testing.assert_array_equal(row[:len(sent)], expected)
         assert not row[len(sent):].any()
 
 
