@@ -25,7 +25,7 @@ from scipy.stats import norm
 
 from .corpus import CorpusStore
 from .seqtag.metrics import TagMetrics
-from .textfeat import Lexicon, TextFeatures, extract_text_features
+from .textfeat import Lexicon, TextFeatures, TokenMemo, extract_text_features
 from .tsv import read_tsv, write_tsv
 
 BINARY_FEATURES = frozenset({
@@ -218,8 +218,10 @@ def compute_text_features(
     """Per-video text feature blocks for every video in the store.
 
     The video-level block reads the transcript text (empty when the video
-    has none); the metadata block reads the title and description.
+    has none); the metadata block reads the title and description. Every
+    text shares one per-token memo, dropped when this call returns.
     """
+    memo = TokenMemo()
     out: dict[str, VideoTextBlocks] = {}
     for vid, video in store.videos.items():
         tdoc = store.transcripts.get(vid)
@@ -227,10 +229,10 @@ def compute_text_features(
         meta_text = f"{video.title}\n{video.description}"
         out[vid] = VideoTextBlocks(
             video=extract_text_features(
-                video_text, transition_lex, summary_lex, verb_lex
+                video_text, transition_lex, summary_lex, verb_lex, memo
             ),
             meta=extract_text_features(
-                meta_text, transition_lex, summary_lex, verb_lex
+                meta_text, transition_lex, summary_lex, verb_lex, memo
             ),
         )
     return out

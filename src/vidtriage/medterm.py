@@ -13,7 +13,10 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
+
+from .textfeat import PhraseIndex, load_stopwords
 
 B_MED = "B-MED"
 I_MED = "I-MED"
@@ -126,7 +129,13 @@ class TermDictionary:
     multi-word and unique-term counting works on complete mentions.
     """
 
-    entries: dict[str, frozenset[SemanticType]] = field(default_factory=dict)
+    entries: Mapping[str, frozenset[SemanticType]] = field(default_factory=dict)
+    _indexes: dict[str, PhraseIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Read-only, so the matchers built on first use never go stale.
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @property
     def word_keys(self) -> set[str]:
@@ -136,17 +145,18 @@ class TermDictionary:
     def phrase_keys(self) -> set[str]:
         return {k for k in self.entries if " " in k}
 
-    @property
-    def max_phrase_len(self) -> int:
-        return max((len(k.split()) for k in self.entries), default=0)
-
-    def match_keys(self, mode: str = "phrase") -> set[str]:
-        """Keys eligible for projection: 'phrase' uses all, 'word' only words."""
-        if mode == "word":
-            return self.word_keys
-        if mode == "phrase":
-            return set(self.entries)
-        raise ValueError(f"unknown projection mode {mode!r}")
+    def index(self, mode: str = "phrase") -> PhraseIndex:
+        """Matcher over the keys eligible for projection, built once per
+        mode: 'phrase' uses all keys, 'word' only single words."""
+        if mode not in self._indexes:
+            if mode == "word":
+                keys = self.word_keys
+            elif mode == "phrase":
+                keys = self.entries
+            else:
+                raise ValueError(f"unknown projection mode {mode!r}")
+            self._indexes[mode] = PhraseIndex(keys)
+        return self._indexes[mode]
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,6 @@ def load_dictionary(
     """
     if stopwords is None:
         from .data_files import data_path
-        from .textfeat import load_stopwords
         stopwords = load_stopwords(data_path("stopwords.txt"))
     allowed = frozenset(allowed_types) if allowed_types is not None else ALL_SEMANTIC_TYPES
 
@@ -247,26 +256,13 @@ def project_labels(
     Matching is longest-first, left-to-right, and non-overlapping, so the
     candidate "colon cancer" beats the shorter "colon" at the same position.
     """
-    keys = dictionary.match_keys(mode)
-    max_len = max((len(k.split()) for k in keys), default=0)
+    index = dictionary.index(mode)
     tagged = []
     for sent in sentences:
         tokens = [t.lower() for t in sent]
         labels = [O] * len(tokens)
-        i = 0
-        while i < len(tokens):
-            matched = 0
-            for width in range(min(max_len, len(tokens) - i), 0, -1):
-                if " ".join(tokens[i:i + width]) in keys:
-                    matched = width
-                    break
-            if matched:
-                labels[i] = B_MED
-                for j in range(i + 1, i + matched):
-                    labels[j] = I_MED
-                i += matched
-            else:
-                i += 1
+        for i, width in index.matches(tokens):
+            labels[i:i + width] = [B_MED] + [I_MED] * (width - 1)
         tagged.append(TaggedSentence(tokens=tuple(tokens), labels=tuple(labels)))
     return tagged
 

@@ -3,14 +3,21 @@
 Everything here is a pure function of its inputs: tokenization, sentence
 splitting, a syllable heuristic, Flesch-Kincaid grade level, and counters
 over small phrase lexicons. No model downloads, no randomness.
+
+Phrases are matched through a ``PhraseIndex`` kept on each lexicon.
+Per-token results (syllables, active-verb hits) go into a ``TokenMemo``
+that lives as long as one stage: ``compute_text_features`` makes one per
+call. No table is kept at module level, so a stage computes the same
+tables whatever ran before it in the process.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 
 class UndefinedReadabilityError(ValueError):
@@ -18,6 +25,7 @@ class UndefinedReadabilityError(ValueError):
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
+_TERMINATOR_RE = re.compile(r"[.!?\n]")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
 
 # Titles and shorthand whose trailing period does not end a sentence.
@@ -65,6 +73,53 @@ class TextFeatures:
     readability_defined: bool = True
 
 
+class PhraseIndex:
+    """Longest-first, left-to-right, non-overlapping phrase matcher.
+
+    Built once per phrase set. It maps each phrase's first word to the
+    widths of the phrases that start with it, longest first, so a window
+    of tokens is joined and looked up only when its first token starts a
+    phrase of that width. Membership in ``phrases`` decides every match.
+    """
+
+    def __init__(self, phrases: Iterable[str]):
+        self.phrases = frozenset(phrases)
+        # No window wider than the longest phrase in words is tried.
+        self.max_width = max((len(p.split()) for p in self.phrases), default=0)
+        widths: dict[str, set[int]] = {}
+        for phrase in self.phrases:
+            words = phrase.split(" ")
+            if len(words) <= self.max_width:
+                widths.setdefault(words[0], set()).add(len(words))
+        self._widths = {w: sorted(ws, reverse=True) for w, ws in widths.items()}
+
+    def matches(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
+        """(start, width) of every match in ``tokens``, left to right.
+
+        A token holding a space can join into a phrase at a width its first
+        word does not predict, so a sequence holding one is matched by
+        trying every width at every position.
+        """
+        n = len(tokens)
+        plain = " " not in "\t".join(tokens)
+        if plain:
+            starts = [i for i, t in enumerate(tokens) if t in self._widths]
+        else:
+            starts = range(n)
+            every = range(self.max_width, 0, -1)
+        found = []
+        free = 0
+        for i in starts:
+            if i < free:
+                continue
+            for width in self._widths[tokens[i]] if plain else every:
+                if width <= n - i and " ".join(tokens[i:i + width]) in self.phrases:
+                    found.append((i, width))
+                    free = i + width
+                    break
+        return found
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Named set of lowercase single- or multi-word phrases."""
@@ -77,9 +132,21 @@ class Lexicon:
             if phrase != phrase.strip() or phrase != phrase.lower():
                 raise ValueError(f"lexicon {self.name!r}: bad entry {phrase!r}")
 
-    @property
-    def max_phrase_len(self) -> int:
-        return max((len(p.split()) for p in self.entries), default=0)
+    @cached_property
+    def index(self) -> PhraseIndex:
+        return PhraseIndex(self.entries)
+
+
+@dataclass
+class TokenMemo:
+    """Per-token results shared by the texts of one stage.
+
+    ``syllables`` maps a token to its syllable count. ``verb_hits`` maps a
+    verb lexicon's entries to {token: some base form is an entry}.
+    """
+
+    syllables: dict[str, int] = field(default_factory=dict)
+    verb_hits: dict[frozenset[str], dict[str, bool]] = field(default_factory=dict)
 
 
 def load_lexicon(path, name: Optional[str] = None) -> Lexicon:
@@ -129,8 +196,9 @@ def tokenize(text: str) -> TokenizedText:
     """
     chunks: list[str] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch in ".!?\n" and _is_sentence_break(text, i):
+    for m in _TERMINATOR_RE.finditer(text):
+        i = m.start()
+        if _is_sentence_break(text, i):
             chunks.append(text[start:i + 1])
             start = i + 1
     chunks.append(text[start:])
@@ -176,10 +244,14 @@ def readability(text: str) -> float:
     return readability_from_tokens(tok)
 
 
-def readability_from_tokens(tok: TokenizedText) -> float:
+def readability_from_tokens(tok: TokenizedText,
+                            memo: Optional[TokenMemo] = None) -> float:
     if tok.word_count == 0 or tok.sentence_count == 0:
         raise UndefinedReadabilityError("readability needs at least one word and sentence")
-    syllables = sum(_token_syllables(t) for t in tok.tokens)
+    table = (memo if memo is not None else TokenMemo()).syllables
+    for t in set(tok.tokens).difference(table):
+        table[t] = _token_syllables(t)
+    syllables = sum(map(table.__getitem__, tok.tokens))
     return (0.39 * tok.word_count / tok.sentence_count
             + 11.8 * syllables / tok.word_count
             - 15.59)
@@ -187,23 +259,7 @@ def readability_from_tokens(tok: TokenizedText) -> float:
 
 def lexicon_count(tok: TokenizedText, lex: Lexicon) -> int:
     """Count lexicon phrase occurrences: longest match first, non-overlapping."""
-    n = len(tok.tokens)
-    max_len = lex.max_phrase_len
-    if max_len == 0:
-        return 0
-    count = 0
-    i = 0
-    while i < n:
-        matched = False
-        for width in range(min(max_len, n - i), 0, -1):
-            if " ".join(tok.tokens[i:i + width]) in lex.entries:
-                count += 1
-                i += width
-                matched = True
-                break
-        if not matched:
-            i += 1
-    return count
+    return len(lex.index.matches(tok.tokens))
 
 
 def _verb_base_candidates(word: str) -> list[str]:
@@ -229,20 +285,20 @@ def _verb_base_candidates(word: str) -> list[str]:
     return cands
 
 
-def active_verb_count(tok: TokenizedText, verb_lex: Lexicon) -> int:
+def active_verb_count(tok: TokenizedText, verb_lex: Lexicon,
+                      memo: Optional[TokenMemo] = None) -> int:
     """Count verb-lexicon tokens not immediately preceded by a be-form.
 
     A passive construction like "polyps are removed" puts a be-form right
     before the verb, so skipping those approximates active voice without a
     part-of-speech tagger.
     """
-    count = 0
-    for i, token in enumerate(tok.tokens):
-        if i > 0 and tok.tokens[i - 1] in _BE_FORMS:
-            continue
-        if any(c in verb_lex.entries for c in _verb_base_candidates(token)):
-            count += 1
-    return count
+    entries = verb_lex.entries
+    hits = (memo if memo is not None else TokenMemo()).verb_hits.setdefault(entries, {})
+    for t in set(tok.tokens).difference(hits):
+        hits[t] = any(c in entries for c in _verb_base_candidates(t))
+    return sum(1 for prev, t in zip(("",) + tok.tokens, tok.tokens)
+               if hits[t] and prev not in _BE_FORMS)
 
 
 def extract_text_features(
@@ -250,18 +306,20 @@ def extract_text_features(
     transition_lex: Lexicon,
     summary_lex: Lexicon,
     verb_lex: Lexicon,
+    memo: Optional[TokenMemo] = None,
 ) -> TextFeatures:
     """Compute the full per-text feature block.
 
     Empty or speechless inputs produce all-zero counts and a readability of
     0.0 flagged undefined, so a silent video flows through the pipeline
-    instead of aborting it.
+    instead of aborting it. Pass one ``memo`` to every call of a stage to
+    reuse per-token work across its texts.
     """
     tok = tokenize(text)
     if tok.word_count == 0:
         return TextFeatures(0, 0, 0, 0, 0, 0, 0.0, readability_defined=False)
     try:
-        grade = readability_from_tokens(tok)
+        grade = readability_from_tokens(tok, memo)
         defined = True
     except UndefinedReadabilityError:
         grade = 0.0
@@ -272,7 +330,7 @@ def extract_text_features(
         sentence_count=tok.sentence_count,
         transition_word_count=lexicon_count(tok, transition_lex),
         summary_word_count=lexicon_count(tok, summary_lex),
-        active_verb_count=active_verb_count(tok, verb_lex),
+        active_verb_count=active_verb_count(tok, verb_lex, memo),
         readability=grade,
         readability_defined=defined,
     )

@@ -2,10 +2,15 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vidtriage
 import vidtriage.classify as clf
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
@@ -145,6 +150,38 @@ def test_featurize_writes_tsv(tmp_path, corpus_paths, capsys):
     assert header[0] == "video_id"
     assert tuple(header[1:]) == DOC_FEATURE_NAMES
     assert len(lines) == 1 + 5
+
+
+def _ingested_synthetic(root, seed):
+    corpus = root / "corpus"
+    write_synthetic_corpus(
+        corpus, SynthConfig(seed=seed, n_videos=20, sentences_per_video=4))
+    paths = {name: corpus / f"{name}.jsonl"
+             for name in ("videos", "transcripts", "ocr", "labels")}
+    work = root / "work"
+    assert main(_ingest_args(paths, work)) == 0
+    return work
+
+
+def test_featurize_keeps_no_state_between_calls(tmp_path, capsys):
+    work_a = _ingested_synthetic(tmp_path / "a", seed=3)
+    work_b = _ingested_synthetic(tmp_path / "b", seed=4)
+    written = []
+    for work in (work_a, work_b, work_a):
+        assert main(["featurize", "--work-dir", str(work)]) == 0
+        written.append((work / "features" / "text_features.tsv").read_bytes())
+    capsys.readouterr()
+    # A fresh interpreter has built no index or memo table yet.
+    src = Path(vidtriage.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-m", "vidtriage.cli",
+         "featurize", "--work-dir", str(work_a)],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        capture_output=True, timeout=120)
+    fresh = (work_a / "features" / "text_features.tsv").read_bytes()
+    assert written[0] == fresh
+    assert written[2] == fresh
+    assert written[1] != fresh
 
 
 def test_build_ner_corpus(tmp_path, corpus_paths, capsys):

@@ -1,14 +1,28 @@
 """Text analytics: tokenization, syllables, readability, lexicon counts."""
 
+import re
 import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vidtriage.data_files import data_path
+from vidtriage.medterm import (
+    B_MED,
+    I_MED,
+    O,
+    SemanticType,
+    TaggedSentence,
+    TermDictionary,
+    project_labels,
+)
 from vidtriage.textfeat import (
     Lexicon,
+    TokenizedText,
+    TokenMemo,
     UndefinedReadabilityError,
+    _verb_base_candidates,
     active_verb_count,
     count_syllables,
     extract_text_features,
@@ -16,6 +30,7 @@ from vidtriage.textfeat import (
     load_lexicon,
     load_stopwords,
     readability,
+    readability_from_tokens,
     tokenize,
 )
 
@@ -212,3 +227,219 @@ def test_load_lexicon_and_stopwords(tmp_path):
     sw.write_text("the\nof\nin addition\n")
     stops = load_stopwords(sw)
     assert stops == frozenset({"the", "of"})
+
+
+def test_verb_hits_are_kept_per_lexicon():
+    memo = TokenMemo()
+    tok = tokenize("remove removes removed explain")
+    removing = Lexicon(name="verbs", entries=frozenset({"remove"}))
+    explaining = Lexicon(name="verbs", entries=frozenset({"explain"}))
+    assert active_verb_count(tok, removing, memo) == 3
+    assert active_verb_count(tok, explaining, memo) == 1
+    assert active_verb_count(tok, removing, memo) == 3
+    assert lexicon_count(tok, removing) == 1
+    assert lexicon_count(tok, explaining) == 1
+    assert lexicon_count(tok, Lexicon("t", frozenset({"removes removed"}))) == 1
+
+
+# ------------------------------------------------ oracle: pre-index code
+#
+# The functions below are the per-token implementations that the phrase
+# index and the token memo replaced, kept verbatim as references.
+
+_REF_ABBREVIATIONS = frozenset({
+    "dr", "mr", "mrs", "ms", "prof", "rev", "fr", "sr", "jr", "st",
+    "vs", "etc", "fig", "al", "inc", "ltd", "dept", "est", "approx",
+    "e.g", "i.e",
+})
+_REF_BE_FORMS = frozenset({"am", "is", "are", "was", "were", "be", "been", "being"})
+_REF_WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
+
+
+def _ref_is_sentence_break(text, i):
+    ch = text[i]
+    if ch == "\n":
+        return True
+    j = i
+    while j + 1 < len(text) and text[j + 1] in ".!?":
+        j += 1
+    if j + 1 < len(text) and not text[j + 1].isspace():
+        return False
+    if ch in "!?":
+        return True
+    k = i - 1
+    word_chars = []
+    while k >= 0 and (text[k].isalnum() or text[k] in ".'"):
+        word_chars.append(text[k])
+        k -= 1
+    word = "".join(reversed(word_chars)).lower().rstrip(".")
+    if not word:
+        return True
+    if word in _REF_ABBREVIATIONS or (len(word) == 1 and word.isalpha()):
+        return False
+    return True
+
+
+def _ref_tokenize(text):
+    chunks = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in ".!?\n" and _ref_is_sentence_break(text, i):
+            chunks.append(text[start:i + 1])
+            start = i + 1
+    chunks.append(text[start:])
+    tokens, sentences = [], []
+    for chunk in chunks:
+        words = _REF_WORD_RE.findall(chunk.lower())
+        if not words:
+            continue
+        sentences.append((len(tokens), len(tokens) + len(words)))
+        tokens.extend(words)
+    return TokenizedText(tokens=tuple(tokens), sentences=tuple(sentences),
+                         source_len=len(text))
+
+
+def _ref_token_syllables(token):
+    letters = "".join(c for c in token if c.isalpha())
+    if not letters:
+        return 1
+    return count_syllables(letters)
+
+
+def _ref_readability_from_tokens(tok):
+    if tok.word_count == 0 or tok.sentence_count == 0:
+        raise UndefinedReadabilityError("readability needs at least one word and sentence")
+    syllables = sum(_ref_token_syllables(t) for t in tok.tokens)
+    return (0.39 * tok.word_count / tok.sentence_count
+            + 11.8 * syllables / tok.word_count
+            - 15.59)
+
+
+def _ref_lexicon_count(tok, lex):
+    n = len(tok.tokens)
+    max_len = max((len(p.split()) for p in lex.entries), default=0)
+    if max_len == 0:
+        return 0
+    count = 0
+    i = 0
+    while i < n:
+        matched = False
+        for width in range(min(max_len, n - i), 0, -1):
+            if " ".join(tok.tokens[i:i + width]) in lex.entries:
+                count += 1
+                i += width
+                matched = True
+                break
+        if not matched:
+            i += 1
+    return count
+
+
+def _ref_active_verb_count(tok, verb_lex):
+    count = 0
+    for i, token in enumerate(tok.tokens):
+        if i > 0 and tok.tokens[i - 1] in _REF_BE_FORMS:
+            continue
+        if any(c in verb_lex.entries for c in _verb_base_candidates(token)):
+            count += 1
+    return count
+
+
+def _ref_project_labels(dictionary, sentences, mode="phrase"):
+    if mode == "word":
+        keys = {k for k in dictionary.entries if " " not in k}
+    else:
+        keys = set(dictionary.entries)
+    max_len = max((len(k.split()) for k in keys), default=0)
+    tagged = []
+    for sent in sentences:
+        tokens = [t.lower() for t in sent]
+        labels = [O] * len(tokens)
+        i = 0
+        while i < len(tokens):
+            matched = 0
+            for width in range(min(max_len, len(tokens) - i), 0, -1):
+                if " ".join(tokens[i:i + width]) in keys:
+                    matched = width
+                    break
+            if matched:
+                labels[i] = B_MED
+                for j in range(i + 1, i + matched):
+                    labels[j] = I_MED
+                i += matched
+            else:
+                i += 1
+        tagged.append(TaggedSentence(tokens=tuple(tokens), labels=tuple(labels)))
+    return tagged
+
+
+# Words shared by texts and lexicons, so phrases share first words and
+# actually occur; "removes"/"removing" exercise the verb inflections.
+_VOCAB = ["colon", "cancer", "screening", "in", "addition", "first", "then",
+          "overall", "remove", "removes", "removing", "explained", "is",
+          "are", "was", "polyp", "don't", "o'clock", "2", "10", "a", "i"]
+
+_PIECES = st.one_of(
+    st.sampled_from(_VOCAB),
+    st.sampled_from(_VOCAB).map(str.upper),
+    st.sampled_from([".", "!", "?", "...", "\n", "?!", ". ", "! ", "\n\n",
+                     "Dr.", "dr.", "e.g.", "i.e.", "J.", "A.", "St.",
+                     "3.5", "'", "it's", "-", ",", "\t", "  "]),
+    st.text(max_size=4),
+)
+_TEXTS = st.lists(_PIECES, max_size=40).flatmap(
+    lambda parts: st.lists(st.sampled_from([" ", "", "\n", " . "]),
+                           min_size=len(parts), max_size=len(parts))
+    .map(lambda seps: "".join(p + s for p, s in zip(parts, seps))))
+_PHRASES = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=7).map(" ".join)
+_LEXICONS = st.frozensets(_PHRASES, max_size=12).map(
+    lambda entries: Lexicon(name="random", entries=entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4),
+       lex=_LEXICONS, verbs=_LEXICONS, other_verbs=_LEXICONS)
+def test_text_analytics_match_reference(texts, lex, verbs, other_verbs):
+    memo = TokenMemo()  # one memo shared by every text, as in a stage
+    for text in texts:
+        tok = tokenize(text)
+        ref = _ref_tokenize(text)
+        assert tok == ref
+        assert lexicon_count(tok, lex) == _ref_lexicon_count(ref, lex)
+        for v in (verbs, other_verbs):
+            assert (active_verb_count(tok, v, memo)
+                    == _ref_active_verb_count(ref, v))
+        if tok.word_count:
+            assert (readability_from_tokens(tok, memo)
+                    == _ref_readability_from_tokens(ref))
+        else:
+            with pytest.raises(UndefinedReadabilityError):
+                readability_from_tokens(tok, memo)
+
+
+# Tokens that hold a space, are empty or are bare whitespace, and keys
+# that split differently on " " than on any whitespace.
+_TOKENS = st.one_of(st.sampled_from(_VOCAB),
+                    st.sampled_from(["", " ", "\t", "colon cancer", "Colon",
+                                     "in "]))
+_ODD_KEYS = ["", " in", "colon cancer", "colon  cancer", "a\tb",
+             "in addition ", "in \t addition"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.frozensets(_PHRASES, max_size=12),
+       odd_keys=st.frozensets(st.sampled_from(_ODD_KEYS)),
+       texts=st.lists(_TEXTS, max_size=3),
+       raw=st.lists(st.lists(_TOKENS, max_size=10), max_size=3),
+       mode=st.sampled_from(["phrase", "word"]))
+@example(keys=frozenset(), odd_keys=frozenset({"colon cancer"}), texts=[],
+         raw=[["colon cancer"]], mode="phrase")
+@example(keys=frozenset(), odd_keys=frozenset({"in \t addition"}), texts=[],
+         raw=[["in", "\t", "addition"]], mode="phrase")
+def test_project_labels_match_reference(keys, odd_keys, texts, raw, mode):
+    dictionary = TermDictionary(
+        entries={k: frozenset({SemanticType.DSYN}) for k in keys | odd_keys})
+    sentences = [s for t in texts for s in tokenize(t).sentence_tokens()]
+    sentences += raw
+    assert (project_labels(dictionary, sentences, mode)
+            == _ref_project_labels(dictionary, sentences, mode))
