@@ -283,19 +283,19 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
     dict_path = args.dictionary or cfg.dictionary_path()
     dictionary = medterm.load_dictionary(_require(dict_path))
-    tagged, video_ids = [], []
+    sentences, video_ids = [], []
     n_videos = 0
     for vid in sorted(store.videos):
-        sentences = textfeat.tokenize(
+        sents = textfeat.tokenize(
             store.videos[vid].description
         ).sentence_tokens()
-        if not sentences:
-            continue
-        n_videos += 1
-        projected = medterm.project_labels(dictionary, sentences,
-                                           mode=args.mode)
-        tagged.extend(projected)
-        video_ids.extend([vid] * len(projected))
+        if sents:
+            n_videos += 1
+        sentences.extend(sents)
+        video_ids.extend([vid] * len(sents))
+    # One call projects every video's sentences, so the dictionary's
+    # matcher is built once; labels come back in the same order.
+    tagged = medterm.project_labels(dictionary, sentences, mode=args.mode)
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
     out = cfg.work_dir / "ner" / "corpus.conll"

@@ -13,8 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .textfeat import PhraseIndex, load_stopwords
 
@@ -129,13 +128,7 @@ class TermDictionary:
     multi-word and unique-term counting works on complete mentions.
     """
 
-    entries: Mapping[str, frozenset[SemanticType]] = field(default_factory=dict)
-    _indexes: dict[str, PhraseIndex] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Read-only, so the matchers built on first use never go stale.
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    entries: dict[str, frozenset[SemanticType]] = field(default_factory=dict)
 
     @property
     def word_keys(self) -> set[str]:
@@ -144,19 +137,6 @@ class TermDictionary:
     @property
     def phrase_keys(self) -> set[str]:
         return {k for k in self.entries if " " in k}
-
-    def index(self, mode: str = "phrase") -> PhraseIndex:
-        """Matcher over the keys eligible for projection, built once per
-        mode: 'phrase' uses all keys, 'word' only single words."""
-        if mode not in self._indexes:
-            if mode == "word":
-                keys = self.word_keys
-            elif mode == "phrase":
-                keys = self.entries
-            else:
-                raise ValueError(f"unknown projection mode {mode!r}")
-            self._indexes[mode] = PhraseIndex(keys)
-        return self._indexes[mode]
 
 
 @dataclass(frozen=True)
@@ -255,8 +235,17 @@ def project_labels(
 
     Matching is longest-first, left-to-right, and non-overlapping, so the
     candidate "colon cancer" beats the shorter "colon" at the same position.
+    Mode 'phrase' matches every key, 'word' only single words. Tokens are
+    non-empty and hold no whitespace, as ``textfeat.tokenize`` makes them.
+    Pass every sentence of a stage in one call: the matcher is built once
+    per call.
     """
-    index = dictionary.index(mode)
+    if mode == "word":
+        index = PhraseIndex(dictionary.word_keys)
+    elif mode == "phrase":
+        index = PhraseIndex(dictionary.entries)
+    else:
+        raise ValueError(f"unknown projection mode {mode!r}")
     tagged = []
     for sent in sentences:
         tokens = [t.lower() for t in sent]

@@ -84,35 +84,26 @@ class PhraseIndex:
 
     def __init__(self, phrases: Iterable[str]):
         self.phrases = frozenset(phrases)
-        # No window wider than the longest phrase in words is tried.
-        self.max_width = max((len(p.split()) for p in self.phrases), default=0)
         widths: dict[str, set[int]] = {}
         for phrase in self.phrases:
             words = phrase.split(" ")
-            if len(words) <= self.max_width:
-                widths.setdefault(words[0], set()).add(len(words))
+            widths.setdefault(words[0], set()).add(len(words))
         self._widths = {w: sorted(ws, reverse=True) for w, ws in widths.items()}
 
     def matches(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
         """(start, width) of every match in ``tokens``, left to right.
 
-        A token holding a space can join into a phrase at a width its first
-        word does not predict, so a sequence holding one is matched by
-        trying every width at every position.
+        Tokens are non-empty and hold no whitespace, as ``tokenize`` makes
+        them, so a window joins into a phrase only when its first token is
+        the phrase's first word and its width the phrase's word count.
         """
         n = len(tokens)
-        plain = " " not in "\t".join(tokens)
-        if plain:
-            starts = [i for i, t in enumerate(tokens) if t in self._widths]
-        else:
-            starts = range(n)
-            every = range(self.max_width, 0, -1)
         found = []
         free = 0
-        for i in starts:
-            if i < free:
+        for i, token in enumerate(tokens):
+            if i < free or token not in self._widths:
                 continue
-            for width in self._widths[tokens[i]] if plain else every:
+            for width in self._widths[token]:
                 if width <= n - i and " ".join(tokens[i:i + width]) in self.phrases:
                     found.append((i, width))
                     free = i + width
