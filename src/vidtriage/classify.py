@@ -13,7 +13,6 @@ Wald tests against the same observed information matrix.
 
 from __future__ import annotations
 
-import json
 import numbers
 import warnings
 from dataclasses import dataclass, fields
@@ -23,10 +22,12 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
 
+from .artifacts import (
+    finite_array, load_json_model, read_tsv, save_json_model, write_tsv,
+)
 from .corpus import CorpusStore
 from .seqtag.metrics import TagMetrics
 from .textfeat import Lexicon, TextFeatures, TokenMemo, extract_text_features
-from .tsv import read_tsv, write_tsv
 
 BINARY_FEATURES = frozenset({
     "has_title", "has_description", "has_tags",
@@ -715,13 +716,10 @@ def read_features_tsv(path) -> list[FeatureVector]:
 
 
 CLF_FORMAT_NAME = "vidtriage-classifier"
-CLF_FORMAT_VERSION = 1
 
 
 def save_lr_model(path, model: LrModel) -> None:
-    doc = {
-        "format": CLF_FORMAT_NAME,
-        "format_version": CLF_FORMAT_VERSION,
+    save_json_model(path, CLF_FORMAT_NAME, {
         "target": model.spec.name,
         "features": list(model.spec.features),
         "scaler": {
@@ -734,45 +732,27 @@ def save_lr_model(path, model: LrModel) -> None:
         "p_values": model.p_values.tolist(),
         "l2": model.l2,
         "train_meta": model.train_meta,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
-def load_lr_model(path) -> LrModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != CLF_FORMAT_NAME:
-        raise ValueError(f"{path}: not a {CLF_FORMAT_NAME} file")
-    if doc.get("format_version") != CLF_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format version "
-            f"{doc.get('format_version')!r}"
-        )
+def _build_lr_model(doc: dict) -> LrModel:
     spec = FeatureSpec(doc["target"], tuple(doc["features"]))
-    scaler = Scaler(
-        spec.features,
-        tuple(float(v) for v in doc["scaler"]["means"]),
-        tuple(float(v) for v in doc["scaler"]["stds"]),
-    )
-    coeffs = np.asarray(doc["coefficients"], dtype=float)
-    se = np.asarray(doc["standard_errors"], dtype=float)
-    p = np.asarray(doc["p_values"], dtype=float)
-    if len(coeffs) != len(spec.features):
-        raise ValueError(f"{path}: coefficient count mismatch")
-    if len(se) != len(coeffs) + 1 or len(p) != len(coeffs) + 1:
-        raise ValueError(f"{path}: inference vector length mismatch")
+    k = len(spec.features)
+    means = finite_array(doc["scaler"]["means"], "scaler.means", (k,))
+    stds = finite_array(doc["scaler"]["stds"], "scaler.stds", (k,))
     return LrModel(
         spec=spec,
-        scaler=scaler,
-        intercept=float(doc["intercept"]),
-        coefficients=coeffs,
-        standard_errors=se,
-        p_values=p,
+        scaler=Scaler(spec.features, tuple(means.tolist()),
+                      tuple(stds.tolist())),
+        intercept=float(finite_array(doc["intercept"], "intercept", ())),
+        coefficients=finite_array(doc["coefficients"], "coefficients", (k,)),
+        standard_errors=finite_array(doc["standard_errors"],
+                                     "standard_errors", (k + 1,)),
+        p_values=finite_array(doc["p_values"], "p_values", (k + 1,)),
         l2=float(doc["l2"]),
         train_meta=doc.get("train_meta") or {},
     )
+
+
+def load_lr_model(path) -> LrModel:
+    return load_json_model(path, CLF_FORMAT_NAME, _build_lr_model)

@@ -27,7 +27,7 @@ from . import classify as clf
 from . import corpus as corpuslib
 from . import medterm, textfeat
 from .data_files import data_path
-from .tsv import read_tsv, write_tsv
+from .artifacts import read_tsv, write_tsv
 from .seqtag import (
     ARCH_BLSTM,
     ARCH_CRF,
@@ -183,7 +183,6 @@ def _load_lexicons(cfg) -> tuple[textfeat.Lexicon, ...]:
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     cdir = _corpus_dir(cfg)
-    cdir.mkdir(parents=True, exist_ok=True)
 
     videos_path = args.videos or cfg.corpus_paths.get("videos")
     if args.api_response is not None:
@@ -229,11 +228,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def _validate_search_results(fixture: Path, keywords_path: Path,
                              store: corpuslib.CorpusStore) -> int:
-    keywords = {
-        line.strip().lower()
-        for line in _require(keywords_path).read_text("utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    }
+    keywords = textfeat.load_lexicon(_require(keywords_path)).entries
     n_rows = 0
     for lineno, line in enumerate(
         _require(fixture).read_text("utf-8").splitlines(), start=1
@@ -241,9 +236,9 @@ def _validate_search_results(fixture: Path, keywords_path: Path,
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{fixture}:{lineno}: not valid JSON ({exc})")
+            row = corpuslib._loads_object(line)
+        except corpuslib.CorpusError as exc:
+            raise ValueError(f"{fixture}:{lineno}: {exc}") from None
         keyword = str(row.get("keyword", "")).lower()
         if keyword not in keywords:
             raise ValueError(
@@ -299,7 +294,6 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
     out = cfg.work_dir / "ner" / "corpus.conll"
-    out.parent.mkdir(parents=True, exist_ok=True)
     medterm.write_conll(tagged, out, video_ids=video_ids)
     print(f"projected {len(tagged)} sentences from {n_videos} videos -> {out}")
     return EXIT_OK
@@ -357,7 +351,6 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
         "epochs_run": len(history),
     }
     out = cfg.work_dir / "models" / f"tagger_{args.arch}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, args.arch, params, config, vocab=vocab, train_meta=meta)
     print(
         f"trained {args.arch} tagger on {len(train)} sentences "
@@ -399,7 +392,6 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
         tagged.extend(sents)
         video_ids.extend([vid] * len(sents))
     ner_dir = cfg.work_dir / "ner"
-    ner_dir.mkdir(parents=True, exist_ok=True)
     medterm.write_conll(tagged, ner_dir / f"tagged_{args.arch}.conll",
                         video_ids=video_ids)
     write_tsv(
@@ -465,7 +457,6 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
         },
     )
     out = cfg.work_dir / "models" / f"clf_{args.target}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
     clf.save_lr_model(out, model)
     print(
         f"trained {args.target} classifier on {len(train_rows)} videos "

@@ -15,6 +15,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .artifacts import atomic_open
+
 
 class CorpusError(Exception):
     """Base class for corpus ingestion failures."""
@@ -57,15 +59,17 @@ def parse_iso_duration(text: str) -> int:
     return ((days * 24 + hours) * 60 + minutes) * 60 + seconds
 
 
-def _parse_timestamp(text: str) -> datetime:
+def _parse_timestamp(text) -> datetime:
+    if not isinstance(text, str):
+        raise SchemaError(f"published_at must be a string, got {text!r}")
     # The upstream API uses a trailing "Z"; fromisoformat on 3.10 does not.
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(f"bad timestamp {text!r}: {exc}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,6 @@ class LoadSummary:
     n_transcripts: int = 0
     n_ocr: int = 0
     n_label_rows: int = 0
-    n_labeled_videos: int = 0
-    n_skipped_lines: int = 0
 
     def one_line(self) -> str:
         return (
@@ -237,19 +239,8 @@ class CorpusStore:
         return sorted(self.labels)
 
 
-def dedupe_ids(ids: Iterable[str]) -> list[str]:
-    """Drop repeated ids, keeping the first occurrence of each in order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for vid in ids:
-        if vid not in seen:
-            seen.add(vid)
-            out.append(vid)
-    return out
-
-
-def _require_nonneg_int(obj: dict, key: str, default=None):
-    value = obj.get(key, default)
+def _require_nonneg_int(obj: dict, key: str):
+    value = obj.get(key)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
@@ -262,10 +253,10 @@ def _require_nonneg_int(obj: dict, key: str, default=None):
 def _check_confidence(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{what} must be a number, got {value!r}")
-    value = float(value)
+    # Compared before float(), which overflows on a huge JSON integer.
     if not 0.0 <= value <= 1.0:
         raise SchemaError(f"{what} must lie in [0, 1], got {value}")
-    return value
+    return float(value)
 
 
 def _check_binary(obj: dict, key: str) -> int:
@@ -283,6 +274,16 @@ def _loads_object(json_text: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _typed_field(obj: dict, key: str, kind: type):
+    """``obj[key]`` if it is a ``kind``; an absent or null key gives ``kind()``."""
+    value = obj.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _video_id_of(obj: dict) -> str:
@@ -340,7 +341,7 @@ def parse_transcript(json_text: str) -> TranscriptDoc:
     obj = _loads_object(json_text)
     vid = _video_id_of(obj)
     segments = []
-    for i, seg in enumerate(obj.get("segments", [])):
+    for i, seg in enumerate(_typed_field(obj, "segments", list)):
         if not isinstance(seg, dict):
             raise SchemaError(f"segment {i} must be an object")
         conf = _check_confidence(seg.get("confidence"), f"segment {i} confidence")
@@ -352,7 +353,7 @@ def parse_ocr(json_text: str) -> OcrDoc:
     obj = _loads_object(json_text)
     vid = _video_id_of(obj)
     blocks = []
-    for i, blk in enumerate(obj.get("blocks", [])):
+    for i, blk in enumerate(_typed_field(obj, "blocks", list)):
         if not isinstance(blk, dict):
             raise SchemaError(f"block {i} must be an object")
         conf = _check_confidence(blk.get("confidence"), f"block {i} confidence")
@@ -361,7 +362,7 @@ def parse_ocr(json_text: str) -> OcrDoc:
             raise SchemaError(f"block {i} frame_time_s must be a non-negative number")
         blocks.append(OcrBlock(text=str(blk.get("text", "")), confidence=conf,
                                frame_time_s=float(frame_t)))
-    shot_count = _require_nonneg_int(obj, "shot_count", default=0)
+    shot_count = _require_nonneg_int(obj, "shot_count") or 0
     shot_conf = _check_confidence(obj.get("shot_change_confidence", 0.0),
                                   "shot_change_confidence")
     return OcrDoc(video_id=vid, blocks=tuple(blocks), shot_count=shot_count,
@@ -409,14 +410,12 @@ def consolidate_labels(per_annotator: Sequence[AnnotationLabels]) -> AnnotationL
 
 def _read_jsonl(path: Path, parse_one):
     records = []
-    skipped = 0
     text = path.read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("["):
         raise SchemaError(f"{path}: expected JSON Lines, found a JSON array")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            skipped += 1
             continue
         try:
             records.append(parse_one(line))
@@ -424,7 +423,7 @@ def _read_jsonl(path: Path, parse_one):
             # Keep the exception class (and any offset) but prefix the location.
             exc.args = (f"{path}:{lineno}: {exc}",)
             raise
-    return records, skipped
+    return records
 
 
 def load_corpus(
@@ -444,7 +443,7 @@ def load_corpus(
         if not p.exists():
             raise FileNotFoundError(f"corpus file not found: {p}")
 
-    video_rows, sk1 = _read_jsonl(metadata_path, parse_video_metadata)
+    video_rows = _read_jsonl(metadata_path, parse_video_metadata)
     videos: dict[str, VideoRecord] = {}
     dupes = []
     for rec in video_rows:
@@ -454,9 +453,9 @@ def load_corpus(
     if dupes:
         raise IntegrityError(f"duplicate video ids in {metadata_path}: {sorted(set(dupes))}")
 
-    transcript_rows, sk2 = _read_jsonl(transcript_path, parse_transcript)
-    ocr_rows, sk3 = _read_jsonl(ocr_path, parse_ocr)
-    label_rows, sk4 = _read_jsonl(labels_path, parse_labels)
+    transcript_rows = _read_jsonl(transcript_path, parse_transcript)
+    ocr_rows = _read_jsonl(ocr_path, parse_ocr)
+    label_rows = _read_jsonl(labels_path, parse_labels)
 
     dangling = sorted(
         {r.video_id for r in transcript_rows + ocr_rows + label_rows} - set(videos)
@@ -485,8 +484,6 @@ def load_corpus(
         n_transcripts=len(transcripts),
         n_ocr=len(ocr),
         n_label_rows=len(label_rows),
-        n_labeled_videos=len(labels),
-        n_skipped_lines=sk1 + sk2 + sk3 + sk4,
     )
     return CorpusStore(videos=videos, transcripts=transcripts, ocr=ocr,
                        labels=labels, summary=summary)
@@ -494,9 +491,7 @@ def load_corpus(
 
 def write_jsonl(path, records: Iterable) -> None:
     """Write records (anything with ``to_json_dict``) as one object per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True))
             fh.write("\n")
@@ -520,9 +515,9 @@ def flatten_api_response(json_text: str) -> list[VideoRecord]:
         vid = item.get("id")
         if isinstance(vid, dict):  # search responses nest the id
             vid = vid.get("videoId")
-        snippet = item.get("snippet", {}) or {}
-        content = item.get("contentDetails", {}) or {}
-        stats = item.get("statistics", {}) or {}
+        snippet = _typed_field(item, "snippet", dict)
+        content = _typed_field(item, "contentDetails", dict)
+        stats = _typed_field(item, "statistics", dict)
         flat = {
             "video_id": vid,
             "channel_id": snippet.get("channelId", ""),
@@ -540,7 +535,11 @@ def flatten_api_response(json_text: str) -> list[VideoRecord]:
             ("dislikeCount", "dislike_count"),
             ("commentCount", "comment_count"),
         ):
-            if api_key in stats:
-                flat[our_key] = int(stats[api_key])
+            # The API sends counts as decimal strings; any other value
+            # goes on unchanged for parse_video_metadata to check.
+            value = stats.get(api_key)
+            if isinstance(value, str) and value.isdecimal():
+                value = int(value)
+            flat[our_key] = value
         records.append(parse_video_metadata(json.dumps(flat)))
     return records

@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .artifacts import atomic_open
 from .textfeat import PhraseIndex, load_stopwords
 
 B_MED = "B-MED"
@@ -273,9 +274,7 @@ def write_conll(tagged: Iterable[TaggedSentence], path, video_ids: Optional[Sequ
     tagged = list(tagged)
     if video_ids is not None and len(video_ids) != len(tagged):
         raise ValueError("video_ids must align with sentences")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for i, sent in enumerate(tagged):
             if video_ids is not None:
                 fh.write(f"# video_id = {video_ids[i]}\n")

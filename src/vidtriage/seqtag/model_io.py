@@ -1,34 +1,33 @@
 """Versioned JSON persistence for trained taggers.
 
-One schema covers both architectures: a format marker plus version, the
-training config, free-form training metadata, the model-specific symbol
-table (feature index or word vocabulary), and every weight block as a
-shape plus flat float list. JSON floats round-trip exactly, so a loaded
-model reproduces the saved one bit for bit.
+One schema covers both architectures, inside the format marker and
+version of :mod:`vidtriage.artifacts`: the training config, free-form
+training metadata, the model-specific symbol table (feature index or
+word vocabulary), and every weight block as a shape plus flat float
+list. JSON floats round-trip exactly, so a loaded model reproduces the
+saved one bit for bit. On load every block must be finite and have the
+shape that the config and the symbol table imply.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .blstm import BlstmParams, PARAM_NAMES, tag_with_blstm
+from ..artifacts import (
+    ModelFormatError, finite_array, load_json_model, save_json_model,
+)
+from .blstm import N_LABELS, BlstmParams, PARAM_NAMES, tag_with_blstm
 from .config import TrainConfig
 from .crf import CrfParams, tag_with_crf
 from .vocab import Vocab
 
 FORMAT_NAME = "vidtriage-tagger"
-FORMAT_VERSION = 1
 
 ARCH_CRF = "crf"
 ARCH_BLSTM = "blstm"
-
-
-class ModelFormatError(ValueError):
-    """Raised when a model file is missing, malformed, or mismatched."""
 
 
 @dataclass
@@ -40,24 +39,6 @@ class LoadedModel:
     train_meta: dict
 
 
-def _array_to_json(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-
-def _array_from_json(obj: dict, name: str) -> np.ndarray:
-    try:
-        shape = tuple(obj["shape"])
-        data = obj["data"]
-    except (TypeError, KeyError):
-        raise ModelFormatError(f"array {name!r} is malformed") from None
-    arr = np.asarray(data, dtype=float)
-    if arr.size != int(np.prod(shape)):
-        raise ModelFormatError(
-            f"array {name!r}: {arr.size} values for shape {shape}"
-        )
-    return arr.reshape(shape)
-
-
 def save_model(
     path,
     arch: str,
@@ -67,103 +48,72 @@ def save_model(
     train_meta: Optional[dict] = None,
 ) -> None:
     """Write a tagger to disk; blstm models must include their vocab."""
-    doc = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
+    body = {
         "arch": arch,
         "config": config.to_dict(),
         "train_meta": train_meta or {},
     }
-    if arch == ARCH_CRF:
-        if not isinstance(params, CrfParams):
-            raise ValueError("arch 'crf' requires CrfParams")
+    if arch == ARCH_CRF and isinstance(params, CrfParams):
         index = params.feature_index
-        features = [None] * len(index)
-        for feat, idx in index.items():
-            features[idx] = feat
-        doc["feature_index"] = features
-        doc["arrays"] = {
-            "w_emit": _array_to_json(params.w_emit),
-            "w_trans": _array_to_json(params.w_trans),
-            "w_start": _array_to_json(params.w_start),
-        }
-    elif arch == ARCH_BLSTM:
-        if not isinstance(params, BlstmParams):
-            raise ValueError("arch 'blstm' requires BlstmParams")
-        if vocab is None:
-            raise ValueError("arch 'blstm' requires a vocab")
-        doc["vocab"] = list(vocab.id_to_word)
-        doc["arrays"] = {
-            name: _array_to_json(arr)
-            for name, arr in zip(PARAM_NAMES, params.arrays())
-        }
+        body["feature_index"] = sorted(index, key=index.__getitem__)
+        names = ("w_emit", "w_trans", "w_start")
+    elif (arch == ARCH_BLSTM and isinstance(params, BlstmParams)
+          and vocab is not None):
+        body["vocab"] = list(vocab.id_to_word)
+        names = PARAM_NAMES
     else:
-        raise ValueError(f"unknown arch {arch!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        raise ValueError(
+            f"arch {arch!r} needs CrfParams, or BlstmParams and a vocab"
+        )
+    body["arrays"] = {
+        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        for name, arr in zip(names, params.arrays())
+    }
+    save_json_model(path, FORMAT_NAME, body)
+
+
+def _weights(arrays: dict, shapes: dict) -> list[np.ndarray]:
+    """Each named block of ``arrays``, checked against its expected shape."""
+    out = []
+    for name, expected in shapes.items():
+        block = arrays[name]
+        if tuple(block["shape"]) != expected:
+            raise ModelFormatError(
+                f"{name}: shape {block['shape']}, expected {list(expected)}"
+            )
+        out.append(finite_array(block["data"], name, expected))
+    return out
+
+
+def _build(doc: dict) -> LoadedModel:
+    config = TrainConfig.from_dict(doc["config"])
+    train_meta = doc.get("train_meta") or {}
+    arch = doc["arch"]
+    if arch == ARCH_CRF:
+        features = doc["feature_index"]
+        n = N_LABELS
+        w_emit, w_trans, w_start = _weights(doc["arrays"], {
+            "w_emit": (len(features), n), "w_trans": (n, n), "w_start": (n,),
+        })
+        params = CrfParams({f: i for i, f in enumerate(features)},
+                           w_emit, w_trans, w_start)
+        return LoadedModel(ARCH_CRF, params, config, None, train_meta)
+    if arch == ARCH_BLSTM:
+        vocab = Vocab(id_to_word=tuple(doc["vocab"]))
+        d, h = config.d_emb, config.d_hid
+        params = BlstmParams(*_weights(doc["arrays"], {
+            "embed": (vocab.size, d),
+            "w_fwd": (4 * h, d + h), "b_fwd": (4 * h,),
+            "w_bwd": (4 * h, d + h), "b_bwd": (4 * h,),
+            "w_out": (N_LABELS, 2 * h), "b_out": (N_LABELS,),
+        }))
+        return LoadedModel(ARCH_BLSTM, params, config, vocab, train_meta)
+    raise ModelFormatError(f"unknown arch {arch!r}")
 
 
 def load_model(path) -> LoadedModel:
     """Read a model file back, validating marker, version, and shapes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {doc.get('format_version')!r}"
-        )
-    try:
-        config = TrainConfig.from_dict(doc["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: bad config ({exc})") from None
-    train_meta = doc.get("train_meta") or {}
-    arch = doc.get("arch")
-    arrays = doc.get("arrays")
-    if not isinstance(arrays, dict):
-        raise ModelFormatError(f"{path}: missing arrays")
-    if arch == ARCH_CRF:
-        features = doc.get("feature_index")
-        if not isinstance(features, list):
-            raise ModelFormatError(f"{path}: missing feature_index")
-        params = CrfParams(
-            feature_index={f: i for i, f in enumerate(features)},
-            w_emit=_array_from_json(arrays.get("w_emit", {}), "w_emit"),
-            w_trans=_array_from_json(arrays.get("w_trans", {}), "w_trans"),
-            w_start=_array_from_json(arrays.get("w_start", {}), "w_start"),
-        )
-        if params.w_emit.shape[0] != len(features):
-            raise ModelFormatError(
-                f"{path}: {len(features)} features but emission matrix "
-                f"has {params.w_emit.shape[0]} rows"
-            )
-        n = params.w_emit.shape[1] if params.w_emit.ndim == 2 else -1
-        if params.w_trans.shape != (n, n) or params.w_start.shape != (n,):
-            raise ModelFormatError(f"{path}: weight shapes disagree")
-        return LoadedModel(ARCH_CRF, params, config, None, train_meta)
-    if arch == ARCH_BLSTM:
-        words = doc.get("vocab")
-        if not isinstance(words, list):
-            raise ModelFormatError(f"{path}: missing vocab")
-        try:
-            vocab = Vocab(id_to_word=tuple(words))
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}: bad vocab ({exc})") from None
-        params = BlstmParams(*(
-            _array_from_json(arrays.get(name, {}), name)
-            for name in PARAM_NAMES
-        ))
-        if params.vocab_size != vocab.size:
-            raise ModelFormatError(
-                f"{path}: vocab size {vocab.size} but embedding has "
-                f"{params.vocab_size} rows"
-            )
-        return LoadedModel(ARCH_BLSTM, params, config, vocab, train_meta)
-    raise ModelFormatError(f"{path}: unknown arch {arch!r}")
+    return load_json_model(path, FORMAT_NAME, _build)
 
 
 def tag_sentences(

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .corpus import (
     AnnotationLabels,
     OcrBlock,
@@ -141,7 +142,6 @@ def _sentence(rng: np.random.Generator, min_len: int, max_len: int,
 def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
     """Write the six corpus files into ``out_dir`` and return a summary."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     videos, transcripts, ocr_docs = [], [], []
@@ -224,7 +224,7 @@ def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
     write_jsonl(out_dir / "ocr.jsonl", ocr_docs)
     write_jsonl(out_dir / "labels.jsonl", label_rows)
 
-    with open(out_dir / "dictionary.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "dictionary.tsv") as fh:
         for term, code in SYNTH_TERMS:
             fh.write(f"{term}\t{code}\n")
 
@@ -233,7 +233,7 @@ def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
         for line in data_path("keywords.txt").read_text("utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    with open(out_dir / "search_results.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "search_results.jsonl") as fh:
         for k, keyword in enumerate(keywords[:3]):
             ids = [v.video_id for v in videos[k::7][:5]]
             fh.write(json.dumps({"keyword": keyword, "video_ids": ids},

@@ -47,7 +47,6 @@ class TokenizedText:
 
     tokens: tuple[str, ...]
     sentences: tuple[tuple[int, int], ...]
-    source_len: int
 
     @property
     def word_count(self) -> int:
@@ -202,8 +201,7 @@ def tokenize(text: str) -> TokenizedText:
             continue
         sentences.append((len(tokens), len(tokens) + len(words)))
         tokens.extend(words)
-    return TokenizedText(tokens=tuple(tokens), sentences=tuple(sentences),
-                         source_len=len(text))
+    return TokenizedText(tokens=tuple(tokens), sentences=tuple(sentences))
 
 
 def count_syllables(word: str) -> int:

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -399,3 +400,83 @@ def test_table6_prints_no_negative_zero(tmp_path, capsys):
     assert rows["(intercept)"][1::2] == ["0.00"] * 3
     assert rows["n_words_v"][1::2] == ["0.00"] * 3
     assert "-0.00" not in text
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("videos", lambda doc: {**doc, "published_at": 20190612}),
+    ("transcripts", lambda doc: {**doc, "segments": 7}),
+    ("ocr", lambda doc: {**doc, "blocks": 3.5}),
+    ("search_results", lambda doc: [1]),
+], ids=["published-at-number", "segments-number", "blocks-number",
+        "keyword-row-list"])
+def test_wrong_json_type_exits_1_naming_line(tmp_path, fixture_dir, caplog,
+                                             name, edit):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(fixture_dir / "corpus", corpus)
+    path = corpus / f"{name}.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    path.write_text("\n".join(lines) + "\n")
+    paths = {k: corpus / f"{k}.jsonl"
+             for k in ("videos", "transcripts", "ocr", "labels")}
+    args = _ingest_args(paths, tmp_path / "work")
+    args += ["--keywords", str(corpus / "search_results.jsonl")]
+    with caplog.at_level(logging.ERROR):
+        assert main(args) == 1
+    assert f"{path}:2:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+@pytest.fixture(scope="module")
+def model_work(tmp_path_factory, corpus_paths):
+    """Work dir with a feature table, three classifiers and both taggers."""
+    work = _assembled_work(tmp_path_factory.mktemp("models"), corpus_paths)
+    for target in clf.TARGETS:
+        _save_clf_model(work, target, 0.5, {})
+    assert main(["build-ner-corpus", "--work-dir", str(work)]) == 0
+    for arch in ("crf", "blstm"):
+        assert main(["train-tagger", "--arch", arch, "--epochs", "1",
+                     "--seed", "1", "--work-dir", str(work)]) == 0
+    return work
+
+
+def _set_nan(*keys):
+    """Edit that sets ``doc[keys[0]]...[keys[-1]]`` to NaN."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = float("nan")
+    return edit
+
+
+@pytest.mark.parametrize("model, edit, command, key", [
+    ("clf_medical_info.json", lambda doc: doc.pop("target"),
+     ["classify"], "'target'"),
+    ("clf_medical_info.json", _set_nan("coefficients", 0),
+     ["classify"], "coefficients"),
+    ("clf_recommendation.json", _set_nan("p_values", 1),
+     ["report", "--table", "6"], "p_values"),
+    ("tagger_crf.json", _set_nan("arrays", "w_trans", "data", 0),
+     ["tag", "--arch", "crf"], "w_trans"),
+    ("tagger_blstm.json", None, ["tag", "--arch", "blstm"], None),
+], ids=["classify-no-target", "classify-nan-coefficient",
+        "report6-nan-p-value", "tag-nan-crf-weight", "tag-truncated-blstm"])
+def test_corrupt_model_exits_1_naming_file(tmp_path, model_work, caplog,
+                                           capsys, model, edit, command,
+                                           key):
+    work = tmp_path / "work"
+    shutil.copytree(model_work, work)
+    path = work / "models" / model
+    text = path.read_text()
+    if edit is None:
+        path.write_text(text[:len(text) // 2])
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main([*command, "--work-dir", str(work)]) == 1
+    assert str(path) in caplog.text
+    assert key is None or key in caplog.text
+    assert "Traceback" not in caplog.text

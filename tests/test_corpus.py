@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vidtriage.corpus import (
     AnnotationLabels,
@@ -12,7 +13,6 @@ from vidtriage.corpus import (
     IntegrityError,
     SchemaError,
     consolidate_labels,
-    dedupe_ids,
     flatten_api_response,
     load_corpus,
     parse_iso_duration,
@@ -102,6 +102,11 @@ def test_parse_transcript_and_confidence():
         parse_transcript(json.dumps({
             "video_id": "v", "segments": [{"text": "x", "confidence": 1.2}],
         }))
+    # An integer too large for a float is out of range, not an overflow.
+    with pytest.raises(SchemaError):
+        parse_transcript(json.dumps({
+            "video_id": "v", "segments": [{"confidence": 10**400}],
+        }))
 
 
 def test_parse_ocr_and_confidence():
@@ -118,6 +123,9 @@ def test_parse_ocr_and_confidence():
     assert doc.shot_count == 4
     empty = parse_ocr(json.dumps({"video_id": "v2"}))
     assert empty.confidence == 0.0 and empty.text == ""
+    # A null count reads as absent, so featurize never sees a None.
+    assert parse_ocr(json.dumps({"video_id": "v2", "shot_count": None})) \
+        == empty
     with pytest.raises(SchemaError):
         parse_ocr(json.dumps({"video_id": "v", "shot_count": -1}))
 
@@ -231,10 +239,6 @@ def test_write_jsonl_roundtrip_and_sorted_keys(tmp_path, store):
     assert again == [store.videos[v] for v in sorted(store.videos)]
 
 
-def test_dedupe_ids_keeps_first():
-    assert dedupe_ids(["a", "b", "a", "c", "b"]) == ["a", "b", "c"]
-
-
 # ------------------------------------------------------------ api adapter
 
 
@@ -248,3 +252,85 @@ def test_flatten_api_response(fixture_dir):
     assert records[1].like_count is None
     with pytest.raises(SchemaError):
         flatten_api_response(json.dumps({"kind": "x"}))
+
+
+# ------------------------------------------------------- fuzzed objects
+
+# Any JSON value: the wrong type for most fields.
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_ANY = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _obj(required=(), **fields):
+    """Objects holding the ``required`` fields and any subset of the
+    others. Each value comes from its field's strategy (well typed) about
+    half the time, otherwise from a JSON scalar or any JSON value."""
+    values = {k: st.one_of(v, v, _SCALAR, _ANY) for k, v in fields.items()}
+    return st.fixed_dictionaries(
+        {k: values.pop(k) for k in required}, optional=values)
+
+
+_COUNT = st.integers(-2, 10**6)
+_CONF = st.floats(-0.5, 1.5)
+_ID = st.text(min_size=1, max_size=6)
+_VIDEO = _obj(
+    ("video_id",), video_id=_ID, channel_id=st.text(max_size=6),
+    published_at=st.datetimes().map(lambda t: t.isoformat()) | st.text(),
+    title=st.text(), description=st.text(),
+    tags=st.lists(st.text(max_size=6), max_size=3),
+    duration_s=_COUNT | st.from_regex(r"P(\d+D)?(T(\d+H)?(\d+M)?(\d+S)?)?",
+                                      fullmatch=True),
+    definition=st.sampled_from(["sd", "hd", "4k"]),
+    caption_available=st.booleans(), view_count=_COUNT,
+    like_count=_COUNT, dislike_count=_COUNT, comment_count=_COUNT,
+)
+_TRANSCRIPT = _obj(
+    ("video_id",), video_id=_ID,
+    segments=st.lists(_obj(text=st.text(), confidence=_CONF), max_size=3),
+)
+_OCR = _obj(
+    ("video_id",), video_id=_ID,
+    blocks=st.lists(_obj(text=st.text(), confidence=_CONF,
+                         frame_time_s=st.floats(-1, 100)), max_size=3),
+    shot_count=_COUNT, shot_change_confidence=_CONF,
+)
+_BINARY = st.sampled_from([0, 1, 2])
+_LABELS = _obj(
+    ("video_id",), video_id=_ID, annotator_id=st.text(max_size=6),
+    medical_info_high=_BINARY, understandable=_BINARY, recommended=_BINARY,
+)
+_API_COUNT = st.integers(0, 10**6).map(str) | _COUNT
+_API = _obj(("items",), items=st.lists(_obj(
+    ("id",), id=_ID | _obj(("videoId",), videoId=_ID),
+    snippet=_obj(channelId=st.text(max_size=6),
+                 publishedAt=st.datetimes().map(lambda t: t.isoformat()),
+                 title=st.text(), description=st.text(),
+                 tags=st.lists(st.text(max_size=6), max_size=3)),
+    contentDetails=_obj(duration=st.from_regex(r"PT(\d+M)?(\d+S)?",
+                                               fullmatch=True),
+                        definition=st.sampled_from(["sd", "hd"]),
+                        caption=st.sampled_from(["true", "false"])),
+    statistics=_obj(viewCount=_API_COUNT, likeCount=_API_COUNT,
+                    dislikeCount=_API_COUNT, commentCount=_API_COUNT),
+), max_size=3))
+
+
+@pytest.mark.parametrize("parse, objects", [
+    (parse_video_metadata, _VIDEO),
+    (parse_transcript, _TRANSCRIPT),
+    (parse_ocr, _OCR),
+    (parse_labels, _LABELS),
+    (flatten_api_response, _API),
+], ids=["videos", "transcripts", "ocr", "labels", "api"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_corpus_errors(parse, objects, data):
+    try:
+        parse(json.dumps(data.draw(objects)))
+    except CorpusError:
+        pass

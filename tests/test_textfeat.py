@@ -295,8 +295,7 @@ def _ref_tokenize(text):
             continue
         sentences.append((len(tokens), len(tokens) + len(words)))
         tokens.extend(words)
-    return TokenizedText(tokens=tuple(tokens), sentences=tuple(sentences),
-                         source_len=len(text))
+    return TokenizedText(tokens=tuple(tokens), sentences=tuple(sentences))
 
 
 def _ref_token_syllables(token):
