@@ -12,7 +12,7 @@ from pathlib import Path
 
 from vidtriage.data_files import data_path
 from vidtriage.medterm import (
-    ALL_SEMANTIC_TYPES,
+    SEMANTIC_TYPES,
     clean_terms,
     load_dictionary,
     project_labels,
@@ -27,9 +27,10 @@ print("entries:", len(dictionary.entries),
       "(single words:", len(dictionary.word_keys),
       "+ phrases:", len(dictionary.phrase_keys), ")")
 
-# Semantic types gate which rows load; restricting to procedures and
-# diagnostics shrinks the dictionary.
-procedures = {t for t in ALL_SEMANTIC_TYPES if t.code in ("diap", "topp")}
+# Semantic-type codes gate which rows load; restricting to procedures
+# and diagnostics shrinks the dictionary.
+procedures = ("diap", "topp")
+print("allowed:", [SEMANTIC_TYPES[code] for code in procedures])
 narrow = load_dictionary(data_path("medical_terms.tsv"),
                          allowed_types=procedures)
 print("procedure/diagnostic entries only:", len(narrow.entries))

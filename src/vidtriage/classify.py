@@ -99,11 +99,6 @@ class FeatureVector:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
 
-    def get(self, name: str):
-        if name not in FEATURE_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
 
 # The feature table has one column per FeatureVector field, in field
 # order; the classifier inputs are all of them but the id and the
@@ -510,7 +505,6 @@ def train_logreg(
     l2: Optional[float] = None,
     *,
     spec: FeatureSpec,
-    scaler: Optional[Scaler] = None,
     train_meta: Optional[dict] = None,
 ) -> LrModel:
     """Standardize a raw design matrix, fit, and attach Wald inference.
@@ -527,8 +521,7 @@ def train_logreg(
         )
     if l2 is None:
         l2 = 1.0 / max(len(y), 1)
-    if scaler is None:
-        scaler = standardize_fit(X, spec)
+    scaler = standardize_fit(X, spec)
     beta, opt_info = fit_logreg(standardize_apply(scaler, X), y, l2)
     model = LrModel(
         spec=spec,

@@ -248,6 +248,11 @@ def _validate_search_results(fixture: Path, keywords_path: Path,
         ids = row.get("video_ids")
         if not isinstance(ids, list):
             raise ValueError(f"{fixture}:{lineno}: video_ids must be a list")
+        for vid in ids:
+            if not isinstance(vid, str) or vid not in store.videos:
+                raise ValueError(
+                    f"{fixture}:{lineno}: unknown video id {vid!r}"
+                )
         n_rows += 1
     return n_rows
 
@@ -277,7 +282,10 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
 def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
     dict_path = args.dictionary or cfg.dictionary_path()
-    dictionary = medterm.load_dictionary(_require(dict_path))
+    dictionary = medterm.load_dictionary(
+        _require(dict_path),
+        stopwords=textfeat.load_stopwords(cfg.lexicon_path("stopwords")),
+    )
     sentences, video_ids = [], []
     n_videos = 0
     for vid in sorted(store.videos):
@@ -351,7 +359,7 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
         "epochs_run": len(history),
     }
     out = cfg.work_dir / "models" / f"tagger_{args.arch}.json"
-    save_model(out, args.arch, params, config, vocab=vocab, train_meta=meta)
+    save_model(out, params, config, vocab=vocab, train_meta=meta)
     print(
         f"trained {args.arch} tagger on {len(train)} sentences "
         f"({len(train_videos)} videos, {len(history)} epochs) -> {out}"
@@ -473,12 +481,11 @@ def _clf_model_path(cfg, target: str) -> Path:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    targets = (list(clf.TARGETS) if args.target == "all" else [args.target])
     rows = clf.read_features_tsv(
         _require(cfg.work_dir / "features" / "features.tsv")
     )
     out_dir = cfg.work_dir / "predictions"
-    for target in targets:
+    for target in clf.TARGETS:
         model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
         p, labels = clf.predict_batch(model, rows)
         write_tsv(
@@ -488,8 +495,8 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
              for row, prob, lab in zip(rows, p, labels)],
         )
     print(
-        f"classified {len(rows)} videos for {len(targets)} "
-        f"target(s) -> {out_dir}"
+        f"classified {len(rows)} videos for {len(clf.TARGETS)} "
+        f"targets -> {out_dir}"
     )
     return EXIT_OK
 
@@ -502,11 +509,10 @@ def _prf_cells(m: TagMetrics) -> list[str]:
 
 
 def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
-    archs = ARCHS if args.arch == "both" else (args.arch,)
     conll = _require(cfg.work_dir / "ner" / "corpus.conll")
     sentences, video_ids = medterm.read_conll(conll)
     token_rows, span_rows = [], []
-    for arch in archs:
+    for arch in ARCHS:
         model = load_model(
             _require(cfg.work_dir / "models" / f"tagger_{arch}.json")
         )
@@ -532,20 +538,19 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
     write_tsv(eval_dir / "tagger_span_metrics.tsv", _TAGGER_METRICS_HEADER,
               span_rows)
     print(
-        f"evaluated {len(archs)} tagger(s) -> "
+        f"evaluated {len(ARCHS)} taggers -> "
         f"{eval_dir / 'tagger_metrics.tsv'}"
     )
     return EXIT_OK
 
 
-def cmd_eval_clf(cfg: PipelineConfig, args) -> int:
-    targets = (list(clf.TARGETS) if args.target == "all" else [args.target])
+def _eval_classifiers(cfg: PipelineConfig) -> None:
     rows = clf.read_features_tsv(
         _require(cfg.work_dir / "features" / "features.tsv")
     )
     by_id = {row.video_id: row for row in rows}
     out_rows = []
-    for target in targets:
+    for target in clf.TARGETS:
         model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
         test_videos = model.train_meta.get("test_videos", [])
         test_rows = [by_id[v] for v in test_videos if v in by_id]
@@ -562,17 +567,16 @@ def cmd_eval_clf(cfg: PipelineConfig, args) -> int:
     eval_dir = cfg.work_dir / "eval"
     write_tsv(eval_dir / "clf_metrics.tsv", _CLF_METRICS_HEADER, out_rows)
     print(
-        f"evaluated {len(targets)} classifier(s) -> "
+        f"evaluated {len(clf.TARGETS)} classifiers -> "
         f"{eval_dir / 'clf_metrics.tsv'}"
     )
-    return EXIT_OK
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     if args.kind in ("tagger", "all"):
-        cmd_eval_tagger(cfg, argparse.Namespace(arch="both"))
+        cmd_eval_tagger(cfg, args)
     if args.kind in ("clf", "all"):
-        cmd_eval_clf(cfg, argparse.Namespace(target="all"))
+        _eval_classifiers(cfg)
     return EXIT_OK
 
 
@@ -729,9 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_clf)
 
     p = sub.add_parser("classify", parents=[common],
-                       help="predict labels for every video in the "
-                            "feature table")
-    p.add_argument("--target", choices=(*clf.TARGETS, "all"), default="all")
+                       help="predict all three labels for every video in "
+                            "the feature table")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval", parents=[common],
@@ -741,14 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-tagger", parents=[common],
-                       help="evaluate taggers on their test split")
-    p.add_argument("--arch", choices=(*ARCHS, "both"), default="both")
+                       help="evaluate both taggers on their test split")
     p.set_defaults(func=cmd_eval_tagger)
-
-    p = sub.add_parser("eval-clf", parents=[common],
-                       help="evaluate classifiers on their test split")
-    p.add_argument("--target", choices=(*clf.TARGETS, "all"), default="all")
-    p.set_defaults(func=cmd_eval_clf)
 
     p = sub.add_parser("report", parents=[common],
                        help="render an evaluation table as TSV")

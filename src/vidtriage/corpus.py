@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -164,10 +165,6 @@ class OcrDoc:
     blocks: tuple[OcrBlock, ...] = ()
     shot_count: int = 0
     shot_change_confidence: float = 0.0
-
-    @property
-    def text(self) -> str:
-        return " ".join(b.text for b in self.blocks)
 
     @property
     def confidence(self) -> float:
@@ -358,8 +355,13 @@ def parse_ocr(json_text: str) -> OcrDoc:
             raise SchemaError(f"block {i} must be an object")
         conf = _check_confidence(blk.get("confidence"), f"block {i} confidence")
         frame_t = blk.get("frame_time_s", 0.0)
-        if not isinstance(frame_t, (int, float)) or isinstance(frame_t, bool) or frame_t < 0:
-            raise SchemaError(f"block {i} frame_time_s must be a non-negative number")
+        # Compared before float(), which overflows on a huge JSON integer;
+        # NaN fails the comparison and infinity exceeds the float range.
+        if (not isinstance(frame_t, (int, float)) or isinstance(frame_t, bool)
+                or not 0.0 <= frame_t <= sys.float_info.max):
+            raise SchemaError(
+                f"block {i} frame_time_s must be a finite non-negative number"
+            )
         blocks.append(OcrBlock(text=str(blk.get("text", "")), confidence=conf,
                                frame_time_s=float(frame_t)))
     shot_count = _require_nonneg_int(obj, "shot_count") or 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -34,67 +33,48 @@ class DictionaryWarning(UserWarning):
     """Recoverable dictionary problem, e.g. an unknown semantic-type code."""
 
 
-class SemanticType(Enum):
-    """Closed set of semantic-type categories admitted into the dictionary."""
-
-    TOPP = ("topp", "Therapeutic or Preventive Procedure")
-    DSYN = ("dsyn", "Disease or Syndrome")
-    PSHU = ("pshu", "Pharmacologic Substance")
-    BPOC = ("bpoc", "Body Part, Organ, or Organ Component")
-    NEOP = ("neop", "Neoplastic Process")
-    ORCH = ("orch", "Organic Chemical")
-    DIAP = ("diap", "Diagnostic Procedure")
-    HLCA = ("hlca", "Health Care Activity")
-    CHVF = ("chvf", "Chemical Viewed Functionally")
-    PROG = ("prog", "Professional or Occupational Group")
-    CHVS = ("chvs", "Chemical Viewed Structurally")
-    LBPR = ("lbpr", "Laboratory Procedure")
-    BLOR = ("blor", "Body Location or Region")
-    INPO = ("inpo", "Injury or Poisoning")
-    MOBD = ("mobd", "Mental or Behavioral Dysfunction")
-    AAPP = ("aapp", "Amino Acid, Peptide, or Protein")
-    HCRO = ("hcro", "Health Care Related Organization")
-    BODM = ("bodm", "Biomedical or Dental Material")
-    ELII = ("elii", "Element, Ion, or Isotope")
-    NNON = ("nnon", "Nucleic Acid, Nucleoside, or Nucleotide")
-    HOPS = ("hops", "Hazardous or Poisonous Substance")
-    CGAB = ("cgab", "Congenital Abnormality")
-    LBTR = ("lbtr", "Laboratory or Test Result")
-    BACS = ("bacs", "Biologically Active Substance")
-    DRDD = ("drdd", "Drug Delivery Device")
-    ACAB = ("acab", "Acquired Abnormality")
-    ENZY = ("enzy", "Enzyme")
-    BDSY = ("bdsy", "Body System")
-    ANTB = ("antb", "Antibiotic")
-    HORM = ("horm", "Hormone")
-    VITA = ("vita", "Vitamin")
-    CLND = ("clnd", "Clinical Drug")
-    CHEM = ("chem", "Chemical")
-    MEDD = ("medd", "Medical Device")
-    RESA = ("resa", "Research Activity")
-    SOSY = ("sosy", "Sign or Symptom")
-    INCH = ("inch", "Inorganic Chemical")
-    PATF = ("patf", "Pathologic Function")
-
-    @property
-    def code(self) -> str:
-        return self.value[0]
-
-    @property
-    def label(self) -> str:
-        return self.value[1]
-
-    @classmethod
-    def from_code(cls, code: str) -> "SemanticType":
-        try:
-            return _CODE_TO_TYPE[code]
-        except KeyError:
-            raise KeyError(f"unknown semantic-type code {code!r}") from None
-
-
-_CODE_TO_TYPE = {st.code: st for st in SemanticType}
-
-ALL_SEMANTIC_TYPES = frozenset(SemanticType)
+# Closed set of semantic-type categories admitted into the dictionary,
+# code -> name.
+SEMANTIC_TYPES = {
+    "topp": "Therapeutic or Preventive Procedure",
+    "dsyn": "Disease or Syndrome",
+    "pshu": "Pharmacologic Substance",
+    "bpoc": "Body Part, Organ, or Organ Component",
+    "neop": "Neoplastic Process",
+    "orch": "Organic Chemical",
+    "diap": "Diagnostic Procedure",
+    "hlca": "Health Care Activity",
+    "chvf": "Chemical Viewed Functionally",
+    "prog": "Professional or Occupational Group",
+    "chvs": "Chemical Viewed Structurally",
+    "lbpr": "Laboratory Procedure",
+    "blor": "Body Location or Region",
+    "inpo": "Injury or Poisoning",
+    "mobd": "Mental or Behavioral Dysfunction",
+    "aapp": "Amino Acid, Peptide, or Protein",
+    "hcro": "Health Care Related Organization",
+    "bodm": "Biomedical or Dental Material",
+    "elii": "Element, Ion, or Isotope",
+    "nnon": "Nucleic Acid, Nucleoside, or Nucleotide",
+    "hops": "Hazardous or Poisonous Substance",
+    "cgab": "Congenital Abnormality",
+    "lbtr": "Laboratory or Test Result",
+    "bacs": "Biologically Active Substance",
+    "drdd": "Drug Delivery Device",
+    "acab": "Acquired Abnormality",
+    "enzy": "Enzyme",
+    "bdsy": "Body System",
+    "antb": "Antibiotic",
+    "horm": "Hormone",
+    "vita": "Vitamin",
+    "clnd": "Clinical Drug",
+    "chem": "Chemical",
+    "medd": "Medical Device",
+    "resa": "Research Activity",
+    "sosy": "Sign or Symptom",
+    "inch": "Inorganic Chemical",
+    "patf": "Pathologic Function",
+}
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9 ]+")
 
@@ -121,7 +101,7 @@ def clean_terms(raw_terms: Iterable[str], stopwords: frozenset[str] | set[str]) 
 
 @dataclass(frozen=True)
 class TermDictionary:
-    """Cleaned terms mapped to their semantic types.
+    """Cleaned terms mapped to their semantic-type codes.
 
     Keys are either single cleaned words or whole multi-word phrases
     (space-joined, lowercase). Phrases are kept intact for projection even
@@ -129,7 +109,7 @@ class TermDictionary:
     multi-word and unique-term counting works on complete mentions.
     """
 
-    entries: dict[str, frozenset[SemanticType]] = field(default_factory=dict)
+    entries: dict[str, frozenset[str]] = field(default_factory=dict)
 
     @property
     def word_keys(self) -> set[str]:
@@ -162,43 +142,56 @@ class TaggedSentence:
 
     def spans(self) -> list[str]:
         """Surface forms of complete B/I spans, lowercased."""
-        out = []
-        current: list[str] = []
-        for tok, lab in zip(self.tokens, self.labels):
-            if lab == B_MED:
-                if current:
-                    out.append(" ".join(current))
-                current = [tok.lower()]
-            elif lab == I_MED:
-                current.append(tok.lower())
-            else:
-                if current:
-                    out.append(" ".join(current))
-                current = []
-        if current:
-            out.append(" ".join(current))
-        return out
+        return [" ".join(t.lower() for t in self.tokens[a:b])
+                for a, b in span_offsets(self.labels)]
+
+
+def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
+    """``(start, end)`` token offsets of each span, in order.
+
+    A B-MED opens a span and an O closes it; any other label continues
+    the open span, so an I-MED with no span open starts none.
+    """
+    spans = []
+    start = None
+    for i, lab in enumerate(labels):
+        if lab == B_MED:
+            if start is not None:
+                spans.append((start, i))
+            start = i
+        elif lab == O and start is not None:
+            spans.append((start, i))
+            start = None
+    if start is not None:
+        spans.append((start, len(labels)))
+    return spans
 
 
 def load_dictionary(
     path,
-    allowed_types: Optional[Iterable[SemanticType]] = None,
+    allowed_types: Optional[Iterable[str]] = None,
     stopwords: Optional[frozenset[str]] = None,
 ) -> TermDictionary:
     """Load a term dictionary from a TSV of ``term<TAB>semantic-type code``.
 
-    Rows with codes outside the closed set are skipped with a warning; rows
-    whose code is valid but not in ``allowed_types`` are silently filtered.
+    Rows with codes outside :data:`SEMANTIC_TYPES` are skipped with a
+    warning; rows whose code is valid but not in ``allowed_types`` (codes,
+    default all) are silently filtered. An unknown code in
+    ``allowed_types`` raises ValueError.
     Each surviving term contributes its cleaned words, and multi-word terms
     additionally contribute the whole phrase.
     """
     if stopwords is None:
         from .data_files import data_path
         stopwords = load_stopwords(data_path("stopwords.txt"))
-    allowed = frozenset(allowed_types) if allowed_types is not None else ALL_SEMANTIC_TYPES
+    allowed = frozenset(SEMANTIC_TYPES if allowed_types is None
+                        else allowed_types)
+    unknown = sorted(allowed - SEMANTIC_TYPES.keys())
+    if unknown:
+        raise ValueError(f"unknown semantic-type codes {unknown}")
 
     path = Path(path)
-    entries: dict[str, set[SemanticType]] = {}
+    entries: dict[str, set[str]] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -208,22 +201,20 @@ def load_dictionary(
                 f"{path}:{lineno}: expected 'term<TAB>code', got {line!r}"
             )
         term, code = parts[0].strip(), parts[1].strip()
-        try:
-            st = SemanticType.from_code(code)
-        except KeyError:
+        if code not in SEMANTIC_TYPES:
             warnings.warn(
                 f"{path}:{lineno}: unknown semantic-type code {code!r}, row skipped",
                 DictionaryWarning,
                 stacklevel=2,
             )
             continue
-        if st not in allowed:
+        if code not in allowed:
             continue
         for word in clean_terms([term], stopwords):
-            entries.setdefault(word, set()).add(st)
+            entries.setdefault(word, set()).add(code)
         phrase_words = _normalize_words(term)
         if len(phrase_words) >= 2:
-            entries.setdefault(" ".join(phrase_words), set()).add(st)
+            entries.setdefault(" ".join(phrase_words), set()).add(code)
     return TermDictionary(entries={k: frozenset(v) for k, v in entries.items()})
 
 
@@ -287,17 +278,26 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
     """Read a CoNLL-style file back into sentences plus per-sentence video ids.
 
     Sentences written without video comments come back with ``None`` ids.
+    A sentence with an unknown or ill-formed label raises
+    DictionaryFormatError naming the file and the sentence's first line.
     """
     sentences: list[TaggedSentence] = []
     video_ids: list[Optional[str]] = []
     tokens: list[str] = []
     labels: list[str] = []
+    first_line = 0
     current_vid: Optional[str] = None
 
     def flush():
         nonlocal tokens, labels
         if tokens:
-            sentences.append(TaggedSentence(tokens=tuple(tokens), labels=tuple(labels)))
+            try:
+                sent = TaggedSentence(tuple(tokens), tuple(labels))
+            except ValueError as exc:
+                raise DictionaryFormatError(
+                    f"{path}:{first_line}: {exc}"
+                ) from None
+            sentences.append(sent)
             video_ids.append(current_vid)
             tokens, labels = [], []
 
@@ -315,6 +315,8 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
             raise DictionaryFormatError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
+        if not tokens:
+            first_line = lineno
         tokens.append(parts[0])
         labels.append(parts[1])
     flush()

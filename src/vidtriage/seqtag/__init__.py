@@ -21,7 +21,6 @@ from .crf import (
 from .blstm import (
     BlstmParams,
     init_blstm,
-    blstm_forward,
     blstm_loss_grad,
     train_blstm,
     tag_with_blstm,
@@ -56,7 +55,6 @@ __all__ = [
     "tag_with_crf",
     "BlstmParams",
     "init_blstm",
-    "blstm_forward",
     "blstm_loss_grad",
     "train_blstm",
     "tag_with_blstm",

@@ -44,16 +44,8 @@ class BlstmParams:
     b_out: np.ndarray
 
     @property
-    def d_emb(self) -> int:
-        return self.embed.shape[1]
-
-    @property
     def d_hid(self) -> int:
         return self.w_fwd.shape[0] // 4
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embed.shape[0]
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in PARAM_NAMES)
@@ -65,15 +57,13 @@ class BlstmParams:
 def init_blstm(
     vocab_size: int,
     config: TrainConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> BlstmParams:
-    """Seeded initialization: uniform Glorot weights, zero biases.
+    """Uniform Glorot weights drawn from ``rng``, zero biases.
 
     The forget-gate bias starts at one so early updates keep cell state
     flowing instead of erasing it.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
     d, h = config.d_emb, config.d_hid
 
     def glorot(rows: int, cols: int) -> np.ndarray:
@@ -181,17 +171,6 @@ def _forward_batch(params: BlstmParams, ids: np.ndarray, mask: np.ndarray,
     logits = h2 @ params.w_out.T + params.b_out
     logp = logits - logsumexp(logits, axis=2, keepdims=True)
     return x, h2, steps_f, steps_b, logp
-
-
-def blstm_forward(
-    params: BlstmParams, token_ids: Sequence[int]
-) -> np.ndarray:
-    """Per-token label log-probabilities for one sentence, shape (T, 3)."""
-    if len(token_ids) == 0:
-        return np.zeros((0, N_LABELS))
-    ids, mask = _pad_batch([token_ids], PAD_ID)
-    _, _, _, _, logp = _forward_batch(params, ids, mask)
-    return logp[0]
 
 
 def _summed_nll(logp: np.ndarray, labels: np.ndarray,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,3 @@ class TrainConfig:
             raise ValueError("TrainConfig.l2 must be non-negative")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValueError("TrainConfig.dev_fraction must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..medterm import B_MED, I_MED, O
+from ..medterm import B_MED, I_MED, O, span_offsets
 
 _POSITIVE = (B_MED, I_MED)
 
@@ -91,26 +91,10 @@ def evaluate_tagger_spans(
     _check_aligned(predictions, gold)
     tp = n_pred = n_gold = 0
     for pred_seq, gold_seq in zip(predictions, gold):
-        pred_spans = _span_offsets(repair_bio(pred_seq))
-        gold_spans = _span_offsets(gold_seq)
+        pred_spans = set(span_offsets(repair_bio(pred_seq)))
+        gold_spans = set(span_offsets(gold_seq))
         tp += len(pred_spans & gold_spans)
         n_pred += len(pred_spans)
         n_gold += len(gold_spans)
     return TagMetrics.from_counts(tp, n_pred - tp, n_gold - tp)
-
-
-def _span_offsets(labels: Sequence[str]) -> set[tuple[int, int]]:
-    spans = set()
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == B_MED:
-            if start is not None:
-                spans.add((start, i))
-            start = i
-        elif lab == O and start is not None:
-            spans.add((start, i))
-            start = None
-    if start is not None:
-        spans.add((start, len(labels)))
-    return spans
 

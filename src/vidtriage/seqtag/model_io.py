@@ -11,7 +11,7 @@ shape that the config and the symbol table imply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,30 +41,23 @@ class LoadedModel:
 
 def save_model(
     path,
-    arch: str,
     params: Union[CrfParams, BlstmParams],
     config: TrainConfig,
     vocab: Optional[Vocab] = None,
     train_meta: Optional[dict] = None,
 ) -> None:
-    """Write a tagger to disk; blstm models must include their vocab."""
-    body = {
-        "arch": arch,
-        "config": config.to_dict(),
-        "train_meta": train_meta or {},
-    }
-    if arch == ARCH_CRF and isinstance(params, CrfParams):
+    """Write a tagger to disk; the params type sets the file's arch, and
+    blstm models must include their vocab."""
+    body = {"config": asdict(config), "train_meta": train_meta or {}}
+    if isinstance(params, CrfParams):
+        body["arch"] = ARCH_CRF
         index = params.feature_index
         body["feature_index"] = sorted(index, key=index.__getitem__)
         names = ("w_emit", "w_trans", "w_start")
-    elif (arch == ARCH_BLSTM and isinstance(params, BlstmParams)
-          and vocab is not None):
+    else:
+        body["arch"] = ARCH_BLSTM
         body["vocab"] = list(vocab.id_to_word)
         names = PARAM_NAMES
-    else:
-        raise ValueError(
-            f"arch {arch!r} needs CrfParams, or BlstmParams and a vocab"
-        )
     body["arrays"] = {
         name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
         for name, arr in zip(names, params.arrays())
@@ -86,7 +79,7 @@ def _weights(arrays: dict, shapes: dict) -> list[np.ndarray]:
 
 
 def _build(doc: dict) -> LoadedModel:
-    config = TrainConfig.from_dict(doc["config"])
+    config = TrainConfig(**doc["config"])
     train_meta = doc.get("train_meta") or {}
     arch = doc["arch"]
     if arch == ARCH_CRF:

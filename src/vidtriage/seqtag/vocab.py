@@ -35,16 +35,12 @@ class Vocab:
         lookup = self._word_to_id
         return [lookup.get(t, UNK_ID) for t in tokens]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._word_to_id
 
+def build_vocab(corpus: Iterable[TaggedSentence]) -> Vocab:
+    """Build a vocabulary from every word of a tagged corpus.
 
-def build_vocab(corpus: Iterable[TaggedSentence], min_count: int = 1) -> Vocab:
-    """Build a vocabulary from a tagged corpus.
-
-    Words rarer than ``min_count`` fall back to the unknown id. Id order is
-    deterministic: frequency descending, then lexicographic, so permuted
-    corpora produce identical vocabularies.
+    Id order is deterministic: frequency descending, then lexicographic,
+    so permuted corpora produce identical vocabularies.
     """
     counts: Counter[str] = Counter()
     n_sentences = 0
@@ -53,8 +49,5 @@ def build_vocab(corpus: Iterable[TaggedSentence], min_count: int = 1) -> Vocab:
         counts.update(sent.tokens)
     if n_sentences == 0:
         raise ValueError("build_vocab requires a non-empty corpus")
-    kept = sorted(
-        (w for w, c in counts.items() if c >= min_count),
-        key=lambda w: (-counts[w], w),
-    )
+    kept = sorted(counts, key=lambda w: (-counts[w], w))
     return Vocab(id_to_word=(UNK_TOKEN, PAD_TOKEN, *kept))

@@ -69,7 +69,6 @@ class TextFeatures:
     summary_word_count: int
     active_verb_count: int
     readability: float
-    readability_defined: bool = True
 
 
 class PhraseIndex:
@@ -300,19 +299,15 @@ def extract_text_features(
     """Compute the full per-text feature block.
 
     Empty or speechless inputs produce all-zero counts and a readability of
-    0.0 flagged undefined, so a silent video flows through the pipeline
-    instead of aborting it. Pass one ``memo`` to every call of a stage to
-    reuse per-token work across its texts.
+    0.0, so a silent video flows through the pipeline instead of aborting
+    it. Pass one ``memo`` to every call of a stage to reuse per-token work
+    across its texts.
     """
     tok = tokenize(text)
+    # ``tokenize`` puts every word in a sentence, so a text with a word
+    # always has a defined grade level.
     if tok.word_count == 0:
-        return TextFeatures(0, 0, 0, 0, 0, 0, 0.0, readability_defined=False)
-    try:
-        grade = readability_from_tokens(tok, memo)
-        defined = True
-    except UndefinedReadabilityError:
-        grade = 0.0
-        defined = False
+        return TextFeatures(0, 0, 0, 0, 0, 0, 0.0)
     return TextFeatures(
         word_count=tok.word_count,
         unique_word_count=len(set(tok.tokens)),
@@ -320,8 +315,7 @@ def extract_text_features(
         transition_word_count=lexicon_count(tok, transition_lex),
         summary_word_count=lexicon_count(tok, summary_lex),
         active_verb_count=active_verb_count(tok, verb_lex, memo),
-        readability=grade,
-        readability_defined=defined,
+        readability=readability_from_tokens(tok, memo),
     )
 
 

@@ -82,7 +82,7 @@ def test_crf_model_roundtrip(tmp_path_factory, data, seed, meta):
     )
     config = TrainConfig(seed=seed)
     path = tmp_path_factory.mktemp("crf") / "m.json"
-    save_model(path, ARCH_CRF, params, config, train_meta=meta)
+    save_model(path, params, config, train_meta=meta)
     loaded = load_model(path)
     assert (loaded.arch, loaded.config, loaded.train_meta) \
         == (ARCH_CRF, config, meta)
@@ -108,7 +108,7 @@ def test_blstm_model_roundtrip(tmp_path_factory, data, d_emb, d_hid, meta):
     ))
     config = TrainConfig(seed=1, d_emb=d_emb, d_hid=d_hid)
     path = tmp_path_factory.mktemp("blstm") / "m.json"
-    save_model(path, ARCH_BLSTM, params, config, vocab=vocab, train_meta=meta)
+    save_model(path, params, config, vocab=vocab, train_meta=meta)
     loaded = load_model(path)
     assert (loaded.arch, loaded.config, loaded.vocab, loaded.train_meta) \
         == (ARCH_BLSTM, config, vocab, meta)

@@ -60,7 +60,6 @@ def test_feature_vector_validation():
         make_row(n_words_v=-1)
     row = make_row(medical_info_high=None)
     assert row.medical_info_high is None
-    assert row.get("has_title") == 1
 
 
 def test_assemble_features_from_fixture(store, lexicons):

@@ -39,6 +39,16 @@ def test_unknown_command_exits_64(capsys):
     capsys.readouterr()
 
 
+# A command and options that only duplicated what the defaults do.
+@pytest.mark.parametrize("argv", [
+    ["eval-clf"], ["classify", "--target", "all"],
+    ["eval-tagger", "--arch", "crf"],
+], ids=["eval-clf", "classify-target", "eval-tagger-arch"])
+def test_removed_command_and_options_exit_64(capsys, argv):
+    assert main(argv) == 64
+    capsys.readouterr()
+
+
 def test_no_command_exits_64(capsys):
     assert main([]) == 64
     capsys.readouterr()
@@ -92,6 +102,23 @@ def test_ingest_keywords_rejects_unknown(tmp_path, corpus_paths, caplog):
     with caplog.at_level(logging.ERROR):
         assert main(args) == 1
     assert "not in the keyword list" in caplog.text
+
+
+@pytest.mark.parametrize("ids, message", [
+    (["vid001", "nope"], "unknown video id 'nope'"),
+    ([7], "unknown video id 7"),
+], ids=["absent", "not-a-string"])
+def test_ingest_keywords_rejects_unknown_video_id(tmp_path, corpus_paths,
+                                                  caplog, ids, message):
+    bad = tmp_path / "search.jsonl"
+    bad.write_text("".join(
+        json.dumps({"keyword": "colonoscopy", "video_ids": v}) + "\n"
+        for v in (["vid002"], ids)))
+    args = _ingest_args(corpus_paths, tmp_path / "work")
+    args += ["--keywords", str(bad)]
+    with caplog.at_level(logging.ERROR):
+        assert main(args) == 1
+    assert f"{bad}:2: {message}" in caplog.text
 
 
 def test_ingest_api_response(tmp_path, fixture_dir, capsys):
@@ -242,6 +269,25 @@ def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
                                   tag_sentences(model, sentences))]
         assert counts[doc["video_id"]] == str(unique_medical_terms(tagged))
     assert sum(map(int, counts.values())) > 0
+
+
+def test_config_stopwords_reach_build_ner_corpus(tmp_path, corpus_paths,
+                                                capsys):
+    work = tmp_path / "work"
+    assert main(_ingest_args(corpus_paths, work)) == 0
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("colonoscopy\npolyp\n")
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"lexicons": {"stopwords": str(stopwords)}}))
+    conll = work / "ner" / "corpus.conll"
+    assert main(["build-ner-corpus", "--work-dir", str(work)]) == 0
+    default = conll.read_text()
+    assert main(["build-ner-corpus", "--work-dir", str(work),
+                 "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for word in ("colonoscopy", "polyp"):
+        assert f"{word}\tB-MED" in default
+        assert f"{word}\tB-MED" not in conll.read_text()
 
 
 def test_config_file_paths(tmp_path, corpus_paths, capsys):
@@ -424,6 +470,23 @@ def test_wrong_json_type_exits_1_naming_line(tmp_path, fixture_dir, caplog,
     with caplog.at_level(logging.ERROR):
         assert main(args) == 1
     assert f"{path}:2:" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("label, message", [
+    ("X-MED", "unknown label 'X-MED'"),
+    ("I-MED", "I-MED may not follow O or start a sentence"),
+])
+def test_bad_conll_label_exits_1_naming_line(tmp_path, caplog, label,
+                                             message):
+    conll = tmp_path / "ner" / "corpus.conll"
+    conll.parent.mkdir()
+    conll.write_text("# video_id = v1\ncolon\tB-MED\ncancer\tI-MED\n\n"
+                     f"# video_id = v2\nthe\tO\npolyp\t{label}\n\n")
+    with caplog.at_level(logging.ERROR):
+        assert main(["train-tagger", "--arch", "crf", "--seed", "1",
+                     "--work-dir", str(tmp_path)]) == 1
+    assert f"{conll}:6: {message}" in caplog.text
     assert "Traceback" not in caplog.text
 
 

@@ -1,6 +1,7 @@
 """Corpus loading: parsing, validation, consolidation, round-trips."""
 
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -122,12 +123,18 @@ def test_parse_ocr_and_confidence():
     assert doc.confidence == pytest.approx(0.7)
     assert doc.shot_count == 4
     empty = parse_ocr(json.dumps({"video_id": "v2"}))
-    assert empty.confidence == 0.0 and empty.text == ""
+    assert empty.confidence == 0.0 and empty.blocks == ()
     # A null count reads as absent, so featurize never sees a None.
     assert parse_ocr(json.dumps({"video_id": "v2", "shot_count": None})) \
         == empty
     with pytest.raises(SchemaError):
         parse_ocr(json.dumps({"video_id": "v", "shot_count": -1}))
+    # A frame time must be finite; a huge integer is out of range, not
+    # an overflow.
+    for bad in ("NaN", "Infinity", "1" + "0" * 400):
+        with pytest.raises(SchemaError, match="frame_time_s"):
+            parse_ocr('{"video_id": "v", "blocks": [{"confidence": 0.5, '
+                      f'"frame_time_s": {bad}}}]}}')
 
 
 # ---------------------------------------------------------------- labels
@@ -295,8 +302,10 @@ _TRANSCRIPT = _obj(
 )
 _OCR = _obj(
     ("video_id",), video_id=_ID,
+    # Non-finite times, and an integer too large for a float.
     blocks=st.lists(_obj(text=st.text(), confidence=_CONF,
-                         frame_time_s=st.floats(-1, 100)), max_size=3),
+                         frame_time_s=st.floats(-1, 100) | st.sampled_from(
+                             [math.nan, math.inf, 10**400])), max_size=3),
     shot_count=_COUNT, shot_change_confidence=_CONF,
 )
 _BINARY = st.sampled_from([0, 1, 2])
@@ -331,6 +340,9 @@ _API = _obj(("items",), items=st.lists(_obj(
 @given(data=st.data())
 def test_parsers_raise_only_corpus_errors(parse, objects, data):
     try:
-        parse(json.dumps(data.draw(objects)))
+        parsed = parse(json.dumps(data.draw(objects)))
     except CorpusError:
-        pass
+        return
+    # Whatever a parser accepts, write_jsonl writes as standard JSON.
+    for record in parsed if isinstance(parsed, list) else [parsed]:
+        json.dumps(record.to_json_dict(), allow_nan=False)

@@ -9,12 +9,12 @@ from vidtriage.medterm import (
     O,
     DictionaryFormatError,
     DictionaryWarning,
-    SemanticType,
     TaggedSentence,
     clean_terms,
     load_dictionary,
     project_labels,
     read_conll,
+    span_offsets,
     unique_medical_terms,
     write_conll,
 )
@@ -105,12 +105,13 @@ def test_load_dictionary_skips_unknown_codes(tmp_path):
 def test_load_dictionary_type_filter(tmp_path):
     path = tmp_path / "dict.tsv"
     path.write_text("colonoscopy\tdiap\npolyp\tneop\nsedation\ttopp\n")
-    d = load_dictionary(
-        path,
-        allowed_types=[SemanticType.from_code("neop")],
-        stopwords=STOPWORDS,
-    )
+    d = load_dictionary(path, allowed_types=["neop"], stopwords=STOPWORDS)
     assert d.word_keys == {"polyp"}
+    assert d.entries["polyp"] == frozenset({"neop"})
+    # The allowed codes come from the same closed set as the rows.
+    with pytest.raises(ValueError, match="unknown semantic-type codes"):
+        load_dictionary(path, allowed_types=["neop", "nope"],
+                        stopwords=STOPWORDS)
 
 
 def test_load_dictionary_bad_row(tmp_path):
@@ -159,6 +160,15 @@ def test_tagged_sentence_validates():
         TaggedSentence(tokens=("a",), labels=("X",))
     with pytest.raises(ValueError):
         TaggedSentence(tokens=("a", "b"), labels=(O,))
+
+
+def test_span_offsets_ignore_a_stray_inside_tag():
+    # Tagger output may hold an I-MED with no open span; it starts none.
+    assert span_offsets([I_MED, B_MED, I_MED, O, I_MED, B_MED]) \
+        == [(1, 3), (5, 6)]
+    sent = TaggedSentence(tokens=("Colon", "Cancer", "and", "Polyp"),
+                          labels=(B_MED, I_MED, O, B_MED))
+    assert sent.spans() == ["colon cancer", "polyp"]
 
 
 def test_unique_medical_terms_scale_fixture():

@@ -37,7 +37,7 @@ def test_crf_roundtrip(tmp_path):
     config = TrainConfig(seed=2, epochs=4, batch_size=4)
     params, _ = train_crf(CORPUS, config)
     path = tmp_path / "crf.json"
-    save_model(path, ARCH_CRF, params, config, train_meta={"seed": 2})
+    save_model(path, params, config, train_meta={"seed": 2})
     loaded = load_model(path)
     assert loaded.arch == ARCH_CRF
     assert loaded.train_meta["seed"] == 2
@@ -52,7 +52,7 @@ def test_blstm_roundtrip(tmp_path):
     config = TrainConfig(seed=2, epochs=4, batch_size=4, d_emb=8, d_hid=8)
     params, vocab, _ = train_blstm(CORPUS, config)
     path = tmp_path / "blstm.json"
-    save_model(path, ARCH_BLSTM, params, config, vocab=vocab,
+    save_model(path, params, config, vocab=vocab,
                train_meta={"seed": 2})
     loaded = load_model(path)
     assert loaded.arch == ARCH_BLSTM
@@ -68,8 +68,8 @@ def test_save_is_deterministic(tmp_path):
     config = TrainConfig(seed=2, epochs=2, batch_size=4)
     params, _ = train_crf(CORPUS, config)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(a, ARCH_CRF, params, config)
-    save_model(b, ARCH_CRF, params, config)
+    save_model(a, params, config)
+    save_model(b, params, config)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -87,7 +87,7 @@ def test_load_rejects_bad_files(tmp_path):
     config = TrainConfig(seed=2, epochs=2, batch_size=4)
     params, _ = train_crf(CORPUS, config)
     good = tmp_path / "good.json"
-    save_model(good, ARCH_CRF, params, config)
+    save_model(good, params, config)
     doc = json.loads(good.read_text())
 
     doc_bad = dict(doc)

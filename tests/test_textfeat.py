@@ -12,7 +12,6 @@ from vidtriage.medterm import (
     B_MED,
     I_MED,
     O,
-    SemanticType,
     TaggedSentence,
     TermDictionary,
     project_labels,
@@ -185,7 +184,6 @@ def test_extract_text_features_composition(lexicons):
     assert feats.sentence_count == 1
     assert feats.unique_word_count == 5  # "the" repeats
     assert feats.readability == pytest.approx(-1.45, abs=0.01)
-    assert feats.readability_defined
 
     constructed = extract_text_features(
         "First we rest. Then we sip water. Overall all went well.",
@@ -201,7 +199,6 @@ def test_extract_text_features_empty(lexicons):
     assert feats.word_count == 0
     assert feats.sentence_count == 0
     assert feats.readability == 0.0
-    assert not feats.readability_defined
 
 
 def test_unique_word_count_bounded_random(lexicons):
@@ -432,7 +429,7 @@ _ODD_KEYS = ["", " in", "colon cancer", "colon  cancer", "a\tb",
        mode=st.sampled_from(["phrase", "word"]))
 def test_project_labels_match_reference(keys, odd_keys, texts, raw, mode):
     dictionary = TermDictionary(
-        entries={k: frozenset({SemanticType.DSYN}) for k in keys | odd_keys})
+        entries={k: frozenset({"dsyn"}) for k in keys | odd_keys})
     sentences = [s for t in texts for s in tokenize(t).sentence_tokens()]
     sentences += raw
     assert (project_labels(dictionary, sentences, mode)
