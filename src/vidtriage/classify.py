@@ -16,6 +16,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -242,75 +243,45 @@ DOC_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES[:22]
 def doc_feature_records(
     store: CorpusStore,
     text_blocks: Mapping[str, VideoTextBlocks],
-) -> dict[str, dict[str, float]]:
-    """Document-level feature values for every video in the store."""
-    out: dict[str, dict[str, float]] = {}
-    for vid, video in store.videos.items():
+) -> list[FeatureVector]:
+    """One row per video in the store, sorted by id, holding its document
+    features; the term count and the labels keep their defaults."""
+    rows = []
+    for vid in sorted(store.videos):
         if vid not in text_blocks:
             raise ValueError(f"video {vid!r} has no text features")
-        blocks = text_blocks[vid]
+        video = store.videos[vid]
         tdoc = store.transcripts.get(vid)
         odoc = store.ocr.get(vid)
-        v, m = blocks.video, blocks.meta
-        out[vid] = {
-            "ocr_confidence": odoc.confidence if odoc is not None else 0.0,
-            "n_active_verbs_v": float(v.active_verb_count),
-            "readability_v": v.readability,
-            "n_sentences_v": float(v.sentence_count),
-            "n_shots": float(odoc.shot_count) if odoc is not None else 0.0,
-            "shot_change_confidence": (
+        v, m = text_blocks[vid].video, text_blocks[vid].meta
+        rows.append(FeatureVector(
+            video_id=vid,
+            ocr_confidence=odoc.confidence if odoc is not None else 0.0,
+            n_active_verbs_v=float(v.active_verb_count),
+            readability_v=v.readability,
+            n_sentences_v=float(v.sentence_count),
+            n_shots=float(odoc.shot_count) if odoc is not None else 0.0,
+            shot_change_confidence=(
                 odoc.shot_change_confidence if odoc is not None else 0.0
             ),
-            "n_summary_words_v": float(v.summary_word_count),
-            "transcription_confidence": (
+            n_summary_words_v=float(v.summary_word_count),
+            transcription_confidence=(
                 tdoc.confidence if tdoc is not None else 0.0
             ),
-            "n_transition_words_v": float(v.transition_word_count),
-            "n_words_v": float(v.word_count),
-            "n_unique_words_v": float(v.unique_word_count),
-            "has_title": float(bool(video.title.strip())),
-            "has_description": float(bool(video.description.strip())),
-            "has_tags": float(len(video.tags) > 0),
-            "readability_m": m.readability,
-            "n_sentences_m": float(m.sentence_count),
-            "n_words_m": float(m.word_count),
-            "n_unique_words_m": float(m.unique_word_count),
-            "n_transition_words_m": float(m.transition_word_count),
-            "n_summary_words_m": float(m.summary_word_count),
-            "n_active_verbs_m": float(m.active_verb_count),
-            "duration_s": float(video.duration_s),
-        }
-    return out
-
-
-def assemble_from_records(
-    store: CorpusStore,
-    records: Mapping[str, Mapping[str, float]],
-    ner_counts: Mapping[str, int],
-) -> list[FeatureVector]:
-    """One FeatureVector per labeled video, sorted by id: document feature
-    records (see ``doc_feature_records``) joined with tagger term counts
-    and labels."""
-    rows = []
-    for vid in store.labeled_ids():
-        if vid not in store.videos:
-            raise ValueError(f"labeled video {vid!r} has no metadata record")
-        if vid not in records:
-            raise ValueError(f"labeled video {vid!r} has no text features")
-        record = records[vid]
-        labels = store.labels[vid]
-        kwargs: dict = {"video_id": vid}
-        for name in DOC_FEATURE_NAMES:
-            if name in BINARY_FEATURES:
-                kwargs[name] = int(record[name])
-            else:
-                kwargs[name] = float(record[name])
-        rows.append(FeatureVector(
-            n_unique_medical_terms=float(ner_counts.get(vid, 0)),
-            medical_info_high=labels.medical_info_high,
-            understandable=labels.understandable,
-            recommended=labels.recommended,
-            **kwargs,
+            n_transition_words_v=float(v.transition_word_count),
+            n_words_v=float(v.word_count),
+            n_unique_words_v=float(v.unique_word_count),
+            has_title=int(bool(video.title.strip())),
+            has_description=int(bool(video.description.strip())),
+            has_tags=int(len(video.tags) > 0),
+            readability_m=m.readability,
+            n_sentences_m=float(m.sentence_count),
+            n_words_m=float(m.word_count),
+            n_unique_words_m=float(m.unique_word_count),
+            n_transition_words_m=float(m.transition_word_count),
+            n_summary_words_m=float(m.summary_word_count),
+            n_active_verbs_m=float(m.active_verb_count),
+            duration_s=float(video.duration_s),
         ))
     return rows
 
@@ -671,7 +642,7 @@ def simulate_design(
     return X, y
 
 
-def format_cell(value) -> str:
+def _format_cell(value) -> str:
     """TSV cell text: empty for None, bare int when integral, else repr."""
     if value is None:
         return ""
@@ -681,18 +652,19 @@ def format_cell(value) -> str:
     return repr(value)
 
 
-def write_features_tsv(rows: Sequence[FeatureVector], path) -> None:
-    """Feature matrix as TSV: id column, 25 features, recommended label."""
-    write_tsv(path, FEATURES_HEADER, (
-        [row.video_id] + [format_cell(getattr(row, n))
-                          for n in FEATURES_HEADER[1:]]
+def write_features_tsv(rows: Sequence[FeatureVector], path,
+                       header: Sequence[str] = FEATURES_HEADER) -> None:
+    """Feature rows as TSV, one column per ``header`` field, id first."""
+    write_tsv(path, header, (
+        [row.video_id] + [_format_cell(getattr(row, n)) for n in header[1:]]
         for row in rows
     ))
 
 
-def _parse_feature_row(cells: list[str]) -> FeatureVector:
+def _parse_feature_row(header: Sequence[str],
+                       cells: list[str]) -> FeatureVector:
     kwargs: dict = {"video_id": cells[0]}
-    for name, cell in zip(FEATURES_HEADER[1:], cells[1:]):
+    for name, cell in zip(header[1:], cells[1:]):
         if cell == "":
             if name not in TARGET_FIELDS.values():
                 raise ValueError(f"empty value for {name!r}")
@@ -704,8 +676,11 @@ def _parse_feature_row(cells: list[str]) -> FeatureVector:
     return FeatureVector(**kwargs)
 
 
-def read_features_tsv(path) -> list[FeatureVector]:
-    return read_tsv(path, FEATURES_HEADER, _parse_feature_row)
+def read_features_tsv(path, header: Sequence[str] = FEATURES_HEADER
+                      ) -> list[FeatureVector]:
+    """Rows written with ``header``; a field with no column keeps its
+    default."""
+    return read_tsv(path, header, partial(_parse_feature_row, header))
 
 
 CLF_FORMAT_NAME = "vidtriage-classifier"

@@ -19,7 +19,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,6 +71,20 @@ _LEXICON_FILES = {
 }
 
 
+# Every config file key and the type of its value; a section maps its own
+# keys. Tagger keys take the types of TrainConfig's defaults.
+_CONFIG_TYPES = {
+    "seed": int, "work_dir": str, "split_fraction": float, "dictionary": str,
+    "corpus": dict.fromkeys(("videos", "transcripts", "ocr", "labels"), str),
+    "lexicons": dict.fromkeys(_LEXICON_FILES, str),
+    "tagger": {f.name: type(f.default) for f in fields(TrainConfig)
+               if f.name != "seed"},
+    "classifier": {"l2": float},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
+
+
 @dataclass
 class PipelineConfig:
     """Resolved settings: defaults, then config file, then CLI flags."""
@@ -115,20 +129,22 @@ def _load_config_file(path: Path) -> dict:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    known = {"seed", "work_dir", "split_fraction", "corpus", "dictionary",
-             "lexicons", "tagger", "classifier"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    for section, allowed in (
-        ("corpus", {"videos", "transcripts", "ocr", "labels"}),
-        ("lexicons", set(_LEXICON_FILES)),
-        ("classifier", {"l2"}),
-    ):
-        bad = sorted(set(doc.get(section, {})) - allowed)
-        if bad:
-            raise ValueError(f"{path}: unknown {section} keys {bad}")
+    _check_config(path, doc, _CONFIG_TYPES, "config")
     return doc
+
+
+def _check_config(path: Path, doc: dict, types: dict, section: str) -> None:
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise ValueError(f"{path}: unknown {section} keys {unknown}")
+    for key, value in doc.items():
+        kind = dict if isinstance(types[key], dict) else types[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"{path}: {section} key {key!r} must be "
+                             f"{_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is dict:
+            _check_config(path, value, types[key], key)
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -264,14 +280,9 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
     transition, summary, verbs = _load_lexicons(cfg)
     blocks = clf.compute_text_features(store, transition, summary, verbs)
-    records = clf.doc_feature_records(store, blocks)
+    rows = clf.doc_feature_records(store, blocks)
     out = cfg.work_dir / "features" / "text_features.tsv"
-    rows = []
-    for vid in sorted(records):
-        record = records[vid]
-        rows.append([vid] + [clf.format_cell(record[name])
-                             for name in clf.DOC_FEATURE_NAMES])
-    write_tsv(out, _TEXT_FEATURES_HEADER, rows)
+    clf.write_features_tsv(rows, out, _TEXT_FEATURES_HEADER)
     print(f"wrote text features for {len(rows)} videos -> {out}")
     return EXIT_OK
 
@@ -316,10 +327,6 @@ def _tagger_train_config(cfg: PipelineConfig, args, seed: int) -> TrainConfig:
         overrides["epochs"] = args.epochs
     if getattr(args, "lr", None) is not None:
         overrides["lr"] = args.lr
-    allowed = {f.name for f in dataclass_fields(TrainConfig)} - {"seed"}
-    unknown = sorted(set(overrides) - allowed)
-    if unknown:
-        raise ValueError(f"unknown tagger hyperparameters {unknown}")
     return TrainConfig(seed=seed, **overrides)
 
 
@@ -419,20 +426,29 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
 
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
-    records = dict(read_tsv(
+    doc_rows = {row.video_id: row for row in clf.read_features_tsv(
         _require(cfg.work_dir / "features" / "text_features.tsv"),
         _TEXT_FEATURES_HEADER,
-        lambda cells: (cells[0], {
-            name: float(cell)
-            for name, cell in zip(clf.DOC_FEATURE_NAMES, cells[1:])
-        }),
-    ))
+    )}
     counts = dict(read_tsv(
         _require(cfg.work_dir / "ner" / "term_counts.tsv"),
         _TERM_COUNTS_HEADER,
         lambda cells: (cells[0], int(cells[1])),
     ))
-    rows = clf.assemble_from_records(store, records, counts)
+    # One row per labeled video, sorted by id: its document features
+    # joined with its tagger term count and its labels.
+    rows = []
+    for vid in store.labeled_ids():
+        if vid not in doc_rows:
+            raise ValueError(f"labeled video {vid!r} has no text features")
+        labels = store.labels[vid]
+        rows.append(replace(
+            doc_rows[vid],
+            n_unique_medical_terms=float(counts.get(vid, 0)),
+            medical_info_high=labels.medical_info_high,
+            understandable=labels.understandable,
+            recommended=labels.recommended,
+        ))
     out = cfg.work_dir / "features" / "features.tsv"
     clf.write_features_tsv(rows, out)
     print(f"assembled features for {len(rows)} labeled videos -> {out}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -38,8 +38,6 @@ class SchemaError(CorpusError):
 class IntegrityError(CorpusError):
     """Cross-file referential integrity violation."""
 
-
-_COUNT_FIELDS = ("view_count", "like_count", "dislike_count", "comment_count")
 
 # ISO-8601 durations as emitted by the video metadata API, e.g. "PT3M28S".
 _ISO_DURATION_RE = re.compile(
@@ -91,25 +89,6 @@ class VideoRecord:
     dislike_count: Optional[int] = None
     comment_count: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        d: dict = {
-            "video_id": self.video_id,
-            "channel_id": self.channel_id,
-            "title": self.title,
-            "description": self.description,
-            "tags": list(self.tags),
-            "duration_s": self.duration_s,
-            "definition": self.definition,
-            "caption_available": self.caption_available,
-        }
-        if self.published_at is not None:
-            d["published_at"] = self.published_at.strftime("%Y-%m-%dT%H:%M:%SZ")
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        return d
-
 
 @dataclass(frozen=True)
 class TranscriptSegment:
@@ -141,14 +120,6 @@ class TranscriptDoc:
             return 0.0
         return sum(s.confidence * w for s, w in zip(self.segments, weights)) / total
 
-    def to_json_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "segments": [
-                {"text": s.text, "confidence": s.confidence} for s in self.segments
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class OcrBlock:
@@ -173,17 +144,6 @@ class OcrDoc:
             return 0.0
         return sum(b.confidence for b in self.blocks) / len(self.blocks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "blocks": [
-                {"text": b.text, "confidence": b.confidence, "frame_time_s": b.frame_time_s}
-                for b in self.blocks
-            ],
-            "shot_count": self.shot_count,
-            "shot_change_confidence": self.shot_change_confidence,
-        }
-
 
 @dataclass(frozen=True)
 class AnnotationLabels:
@@ -194,15 +154,6 @@ class AnnotationLabels:
     understandable: int
     recommended: int
     annotator_id: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "medical_info_high": self.medical_info_high,
-            "understandable": self.understandable,
-            "recommended": self.recommended,
-            "annotator_id": self.annotator_id,
-        }
 
 
 @dataclass(frozen=True)
@@ -491,11 +442,30 @@ def load_corpus(
                        labels=labels, summary=summary)
 
 
+def to_json_dict(record) -> dict:
+    """A corpus record as a JSON object: one key per field that is not
+    None, a datetime as ``%Y-%m-%dT%H:%M:%SZ`` and a tuple of records
+    (segments, blocks) as a list of objects."""
+    out = {}
+    # getattr, not vars(): vars() gives every record a dict of its own for
+    # as long as the record lives, and fields() rebuilds a tuple per call.
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        if value is None:
+            continue
+        if isinstance(value, datetime):
+            value = value.strftime("%Y-%m-%dT%H:%M:%SZ")
+        elif isinstance(value, tuple) and value and is_dataclass(value[0]):
+            value = [to_json_dict(v) for v in value]
+        out[name] = value
+    return out
+
+
 def write_jsonl(path, records: Iterable) -> None:
-    """Write records (anything with ``to_json_dict``) as one object per line."""
+    """Write corpus records as one JSON object per line, keys sorted."""
     with atomic_open(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True))
+            fh.write(json.dumps(to_json_dict(rec), sort_keys=True))
             fh.write("\n")
 
 

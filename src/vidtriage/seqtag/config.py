@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,6 +27,9 @@ class TrainConfig:
     dev_fraction: float = 0.1
 
     def __post_init__(self):
+        for name in ("lr", "l2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"TrainConfig.{name} must be finite")
         for name in ("epochs", "lr", "batch_size", "d_emb", "d_hid", "clip_norm", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"TrainConfig.{name} must be positive")

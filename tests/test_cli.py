@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -388,13 +389,14 @@ def _assembled_work(tmp_path, corpus_paths):
     return work
 
 
-@pytest.mark.parametrize("config, flags", [
-    ({"classifier": {"l2": "0.1"}}, []),
-    ({}, ["--l2", "-5"]),
-    ({}, ["--l2", "nan"]),
+@pytest.mark.parametrize("config, flags, message", [
+    ({"classifier": {"l2": "0.1"}}, [],
+     "classifier key 'l2' must be a number, got '0.1'"),
+    ({}, ["--l2", "-5"], "l2 must be a finite non-negative number"),
+    ({}, ["--l2", "nan"], "l2 must be a finite non-negative number"),
 ], ids=["config-string", "flag-negative", "flag-nan"])
 def test_train_clf_rejects_bad_l2(tmp_path, corpus_paths, caplog, capsys,
-                                  config, flags):
+                                  config, flags, message):
     work = _assembled_work(tmp_path, corpus_paths)
     cfg = tmp_path / "pipeline.json"
     cfg.write_text(json.dumps(config))
@@ -403,9 +405,86 @@ def test_train_clf_rejects_bad_l2(tmp_path, corpus_paths, caplog, capsys,
         assert main(["train-clf", "--target", "medical_info", "--seed", "1",
                      "--config", str(cfg), "--work-dir", str(work),
                      *flags]) == 1
-    assert "l2 must be a finite non-negative number" in caplog.text
+    assert message in caplog.text
     assert "Traceback" not in caplog.text
     assert not (work / "models" / "clf_medical_info.json").exists()
+
+
+def test_assemble_joins_counts_and_labels(tmp_path, corpus_paths, store,
+                                          capsys):
+    work = _assembled_work(tmp_path, corpus_paths)
+    capsys.readouterr()
+    doc_rows = clf.read_features_tsv(
+        work / "features" / "text_features.tsv",
+        ("video_id", *DOC_FEATURE_NAMES))
+    rows = clf.read_features_tsv(work / "features" / "features.tsv")
+    assert [r.video_id for r in rows] == store.labeled_ids()
+    for doc, row in zip(doc_rows, rows):
+        assert row.video_id == doc.video_id
+        for name in DOC_FEATURE_NAMES:
+            assert getattr(row, name) == getattr(doc, name)
+        # _assembled_work gives video vid00<i> the term count i.
+        assert row.n_unique_medical_terms == int(row.video_id[-1])
+        labels = store.labels[row.video_id]
+        assert (row.medical_info_high, row.understandable,
+                row.recommended) == (labels.medical_info_high,
+                                     labels.understandable,
+                                     labels.recommended)
+
+
+_TRAIN_TAGGER = ["train-tagger", "--arch", "crf"]
+_TRAIN_CLF = ["train-clf", "--target", "medical_info"]
+
+
+# "{cfg}" in a message stands for the config file's path.
+@pytest.mark.parametrize("config, argv, message", [
+    ({"work_dir": 5}, ["ingest"],
+     "{cfg}: config key 'work_dir' must be a string, got 5"),
+    ({"corpus": {"videos": 7}}, ["ingest"],
+     "{cfg}: corpus key 'videos' must be a string, got 7"),
+    ({"corpus": ["videos"]}, ["ingest"],
+     "{cfg}: config key 'corpus' must be an object, got ['videos']"),
+    ({"dictionary": 3}, ["build-ner-corpus"],
+     "{cfg}: config key 'dictionary' must be a string, got 3"),
+    ({"lexicons": {"summary": 5}}, ["featurize"],
+     "{cfg}: lexicons key 'summary' must be a string, got 5"),
+    ({"seed": "abc"}, _TRAIN_TAGGER,
+     "{cfg}: config key 'seed' must be an integer, got 'abc'"),
+    ({"seed": 1.5}, _TRAIN_TAGGER,
+     "{cfg}: config key 'seed' must be an integer, got 1.5"),
+    ({"seed": "abc"}, _TRAIN_CLF,
+     "{cfg}: config key 'seed' must be an integer, got 'abc'"),
+    ({"seed": 1.5}, _TRAIN_CLF,
+     "{cfg}: config key 'seed' must be an integer, got 1.5"),
+    ({"seed": True}, _TRAIN_CLF,
+     "{cfg}: config key 'seed' must be an integer, got True"),
+    ({"seed": 1, "tagger": {"epochs": "5"}}, _TRAIN_TAGGER,
+     "{cfg}: tagger key 'epochs' must be an integer, got '5'"),
+    ({"seed": 1, "tagger": {"lr": False}}, _TRAIN_TAGGER,
+     "{cfg}: tagger key 'lr' must be a number, got False"),
+    ({"split_fraction": "0.5"}, ["ingest"],
+     "{cfg}: config key 'split_fraction' must be a number, got '0.5'"),
+    ({"seed": 1, "tagger": {"seed": 2}}, _TRAIN_TAGGER,
+     "{cfg}: unknown tagger keys ['seed']"),
+    ({"seed": 1, "tagger": {"l2": math.inf}}, _TRAIN_TAGGER,
+     "TrainConfig.l2 must be finite"),
+    ({"seed": 1}, [*_TRAIN_TAGGER, "--lr", "nan"],
+     "TrainConfig.lr must be finite"),
+], ids=["work-dir", "corpus-path", "corpus-not-object", "dictionary",
+        "lexicon", "seed-string-tagger", "seed-float-tagger",
+        "seed-string-clf", "seed-float-clf", "seed-bool", "tagger-epochs",
+        "tagger-lr-bool", "split-fraction", "tagger-seed", "tagger-l2-inf",
+        "flag-lr-nan"])
+def test_bad_config_value_exits_1(tmp_path, caplog, capsys, config, argv,
+                                  message):
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps(config))
+    with caplog.at_level(logging.ERROR):
+        assert main([*argv, "--config", str(cfg),
+                     "--work-dir", str(tmp_path / "work")]) == 1
+    capsys.readouterr()
+    assert message.format(cfg=cfg) in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_config_unknown_classifier_key(tmp_path, caplog):

@@ -21,6 +21,7 @@ from vidtriage.corpus import (
     parse_ocr,
     parse_transcript,
     parse_video_metadata,
+    to_json_dict,
     write_jsonl,
 )
 
@@ -67,7 +68,7 @@ def test_parse_video_metadata_roundtrip():
                                         tzinfo=timezone.utc)
     assert rec.tags == ("a", "b")
     assert rec.like_count is None
-    again = parse_video_metadata(json.dumps(rec.to_json_dict()))
+    again = parse_video_metadata(json.dumps(to_json_dict(rec)))
     assert again == rec
 
 
@@ -135,6 +136,30 @@ def test_parse_ocr_and_confidence():
         with pytest.raises(SchemaError, match="frame_time_s"):
             parse_ocr('{"video_id": "v", "blocks": [{"confidence": 0.5, '
                       f'"frame_time_s": {bad}}}]}}')
+
+
+_GOOD_BLOCK = st.fixed_dictionaries({
+    "text": st.text(max_size=6), "confidence": st.floats(0, 1),
+    "frame_time_s": st.floats(0, 1e6) | st.integers(0, 10**6),
+})
+_BAD_FRAME_TIME = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+    | st.floats(max_value=-5e-324, allow_nan=False)
+    | st.integers(max_value=-1)
+    | st.none() | st.booleans() | st.text(max_size=4)
+    | st.lists(st.integers(), max_size=2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.lists(_GOOD_BLOCK, min_size=1, max_size=4), data=st.data())
+def test_parse_ocr_rejects_one_bad_frame_time(blocks, data):
+    # Every other field is well typed, so the frame-time check is the only
+    # one that can fire.
+    i = data.draw(st.integers(0, len(blocks) - 1))
+    blocks[i] = {**blocks[i], "frame_time_s": data.draw(_BAD_FRAME_TIME)}
+    with pytest.raises(SchemaError, match=f"block {i} frame_time_s"):
+        parse_ocr(json.dumps({"video_id": "v", "blocks": blocks}))
 
 
 # ---------------------------------------------------------------- labels
@@ -345,4 +370,4 @@ def test_parsers_raise_only_corpus_errors(parse, objects, data):
         return
     # Whatever a parser accepts, write_jsonl writes as standard JSON.
     for record in parsed if isinstance(parsed, list) else [parsed]:
-        json.dumps(record.to_json_dict(), allow_nan=False)
+        json.dumps(to_json_dict(record), allow_nan=False)
