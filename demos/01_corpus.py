@@ -13,50 +13,53 @@ from pathlib import Path
 
 from vidtriage.corpus import flatten_api_response, load_corpus
 
-root = Path(tempfile.mkdtemp(prefix="vidtriage-demo-"))
 
-
-def write_rows(name, rows):
+def write_rows(root, name, rows):
     path = root / name
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     return path
 
 
-# Three videos; durations arrive in ISO-8601 form as YouTube sends them.
-videos = write_rows("videos.jsonl", [
-    {"video_id": "demo1", "title": "Colonoscopy explained",
-     "description": "The doctor examines the colon.", "duration_s": "PT3M28S"},
-    {"video_id": "demo2", "title": "Prep day",
-     "description": "Drink clear fluids before the test.", "duration_s": 95},
-    {"video_id": "demo3", "title": "", "description": "", "duration_s": "PT1M"},
-])
+with tempfile.TemporaryDirectory(prefix="vidtriage-demo-") as tmp:
+    root = Path(tmp)
+    # Three videos; durations arrive in ISO-8601 form as YouTube sends them.
+    videos = write_rows(root, "videos.jsonl", [
+        {"video_id": "demo1", "title": "Colonoscopy explained",
+         "description": "The doctor examines the colon.",
+         "duration_s": "PT3M28S"},
+        {"video_id": "demo2", "title": "Prep day",
+         "description": "Drink clear fluids before the test.",
+         "duration_s": 95},
+        {"video_id": "demo3", "title": "", "description": "",
+         "duration_s": "PT1M"},
+    ])
 
-# Transcript confidence is averaged weighted by segment word count.
-transcripts = write_rows("transcripts.jsonl", [
-    {"video_id": v, "segments": [
-        {"text": "Welcome to the clinic and thank you for watching today.",
-         "confidence": 0.9},
-        {"text": "Questions welcome.", "confidence": 0.5},
-    ]}
-    for v in ("demo1", "demo2", "demo3")
-])
+    # Transcript confidence is averaged weighted by segment word count.
+    transcripts = write_rows(root, "transcripts.jsonl", [
+        {"video_id": v, "segments": [
+            {"text": "Welcome to the clinic and thank you for watching today.",
+             "confidence": 0.9},
+            {"text": "Questions welcome.", "confidence": 0.5},
+        ]}
+        for v in ("demo1", "demo2", "demo3")
+    ])
 
-ocr = write_rows("ocr.jsonl", [
-    {"video_id": v, "blocks": [
-        {"text": "PREP CHECKLIST", "confidence": 0.8, "frame_time_s": 3.0},
-    ], "shot_count": 4, "shot_change_confidence": 0.6}
-    for v in ("demo1", "demo2", "demo3")
-])
+    ocr = write_rows(root, "ocr.jsonl", [
+        {"video_id": v, "blocks": [
+            {"text": "PREP CHECKLIST", "confidence": 0.8, "frame_time_s": 3.0},
+        ], "shot_count": 4, "shot_change_confidence": 0.6}
+        for v in ("demo1", "demo2", "demo3")
+    ])
 
-# Three annotators per video; the loader consolidates by majority vote.
-labels = write_rows("labels.jsonl", [
-    {"video_id": v, "annotator_id": a,
-     "medical_info_high": int(a != "a3"), "understandable": 1,
-     "recommended": int(v != "demo3")}
-    for v in ("demo1", "demo2", "demo3") for a in ("a1", "a2", "a3")
-])
+    # Three annotators per video; the loader consolidates by majority vote.
+    labels = write_rows(root, "labels.jsonl", [
+        {"video_id": v, "annotator_id": a,
+         "medical_info_high": int(a != "a3"), "understandable": 1,
+         "recommended": int(v != "demo3")}
+        for v in ("demo1", "demo2", "demo3") for a in ("a1", "a2", "a3")
+    ])
 
-store = load_corpus(videos, transcripts, ocr, labels)
+    store = load_corpus(videos, transcripts, ocr, labels)
 print("summary:", store.summary.one_line())
 
 # PT3M28S became plain seconds.

@@ -55,6 +55,7 @@ print("spans:", [sent.spans() for sent in tagged])
 print("unique term count:", unique_medical_terms(tagged))
 
 # The tagged corpus serializes to CoNLL for the training commands.
-out = Path(tempfile.mkdtemp(prefix="vidtriage-demo-")) / "corpus.conll"
-write_conll(tagged, out)
-print(out.read_text().splitlines()[:6])
+with tempfile.TemporaryDirectory(prefix="vidtriage-demo-") as tmp:
+    out = Path(tmp) / "corpus.conll"
+    write_conll(tagged, out)
+    print(out.read_text().splitlines()[:6])

@@ -8,9 +8,9 @@ p-values plus held-out classification metrics.
 """
 
 import numpy as np
-from scipy.special import expit
 
 import vidtriage.classify as clf
+from vidtriage.numeric import sigmoid
 
 spec = clf.FEATURE_SPECS["recommendation"]
 print("feature sets:", {name: len(s.features)
@@ -45,7 +45,7 @@ X_new, y_new = clf.simulate_design(
     rng=np.random.default_rng(8),
 )
 Xs = clf.standardize_apply(model.scaler, X_new)
-p = expit(model.intercept + Xs @ model.coefficients)
+p = sigmoid(model.intercept + Xs @ model.coefficients)
 metrics = clf.metrics_from_confusion(
     *clf.confusion_counts(y_new, (p >= 0.5).astype(int))
 )

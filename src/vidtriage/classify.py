@@ -20,13 +20,12 @@ from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
 
 from .artifacts import (
     finite_array, load_json_model, read_tsv, save_json_model, write_tsv,
 )
 from .corpus import CorpusStore
+from .numeric import normal_two_sided_tail, sigmoid
 from .seqtag.metrics import TagMetrics
 from .textfeat import Lexicon, TextFeatures, TokenMemo, extract_text_features
 
@@ -376,7 +375,7 @@ def logreg_objective_grad(
     # log p = -log(1+e^-z), log(1-p) = -log(1+e^z)
     loglik = float(np.mean(y * -np.logaddexp(0.0, -z)
                            + (1.0 - y) * -np.logaddexp(0.0, z)))
-    p = expit(z)
+    p = sigmoid(z)
     grad = Xa.T @ (y - p) / len(y)
     obj = loglik - l2 * float(np.sum(beta[1:] ** 2))
     grad[1:] -= 2.0 * l2 * beta[1:]
@@ -386,7 +385,7 @@ def logreg_objective_grad(
 def _information(Xa: np.ndarray, beta: np.ndarray, l2: float) -> np.ndarray:
     """Xa' W Xa + 2 n l2 D at ``beta``, W = diag(p(1-p)) and D the identity
     but zero for the intercept: minus the Hessian of the summed objective."""
-    p = expit(Xa @ beta)
+    p = sigmoid(Xa @ beta)
     ridge = np.full(len(beta), 2.0 * len(Xa) * l2)
     ridge[0] = 0.0
     return Xa.T @ (Xa * (p * (1.0 - p))[:, None]) + np.diag(ridge)
@@ -528,7 +527,7 @@ def wald_pvalues(
             "refit with a larger l2"
         )
     se = np.sqrt(diag)
-    return se, 2.0 * norm.sf(np.abs(beta / se))
+    return se, normal_two_sided_tail(beta / se)
 
 
 def format_pvalue(p: float) -> str:
@@ -546,7 +545,7 @@ def predict_batch(
     """Probabilities and 0/1 labels (threshold 0.5, ties classified 1)."""
     X = rows_to_matrix(rows, model.spec)
     Xs = standardize_apply(model.scaler, X)
-    p = expit(model.intercept + Xs @ model.coefficients)
+    p = sigmoid(model.intercept + Xs @ model.coefficients)
     return p, (p >= 0.5).astype(int)
 
 
@@ -637,7 +636,7 @@ def simulate_design(
             X[:, j] = rng.standard_normal(n)
     beta = np.asarray([coefficients.get(name, 0.0)
                        for name in spec.features])
-    p = expit(intercept + X @ beta)
+    p = sigmoid(intercept + X @ beta)
     y = (rng.random(n) < p).astype(float)
     return X, y
 
@@ -670,7 +669,9 @@ def _parse_feature_row(header: Sequence[str],
                 raise ValueError(f"empty value for {name!r}")
             kwargs[name] = None
         elif name in BINARY_FEATURES or name == "recommended":
-            kwargs[name] = int(float(cell))
+            if cell not in ("0", "1"):
+                raise ValueError(f"{name} must be 0 or 1, got {cell!r}")
+            kwargs[name] = int(cell)
         else:
             kwargs[name] = float(cell)
     return FeatureVector(**kwargs)

@@ -200,15 +200,8 @@ def _load_lexicons(cfg) -> tuple[textfeat.Lexicon, ...]:
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     cdir = _corpus_dir(cfg)
 
-    videos_path = args.videos or cfg.corpus_paths.get("videos")
-    if args.api_response is not None:
-        records = corpuslib.flatten_api_response(
-            _require(args.api_response).read_text(encoding="utf-8")
-        )
-        videos_path = cdir / "videos.jsonl"
-        corpuslib.write_jsonl(videos_path, records)
-        log.info("flattened %d API records from %s",
-                 len(records), args.api_response)
+    videos_path = args.api_response or args.videos \
+        or cfg.corpus_paths.get("videos")
     if videos_path is None:
         raise ValueError("ingest needs --videos or --api-response")
 
@@ -219,9 +212,27 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
         if paths[name] is None:
             raise ValueError(f"ingest needs --{name} (or a config entry)")
 
+    records = None
+    if args.api_response is not None:
+        try:
+            records = corpuslib.flatten_api_response(
+                _require(videos_path).read_text(encoding="utf-8")
+            )
+        except corpuslib.CorpusError as exc:
+            exc.args = (f"{videos_path}: {exc}",)
+            raise
+        log.info("flattened %d API records from %s", len(records), videos_path)
     store = corpuslib.load_corpus(
-        videos_path, paths["transcripts"], paths["ocr"], paths["labels"]
+        videos_path, paths["transcripts"], paths["ocr"], paths["labels"],
+        records,
     )
+
+    if args.keywords is not None:
+        n_rows = _validate_search_results(
+            args.keywords, cfg.lexicon_path("keywords"), store
+        )
+        log.info("validated %d search-result rows against the keyword list",
+                 n_rows)
 
     def by_id(mapping):
         return [mapping[k] for k in sorted(mapping)]
@@ -230,13 +241,6 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     corpuslib.write_jsonl(cdir / "transcripts.jsonl", by_id(store.transcripts))
     corpuslib.write_jsonl(cdir / "ocr.jsonl", by_id(store.ocr))
     corpuslib.write_jsonl(cdir / "labels.jsonl", by_id(store.labels))
-
-    if args.keywords is not None:
-        n_rows = _validate_search_results(
-            args.keywords, cfg.lexicon_path("keywords"), store
-        )
-        log.info("validated %d search-result rows against the keyword list",
-                 n_rows)
 
     print(store.summary.one_line())
     return EXIT_OK
@@ -784,7 +788,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
-    except (corpuslib.CorpusError, FileNotFoundError, ValueError,
+    except (corpuslib.CorpusError, OSError, ValueError,
             TrainingDivergedError, clf.ConvergenceError) as exc:
         log.error("%s", exc)
         return EXIT_DATA

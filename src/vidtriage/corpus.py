@@ -380,13 +380,16 @@ def _read_jsonl(path: Path, parse_one):
 
 
 def load_corpus(
-    metadata_path, transcript_path, ocr_path, labels_path
+    metadata_path, transcript_path, ocr_path, labels_path,
+    video_rows: Optional[Sequence[VideoRecord]] = None,
 ) -> CorpusStore:
     """Load and cross-check the four corpus files into one store.
 
     Duplicate video ids in the metadata file and dangling ids in any other
     file are hard errors; the error message lists every offender. Label rows
-    are consolidated to one majority-vote record per video.
+    are consolidated to one majority-vote record per video. Given
+    ``video_rows`` (say, a flattened API response), they stand in for the
+    metadata file's records, and ``metadata_path`` names their source.
     """
     metadata_path = Path(metadata_path)
     transcript_path = Path(transcript_path)
@@ -396,7 +399,8 @@ def load_corpus(
         if not p.exists():
             raise FileNotFoundError(f"corpus file not found: {p}")
 
-    video_rows = _read_jsonl(metadata_path, parse_video_metadata)
+    if video_rows is None:
+        video_rows = _read_jsonl(metadata_path, parse_video_metadata)
     videos: dict[str, VideoRecord] = {}
     dupes = []
     for rec in video_rows:

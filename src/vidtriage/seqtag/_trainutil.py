@@ -21,13 +21,6 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a training loss turns non-finite."""
 
 
-def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along one axis, shifted by the maximum first."""
-    top = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-    return out if keepdims else np.squeeze(out, axis=axis)
-
-
 def _pad_batch(
     sequences: Sequence[Sequence[int]], fill: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import (
-    EVAL_BATCH, _check_corpus, _pad_batch, decode_in_batches, fit_tagger,
-    logsumexp,
-)
+from ..numeric import logsumexp, sigmoid
+from ._trainutil import (EVAL_BATCH, _check_corpus, _pad_batch,
+                         decode_in_batches, fit_tagger)
 from .config import TrainConfig
 from .crf import encode_labels
 from .vocab import PAD_ID, Vocab, build_vocab
@@ -107,9 +105,10 @@ def _run_direction(
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
         z = np.concatenate([x[:, t], h], axis=1) @ w.T + b
-        gate_i = expit(z[:, :h_dim])
-        gate_f = expit(z[:, h_dim:2 * h_dim])
-        gate_o = expit(z[:, 2 * h_dim:3 * h_dim])
+        ifo = sigmoid(z[:, :3 * h_dim])
+        gate_i = ifo[:, :h_dim]
+        gate_f = ifo[:, h_dim:2 * h_dim]
+        gate_o = ifo[:, 2 * h_dim:]
         gate_g = np.tanh(z[:, 3 * h_dim:])
         c_hat = gate_f * c + gate_i * gate_g
         tanh_c = np.tanh(c_hat)

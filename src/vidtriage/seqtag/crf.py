@@ -16,10 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from ..medterm import LABELS, TaggedSentence
-from ._trainutil import (
-    EVAL_BATCH, _check_corpus, _pad_batch, decode_in_batches, fit_tagger,
-    logsumexp,
-)
+from ..numeric import logsumexp
+from ._trainutil import (EVAL_BATCH, _check_corpus, _pad_batch,
+                         decode_in_batches, fit_tagger)
 from .config import TrainConfig
 
 N_LABELS = len(LABELS)

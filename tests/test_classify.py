@@ -93,6 +93,22 @@ def test_features_tsv_roundtrip(tmp_path):
     assert again == rows
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("has_title", "0.7"), ("recommended", "1.9"),
+])
+def test_features_tsv_rejects_fractional_binary_cell(tmp_path, column, cell):
+    path = tmp_path / "features.tsv"
+    clf.write_features_tsv([make_row("v1", recommended=1)], path)
+    header, row = (line.split("\t")
+                   for line in path.read_text().splitlines())
+    row[header.index(column)] = cell
+    path.write_text("\t".join(header) + "\n" + "\t".join(row) + "\n")
+    with pytest.raises(ValueError) as err:
+        clf.read_features_tsv(path)
+    assert str(err.value) == \
+        f"{path}:2: {column} must be 0 or 1, got {cell!r}"
+
+
 def test_rows_to_matrix_missing_annotation():
     rows = [make_row("v1", medical_info_high=None)]
     with pytest.raises(ValueError) as err:

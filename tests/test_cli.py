@@ -163,6 +163,66 @@ def test_ingest_api_response(tmp_path, fixture_dir, capsys):
     assert docs[1].get("like_count") is None
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", [
+    "no-transcripts", "foreign-transcripts", "no-items",
+])
+def test_failed_api_ingest_leaves_work_dir_untouched(
+        tmp_path, corpus_paths, fixture_dir, caplog, capsys, case):
+    work = tmp_path / "work"
+    assert main(_ingest_args(corpus_paths, work)) == 0
+    capsys.readouterr()
+    before = _tree(work)
+    api = fixture_dir / "api_response.json"
+    if case == "no-items":
+        api = tmp_path / "api.json"
+        api.write_text('{"kind": "videoListResponse"}\n')
+    args = _ingest_args(corpus_paths, work)
+    args[args.index("--videos"):args.index("--videos") + 2] = \
+        ["--api-response", str(api)]
+    if case == "no-transcripts":
+        i = args.index("--transcripts")
+        del args[i:i + 2]
+        message = "ingest needs --transcripts"
+    elif case == "foreign-transcripts":
+        # The fixture transcripts name vid001..vid005, none in the API file.
+        message = f"ids not present in {api}"
+    else:
+        message = f"{api}: API response has no 'items' list"
+    with caplog.at_level(logging.ERROR):
+        assert main(args) == 1
+    assert message in caplog.text
+    assert _tree(work) == before
+
+
+@pytest.mark.parametrize("flag", [
+    "--videos", "--keywords", "--config", "--dictionary",
+])
+def test_directory_as_input_file_exits_1(tmp_path, corpus_paths, caplog,
+                                         capsys, flag):
+    work = tmp_path / "work"
+    assert main(_ingest_args(corpus_paths, work)) == 0
+    capsys.readouterr()
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if flag in ("--videos", "--keywords"):
+        args = _ingest_args(corpus_paths, work)
+    else:
+        args = ["build-ner-corpus", "--work-dir", str(work)]
+    if flag in args:
+        args[args.index(flag) + 1] = str(folder)
+    else:
+        args += [flag, str(folder)]
+    with caplog.at_level(logging.ERROR):
+        assert main(args) == 1
+    assert str(folder) in caplog.text
+    assert "internal error" not in caplog.text
+
+
 def test_train_tagger_requires_seed(caplog):
     with caplog.at_level(logging.ERROR):
         assert main(["train-tagger", "--arch", "crf"]) == 1

@@ -13,10 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
-    # Some demos write into tempfile.mkdtemp() and leave it there; TMPDIR
-    # puts those directories under this test's own tmp_path.
+    # TMPDIR puts the demos' temporary directories under tmp_path, where
+    # the test can see that each one was removed.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(demo)], env=env,
                             cwd=tmp_path, capture_output=True, text=True,
                             timeout=300)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("vidtriage-demo-*"))
