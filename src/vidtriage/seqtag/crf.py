@@ -6,10 +6,17 @@ weight blocks: per-feature emission weights, a label transition matrix,
 and a start vector. Training minimizes the mean per-sentence negative
 log-likelihood plus an L2 penalty by mini-batch gradient descent; each
 minibatch runs one forward-backward over right-padded emissions.
+
+Tokens become feature ids through a ``FeatureEncoder`` that each call
+(building the index, training, a loss evaluation, tagging) makes for
+itself. It builds a distinct word's feature strings once and reuses their
+ids for every later token of that word, the way CRFsuite caches
+attributes; no table outlives the call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,47 +52,81 @@ def word_shape(word: str) -> str:
     return "".join(shape)
 
 
-def token_features(tokens: Sequence[str], i: int) -> list[str]:
-    """Feature strings for one token: identity, shape, context, affixes."""
-    word = tokens[i]
-    low = word.lower()
-    prev = tokens[i - 1].lower() if i > 0 else _BOS
-    nxt = tokens[i + 1].lower() if i + 1 < len(tokens) else _EOS
-    feats = [
-        "bias",
-        f"w={low}",
-        f"shape={word_shape(word)}",
-        f"prev={prev}",
-        f"next={nxt}",
-    ]
-    for k in (1, 2, 3):
-        if len(low) >= k:
-            feats.append(f"pre{k}={low[:k]}")
-            feats.append(f"suf{k}={low[-k:]}")
-    return feats
+class FeatureEncoder:
+    """Feature ids of tokens under one feature index, built once per word.
+
+    A token's features are, in order: ``bias``, ``w=`` and ``shape=`` of
+    its word; ``prev=`` and ``next=``, its lowercased neighbours (``<s>``
+    and ``</s>`` at the ends); and the ``pre1..3``/``suf1..3`` affixes of
+    its lowercased word, where the word is long enough. The encoder keeps,
+    per distinct word, the ids before the context and after it and the
+    lowercased word, and per lowercased neighbour its ``prev=`` and its
+    ``next=`` ids.
+
+    Features missing from the index are dropped; with ``grow`` they are
+    added instead, with the next free id, in first-seen order. Make one per
+    call, as ``textfeat.TokenMemo`` is made per stage: nothing outlives it.
+    """
+
+    def __init__(self, feature_index: dict[str, int], grow: bool = False):
+        self.feature_index = feature_index
+        self._grow = grow
+        self._words: dict[str, tuple[tuple[int, ...], tuple[int, ...],
+                                     str]] = {}
+        self._prev: dict[str, tuple[int, ...]] = {}
+        self._next: dict[str, tuple[int, ...]] = {}
+
+    def _ids(self, feats: list[str]) -> tuple[int, ...]:
+        index = self.feature_index
+        if self._grow:
+            return tuple([index.setdefault(f, len(index)) for f in feats])
+        return tuple([index[f] for f in feats if f in index])
+
+    def encode(self, tokens: Sequence[str]) -> list[tuple[int, ...]]:
+        """Each token's feature ids, in template order."""
+        words, prev_ids, next_ids = self._words, self._prev, self._next
+        encoded = []
+        prev_low = _BOS
+        last = len(tokens) - 1
+        for i, word in enumerate(tokens):
+            entry = words.get(word)
+            if entry is None:
+                low = word.lower()
+                head = self._ids(["bias", f"w={low}",
+                                  f"shape={word_shape(word)}"])
+            else:
+                head, tail, low = entry
+            if i < last:
+                nxt = words.get(tokens[i + 1])
+                next_low = tokens[i + 1].lower() if nxt is None else nxt[2]
+            else:
+                next_low = _EOS
+            before = prev_ids.get(prev_low)
+            if before is None:
+                before = prev_ids[prev_low] = self._ids([f"prev={prev_low}"])
+            after = next_ids.get(next_low)
+            if after is None:
+                after = next_ids[next_low] = self._ids([f"next={next_low}"])
+            # A new word's affix ids come after its context ids, so that a
+            # growing index numbers features in template order.
+            if entry is None:
+                affixes = []
+                for k in range(1, min(len(low), 3) + 1):
+                    affixes.append(f"pre{k}={low[:k]}")
+                    affixes.append(f"suf{k}={low[-k:]}")
+                tail = self._ids(affixes)
+                words[word] = (head, tail, low)
+            encoded.append(head + before + after + tail)
+            prev_low = low
+        return encoded
 
 
 def build_feature_index(sentences: Sequence[Sequence[str]]) -> dict[str, int]:
     """Assign dense ids to every feature seen, in first-seen order."""
-    index: dict[str, int] = {}
+    encoder = FeatureEncoder({}, grow=True)
     for tokens in sentences:
-        for i in range(len(tokens)):
-            for feat in token_features(tokens, i):
-                if feat not in index:
-                    index[feat] = len(index)
-    return index
-
-
-def encode_sentence(
-    feature_index: dict[str, int], tokens: Sequence[str]
-) -> list[np.ndarray]:
-    """Per-token arrays of active feature ids; unseen features are dropped."""
-    encoded = []
-    for i in range(len(tokens)):
-        ids = [feature_index[f] for f in token_features(tokens, i)
-               if f in feature_index]
-        encoded.append(np.asarray(ids, dtype=np.intp))
-    return encoded
+        encoder.encode(tokens)
+    return encoder.feature_index
 
 
 @dataclass
@@ -117,8 +158,16 @@ def init_crf(feature_index: dict[str, int]) -> CrfParams:
     )
 
 
+def _flat_ids(tokens: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's feature ids end to end, and each token's id count."""
+    counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    flat = np.fromiter(itertools.chain.from_iterable(tokens), dtype=np.intp,
+                       count=int(counts.sum()))
+    return flat, counts
+
+
 def _padded_emissions(
-    w_pad: np.ndarray, encoded: Sequence[Sequence[np.ndarray]]
+    w_pad: np.ndarray, encoded: Sequence[Sequence[Sequence[int]]]
 ) -> np.ndarray:
     """(B, T, L) emissions of a right-padded batch, from one gather.
 
@@ -127,11 +176,10 @@ def _padded_emissions(
     so each token sums its own rows in order, and then zeros. Padding
     positions score zero.
     """
-    tokens = [ids for sent in encoded for ids in sent]
-    n_ids = np.array([len(ids) for ids in tokens])
-    ids = np.full((len(tokens), n_ids.max()), w_pad.shape[0] - 1,
+    flat, counts = _flat_ids([ids for sent in encoded for ids in sent])
+    ids = np.full((len(counts), counts.max()), w_pad.shape[0] - 1,
                   dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < n_ids[:, None]] = np.concatenate(tokens)
+    ids[np.arange(ids.shape[1]) < counts[:, None]] = flat
     lengths = np.array([len(sent) for sent in encoded])
     emit = np.zeros((len(encoded), lengths.max(), w_pad.shape[1]))
     emit[np.arange(emit.shape[1]) < lengths[:, None]] = \
@@ -286,10 +334,9 @@ def _loss_grad_encoded(params: CrfParams, encoded: list, label_ids: list,
     real = cols < lengths[:, None]
     token[rows, cols, gold] -= real
     pair[rows, cols[:-1], gold[:, :-1], gold[:, 1:]] -= real[:, 1:]
-    tokens = [ids for sent in encoded for ids in sent]
-    owner = np.repeat(np.arange(len(tokens)), [len(ids) for ids in tokens])
+    flat, counts = _flat_ids([ids for sent in encoded for ids in sent])
     g_emit = np.zeros_like(params.w_emit)
-    np.add.at(g_emit, np.concatenate(tokens), token[real][owner])
+    np.add.at(g_emit, flat, np.repeat(token[real], counts, axis=0))
     g_trans = pair.sum(axis=(0, 1))
     g_start = token[:, 0].sum(axis=0)
     n = len(encoded)
@@ -315,7 +362,8 @@ def crf_loss_grad(
     counts under the model minus observed counts.
     """
     _check_corpus(sentences, labels)
-    encoded = [encode_sentence(params.feature_index, s) for s in sentences]
+    encoder = FeatureEncoder(params.feature_index)
+    encoded = [encoder.encode(s) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
     return _loss_grad_encoded(params, encoded, label_ids, l2)
 
@@ -347,7 +395,8 @@ def train_crf(
     labels = [list(s.labels) for s in corpus]
     _check_corpus(sentences, labels)
     params = init_crf(build_feature_index(sentences))
-    encoded = [encode_sentence(params.feature_index, s) for s in sentences]
+    encoder = FeatureEncoder(params.feature_index)
+    encoded = [encoder.encode(s) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
 
     def loss_grad(params, batch_encoded, batch_labels):
@@ -370,11 +419,10 @@ def tag_with_crf(
     sentence with I-MED; the output is BIO-repaired before being returned.
     """
     w_pad = np.vstack([params.w_emit, np.zeros((1, params.w_emit.shape[1]))])
+    encoder = FeatureEncoder(params.feature_index)
 
     def best_ids(batch):
-        emit = _padded_emissions(
-            w_pad, [encode_sentence(params.feature_index, s) for s in batch]
-        )
+        emit = _padded_emissions(w_pad, [encoder.encode(s) for s in batch])
         lengths = np.array([len(s) for s in batch])
         return _viterbi_batch(emit, lengths, params.w_trans, params.w_start)
 

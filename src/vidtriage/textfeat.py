@@ -25,7 +25,12 @@ class UndefinedReadabilityError(ValueError):
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
-_TERMINATOR_RE = re.compile(r"[.!?\n]")
+# A newline, or a whole run of '.', '!' and '?' that whitespace or the
+# end of text follows. The look-behind rejects a start inside a run, so a
+# long run is matched once rather than once per character; the run's
+# first character leads the pattern so the engine can skip to it fast.
+_TERMINATOR_RE = re.compile(
+    r"[.!?\n](?:(?<=\n)|(?<![.!?]{2})[.!?]*(?=\s|\Z))")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
 
 # Titles and shorthand whose trailing period does not end a sentence.
@@ -34,6 +39,7 @@ _ABBREVIATIONS = frozenset({
     "vs", "etc", "fig", "al", "inc", "ltd", "dept", "est", "approx",
     "e.g", "i.e",
 })
+_LONGEST_ABBREVIATION = max(map(len, _ABBREVIATIONS))
 
 _BE_FORMS = frozenset({"am", "is", "are", "was", "were", "be", "been", "being"})
 
@@ -149,47 +155,38 @@ def load_lexicon(path, name: Optional[str] = None) -> Lexicon:
     return Lexicon(name=name or path.stem, entries=frozenset(entries))
 
 
-def _is_sentence_break(text: str, i: int) -> bool:
-    """Decide whether the terminator at position i ends a sentence."""
-    ch = text[i]
-    if ch == "\n":
-        return True
-    # Require whitespace or end-of-text after the terminator run.
-    j = i
-    while j + 1 < len(text) and text[j + 1] in ".!?":
-        j += 1
-    if j + 1 < len(text) and not text[j + 1].isspace():
-        return False
-    if ch in "!?":
-        return True
-    # Period: guard abbreviations and single-letter initials.
-    k = i - 1
-    word_chars = []
-    while k >= 0 and (text[k].isalnum() or text[k] in ".'"):
-        word_chars.append(text[k])
+def _closes_abbreviation(text: str, i: int) -> bool:
+    """Whether the word before position i is an abbreviation or an initial.
+
+    The word is the run of letters, digits, '.' and "'" that ends at i,
+    where a whole run of terminators starts, so the word ends in no
+    period. A word longer than every abbreviation is neither, so at most
+    one character more than the longest abbreviation is read.
+    """
+    k = i
+    while (k > 0 and i - k <= _LONGEST_ABBREVIATION
+           and (text[k - 1].isalnum() or text[k - 1] in ".'")):
         k -= 1
-    word = "".join(reversed(word_chars)).lower().rstrip(".")
-    if not word:
-        return True
-    if word in _ABBREVIATIONS or (len(word) == 1 and word.isalpha()):
-        return False
-    return True
+    word = text[k:i].lower()
+    return word in _ABBREVIATIONS or (len(word) == 1 and word.isalpha())
 
 
 def tokenize(text: str) -> TokenizedText:
     """Split text into lowercase word tokens grouped into sentences.
 
-    Sentence boundaries sit at '.', '!', '?' followed by whitespace or
-    end-of-text (with an abbreviation guard) and at newlines. Chunks that
-    contain no word tokens are dropped.
+    A newline ends a sentence. So does a run of '.', '!' and '?' that
+    whitespace or the end of text follows, unless the run is all periods
+    and closes an abbreviation or a single-letter initial. Chunks that
+    contain no word tokens are dropped. Each character is read a bounded
+    number of times, so the time is linear in the text.
     """
     chunks: list[str] = []
     start = 0
     for m in _TERMINATOR_RE.finditer(text):
-        i = m.start()
-        if _is_sentence_break(text, i):
-            chunks.append(text[start:i + 1])
-            start = i + 1
+        # A newline, or a run holding '!' or '?', always ends a sentence.
+        if m.group().strip(".") or not _closes_abbreviation(text, m.start()):
+            chunks.append(text[start:m.end()])
+            start = m.end()
     chunks.append(text[start:])
 
     tokens: list[str] = []

@@ -1,37 +1,41 @@
 """Linear-chain CRF: brute-force oracles, gradients, training."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from vidtriage.medterm import TaggedSentence
+from vidtriage.cli import main as cli_main
+from vidtriage.medterm import LABELS, TaggedSentence
 from vidtriage.seqtag import (
     TrainConfig,
     crf_log_partition,
     crf_loss_grad,
     crf_sequence_score,
     crf_viterbi,
+    repair_bio,
     tag_with_crf,
     train_crf,
 )
 from vidtriage.seqtag.crf import (
     N_LABELS,
+    FeatureEncoder,
     _loss_grad_encoded,
     _marginals,
     _padded_emissions,
     _viterbi_batch,
     build_feature_index,
     encode_labels,
-    encode_sentence,
     init_crf,
-    token_features,
     word_shape,
 )
 
 B, I, O = "B-MED", "I-MED", "O"
+
+GOLDEN = Path(__file__).parent / "fixtures" / "crf_golden"
 
 
 def brute_force_partition(emit, trans, start):
@@ -180,7 +184,8 @@ def test_batch_loss_grad_is_mean_of_single_sentence_calls():
     for arr in params.arrays():
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     # Sentences past the fourth may carry features the index has not seen.
-    encoded = [encode_sentence(params.feature_index, s) for s in sentences]
+    encoder = FeatureEncoder(params.feature_index)
+    encoded = [encoder.encode(s) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
     loss, grads = _loss_grad_encoded(params, encoded, label_ids, 0.0)
     singles = [_loss_grad_encoded(params, [e], [y], 0.0)
@@ -243,13 +248,165 @@ def test_word_shape():
     assert word_shape("x-ray") == "x-x"
 
 
+def _feature_names(sentences, tokens):
+    index = build_feature_index(sentences)
+    names = {i: f for f, i in index.items()}
+    return [[names[i] for i in ids]
+            for ids in FeatureEncoder(index).encode(tokens)]
+
+
 def test_token_features_context():
-    feats = token_features(["early", "colon", "cancer"], 1)
-    assert "w=colon" in feats
-    assert "prev=early" in feats
-    assert "next=cancer" in feats
-    first = token_features(["early"], 0)
+    feats = _feature_names([["early", "colon", "cancer"]],
+                           ["early", "colon", "cancer"])[1]
+    assert feats == ["bias", "w=colon", "shape=x", "prev=early",
+                     "next=cancer", "pre1=c", "suf1=n", "pre2=co", "suf2=on",
+                     "pre3=col", "suf3=lon"]
+    first = _feature_names([["early"]], ["early"])[0]
     assert "prev=<s>" in first and "next=</s>" in first
+
+
+# Reference feature functions: each token's feature strings built afresh,
+# as the tagger did before it memoized them per word.
+
+_REF_BOS = "<s>"
+_REF_EOS = "</s>"
+
+
+def _ref_token_features(tokens, i):
+    word = tokens[i]
+    low = word.lower()
+    prev = tokens[i - 1].lower() if i > 0 else _REF_BOS
+    nxt = tokens[i + 1].lower() if i + 1 < len(tokens) else _REF_EOS
+    feats = [
+        "bias",
+        f"w={low}",
+        f"shape={word_shape(word)}",
+        f"prev={prev}",
+        f"next={nxt}",
+    ]
+    for k in (1, 2, 3):
+        if len(low) >= k:
+            feats.append(f"pre{k}={low[:k]}")
+            feats.append(f"suf{k}={low[-k:]}")
+    return feats
+
+
+def _ref_build_feature_index(sentences):
+    index = {}
+    for tokens in sentences:
+        for i in range(len(tokens)):
+            for feat in _ref_token_features(tokens, i):
+                if feat not in index:
+                    index[feat] = len(index)
+    return index
+
+
+def _ref_encode_sentence(feature_index, tokens):
+    encoded = []
+    for i in range(len(tokens)):
+        ids = [feature_index[f] for f in _ref_token_features(tokens, i)
+               if f in feature_index]
+        encoded.append(np.asarray(ids, dtype=np.intp))
+    return encoded
+
+
+# Mixed case, digits, words of one to three characters, letters whose
+# lowercase is longer ("İ" lowers to two code points) or that have no
+# one-letter uppercase ("ẞ"/"ß"), and words that spell the boundary marks.
+_WORDS = st.one_of(
+    st.text(alphabet="abXY09İẞß-'", min_size=1, max_size=3),
+    st.sampled_from(["<s>", "</s>", "<S>", "</S>", "Colon", "colon", "COLON",
+                     "İstanbul", "STRAẞE", "x-ray", "b12"]),
+)
+_SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=8),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(train=_SENTENCES, other=_SENTENCES, seed=st.integers(0, 2**32 - 1))
+def test_feature_encoder_matches_reference(train, other, seed):
+    index = build_feature_index(train)
+    assert list(index.items()) == list(_ref_build_feature_index(train).items())
+    # One encoder for both sets, so the second reuses the first's memo;
+    # features of ``other`` that ``train`` lacks must be dropped.
+    encoder = FeatureEncoder(index)
+    encoded = [encoder.encode(s) for s in train + other]
+    expected = [_ref_encode_sentence(index, s) for s in train + other]
+    assert [[list(ids) for ids in sent] for sent in encoded] \
+        == [[ids.tolist() for ids in sent] for sent in expected]
+    rng = np.random.default_rng(seed)
+    w_emit = rng.normal(0.0, 1.0, size=(len(index), N_LABELS))
+    w_pad = np.vstack([w_emit, np.zeros((1, N_LABELS))])
+    emit = _padded_emissions(w_pad, encoded)
+    for row, sent in zip(emit, expected):
+        per_token = np.array([w_emit[ids].sum(axis=0) for ids in sent])
+        np.testing.assert_array_equal(row[:len(sent)], per_token)
+        assert not row[len(sent):].any()
+
+
+def _ref_tag(params, sentences):
+    tagged = []
+    for tokens in sentences:
+        emit = np.array([params.w_emit[ids].sum(axis=0) for ids in
+                         _ref_encode_sentence(params.feature_index, tokens)])
+        best = crf_viterbi(emit, params.w_trans, params.w_start)
+        tagged.append(repair_bio([LABELS[k] for k in best]))
+    return tagged
+
+
+def test_tagging_keeps_no_state_between_calls():
+    # Two models index the same words in different orders, so an id that
+    # leaked from one call into the next would score the wrong rows.
+    rng = np.random.default_rng(909)
+    words = ["polyp", "Colon", "colon", "cancer", "water", "x-ray", "b12",
+             "a", "visit"]
+
+    def sentences(n):
+        return [[words[i] for i in rng.integers(0, len(words),
+                                                size=int(rng.integers(1, 9)))]
+                for _ in range(n)]
+
+    def random_model():
+        params = init_crf(build_feature_index(sentences(6)))
+        for arr in params.arrays():
+            arr += rng.normal(0.0, 2.0, size=arr.shape)
+        return params
+
+    model_a, model_b = random_model(), random_model()
+    assert model_a.feature_index != model_b.feature_index
+    text = sentences(40)
+    tagged_a = tag_with_crf(model_a, text)
+    tagged_b = tag_with_crf(model_b, text)
+    assert tagged_a == _ref_tag(model_a, text)
+    assert tagged_b == _ref_tag(model_b, text)
+    assert tagged_a != tagged_b
+    assert tag_with_crf(model_a, text) == tagged_a
+
+
+def test_crf_stages_match_golden_fixture(tmp_path):
+    """Retrain and retag the committed corpus; both files match byte for byte.
+
+    The fixture was made with ``SynthConfig(seed=13, n_videos=12,
+    sentences_per_video=4)`` and the stages below, before the feature
+    encoder memoized per word. Regenerate it only for a deliberate change
+    to what the CRF computes.
+    """
+    work = tmp_path / "work"
+
+    def run(*args):
+        assert cli_main([str(a) for a in args]) == 0, args
+
+    run("ingest", "--videos", GOLDEN / "videos.jsonl",
+        "--transcripts", GOLDEN / "transcripts.jsonl",
+        "--ocr", GOLDEN / "ocr.jsonl", "--labels", GOLDEN / "labels.jsonl",
+        "--work-dir", work, "--seed", 13)
+    run("build-ner-corpus", "--dictionary", GOLDEN / "dictionary.tsv",
+        "--work-dir", work)
+    run("train-tagger", "--arch", "crf", "--work-dir", work, "--seed", 13)
+    run("tag", "--arch", "crf", "--source", "transcript", "--work-dir", work)
+    for made in (work / "models" / "tagger_crf.json",
+                 work / "ner" / "tagged_crf.conll"):
+        assert made.read_bytes() == (GOLDEN / made.name).read_bytes(), made
 
 
 # -------------------------------------------------------------- gradient

@@ -2,6 +2,7 @@
 
 import re
 import string
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_tokenize_fixtures():
 
     # Abbreviation guard: "Dr." does not end the sentence.
     assert len(tokenize("Dr. Smith left.").sentences) == 1
+
+
+@pytest.mark.parametrize("text, n_words", [
+    ("." * 200_000, 0),
+    ("!?" * 100_000, 0),
+    ("a" * 100_000 + "." * 100_000 + " ", 1),
+    ("." * 100_000 + "a", 1),
+    ("a." * 100_000 + " ", 100_000),
+    (("a." * 100_000)[:-1] + " end", 100_001),
+])
+def test_tokenize_is_linear_on_long_terminator_runs(text, n_words):
+    # Scanning a whole run, or the word before it, once per terminator
+    # takes minutes on the first four; a linear scan takes well under a
+    # second on each.
+    t0 = time.perf_counter()
+    tok = tokenize(text)
+    assert time.perf_counter() - t0 < 5.0
+    assert tok.word_count == n_words
 
 
 def test_tokenize_sentence_ranges_cover_tokens():
@@ -381,6 +400,15 @@ _PIECES = st.one_of(
     st.sampled_from([".", "!", "?", "...", "\n", "?!", ". ", "! ", "\n\n",
                      "Dr.", "dr.", "e.g.", "i.e.", "J.", "A.", "St.",
                      "3.5", "'", "it's", "-", ",", "\t", "  "]),
+    # Long runs of one terminator or of several, '.' mixed with '!'.
+    st.builds(str.__mul__, st.sampled_from([".", "!", "?", "!?", ".!", "!.",
+                                            "a."]),
+              st.integers(2, 60)),
+    # Non-ASCII letters and digits, alone and as initials, and "'" inside
+    # an abbreviation or an initial.
+    st.sampled_from(["É", "É.", "²", "². ", "٣", "٣.", "İ.", "é.g.", "D'r.",
+                     "Dr'.", "e'.g.", "'s.", "J'.", "St.'", "_.", "x_Dr.",
+                     "approx.", "xApprox.", "e.g.approx."]),
     st.text(max_size=4),
 )
 _TEXTS = st.lists(_PIECES, max_size=40).flatmap(
