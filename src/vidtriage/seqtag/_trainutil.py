@@ -14,6 +14,7 @@ from .metrics import repair_bio
 P = TypeVar("P")
 
 # Sentences per padded forward pass outside training: dev loss and tagging.
+# 64: a BLSTM step takes 3.3 us/row to 65 rows, 6.5-7.2 from 96 (Xeon VM).
 EVAL_BATCH = 64
 
 
@@ -146,16 +147,17 @@ def fit_tagger(
 
 
 def decode_in_batches(
-    sentences: Sequence[Sequence[str]],
+    sentences: Sequence[Sequence],
     best_ids: Callable[[list], np.ndarray],
 ) -> list[list[str]]:
     """BIO labels for every sentence, decoded in length-sorted batches.
 
-    The non-empty sentences are stably sorted by length and cut into
-    batches of EVAL_BATCH; ``best_ids(batch)`` returns a right-padded
-    (B, T) array of label ids, of which each row's first len(sentence)
-    entries are kept. Labels are BIO-repaired and returned in input
-    order; an empty sentence gets no labels.
+    A sentence is any sequence with one entry per token: words, or their
+    vocabulary ids. The non-empty sentences are stably sorted by length
+    and cut into batches of EVAL_BATCH; ``best_ids(batch)`` returns a
+    right-padded (B, T) array of label ids, of which each row's first
+    len(sentence) entries are kept. Labels are BIO-repaired and returned
+    in input order; an empty sentence gets no labels.
     """
     tagged: list[list[str]] = [[] for _ in sentences]
     order = sorted((i for i, s in enumerate(sentences) if len(s)),

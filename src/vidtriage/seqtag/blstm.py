@@ -4,14 +4,19 @@ One embedding table feeds two LSTM passes, one per direction, whose
 hidden states are concatenated and mapped to per-token label log
 probabilities. All math is float64 and the gradients come from
 backpropagation through time, so they can be verified against finite
-differences. Mini-batches are right-padded; masks freeze the recurrent
-state on padding steps and keep padded positions out of the loss.
+differences. Training, the dev loss and decoding share one recurrence:
+``embed[id] @ W_x.T + b`` is computed once per distinct word id of the
+work unit (a minibatch, a dev-loss chunk, or a whole ``tag_with_blstm``
+call), and each step adds its ids' rows to ``h @ W_h.T``. Batches run
+sorted by length, and each step computes only the rows whose sentence
+is still running; a mask keeps padded positions out of the loss.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,94 +87,143 @@ def init_blstm(
     )
 
 
-def _run_direction(
-    w: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    mask: np.ndarray,
-    reverse: bool,
-    steps: Optional[list[dict]] = None,
-) -> np.ndarray:
-    """One LSTM pass over a padded batch; returns the hidden states.
+@dataclass
+class _Projection:
+    """``embed[ids] @ W_x.T + b`` of each direction, W_x being the first
+    d_emb columns of its weight; ``row[i]`` is the row of vocabulary id
+    ``i`` (0 for ids not in ``ids``)."""
 
-    On a padding step the mask holds h and c at their previous values, so
-    right-padded sequences behave exactly like unpadded ones. Given a
-    ``steps`` list, each step's gate cache is appended to it for
-    backpropagation; decoding passes none and keeps only h and c.
+    ids: np.ndarray
+    row: np.ndarray
+    fwd: np.ndarray
+    bwd: np.ndarray
+
+
+def _project(params: BlstmParams,
+             seqs: Sequence[Sequence[int]]) -> _Projection:
+    """Project each distinct id of ``seqs`` once, for both directions."""
+    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
+    row = np.zeros(len(params.embed), dtype=np.intp)
+    row[ids] = np.arange(len(ids))
+    x = params.embed[ids]
+    d = x.shape[1]
+    fwd = x @ params.w_fwd[:, :d].T
+    fwd += params.b_fwd
+    bwd = x @ params.w_bwd[:, :d].T
+    bwd += params.b_bwd
+    return _Projection(ids, row, fwd, bwd)
+
+
+def _run_direction(
+    w_h: np.ndarray,
+    proj: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    reverse: bool,
+    h_seq: np.ndarray,
+    steps: Optional[list[dict]] = None,
+) -> None:
+    """One LSTM pass over length-sorted rows, writing h into ``h_seq``.
+
+    ``rows`` (B, T) indexes ``proj``, and the rows still inside their
+    sentence at step t are those from ``starts[t]`` on. Only they are
+    computed: a finished row is never read again, and in the reverse pass
+    a row that has not started keeps h = c = 0, so padding changes
+    nothing. ``h_seq`` starts at zero and is never written on padding, so
+    it also holds each step's previous h. Given a ``steps`` list, each
+    step's gate cache is appended to it for backpropagation.
     """
-    n, t_max, _ = x.shape
-    h_dim = w.shape[0] // 4
-    h = np.zeros((n, h_dim))
+    n, t_max = rows.shape
+    h_dim = w_h.shape[1]
     c = np.zeros((n, h_dim))
-    h_out = np.zeros((n, t_max, h_dim))
-    order = range(t_max - 1, -1, -1) if reverse else range(t_max)
-    for t in order:
-        z = np.concatenate([x[:, t], h], axis=1) @ w.T + b
+    w_ht = w_h.T
+    step = -1 if reverse else 1
+    first = t_max - 1 if reverse else 0
+    for t in range(first, first + step * t_max, step):
+        lo = starts[t]
+        z = proj[rows[lo:, t]]
+        h_prev = None if t == first else h_seq[lo:, t - step]
+        if h_prev is not None:
+            z += h_prev @ w_ht
         ifo = sigmoid(z[:, :3 * h_dim])
         gate_i = ifo[:, :h_dim]
         gate_f = ifo[:, h_dim:2 * h_dim]
         gate_o = ifo[:, 2 * h_dim:]
         gate_g = np.tanh(z[:, 3 * h_dim:])
-        c_hat = gate_f * c + gate_i * gate_g
-        tanh_c = np.tanh(c_hat)
-        m = mask[:, t][:, None]
+        # f * c_prev, kept because backprop needs it once c is overwritten.
+        fc = gate_f * c[lo:]
+        c[lo:] = fc + gate_i * gate_g
+        tanh_c = np.tanh(c[lo:])
+        h_seq[lo:, t] = gate_o * tanh_c
         if steps is not None:
             steps.append({
-                "t": t, "h_prev": h, "c_prev": c, "i": gate_i, "f": gate_f,
-                "o": gate_o, "g": gate_g, "tanh_c": tanh_c, "m": m,
+                "t": t, "lo": lo, "h_prev": h_prev, "i": gate_i,
+                "f": gate_f, "o": gate_o, "g": gate_g, "fc": fc,
+                "tanh_c": tanh_c,
             })
-        c = m * c_hat + (1.0 - m) * c
-        h = m * (gate_o * tanh_c) + (1.0 - m) * h
-        h_out[:, t] = h
-    return h_out
 
 
 def _back_direction(
-    w: np.ndarray,
-    x: np.ndarray,
+    w_h: np.ndarray,
+    rows: np.ndarray,
     steps: list[dict],
-    dh_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, _, d = x.shape
-    h_dim = w.shape[0] // 4
-    g_w = np.zeros_like(w)
-    g_b = np.zeros(w.shape[0])
-    dx = np.zeros_like(x)
+    dh_seq: np.ndarray,
+    n_proj: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate one pass: the gradients of its recurrent weights and
+    of each of its ``n_proj`` projection rows."""
+    n = rows.shape[0]
+    h_dim = w_h.shape[1]
+    g_wh = np.zeros_like(w_h)
+    g_proj = np.zeros((n_proj, 4 * h_dim))
     dh = np.zeros((n, h_dim))
     dc = np.zeros((n, h_dim))
     for step in reversed(steps):
-        t = step["t"]
-        m = step["m"]
-        dh = dh + dh_out[:, t]
-        dh_hat = m * dh
-        dh_prev = (1.0 - m) * dh
-        dc_hat = m * dc + dh_hat * step["o"] * (1.0 - step["tanh_c"] ** 2)
-        dc = (1.0 - m) * dc + dc_hat * step["f"]
-        d_i = dc_hat * step["g"] * step["i"] * (1.0 - step["i"])
-        d_f = dc_hat * step["c_prev"] * step["f"] * (1.0 - step["f"])
-        d_o = dh_hat * step["tanh_c"] * step["o"] * (1.0 - step["o"])
-        d_g = dc_hat * step["i"] * (1.0 - step["g"] ** 2)
+        t, lo = step["t"], step["lo"]
+        dh_t = dh[lo:] + dh_seq[lo:, t]
+        dc_t = dc[lo:] + dh_t * step["o"] * (1.0 - step["tanh_c"] ** 2)
+        d_i = dc_t * step["g"] * step["i"] * (1.0 - step["i"])
+        d_f = dc_t * step["fc"] * (1.0 - step["f"])
+        d_o = dh_t * step["tanh_c"] * step["o"] * (1.0 - step["o"])
+        d_g = dc_t * step["i"] * (1.0 - step["g"] ** 2)
         dz = np.concatenate([d_i, d_f, d_o, d_g], axis=1)
-        inp = np.concatenate([x[:, t], step["h_prev"]], axis=1)
-        g_w += dz.T @ inp
-        g_b += dz.sum(axis=0)
-        dinp = dz @ w
-        dx[:, t] = dinp[:, :d]
-        dh = dh_prev + dinp[:, d:]
-    return g_w, g_b, dx
+        # Summed per distinct id: a 0/1 (ids x live rows) product.
+        g_proj += (np.arange(n_proj)[:, None] == rows[lo:, t]) @ dz
+        if step["h_prev"] is not None:
+            g_wh += dz.T @ step["h_prev"]
+        dh[lo:] = dz @ w_h
+        dc[lo:] = dc_t * step["f"]
+    return g_wh, g_proj
 
 
-def _forward_batch(params: BlstmParams, ids: np.ndarray, mask: np.ndarray,
+def _forward_batch(params: BlstmParams, proj: _Projection,
+                   batch_ids: Sequence[Sequence[int]],
                    keep_steps: bool = False):
-    """Padded forward pass; the step caches are kept only for training."""
-    x = params.embed[ids]
+    """Label log-probabilities (B, T, L) of a right-padded batch.
+
+    The rows run through both directions stably sorted by length,
+    ascending, so the rows live at each step are a suffix that one
+    searchsorted finds. Returns the sort order, the sorted projection
+    rows and hidden states, the step caches (kept only for training) and
+    logp, the one output put back in input order.
+    """
+    lengths = np.array([len(seq) for seq in batch_ids])
+    order = np.argsort(lengths, kind="stable")
+    ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
+    rows = proj.row[ids]
+    starts = np.searchsorted(lengths[order], np.arange(ids.shape[1]),
+                             side="right")
+    h, d = params.d_hid, params.embed.shape[1]
+    h2 = np.zeros((*ids.shape, 2 * h))
     steps_f, steps_b = ([], []) if keep_steps else (None, None)
-    h_f = _run_direction(params.w_fwd, params.b_fwd, x, mask, False, steps_f)
-    h_b = _run_direction(params.w_bwd, params.b_bwd, x, mask, True, steps_b)
-    h2 = np.concatenate([h_f, h_b], axis=2)
+    _run_direction(params.w_fwd[:, d:], proj.fwd, rows, starts, False,
+                   h2[:, :, :h], steps_f)
+    _run_direction(params.w_bwd[:, d:], proj.bwd, rows, starts, True,
+                   h2[:, :, h:], steps_b)
     logits = h2 @ params.w_out.T + params.b_out
-    logp = logits - logsumexp(logits, axis=2, keepdims=True)
-    return x, h2, steps_f, steps_b, logp
+    logp = np.empty_like(logits)
+    logp[order] = logits - logsumexp(logits, axis=2, keepdims=True)
+    return order, rows, h2, steps_f, steps_b, logp
 
 
 def _summed_nll(logp: np.ndarray, labels: np.ndarray,
@@ -193,30 +247,35 @@ def blstm_loss_grad(
     term is `l2` times the sum of squares of all parameters.
     """
     _check_corpus(batch_ids, batch_labels)
-    ids, mask = _pad_batch(batch_ids, PAD_ID)
-    labels, _ = _pad_batch(batch_labels, 0)
-    n, t_max = ids.shape
+    proj = _project(params, batch_ids)
+    order, rows, h2, steps_f, steps_b, logp = _forward_batch(
+        params, proj, batch_ids, keep_steps=True)
+    labels, mask = _pad_batch(batch_labels, 0)
+    n, t_max = labels.shape
     n_tokens = float(mask.sum())
-    x, h2, steps_f, steps_b, logp = _forward_batch(params, ids, mask,
-                                                   keep_steps=True)
-
-    rows = np.arange(n)[:, None]
-    cols = np.arange(t_max)[None, :]
     loss = _summed_nll(logp, labels, mask) / n_tokens
 
     dlogits = np.exp(logp)
-    dlogits[rows, cols, labels] -= 1.0
+    dlogits[np.arange(n)[:, None], np.arange(t_max)[None, :], labels] -= 1.0
     dlogits *= (mask / n_tokens)[:, :, None]
+    dlogits = dlogits[order]
     g_wout = np.einsum("ntl,nth->lh", dlogits, h2)
     g_bout = dlogits.sum(axis=(0, 1))
     dh2 = dlogits @ params.w_out
-    h_dim = params.d_hid
-    g_wf, g_bf, dx_f = _back_direction(params.w_fwd, x, steps_f,
-                                       dh2[:, :, :h_dim])
-    g_wb, g_bb, dx_b = _back_direction(params.w_bwd, x, steps_b,
-                                       dh2[:, :, h_dim:])
+    h, d = params.d_hid, params.embed.shape[1]
+    x = params.embed[proj.ids]
     g_embed = np.zeros_like(params.embed)
-    np.add.at(g_embed, ids, dx_f + dx_b)
+
+    def direction(w, steps, dh_seq):
+        # dz summed per distinct id gives the input weights, bias and
+        # embedding rows their gradients in one product each.
+        g_wh, g_u = _back_direction(w[:, d:], rows, steps, dh_seq,
+                                    len(proj.ids))
+        g_embed[proj.ids] += g_u @ w[:, :d]
+        return np.concatenate([g_u.T @ x, g_wh], axis=1), g_u.sum(axis=0)
+
+    g_wf, g_bf = direction(params.w_fwd, steps_f, dh2[:, :, :h])
+    g_wb, g_bb = direction(params.w_bwd, steps_b, dh2[:, :, h:])
     grads = {
         "embed": g_embed,
         "w_fwd": g_wf, "b_fwd": g_bf,
@@ -239,9 +298,9 @@ def _dev_loss(
     ce = 0.0
     n_tokens = 0.0
     for lo in range(0, len(encoded), EVAL_BATCH):
-        ids, mask = _pad_batch(encoded[lo:lo + EVAL_BATCH], PAD_ID)
-        labels, _ = _pad_batch(label_ids[lo:lo + EVAL_BATCH], 0)
-        _, _, _, _, logp = _forward_batch(params, ids, mask)
+        chunk = encoded[lo:lo + EVAL_BATCH]
+        labels, mask = _pad_batch(label_ids[lo:lo + EVAL_BATCH], 0)
+        logp = _forward_batch(params, _project(params, chunk), chunk)[-1]
         ce += _summed_nll(logp, labels, mask)
         n_tokens += float(mask.sum())
     return ce / n_tokens
@@ -281,13 +340,15 @@ def tag_with_blstm(
 ) -> list[list[str]]:
     """Argmax-decode each sentence; ties keep the lower label id.
 
-    Sentences run through the padded forward pass in length-sorted
-    batches. The per-token argmax can produce an I-MED with no span
-    start, so the output is BIO-repaired before being returned.
+    The call projects each distinct word id once, then runs the sentences
+    in length-sorted batches. The per-token argmax can produce an I-MED
+    with no span start, so the output is BIO-repaired before being
+    returned.
     """
+    encoded = [vocab.encode(s) for s in sentences]
+    proj = _project(params, encoded)
 
     def best_ids(batch):
-        ids, mask = _pad_batch([vocab.encode(s) for s in batch], PAD_ID)
-        return np.argmax(_forward_batch(params, ids, mask)[-1], axis=2)
+        return np.argmax(_forward_batch(params, proj, batch)[-1], axis=2)
 
-    return decode_in_batches(sentences, best_ids)
+    return decode_in_batches(encoded, best_ids)

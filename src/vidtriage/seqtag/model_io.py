@@ -6,7 +6,8 @@ training metadata, the model-specific symbol table (feature index or
 word vocabulary), and every weight block as a shape plus flat float
 list. JSON floats round-trip exactly, so a loaded model reproduces the
 saved one bit for bit. On load every block must be finite and have the
-shape that the config and the symbol table imply.
+shape that the config and the symbol table imply, and every symbol must
+be a distinct string.
 """
 
 from __future__ import annotations
@@ -78,12 +79,25 @@ def _weights(arrays: dict, shapes: dict) -> list[np.ndarray]:
     return out
 
 
+def _symbols(names: list, key: str) -> list[str]:
+    """``names`` if every entry is a string that occurs once; otherwise a
+    ModelFormatError naming ``key`` and the first bad entry."""
+    seen = set()
+    for name in names:
+        if not isinstance(name, str):
+            raise ModelFormatError(f"{key}: entry {name!r} is not a string")
+        if name in seen:
+            raise ModelFormatError(f"{key}: entry {name!r} repeats")
+        seen.add(name)
+    return names
+
+
 def _build(doc: dict) -> LoadedModel:
     config = TrainConfig(**doc["config"])
     train_meta = doc.get("train_meta") or {}
     arch = doc["arch"]
     if arch == ARCH_CRF:
-        features = doc["feature_index"]
+        features = _symbols(doc["feature_index"], "feature_index")
         n = N_LABELS
         w_emit, w_trans, w_start = _weights(doc["arrays"], {
             "w_emit": (len(features), n), "w_trans": (n, n), "w_start": (n,),
@@ -92,7 +106,7 @@ def _build(doc: dict) -> LoadedModel:
                            w_emit, w_trans, w_start)
         return LoadedModel(ARCH_CRF, params, config, None, train_meta)
     if arch == ARCH_BLSTM:
-        vocab = Vocab(id_to_word=tuple(doc["vocab"]))
+        vocab = Vocab(id_to_word=tuple(_symbols(doc["vocab"], "vocab")))
         d, h = config.d_emb, config.d_hid
         params = BlstmParams(*_weights(doc["arrays"], {
             "embed": (vocab.size, d),

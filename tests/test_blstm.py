@@ -1,5 +1,6 @@
-"""BLSTM tagger: forward pass, gradients, masking, training loop."""
+"""BLSTM tagger: forward pass, gradients, padding, training loop."""
 
+from typing import Optional, Sequence
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vidtriage.medterm import LABELS, TaggedSentence
+from vidtriage.numeric import logsumexp, sigmoid
 from vidtriage.seqtag import (
     PAD_ID,
     UNK_ID,
@@ -20,7 +22,9 @@ from vidtriage.seqtag import (
     train_blstm,
 )
 from vidtriage.seqtag import blstm
-from vidtriage.seqtag.blstm import PARAM_NAMES
+from vidtriage.seqtag._trainutil import _check_corpus, _pad_batch
+from vidtriage.seqtag.blstm import (N_LABELS, PARAM_NAMES, BlstmParams,
+                                    _summed_nll)
 
 B, I, O = "B-MED", "I-MED", "O"
 
@@ -33,9 +37,9 @@ def small_params(seed=0, vocab_size=9, d_emb=3, d_hid=4):
 
 def forward_one(params, token_ids):
     """Label log-probabilities of one sentence, shape (T, 3), from a
-    one-row padded batch."""
-    ids, mask = blstm._pad_batch([token_ids], PAD_ID)
-    return blstm._forward_batch(params, ids, mask)[-1][0]
+    one-row batch."""
+    proj = blstm._project(params, [token_ids])
+    return blstm._forward_batch(params, proj, [token_ids])[-1][0]
 
 
 # ----------------------------------------------------------------- vocab
@@ -79,7 +83,7 @@ def test_init_forget_bias_one():
     assert params.b_fwd[:d].max() == 0.0
 
 
-# --------------------------------------------------------------- masking
+# --------------------------------------------------------------- padding
 
 
 def test_padding_does_not_change_loss():
@@ -140,6 +144,202 @@ def test_pad_embedding_gets_no_gradient():
     params = small_params()
     _, grads = blstm_loss_grad(params, [[2, 5, 7], [4]], [[0, 1, 2], [2]])
     np.testing.assert_array_equal(grads["embed"][PAD_ID], 0.0)
+
+
+# ------------------------------------------------------ reference oracle
+#
+# The masked recurrence that the live-row, per-distinct-id one replaced,
+# kept verbatim: every step runs every row on the concatenated [x_t, h]
+# with the full weight, blends the new state with the old by the padding
+# mask, and scatters per-token input gradients into the embedding.
+
+
+def _ref_run_direction(
+    w: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    mask: np.ndarray,
+    reverse: bool,
+    steps: Optional[list[dict]] = None,
+) -> np.ndarray:
+    """One LSTM pass over a padded batch; returns the hidden states.
+
+    On a padding step the mask holds h and c at their previous values, so
+    right-padded sequences behave exactly like unpadded ones. Given a
+    ``steps`` list, each step's gate cache is appended to it for
+    backpropagation; decoding passes none and keeps only h and c.
+    """
+    n, t_max, _ = x.shape
+    h_dim = w.shape[0] // 4
+    h = np.zeros((n, h_dim))
+    c = np.zeros((n, h_dim))
+    h_out = np.zeros((n, t_max, h_dim))
+    order = range(t_max - 1, -1, -1) if reverse else range(t_max)
+    for t in order:
+        z = np.concatenate([x[:, t], h], axis=1) @ w.T + b
+        ifo = sigmoid(z[:, :3 * h_dim])
+        gate_i = ifo[:, :h_dim]
+        gate_f = ifo[:, h_dim:2 * h_dim]
+        gate_o = ifo[:, 2 * h_dim:]
+        gate_g = np.tanh(z[:, 3 * h_dim:])
+        c_hat = gate_f * c + gate_i * gate_g
+        tanh_c = np.tanh(c_hat)
+        m = mask[:, t][:, None]
+        if steps is not None:
+            steps.append({
+                "t": t, "h_prev": h, "c_prev": c, "i": gate_i, "f": gate_f,
+                "o": gate_o, "g": gate_g, "tanh_c": tanh_c, "m": m,
+            })
+        c = m * c_hat + (1.0 - m) * c
+        h = m * (gate_o * tanh_c) + (1.0 - m) * h
+        h_out[:, t] = h
+    return h_out
+
+
+def _ref_back_direction(
+    w: np.ndarray,
+    x: np.ndarray,
+    steps: list[dict],
+    dh_out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n, _, d = x.shape
+    h_dim = w.shape[0] // 4
+    g_w = np.zeros_like(w)
+    g_b = np.zeros(w.shape[0])
+    dx = np.zeros_like(x)
+    dh = np.zeros((n, h_dim))
+    dc = np.zeros((n, h_dim))
+    for step in reversed(steps):
+        t = step["t"]
+        m = step["m"]
+        dh = dh + dh_out[:, t]
+        dh_hat = m * dh
+        dh_prev = (1.0 - m) * dh
+        dc_hat = m * dc + dh_hat * step["o"] * (1.0 - step["tanh_c"] ** 2)
+        dc = (1.0 - m) * dc + dc_hat * step["f"]
+        d_i = dc_hat * step["g"] * step["i"] * (1.0 - step["i"])
+        d_f = dc_hat * step["c_prev"] * step["f"] * (1.0 - step["f"])
+        d_o = dh_hat * step["tanh_c"] * step["o"] * (1.0 - step["o"])
+        d_g = dc_hat * step["i"] * (1.0 - step["g"] ** 2)
+        dz = np.concatenate([d_i, d_f, d_o, d_g], axis=1)
+        inp = np.concatenate([x[:, t], step["h_prev"]], axis=1)
+        g_w += dz.T @ inp
+        g_b += dz.sum(axis=0)
+        dinp = dz @ w
+        dx[:, t] = dinp[:, :d]
+        dh = dh_prev + dinp[:, d:]
+    return g_w, g_b, dx
+
+
+def _ref_forward_batch(params: BlstmParams, ids: np.ndarray,
+                       mask: np.ndarray, keep_steps: bool = False):
+    """Padded forward pass; the step caches are kept only for training."""
+    x = params.embed[ids]
+    steps_f, steps_b = ([], []) if keep_steps else (None, None)
+    h_f = _ref_run_direction(params.w_fwd, params.b_fwd, x, mask, False,
+                             steps_f)
+    h_b = _ref_run_direction(params.w_bwd, params.b_bwd, x, mask, True,
+                             steps_b)
+    h2 = np.concatenate([h_f, h_b], axis=2)
+    logits = h2 @ params.w_out.T + params.b_out
+    logp = logits - logsumexp(logits, axis=2, keepdims=True)
+    return x, h2, steps_f, steps_b, logp
+
+
+def _ref_blstm_loss_grad(
+    params: BlstmParams,
+    batch_ids: Sequence[Sequence[int]],
+    batch_labels: Sequence[Sequence[int]],
+    l2: float = 0.0,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean per-token cross-entropy plus L2, with gradients for every block.
+
+    The cross-entropy sum is divided by the number of real tokens in the
+    batch, so duplicating every sentence leaves the loss unchanged. The L2
+    term is `l2` times the sum of squares of all parameters.
+    """
+    _check_corpus(batch_ids, batch_labels)
+    ids, mask = _pad_batch(batch_ids, PAD_ID)
+    labels, _ = _pad_batch(batch_labels, 0)
+    n, t_max = ids.shape
+    n_tokens = float(mask.sum())
+    x, h2, steps_f, steps_b, logp = _ref_forward_batch(params, ids, mask,
+                                                       keep_steps=True)
+
+    rows = np.arange(n)[:, None]
+    cols = np.arange(t_max)[None, :]
+    loss = _summed_nll(logp, labels, mask) / n_tokens
+
+    dlogits = np.exp(logp)
+    dlogits[rows, cols, labels] -= 1.0
+    dlogits *= (mask / n_tokens)[:, :, None]
+    g_wout = np.einsum("ntl,nth->lh", dlogits, h2)
+    g_bout = dlogits.sum(axis=(0, 1))
+    dh2 = dlogits @ params.w_out
+    h_dim = params.d_hid
+    g_wf, g_bf, dx_f = _ref_back_direction(params.w_fwd, x, steps_f,
+                                           dh2[:, :, :h_dim])
+    g_wb, g_bb, dx_b = _ref_back_direction(params.w_bwd, x, steps_b,
+                                           dh2[:, :, h_dim:])
+    g_embed = np.zeros_like(params.embed)
+    np.add.at(g_embed, ids, dx_f + dx_b)
+    grads = {
+        "embed": g_embed,
+        "w_fwd": g_wf, "b_fwd": g_bf,
+        "w_bwd": g_wb, "b_bwd": g_bb,
+        "w_out": g_wout, "b_out": g_bout,
+    }
+    if l2:
+        for name, w in zip(PARAM_NAMES, params.arrays()):
+            loss += l2 * float(np.sum(w * w))
+            grads[name] += 2.0 * l2 * w
+    return loss, grads
+
+
+@st.composite
+def oracle_cases(draw):
+    """Unsorted batches of 1-20 sentences of length 1-15 (sometimes all
+    of one length) over a vocabulary of 2-12 ids, so ids repeat and <unk>
+    and <pad> ids occur; small random widths; l2 zero or not."""
+    vocab_size = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 15))] * n
+    else:
+        lengths = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    ids = [draw(st.lists(st.integers(0, vocab_size - 1), min_size=k,
+                         max_size=k)) for k in lengths]
+    labels = [draw(st.lists(st.integers(0, N_LABELS - 1), min_size=k,
+                            max_size=k)) for k in lengths]
+    params = small_params(seed=draw(st.integers(0, 2**32 - 1)),
+                          vocab_size=vocab_size,
+                          d_emb=draw(st.integers(1, 6)),
+                          d_hid=draw(st.integers(1, 6)))
+    # Larger weights than the init's, so that every gate saturates
+    # differently and an error cannot hide in a near-zero gradient.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for w in params.arrays():
+        w += rng.normal(0.0, 0.5, size=w.shape)
+    return params, ids, labels, draw(st.sampled_from([0.0, 1e-3, 0.1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases())
+def test_recurrence_matches_masked_oracle(case):
+    params, ids, labels, l2 = case
+    logp = blstm._forward_batch(params, blstm._project(params, ids), ids)[-1]
+    padded, mask = _pad_batch(ids, PAD_ID)
+    ref_logp = _ref_forward_batch(params, padded, mask)[-1]
+    real = mask.astype(bool)
+    np.testing.assert_allclose(logp[real], ref_logp[real], rtol=0,
+                               atol=1e-12)
+
+    loss, grads = blstm_loss_grad(params, ids, labels, l2)
+    ref_loss, ref_grads = _ref_blstm_loss_grad(params, ids, labels, l2)
+    assert abs(loss - ref_loss) <= 1e-12
+    for name in PARAM_NAMES:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0,
+                                   atol=1e-12, err_msg=name)
 
 
 # -------------------------------------------------------------- training
@@ -211,18 +411,9 @@ def test_tag_with_blstm_outputs_well_formed():
             prev = lab
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    lengths=st.lists(st.integers(1, 12), min_size=blstm.EVAL_BATCH + 1,
-                     max_size=3 * blstm.EVAL_BATCH),
-    empty_at=st.lists(st.integers(0, 3 * blstm.EVAL_BATCH), max_size=8),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
-    # More non-empty sentences than one batch holds, with empty ones
-    # mixed in.
-    for i in empty_at:
-        lengths.insert(i, 0)
+def _assert_batched_tagging_matches(lengths, seed):
+    """Tagging sentences of these lengths in one call gives each one the
+    log-probabilities and labels that tagging it alone gives."""
     rng = np.random.default_rng(seed)
     words = ["polyp", "water", "colitis", "advice", "colon", "visit"]
     vocab = build_vocab([TaggedSentence(tokens=tuple(words),
@@ -236,22 +427,48 @@ def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
     batches = []
     forward = blstm._forward_batch
 
-    def recording(p, ids, mask):
-        out = forward(p, ids, mask)
-        batches.append((ids, mask, out[-1]))
+    def recording(p, proj, batch_ids, keep_steps=False):
+        out = forward(p, proj, batch_ids, keep_steps)
+        batches.append((batch_ids, out[-1]))
         return out
 
     with mock.patch.object(blstm, "_forward_batch", recording):
         tagged = tag_with_blstm(params, vocab, sentences)
-    n_real = len(lengths) - len(empty_at)
+    n_real = sum(1 for n in lengths if n)
     assert len(batches) == -(-n_real // blstm.EVAL_BATCH) >= 2
-    for ids, mask, logp in batches:
-        for row_ids, row_mask, row_logp in zip(ids, mask, logp):
-            n = int(row_mask.sum())
-            single = forward_one(params, row_ids[:n].tolist())
+    for batch_ids, logp in batches:
+        for row_ids, row_logp in zip(batch_ids, logp):
+            n = len(row_ids)
+            single = forward_one(params, list(row_ids))
             np.testing.assert_allclose(row_logp[:n], single, rtol=0,
                                        atol=1e-12)
     for tokens, labels in zip(sentences, tagged):
         logp = forward_one(params, vocab.encode(tokens))
         expected = repair_bio([LABELS[i] for i in np.argmax(logp, axis=1)])
         assert labels == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 12), min_size=blstm.EVAL_BATCH + 1,
+                     max_size=3 * blstm.EVAL_BATCH),
+    empty_at=st.lists(st.integers(0, 3 * blstm.EVAL_BATCH), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
+    # More non-empty sentences than one batch holds, with empty ones
+    # mixed in.
+    for i in empty_at:
+        lengths.insert(i, 0)
+    _assert_batched_tagging_matches(lengths, seed)
+
+
+@pytest.mark.parametrize("lengths", [
+    [3] * (blstm.EVAL_BATCH + 5),
+    [1] * (blstm.EVAL_BATCH - 2) + [4] * 5,
+], ids=["all-one-length", "long-run-straddles"])
+def test_batched_tagging_across_batch_boundary(lengths):
+    # Equal lengths on both sides of a batch boundary: in the second case
+    # the first batch's last steps run only its two length-4 rows, and
+    # the next batch runs all of its rows at every step.
+    _assert_batched_tagging_matches(lengths, seed=7)

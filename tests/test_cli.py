@@ -651,6 +651,14 @@ def _set_nan(*keys):
     return edit
 
 
+def _set_symbols(key, *names):
+    """Edit that overwrites the symbol list ``doc[key]`` from index 2 on
+    with ``names``, past the ids a vocab reserves."""
+    def edit(doc):
+        doc[key][2:2 + len(names)] = names
+    return edit
+
+
 @pytest.mark.parametrize("model, edit, command, key", [
     ("clf_medical_info.json", lambda doc: doc.pop("target"),
      ["classify"], "'target'"),
@@ -661,8 +669,16 @@ def _set_nan(*keys):
     ("tagger_crf.json", _set_nan("arrays", "w_trans", "data", 0),
      ["tag", "--arch", "crf"], "w_trans"),
     ("tagger_blstm.json", None, ["tag", "--arch", "blstm"], None),
+    ("tagger_crf.json", _set_symbols("feature_index", "w=dup", "w=dup"),
+     ["tag", "--arch", "crf"], "'w=dup' repeats"),
+    ("tagger_blstm.json", _set_symbols("vocab", "dupword", "dupword"),
+     ["tag", "--arch", "blstm"], "'dupword' repeats"),
+    ("tagger_blstm.json", _set_symbols("vocab", 7),
+     ["tag", "--arch", "blstm"], "entry 7 is not a string"),
 ], ids=["classify-no-target", "classify-nan-coefficient",
-        "report6-nan-p-value", "tag-nan-crf-weight", "tag-truncated-blstm"])
+        "report6-nan-p-value", "tag-nan-crf-weight", "tag-truncated-blstm",
+        "tag-repeated-crf-feature", "tag-repeated-blstm-word",
+        "tag-non-string-blstm-word"])
 def test_corrupt_model_exits_1_naming_file(tmp_path, model_work, caplog,
                                            capsys, model, edit, command,
                                            key):
