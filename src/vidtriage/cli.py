@@ -62,6 +62,31 @@ _CLF_METRICS_HEADER = ("target", "precision_pos", "recall_pos",
                        "f_measure_pos", "precision_neg", "recall_neg",
                        "f_measure_neg", "accuracy", "n_test_videos")
 
+# Every file the stages write under the work directory, by name, as a
+# template relative to it. Commands reach work-dir files only through
+# _output and _input.
+_FILES = {
+    "videos": "corpus/videos.jsonl",
+    "transcripts": "corpus/transcripts.jsonl",
+    "ocr": "corpus/ocr.jsonl",
+    "labels": "corpus/labels.jsonl",
+    "text_features": "features/text_features.tsv",
+    "ner_corpus": "ner/corpus.conll",
+    "tagger": "models/tagger_{arch}.json",
+    "tagged": "ner/tagged_{arch}.conll",
+    "term_counts": "ner/term_counts.tsv",
+    "features": "features/features.tsv",
+    "clf": "models/clf_{target}.json",
+    "predictions": "predictions/{target}.tsv",
+    "tagger_metrics": "eval/tagger_metrics.tsv",
+    "tagger_span_metrics": "eval/tagger_span_metrics.tsv",
+    "clf_metrics": "eval/clf_metrics.tsv",
+    "report": "reports/table{table}.tsv",
+}
+# The corpus files, each named as its CorpusStore attribute and its
+# config key.
+_CORPUS_FILES = ("videos", "transcripts", "ocr", "labels")
+
 _LEXICON_FILES = {
     "transition": "transition_words.txt",
     "summary": "summary_words.txt",
@@ -75,7 +100,7 @@ _LEXICON_FILES = {
 # keys. Tagger keys take the types of TrainConfig's defaults.
 _CONFIG_TYPES = {
     "seed": int, "work_dir": str, "split_fraction": float, "dictionary": str,
-    "corpus": dict.fromkeys(("videos", "transcripts", "ocr", "labels"), str),
+    "corpus": dict.fromkeys(_CORPUS_FILES, str),
     "lexicons": dict.fromkeys(_LEXICON_FILES, str),
     "tagger": {f.name: type(f.default) for f in fields(TrainConfig)
                if f.name != "seed"},
@@ -92,13 +117,14 @@ class PipelineConfig:
     seed: Optional[int] = None
     work_dir: Path = Path("work")
     split_fraction: float = 0.8
-    corpus_paths: dict = field(default_factory=dict)
-    dictionary: Optional[Path] = None
+    corpus: dict = field(default_factory=dict)
+    dictionary: Optional[str] = None
     lexicons: dict = field(default_factory=dict)
     tagger: dict = field(default_factory=dict)
     classifier: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.work_dir = Path(self.work_dir)
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
 
@@ -149,21 +175,11 @@ def _check_config(path: Path, doc: dict, types: dict, section: str) -> None:
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     doc = _load_config_file(args.config) if args.config else {}
-    cfg = PipelineConfig(
-        seed=doc.get("seed"),
-        work_dir=Path(doc.get("work_dir", "work")),
-        split_fraction=float(doc.get("split_fraction", 0.8)),
-        corpus_paths={k: Path(v) for k, v in doc.get("corpus", {}).items()},
-        dictionary=Path(doc["dictionary"]) if "dictionary" in doc else None,
-        lexicons=doc.get("lexicons", {}),
-        tagger=dict(doc.get("tagger", {})),
-        classifier=dict(doc.get("classifier", {})),
-    )
     if args.seed is not None:
-        cfg.seed = args.seed
+        doc["seed"] = args.seed
     if args.work_dir is not None:
-        cfg.work_dir = args.work_dir
-    return cfg
+        doc["work_dir"] = args.work_dir
+    return PipelineConfig(**doc)
 
 
 def _require(path: Path) -> Path:
@@ -172,17 +188,20 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _corpus_dir(cfg) -> Path:
-    return cfg.work_dir / "corpus"
+def _output(cfg: PipelineConfig, name: str, **fields) -> Path:
+    """The work-dir path of file ``name``, its template filled by
+    ``fields``."""
+    return cfg.work_dir / _FILES[name].format(**fields)
+
+
+def _input(cfg: PipelineConfig, name: str, **fields) -> Path:
+    """Like _output, for a file the stage reads: it must exist."""
+    return _require(_output(cfg, name, **fields))
 
 
 def _load_work_corpus(cfg: PipelineConfig) -> corpuslib.CorpusStore:
-    cdir = _corpus_dir(cfg)
     return corpuslib.load_corpus(
-        _require(cdir / "videos.jsonl"),
-        _require(cdir / "transcripts.jsonl"),
-        _require(cdir / "ocr.jsonl"),
-        _require(cdir / "labels.jsonl"),
+        *[_input(cfg, name) for name in _CORPUS_FILES]
     )
 
 
@@ -198,17 +217,14 @@ def _load_lexicons(cfg) -> tuple[textfeat.Lexicon, ...]:
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
-    cdir = _corpus_dir(cfg)
-
     videos_path = args.api_response or args.videos \
-        or cfg.corpus_paths.get("videos")
+        or cfg.corpus.get("videos")
     if videos_path is None:
         raise ValueError("ingest needs --videos or --api-response")
 
     paths = {}
-    for name, flag in (("transcripts", args.transcripts),
-                       ("ocr", args.ocr), ("labels", args.labels)):
-        paths[name] = flag or cfg.corpus_paths.get(name)
+    for name in _CORPUS_FILES[1:]:
+        paths[name] = getattr(args, name) or cfg.corpus.get(name)
         if paths[name] is None:
             raise ValueError(f"ingest needs --{name} (or a config entry)")
 
@@ -234,13 +250,10 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
         log.info("validated %d search-result rows against the keyword list",
                  n_rows)
 
-    def by_id(mapping):
-        return [mapping[k] for k in sorted(mapping)]
-
-    corpuslib.write_jsonl(cdir / "videos.jsonl", by_id(store.videos))
-    corpuslib.write_jsonl(cdir / "transcripts.jsonl", by_id(store.transcripts))
-    corpuslib.write_jsonl(cdir / "ocr.jsonl", by_id(store.ocr))
-    corpuslib.write_jsonl(cdir / "labels.jsonl", by_id(store.labels))
+    for name in _CORPUS_FILES:
+        by_id = getattr(store, name)
+        corpuslib.write_jsonl(_output(cfg, name),
+                              [by_id[k] for k in sorted(by_id)])
 
     print(store.summary.one_line())
     return EXIT_OK
@@ -285,13 +298,31 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
     transition, summary, verbs = _load_lexicons(cfg)
     blocks = clf.compute_text_features(store, transition, summary, verbs)
     rows = clf.doc_feature_records(store, blocks)
-    out = cfg.work_dir / "features" / "text_features.tsv"
+    out = _output(cfg, "text_features")
     clf.write_features_tsv(rows, out, _TEXT_FEATURES_HEADER)
     print(f"wrote text features for {len(rows)} videos -> {out}")
     return EXIT_OK
 
 
 # ------------------------------------------------------- build-ner-corpus
+
+
+def _video_sentences(store: corpuslib.CorpusStore,
+                     source: str) -> tuple[list, list]:
+    """Every video's ``source`` text (description or transcript) split
+    into token sentences, in video-id order, with each sentence's video
+    id."""
+    sentences, video_ids = [], []
+    for vid in sorted(store.videos):
+        if source == "description":
+            text = store.videos[vid].description
+        else:
+            tdoc = store.transcripts.get(vid)
+            text = tdoc.text if tdoc is not None else ""
+        sents = textfeat.tokenize(text).sentence_tokens()
+        sentences.extend(sents)
+        video_ids.extend([vid] * len(sents))
+    return sentences, video_ids
 
 
 def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
@@ -301,24 +332,16 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
         _require(dict_path),
         stopwords=textfeat.load_stopwords(cfg.lexicon_path("stopwords")),
     )
-    sentences, video_ids = [], []
-    n_videos = 0
-    for vid in sorted(store.videos):
-        sents = textfeat.tokenize(
-            store.videos[vid].description
-        ).sentence_tokens()
-        if sents:
-            n_videos += 1
-        sentences.extend(sents)
-        video_ids.extend([vid] * len(sents))
+    sentences, video_ids = _video_sentences(store, "description")
     # One call projects every video's sentences, so the dictionary's
     # matcher is built once; labels come back in the same order.
     tagged = medterm.project_labels(dictionary, sentences, mode=args.mode)
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
-    out = cfg.work_dir / "ner" / "corpus.conll"
+    out = _output(cfg, "ner_corpus")
     medterm.write_conll(tagged, out, video_ids=video_ids)
-    print(f"projected {len(tagged)} sentences from {n_videos} videos -> {out}")
+    print(f"projected {len(tagged)} sentences from {len(set(video_ids))} "
+          f"videos -> {out}")
     return EXIT_OK
 
 
@@ -336,7 +359,7 @@ def _tagger_train_config(cfg: PipelineConfig, args, seed: int) -> TrainConfig:
 
 def _split_conll(cfg, seed):
     """Read the BIO corpus and split it at the video level."""
-    conll = _require(cfg.work_dir / "ner" / "corpus.conll")
+    conll = _input(cfg, "ner_corpus")
     sentences, video_ids = medterm.read_conll(conll)
     ids = sorted({v for v in video_ids if v is not None})
     if not ids:
@@ -369,7 +392,7 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
         "n_test_sentences": len(test),
         "epochs_run": len(history),
     }
-    out = cfg.work_dir / "models" / f"tagger_{args.arch}.json"
+    out = _output(cfg, "tagger", arch=args.arch)
     save_model(out, params, config, vocab=vocab, train_meta=meta)
     print(
         f"trained {args.arch} tagger on {len(train)} sentences "
@@ -382,45 +405,31 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_tag(cfg: PipelineConfig, args) -> int:
-    model_path = _require(
-        cfg.work_dir / "models" / f"tagger_{args.arch}.json"
-    )
-    model = load_model(model_path)
+    model = load_model(_input(cfg, "tagger", arch=args.arch))
     store = _load_work_corpus(cfg)
-    per_video = {}
-    for vid in sorted(store.videos):
-        if args.source == "description":
-            text = store.videos[vid].description
-        else:
-            tdoc = store.transcripts.get(vid)
-            text = tdoc.text if tdoc is not None else ""
-        per_video[vid] = textfeat.tokenize(text).sentence_tokens()
+    sentences, video_ids = _video_sentences(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
     # videos; the labels come back in the same order.
-    predicted = iter(tag_sentences(
-        model, [s for sentences in per_video.values() for s in sentences]
-    ))
-    tagged, video_ids = [], []
-    counts = {}
-    for vid, sentences in per_video.items():
-        sents = [
-            medterm.TaggedSentence(tokens=tuple(s), labels=tuple(p))
-            for s, p in zip(sentences, predicted)
-        ]
-        counts[vid] = medterm.unique_medical_terms(sents)
-        tagged.extend(sents)
-        video_ids.extend([vid] * len(sents))
-    ner_dir = cfg.work_dir / "ner"
-    medterm.write_conll(tagged, ner_dir / f"tagged_{args.arch}.conll",
+    tagged = [
+        medterm.TaggedSentence(tokens=tuple(s), labels=tuple(p))
+        for s, p in zip(sentences, tag_sentences(model, sentences))
+    ]
+    # Every video gets a count, 0 if it has no sentences.
+    per_video = {vid: [] for vid in sorted(store.videos)}
+    for vid, sentence in zip(video_ids, tagged):
+        per_video[vid].append(sentence)
+    medterm.write_conll(tagged, _output(cfg, "tagged", arch=args.arch),
                         video_ids=video_ids)
+    out = _output(cfg, "term_counts")
     write_tsv(
-        ner_dir / "term_counts.tsv",
+        out,
         _TERM_COUNTS_HEADER,
-        [[vid, str(counts[vid])] for vid in sorted(counts)],
+        [[vid, str(medterm.unique_medical_terms(sents))]
+         for vid, sents in per_video.items()],
     )
     print(
-        f"tagged {len(tagged)} sentences across {len(counts)} videos "
-        f"with {args.arch} -> {ner_dir / 'term_counts.tsv'}"
+        f"tagged {len(tagged)} sentences across {len(per_video)} videos "
+        f"with {args.arch} -> {out}"
     )
     return EXIT_OK
 
@@ -431,12 +440,10 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
     doc_rows = {row.video_id: row for row in clf.read_features_tsv(
-        _require(cfg.work_dir / "features" / "text_features.tsv"),
-        _TEXT_FEATURES_HEADER,
+        _input(cfg, "text_features"), _TEXT_FEATURES_HEADER,
     )}
     counts = dict(read_tsv(
-        _require(cfg.work_dir / "ner" / "term_counts.tsv"),
-        _TERM_COUNTS_HEADER,
+        _input(cfg, "term_counts"), _TERM_COUNTS_HEADER,
         lambda cells: (cells[0], int(cells[1])),
     ))
     # One row per labeled video, sorted by id: its document features
@@ -453,7 +460,7 @@ def cmd_assemble(cfg: PipelineConfig, args) -> int:
             understandable=labels.understandable,
             recommended=labels.recommended,
         ))
-    out = cfg.work_dir / "features" / "features.tsv"
+    out = _output(cfg, "features")
     clf.write_features_tsv(rows, out)
     print(f"assembled features for {len(rows)} labeled videos -> {out}")
     return EXIT_OK
@@ -464,9 +471,7 @@ def cmd_assemble(cfg: PipelineConfig, args) -> int:
 
 def cmd_train_clf(cfg: PipelineConfig, args) -> int:
     seed = cfg.require_seed()
-    rows = clf.read_features_tsv(
-        _require(cfg.work_dir / "features" / "features.tsv")
-    )
+    rows = clf.read_features_tsv(_input(cfg, "features"))
     ids = [row.video_id for row in rows]
     train_videos, test_videos = clf.split_ids(ids, seed, cfg.split_fraction)
     train_set = set(train_videos)
@@ -484,7 +489,7 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
             "test_videos": test_videos,
         },
     )
-    out = cfg.work_dir / "models" / f"clf_{args.target}.json"
+    out = _output(cfg, "clf", target=args.target)
     clf.save_lr_model(out, model)
     print(
         f"trained {args.target} classifier on {len(train_rows)} videos "
@@ -496,27 +501,27 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
 # --------------------------------------------------------------- classify
 
 
-def _clf_model_path(cfg, target: str) -> Path:
-    return cfg.work_dir / "models" / f"clf_{target}.json"
+def _load_classifiers(cfg: PipelineConfig) -> dict[str, clf.LrModel]:
+    return {target: clf.load_lr_model(_input(cfg, "clf", target=target))
+            for target in clf.TARGETS}
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    rows = clf.read_features_tsv(
-        _require(cfg.work_dir / "features" / "features.tsv")
-    )
-    out_dir = cfg.work_dir / "predictions"
-    for target in clf.TARGETS:
-        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
+    rows = clf.read_features_tsv(_input(cfg, "features"))
+    # Every model loads before any prediction is written, so a bad model
+    # leaves the previous predictions whole.
+    for target, model in _load_classifiers(cfg).items():
         p, labels = clf.predict_batch(model, rows)
+        out = _output(cfg, "predictions", target=target)
         write_tsv(
-            out_dir / f"{target}.tsv",
+            out,
             _PREDICTIONS_HEADER,
             [[row.video_id, f"{prob:.6f}", str(int(lab))]
              for row, prob, lab in zip(rows, p, labels)],
         )
     print(
         f"classified {len(rows)} videos for {len(clf.TARGETS)} "
-        f"targets -> {out_dir}"
+        f"targets -> {out.parent}"
     )
     return EXIT_OK
 
@@ -529,13 +534,10 @@ def _prf_cells(m: TagMetrics) -> list[str]:
 
 
 def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
-    conll = _require(cfg.work_dir / "ner" / "corpus.conll")
-    sentences, video_ids = medterm.read_conll(conll)
+    sentences, video_ids = medterm.read_conll(_input(cfg, "ner_corpus"))
     token_rows, span_rows = [], []
     for arch in ARCHS:
-        model = load_model(
-            _require(cfg.work_dir / "models" / f"tagger_{arch}.json")
-        )
+        model = load_model(_input(cfg, "tagger", arch=arch))
         test_videos = set(model.train_meta.get("test_videos", []))
         if not test_videos:
             raise ValueError(
@@ -552,26 +554,19 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
         span_rows.append([arch, *_prf_cells(spans), str(len(gold))])
         log.info("%s token F=%.3f on %d test sentences",
                  arch, token.f_measure, len(gold))
-    eval_dir = cfg.work_dir / "eval"
-    write_tsv(eval_dir / "tagger_metrics.tsv", _TAGGER_METRICS_HEADER,
-              token_rows)
-    write_tsv(eval_dir / "tagger_span_metrics.tsv", _TAGGER_METRICS_HEADER,
+    out = _output(cfg, "tagger_metrics")
+    write_tsv(out, _TAGGER_METRICS_HEADER, token_rows)
+    write_tsv(_output(cfg, "tagger_span_metrics"), _TAGGER_METRICS_HEADER,
               span_rows)
-    print(
-        f"evaluated {len(ARCHS)} taggers -> "
-        f"{eval_dir / 'tagger_metrics.tsv'}"
-    )
+    print(f"evaluated {len(ARCHS)} taggers -> {out}")
     return EXIT_OK
 
 
 def _eval_classifiers(cfg: PipelineConfig) -> None:
-    rows = clf.read_features_tsv(
-        _require(cfg.work_dir / "features" / "features.tsv")
-    )
+    rows = clf.read_features_tsv(_input(cfg, "features"))
     by_id = {row.video_id: row for row in rows}
     out_rows = []
-    for target in clf.TARGETS:
-        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
+    for target, model in _load_classifiers(cfg).items():
         test_videos = model.train_meta.get("test_videos", [])
         test_rows = [by_id[v] for v in test_videos if v in by_id]
         if not test_rows:
@@ -584,19 +579,15 @@ def _eval_classifiers(cfg: PipelineConfig) -> None:
         ])
         log.info("%s accuracy=%.3f on %d test videos",
                  target, metrics.accuracy, len(test_rows))
-    eval_dir = cfg.work_dir / "eval"
-    write_tsv(eval_dir / "clf_metrics.tsv", _CLF_METRICS_HEADER, out_rows)
-    print(
-        f"evaluated {len(clf.TARGETS)} classifiers -> "
-        f"{eval_dir / 'clf_metrics.tsv'}"
-    )
+    out = _output(cfg, "clf_metrics")
+    write_tsv(out, _CLF_METRICS_HEADER, out_rows)
+    print(f"evaluated {len(clf.TARGETS)} classifiers -> {out}")
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
-    if args.kind in ("tagger", "all"):
+    if args.kind == "all":
         cmd_eval_tagger(cfg, args)
-    if args.kind in ("clf", "all"):
-        _eval_classifiers(cfg)
+    _eval_classifiers(cfg)
     return EXIT_OK
 
 
@@ -604,21 +595,21 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 # Tables 2, 5 and 7 copy metrics out of an evaluation table keyed by its
-# first column: table -> (evaluation file, its header, report header,
+# first column: table -> (evaluation file name, its header, report header,
 # rows). A row is (first cell, evaluation row key, metric columns), padded
 # with empty cells to the report header's width.
 _METRIC_REPORTS = {
-    "2": ("tagger_metrics.tsv", _TAGGER_METRICS_HEADER,
+    "2": ("tagger_metrics", _TAGGER_METRICS_HEADER,
           ("model", "precision", "recall", "f_measure"),
           [(arch, arch, ("precision", "recall", "f_measure"))
            for arch in ARCHS]),
-    "5": ("clf_metrics.tsv", _CLF_METRICS_HEADER,
+    "5": ("clf_metrics", _CLF_METRICS_HEADER,
           ("classifier", "precision", "recall", "f_measure",
            "overall_accuracy"),
           [(t, t, ("precision_pos", "recall_pos", "f_measure_pos",
                    "accuracy"))
            for t in ("medical_info", "understandability")]),
-    "7": ("clf_metrics.tsv", _CLF_METRICS_HEADER,
+    "7": ("clf_metrics", _CLF_METRICS_HEADER,
           ("class", "precision", "recall", "f_measure"),
           [("recommended", "recommendation",
             ("precision_pos", "recall_pos", "f_measure_pos")),
@@ -629,7 +620,7 @@ _METRIC_REPORTS = {
 
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
-    out = args.output or cfg.work_dir / "reports" / f"table{args.table}.tsv"
+    out = _output(cfg, "report", table=args.table)
     if args.table == "6":
         write_tsv(out, ("coefficient",
                         "recommendation_estimate", "recommendation_p",
@@ -638,7 +629,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
                   _table6_rows(cfg))
     else:
         source, source_header, header, spec = _METRIC_REPORTS[args.table]
-        path = _require(cfg.work_dir / "eval" / source)
+        path = _input(cfg, source)
         metrics = dict(read_tsv(path, source_header, lambda cells: (
             cells[0], dict(zip(source_header[1:], map(float, cells[1:])))
         )))
@@ -657,8 +648,7 @@ def _table6_rows(cfg) -> list[list[str]]:
     """Coefficient table across the three models, sorted by the
     recommendation estimate descending; absent features print '-'."""
     per_target: dict[str, dict[str, tuple[float, float]]] = {}
-    for target in clf.TARGETS:
-        model = clf.load_lr_model(_require(_clf_model_path(cfg, target)))
+    for target, model in _load_classifiers(cfg).items():
         entries = {"(intercept)": (model.intercept, model.p_values[0])}
         for j, name in enumerate(model.spec.features):
             entries[name] = (model.coefficients[j], model.p_values[j + 1])
@@ -760,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate taggers and classifiers on their "
                             "test splits")
-    p.add_argument("--kind", choices=("tagger", "clf", "all"), default="all")
+    p.add_argument("--kind", choices=("clf", "all"), default="all")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-tagger", parents=[common],
@@ -770,7 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="render an evaluation table as TSV")
     p.add_argument("--table", choices=("2", "5", "6", "7"), required=True)
-    p.add_argument("--output", type=Path)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -1,10 +1,13 @@
 """Command-line pipeline: exit codes, ingest, config handling."""
 
+import ast
+import itertools
 import json
 import logging
 import math
 import os
 import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 
 import vidtriage
 import vidtriage.classify as clf
+from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.medterm import TaggedSentence, unique_medical_terms
@@ -40,11 +44,15 @@ def test_unknown_command_exits_64(capsys):
     capsys.readouterr()
 
 
-# A command and options that only duplicated what the defaults do.
+# A command and options that only duplicated what the defaults or
+# another command do, and the one option that wrote outside the work
+# directory.
 @pytest.mark.parametrize("argv", [
     ["eval-clf"], ["classify", "--target", "all"],
-    ["eval-tagger", "--arch", "crf"],
-], ids=["eval-clf", "classify-target", "eval-tagger-arch"])
+    ["eval-tagger", "--arch", "crf"], ["eval", "--kind", "tagger"],
+    ["report", "--table", "2", "--output", "x"],
+], ids=["eval-clf", "classify-target", "eval-tagger-arch", "eval-kind-tagger",
+        "report-output"])
 def test_removed_command_and_options_exit_64(capsys, argv):
     assert main(argv) == 64
     capsys.readouterr()
@@ -698,3 +706,95 @@ def test_corrupt_model_exits_1_naming_file(tmp_path, model_work, caplog,
     assert str(path) in caplog.text
     assert key is None or key in caplog.text
     assert "Traceback" not in caplog.text
+
+
+# ------------------------------------------------------ the file table
+
+
+@pytest.fixture(scope="module")
+def pipeline_work(tmp_path_factory):
+    """Work dir after every stage, both taggers and all four reports."""
+    root = tmp_path_factory.mktemp("pipeline")
+    work = _ingested_synthetic(root, seed=9)
+    steps = [
+        ["featurize"],
+        ["build-ner-corpus", "--dictionary",
+         str(root / "corpus" / "dictionary.tsv")],
+        *(["train-tagger", "--arch", arch, "--epochs", "15", "--lr", "1.0",
+           "--seed", "9"] for arch in cli.ARCHS),
+        *(["tag", "--arch", arch] for arch in cli.ARCHS),
+        ["assemble"],
+        *(["train-clf", "--target", target, "--seed", "9"]
+          for target in clf.TARGETS),
+        ["classify"], ["eval"],
+        *(["report", "--table", table] for table in ("2", "5", "6", "7")),
+    ]
+    for argv in steps:
+        assert main([*argv, "--work-dir", str(work)]) == 0, argv
+    return work
+
+
+def _expand(template):
+    """Every path ``template`` names across archs, targets and tables."""
+    values = {"arch": cli.ARCHS, "target": clf.TARGETS,
+              "table": ("2", "5", "6", "7")}
+    names = [f for _, f, _, _ in string.Formatter().parse(template) if f]
+    return {template.format(**dict(zip(names, combo)))
+            for combo in itertools.product(*(values[n] for n in names))}
+
+
+def test_file_table_names_every_file_the_stages_write(pipeline_work, capsys):
+    capsys.readouterr()
+    written = {p.relative_to(pipeline_work).as_posix()
+               for p in pipeline_work.rglob("*") if p.is_file()}
+    expanded = {name: _expand(t) for name, t in cli._FILES.items()}
+    for rel in written:
+        owners = [name for name, paths in expanded.items() if rel in paths]
+        assert len(owners) == 1, (rel, owners)
+    for name, paths in expanded.items():
+        assert paths <= written, (name, sorted(paths - written))
+
+
+def test_classify_with_a_missing_model_keeps_old_predictions(
+        tmp_path, pipeline_work, caplog, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline_work, work)
+    before = {p.name: p.read_bytes()
+              for p in (work / "predictions").iterdir()}
+    assert sorted(before) == sorted(f"{t}.tsv" for t in clf.TARGETS)
+    model = work / "models" / "clf_medical_info.json"
+    doc = json.loads(model.read_text())
+    doc["intercept"] += 1.0
+    model.write_text(json.dumps(doc))
+    (work / "models" / "clf_recommendation.json").unlink()
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main(["classify", "--work-dir", str(work)]) == 1
+    assert "clf_recommendation.json" in caplog.text
+    after = {p.name: p.read_bytes() for p in (work / "predictions").iterdir()}
+    assert after == before
+
+
+def _is_work_dir_join(node):
+    """``<anything>.work_dir / ...`` or ``work_dir / ...``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    left = node.left
+    return (isinstance(left, ast.Attribute) and left.attr == "work_dir"
+            or isinstance(left, ast.Name) and left.id == "work_dir")
+
+
+def test_work_dir_is_joined_only_in_output():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    in_functions = [func.name for func in ast.walk(tree)
+                    if isinstance(func, ast.FunctionDef)
+                    for node in ast.walk(func) if _is_work_dir_join(node)]
+    assert in_functions == ["_output"]
+    assert sum(map(_is_work_dir_join, ast.walk(tree))) == 1
+
+
+def test_file_templates_are_spelled_once_in_src():
+    src = Path(vidtriage.__file__).parent
+    text = "".join(p.read_text(encoding="utf-8") for p in src.rglob("*.py"))
+    for name, template in cli._FILES.items():
+        assert text.count(f'"{template}"') == 1, name
