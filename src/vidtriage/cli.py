@@ -335,7 +335,7 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
     sentences, video_ids = _video_sentences(store, "description")
     # One call projects every video's sentences, so the dictionary's
     # matcher is built once; labels come back in the same order.
-    tagged = medterm.project_labels(dictionary, sentences, mode=args.mode)
+    tagged = medterm.project_labels(dictionary, sentences)
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
     out = _output(cfg, "ner_corpus")
@@ -715,7 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sentences as BIO labels")
     p.add_argument("--dictionary", type=Path, metavar="PATH",
                    help="term dictionary TSV (default: the bundled one)")
-    p.add_argument("--mode", choices=("phrase", "word"), default="phrase")
     p.set_defaults(func=cmd_build_ner_corpus)
 
     p = sub.add_parser("train-tagger", parents=[common],

@@ -7,7 +7,7 @@ dynamic-programming inference. Both train deterministically from a seed.
 """
 
 from .config import TrainConfig
-from .vocab import UNK_ID, PAD_ID, Vocab, build_vocab
+from .vocab import UNK_ID, PAD_ID, build_vocab
 from .metrics import TagMetrics, evaluate_tagger, evaluate_tagger_spans, repair_bio
 from .crf import (
     CrfParams,
@@ -29,41 +29,8 @@ from ._trainutil import TrainingDivergedError
 from .model_io import (
     ARCH_BLSTM,
     ARCH_CRF,
-    LoadedModel,
     ModelFormatError,
     load_model,
     save_model,
     tag_sentences,
 )
-
-__all__ = [
-    "TrainConfig",
-    "UNK_ID",
-    "PAD_ID",
-    "Vocab",
-    "build_vocab",
-    "TagMetrics",
-    "evaluate_tagger",
-    "evaluate_tagger_spans",
-    "repair_bio",
-    "CrfParams",
-    "crf_log_partition",
-    "crf_sequence_score",
-    "crf_viterbi",
-    "crf_loss_grad",
-    "train_crf",
-    "tag_with_crf",
-    "BlstmParams",
-    "init_blstm",
-    "blstm_loss_grad",
-    "train_blstm",
-    "tag_with_blstm",
-    "TrainingDivergedError",
-    "ARCH_BLSTM",
-    "ARCH_CRF",
-    "LoadedModel",
-    "ModelFormatError",
-    "save_model",
-    "load_model",
-    "tag_sentences",
-]

@@ -1,4 +1,5 @@
-"""The training loop, checks, padding and batched decode of both taggers."""
+"""Label ids, the training loop with its checks and L2 term, padding and
+batched decode of both taggers."""
 
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ from .metrics import repair_bio
 
 P = TypeVar("P")
 
+N_LABELS = len(LABELS)
+_LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
+
 # Sentences per padded forward pass outside training: dev loss and tagging.
 # 64: a BLSTM step takes 3.3 us/row to 65 rows, 6.5-7.2 from 96 (Xeon VM).
 EVAL_BATCH = 64
@@ -20,6 +24,13 @@ EVAL_BATCH = 64
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss turns non-finite."""
+
+
+def encode_labels(labels: Sequence[str]) -> list[int]:
+    try:
+        return [_LABEL_TO_ID[lab] for lab in labels]
+    except KeyError as exc:
+        raise ValueError(f"unknown label {exc.args[0]!r}") from None
 
 
 def _pad_batch(
@@ -31,6 +42,16 @@ def _pad_batch(
     out = np.full(mask.shape, fill, dtype=np.intp)
     out[mask] = np.concatenate(sequences)
     return out, mask.astype(float)
+
+
+def add_l2(loss: float, grads: dict, params, l2: float) -> float:
+    """``loss`` plus l2 times the sum of squares of ``params.arrays()``;
+    each gradient of ``grads``, in that order, gains 2 * l2 * w in place."""
+    if l2:
+        for w, g in zip(params.arrays(), grads.values()):
+            loss += l2 * float(np.sum(w * w))
+            g += 2.0 * l2 * w
+    return loss
 
 
 def clip_gradients(grads: Sequence[np.ndarray], clip_norm: float) -> float:
@@ -83,29 +104,39 @@ def _check_corpus(sentences, labels):
 def fit_tagger(
     name: str,
     params: P,
-    loss_grad: Callable[[P, list, list], tuple[float, Sequence[np.ndarray]]],
-    dev_loss: Callable[[P, list, list], float],
+    loss_grad: Callable[[P, list, list, float],
+                        tuple[float, dict[str, np.ndarray]]],
+    summed_loss: Callable[[P, list, list], tuple[float, float]],
     inputs: Sequence,
-    labels: Sequence,
+    labels: Sequence[Sequence[str]],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[P, list[dict]]:
     """Mini-batch gradient descent with early stopping on a held-out slice.
 
-    ``loss_grad(params, inputs, labels)`` returns a batch's loss and its
-    gradients in ``params.arrays()`` order; ``dev_loss`` scores the dev
-    slice. The seeded shuffle splits off the dev slice, then draws one
+    ``inputs`` holds one encoded sentence, one entry per token, for each
+    label sequence; the corpus is checked and its labels encoded here.
+    ``loss_grad(params, inputs, label_ids, l2)`` returns a batch's loss
+    and its gradients in ``params.arrays()`` order. ``summed_loss`` returns
+    the unpenalized loss of one EVAL_BATCH chunk of the dev slice, summed
+    over its units (sentences or tokens), and the unit count; the dev loss
+    is the ratio of their totals.
+
+    The seeded shuffle splits off the dev slice, then draws one
     permutation per epoch. Training stops once the dev loss has failed to
     improve for ``patience`` epochs, and the best parameters are restored.
     A non-finite train or dev loss raises TrainingDivergedError naming the
     epoch.
     """
+    _check_corpus(inputs, labels)
+    label_ids = [encode_labels(l) for l in labels]
 
     def pick(indices):
-        return [inputs[i] for i in indices], [labels[i] for i in indices]
+        return [inputs[i] for i in indices], [label_ids[i] for i in indices]
 
     train_idx, dev_idx = split_train_dev(len(inputs), config.dev_fraction,
                                          rng)
+    dev_inputs, dev_labels = pick(dev_idx)
     best_dev = np.inf
     best_params = params.copy()
     bad_epochs = 0
@@ -115,18 +146,26 @@ def fit_tagger(
         weighted = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            loss, grads = loss_grad(params, *pick(batch))
+            loss, grads = loss_grad(params, *pick(batch), config.l2)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"{name} training diverged at epoch {epoch}"
                 )
+            grads = list(grads.values())
             clip_gradients(grads, config.clip_norm)
             for w, g in zip(params.arrays(), grads):
                 w -= config.lr * g
             weighted += loss * len(batch)
         record = {"epoch": epoch, "train_loss": weighted / len(order)}
         if len(dev_idx):
-            dev = dev_loss(params, *pick(dev_idx))
+            total = count = 0.0
+            for lo in range(0, len(dev_idx), EVAL_BATCH):
+                chunk_total, chunk_count = summed_loss(
+                    params, dev_inputs[lo:lo + EVAL_BATCH],
+                    dev_labels[lo:lo + EVAL_BATCH])
+                total += chunk_total
+                count += chunk_count
+            dev = total / count
             if not np.isfinite(dev):
                 raise TrainingDivergedError(
                     f"{name} training diverged at epoch {epoch}"

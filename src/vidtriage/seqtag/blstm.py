@@ -21,15 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..medterm import LABELS, TaggedSentence
+from ..medterm import TaggedSentence
 from ..numeric import logsumexp, sigmoid
-from ._trainutil import (EVAL_BATCH, _check_corpus, _pad_batch,
+from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
                          decode_in_batches, fit_tagger)
 from .config import TrainConfig
-from .crf import encode_labels
 from .vocab import PAD_ID, Vocab, build_vocab
-
-N_LABELS = len(LABELS)
 
 PARAM_NAMES = ("embed", "w_fwd", "b_fwd", "w_bwd", "b_bwd", "w_out", "b_out")
 
@@ -282,28 +279,19 @@ def blstm_loss_grad(
         "w_bwd": g_wb, "b_bwd": g_bb,
         "w_out": g_wout, "b_out": g_bout,
     }
-    if l2:
-        for name, w in zip(PARAM_NAMES, params.arrays()):
-            loss += l2 * float(np.sum(w * w))
-            grads[name] += 2.0 * l2 * w
-    return loss, grads
+    return add_l2(loss, grads, params, l2), grads
 
 
-def _dev_loss(
+def _chunk_loss(
     params: BlstmParams,
     encoded: Sequence[Sequence[int]],
     label_ids: Sequence[Sequence[int]],
-) -> float:
-    """Mean per-token cross-entropy, without the L2 term."""
-    ce = 0.0
-    n_tokens = 0.0
-    for lo in range(0, len(encoded), EVAL_BATCH):
-        chunk = encoded[lo:lo + EVAL_BATCH]
-        labels, mask = _pad_batch(label_ids[lo:lo + EVAL_BATCH], 0)
-        logp = _forward_batch(params, _project(params, chunk), chunk)[-1]
-        ce += _summed_nll(logp, labels, mask)
-        n_tokens += float(mask.sum())
-    return ce / n_tokens
+) -> tuple[float, float]:
+    """Summed per-token cross-entropy, without the L2 term, and the number
+    of tokens."""
+    labels, mask = _pad_batch(label_ids, 0)
+    logp = _forward_batch(params, _project(params, encoded), encoded)[-1]
+    return _summed_nll(logp, labels, mask), float(mask.sum())
 
 
 def train_blstm(
@@ -318,20 +306,15 @@ def train_blstm(
     stops and the best parameters are restored. A non-finite loss raises
     TrainingDivergedError naming the epoch.
     """
-    _check_corpus([s.tokens for s in corpus], [s.labels for s in corpus])
     vocab = build_vocab(corpus)
     encoded = [vocab.encode(sent.tokens) for sent in corpus]
-    label_ids = [encode_labels(sent.labels) for sent in corpus]
-
-    def loss_grad(params, batch_ids, batch_labels):
-        loss, g = blstm_loss_grad(params, batch_ids, batch_labels, config.l2)
-        return loss, [g[name] for name in PARAM_NAMES]
-
     # The init weights come from the same generator, before the split.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_blstm(vocab.size, config, rng)
-    params, history = fit_tagger("blstm", params, loss_grad, _dev_loss,
-                                 encoded, label_ids, config, rng)
+    params, history = fit_tagger("blstm", params, blstm_loss_grad,
+                                 _chunk_loss, encoded,
+                                 [sent.labels for sent in corpus], config,
+                                 rng)
     return params, vocab, history
 
 

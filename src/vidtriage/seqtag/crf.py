@@ -22,14 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..medterm import LABELS, TaggedSentence
+from ..medterm import TaggedSentence
 from ..numeric import logsumexp
-from ._trainutil import (EVAL_BATCH, _check_corpus, _pad_batch,
-                         decode_in_batches, fit_tagger)
+from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
+                         decode_in_batches, encode_labels, fit_tagger)
 from .config import TrainConfig
-
-N_LABELS = len(LABELS)
-_LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 
 _BOS = "<s>"
 _EOS = "</s>"
@@ -303,13 +300,6 @@ def _marginals(emit, lengths, trans, start):
     return token, pair, log_z
 
 
-def encode_labels(labels: Sequence[str]) -> list[int]:
-    try:
-        return [_LABEL_TO_ID[lab] for lab in labels]
-    except KeyError as exc:
-        raise ValueError(f"unknown label {exc.args[0]!r}") from None
-
-
 def _padded_batch(params, encoded, label_ids):
     """Emissions, lengths, gold labels and gold scores of a padded batch."""
     w_pad = np.vstack([params.w_emit, np.zeros((1, N_LABELS))])
@@ -341,13 +331,10 @@ def _loss_grad_encoded(params: CrfParams, encoded: list, label_ids: list,
     g_start = token[:, 0].sum(axis=0)
     n = len(encoded)
     loss = float(np.sum(log_z - gold_score)) / n
-    for g in (g_emit, g_trans, g_start):
+    grads = {"w_emit": g_emit, "w_trans": g_trans, "w_start": g_start}
+    for g in grads.values():
         g /= n
-    if l2:
-        for w, g in zip(params.arrays(), (g_emit, g_trans, g_start)):
-            loss += l2 * float(np.sum(w * w))
-            g += 2.0 * l2 * w
-    return loss, {"w_emit": g_emit, "w_trans": g_trans, "w_start": g_start}
+    return add_l2(loss, grads, params, l2), grads
 
 
 def crf_loss_grad(
@@ -368,17 +355,13 @@ def crf_loss_grad(
     return _loss_grad_encoded(params, encoded, label_ids, l2)
 
 
-def _mean_nll(params: CrfParams, encoded: list, label_ids: list) -> float:
-    """Mean per-sentence negative log-likelihood, without the L2 term."""
-    total = 0.0
-    for lo in range(0, len(encoded), EVAL_BATCH):
-        emit, lengths, _, gold_score = _padded_batch(
-            params, encoded[lo:lo + EVAL_BATCH], label_ids[lo:lo + EVAL_BATCH]
-        )
-        log_z = _forward_batch(emit, lengths, params.w_trans,
-                               params.w_start)[1]
-        total += float(np.sum(log_z - gold_score))
-    return total / len(encoded)
+def _chunk_loss(params: CrfParams, encoded: list,
+                label_ids: list) -> tuple[float, int]:
+    """Summed per-sentence negative log-likelihood, without the L2 term,
+    and the number of sentences."""
+    emit, lengths, _, gold_score = _padded_batch(params, encoded, label_ids)
+    log_z = _forward_batch(emit, lengths, params.w_trans, params.w_start)[1]
+    return float(np.sum(log_z - gold_score)), len(encoded)
 
 
 def train_crf(
@@ -391,22 +374,13 @@ def train_crf(
     its mean negative log-likelihood fails to improve for `patience`
     epochs, and the best-scoring parameters are restored.
     """
-    sentences = [list(s.tokens) for s in corpus]
-    labels = [list(s.labels) for s in corpus]
-    _check_corpus(sentences, labels)
+    sentences = [s.tokens for s in corpus]
     params = init_crf(build_feature_index(sentences))
     encoder = FeatureEncoder(params.feature_index)
     encoded = [encoder.encode(s) for s in sentences]
-    label_ids = [encode_labels(l) for l in labels]
-
-    def loss_grad(params, batch_encoded, batch_labels):
-        loss, g = _loss_grad_encoded(params, batch_encoded, batch_labels,
-                                     config.l2)
-        return loss, [g["w_emit"], g["w_trans"], g["w_start"]]
-
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    return fit_tagger("crf", params, loss_grad, _mean_nll, encoded,
-                      label_ids, config, rng)
+    return fit_tagger("crf", params, _loss_grad_encoded, _chunk_loss,
+                      encoded, [s.labels for s in corpus], config, rng)
 
 
 def tag_with_crf(

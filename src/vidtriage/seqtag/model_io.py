@@ -20,7 +20,8 @@ import numpy as np
 from ..artifacts import (
     ModelFormatError, finite_array, load_json_model, save_json_model,
 )
-from .blstm import N_LABELS, BlstmParams, PARAM_NAMES, tag_with_blstm
+from ._trainutil import N_LABELS
+from .blstm import BlstmParams, PARAM_NAMES, tag_with_blstm
 from .config import TrainConfig
 from .crf import CrfParams, tag_with_crf
 from .vocab import Vocab

@@ -22,7 +22,7 @@ from vidtriage.seqtag import (
     train_blstm,
 )
 from vidtriage.seqtag import blstm
-from vidtriage.seqtag._trainutil import _check_corpus, _pad_batch
+from vidtriage.seqtag._trainutil import EVAL_BATCH, _check_corpus, _pad_batch
 from vidtriage.seqtag.blstm import (N_LABELS, PARAM_NAMES, BlstmParams,
                                     _summed_nll)
 
@@ -435,7 +435,7 @@ def _assert_batched_tagging_matches(lengths, seed):
     with mock.patch.object(blstm, "_forward_batch", recording):
         tagged = tag_with_blstm(params, vocab, sentences)
     n_real = sum(1 for n in lengths if n)
-    assert len(batches) == -(-n_real // blstm.EVAL_BATCH) >= 2
+    assert len(batches) == -(-n_real // EVAL_BATCH) >= 2
     for batch_ids, logp in batches:
         for row_ids, row_logp in zip(batch_ids, logp):
             n = len(row_ids)
@@ -450,9 +450,9 @@ def _assert_batched_tagging_matches(lengths, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    lengths=st.lists(st.integers(1, 12), min_size=blstm.EVAL_BATCH + 1,
-                     max_size=3 * blstm.EVAL_BATCH),
-    empty_at=st.lists(st.integers(0, 3 * blstm.EVAL_BATCH), max_size=8),
+    lengths=st.lists(st.integers(1, 12), min_size=EVAL_BATCH + 1,
+                     max_size=3 * EVAL_BATCH),
+    empty_at=st.lists(st.integers(0, 3 * EVAL_BATCH), max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
@@ -464,8 +464,8 @@ def test_batched_tagging_matches_per_sentence(lengths, empty_at, seed):
 
 
 @pytest.mark.parametrize("lengths", [
-    [3] * (blstm.EVAL_BATCH + 5),
-    [1] * (blstm.EVAL_BATCH - 2) + [4] * 5,
+    [3] * (EVAL_BATCH + 5),
+    [1] * (EVAL_BATCH - 2) + [4] * 5,
 ], ids=["all-one-length", "long-run-straddles"])
 def test_batched_tagging_across_batch_boundary(lengths):
     # Equal lengths on both sides of a batch boundary: in the second case

@@ -195,27 +195,51 @@ def test_fit_logreg_validates():
         clf.fit_logreg(X, y, l2=0.01, max_iter=2)
 
 
-def test_fit_logreg_objective_monotone():
+def _damped_design():
+    # One full Newton step overshoots (the objective would fall from -0.026
+    # to -1.96), so that step is halved twice.
+    rng = np.random.default_rng(196)
+    n = rng.integers(6, 40)
+    k = rng.integers(1, 4)
+    X = rng.standard_normal((n, k)) * rng.choice([1, 5, 20])
+    w = rng.standard_normal(k) * rng.choice([1, 3, 10])
+    y = (X @ w + rng.standard_normal(n) * rng.choice([0.0, 0.5]) > 0)
+    return X, y, 1e-4
+
+
+def test_fit_logreg_objective_monotone(monkeypatch):
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 3))
     true_beta = np.array([0.3, 1.0, -1.5, 0.0])
     y = (rng.random(60) < expit(true_beta[0] + X @ true_beta[1:])).astype(float)
 
-    objs = []
-    orig = clf.logreg_objective_grad
+    # Each objective evaluation, and None where an iteration starts from
+    # the last one accepted.
+    events = []
+    objective, information = clf.logreg_objective_grad, clf._information
 
-    def spy(beta, Xa, ya, l2):
-        obj, grad = orig(beta, Xa, ya, l2)
-        objs.append(obj)
+    def spy_objective(beta, Xa, ya, l2):
+        obj, grad = objective(beta, Xa, ya, l2)
+        events.append(obj)
         return obj, grad
 
-    clf.logreg_objective_grad = spy
-    try:
-        clf.fit_logreg(X, y, l2=0.02)
-    finally:
-        clf.logreg_objective_grad = orig
-    accepted = sorted(set(objs))
-    assert len(accepted) > 3  # it actually moved
+    def spy_information(Xa, beta, l2):
+        events.append(None)
+        return information(Xa, beta, l2)
+
+    monkeypatch.setattr(clf, "logreg_objective_grad", spy_objective)
+    monkeypatch.setattr(clf, "_information", spy_information)
+    for (design, labels, l2), damped in [((X, y, 0.02), False),
+                                         (_damped_design(), True)]:
+        events.clear()
+        _, info = clf.fit_logreg(design, labels, l2=l2)
+        evals = [e for e in events if e is not None]
+        accepted = [e for e, nxt in zip(events, events[1:]) if nxt is None]
+        accepted.append(info["objective"])
+        assert len(accepted) == info["iterations"] + 1 > 3  # it moved
+        assert accepted == sorted(accepted)
+        # Only a halved step costs more than one evaluation per iteration.
+        assert (len(evals) > info["iterations"] + 1) == damped
 
 
 @settings(max_examples=50, deadline=None)

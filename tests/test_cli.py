@@ -45,14 +45,15 @@ def test_unknown_command_exits_64(capsys):
 
 
 # A command and options that only duplicated what the defaults or
-# another command do, and the one option that wrote outside the work
-# directory.
+# another command do, the one option that wrote outside the work
+# directory, and a projection mode that nothing ran.
 @pytest.mark.parametrize("argv", [
     ["eval-clf"], ["classify", "--target", "all"],
     ["eval-tagger", "--arch", "crf"], ["eval", "--kind", "tagger"],
     ["report", "--table", "2", "--output", "x"],
+    ["build-ner-corpus", "--mode", "word"],
 ], ids=["eval-clf", "classify-target", "eval-tagger-arch", "eval-kind-tagger",
-        "report-output"])
+        "report-output", "build-ner-corpus-mode"])
 def test_removed_command_and_options_exit_64(capsys, argv):
     assert main(argv) == 64
     capsys.readouterr()
@@ -623,6 +624,7 @@ def test_wrong_json_type_exits_1_naming_line(tmp_path, fixture_dir, caplog,
 @pytest.mark.parametrize("label, message", [
     ("X-MED", "unknown label 'X-MED'"),
     ("I-MED", "I-MED may not follow O or start a sentence"),
+    ("O\tO", "expected 'token<TAB>tag'"),
 ])
 def test_bad_conll_label_exits_1_naming_line(tmp_path, caplog, label,
                                              message):
@@ -633,7 +635,9 @@ def test_bad_conll_label_exits_1_naming_line(tmp_path, caplog, label,
     with caplog.at_level(logging.ERROR):
         assert main(["train-tagger", "--arch", "crf", "--seed", "1",
                      "--work-dir", str(tmp_path)]) == 1
-    assert f"{conll}:6: {message}" in caplog.text
+    # A bad label names its sentence's first line; a malformed row, its own.
+    line = 7 if "\t" in label else 6
+    assert f"{conll}:{line}: {message}" in caplog.text
     assert "Traceback" not in caplog.text
 
 

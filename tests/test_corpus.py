@@ -248,6 +248,22 @@ def test_load_corpus_dangling_and_duplicate(tmp_path, corpus_paths):
         load_corpus(videos, empty, empty, labels)
     assert "ghost" in str(err.value)
 
+    transcripts = tmp_path / "transcripts.jsonl"
+    transcripts.write_text(
+        json.dumps({"video_id": "v1", "segments": []}) + "\n"
+        + json.dumps({"video_id": "v1", "segments": []})
+    )
+    with pytest.raises(IntegrityError, match="duplicate transcript"):
+        load_corpus(videos, transcripts, empty, empty)
+
+    ocr = tmp_path / "ocr.jsonl"
+    ocr.write_text(
+        json.dumps({"video_id": "v1", "blocks": []}) + "\n"
+        + json.dumps({"video_id": "v1", "blocks": []})
+    )
+    with pytest.raises(IntegrityError, match="duplicate ocr document"):
+        load_corpus(videos, empty, ocr, empty)
+
 
 def test_load_corpus_error_names_line(tmp_path):
     videos = tmp_path / "videos.jsonl"
@@ -257,6 +273,11 @@ def test_load_corpus_error_names_line(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_corpus(videos, empty, empty, empty)
     assert "videos.jsonl:2" in str(err.value)
+
+    videos.write_text(json.dumps([{"video_id": "v1"}]))
+    with pytest.raises(SchemaError) as err:
+        load_corpus(videos, empty, empty, empty)
+    assert f"{videos}: expected JSON Lines" in str(err.value)
 
 
 def test_write_jsonl_roundtrip_and_sorted_keys(tmp_path, store):

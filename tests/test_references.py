@@ -4,10 +4,12 @@ A name counts as used when a module under src/, bench/ or demos/ reads
 it, as a bare name or as an attribute, outside the name's own
 definition. Imports are not uses, so an ``__init__`` re-export keeps
 nothing alive. Names that only tests call must be deleted or listed in
-KEPT with the reason they stay.
+KEPT with the reason they stay. Every name that the traced benchmark
+run wraps must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +54,16 @@ def test_every_src_definition_has_a_caller():
               if name not in used}
     # Exact match: a kept name that gains a caller leaves the list.
     assert unused.keys() == KEPT.keys(), unused
+
+
+def test_every_traced_name_resolves():
+    # The traced benchmark run wraps each ``Wrap(module, attr, ...)`` of
+    # bench/layers.py and stops at the first name that no longer exists.
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text("utf-8"))
+    wraps = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "Wrap"]
+    assert len(wraps) == 23
+    for node in wraps:
+        module, attr = (ast.literal_eval(arg) for arg in node.args[:2])
+        assert hasattr(importlib.import_module(module), attr), (module, attr)

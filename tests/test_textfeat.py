@@ -185,9 +185,12 @@ def test_active_verb_count_fixtures():
 
 
 def test_active_verb_inflections():
-    verbs = Lexicon(name="verbs", entries=frozenset({"explain", "carry", "chew"}))
+    verbs = Lexicon(name="verbs",
+                    entries=frozenset({"explain", "carry", "chew", "stop"}))
     assert active_verb_count(tokenize("she explained the test"), verbs) == 1
     assert active_verb_count(tokenize("he carries the chart"), verbs) == 1
+    assert active_verb_count(tokenize("she carried the chart"), verbs) == 1
+    assert active_verb_count(tokenize("stopping helps"), verbs) == 1
     assert active_verb_count(tokenize("explaining helps"), verbs) == 1
     assert active_verb_count(tokenize("chewing was banned"), verbs) == 1
 

@@ -1,5 +1,6 @@
 """The tagger training loop shared by both architectures: patience-based
-early stopping, best-parameter restore, and training without a dev slice."""
+early stopping, best-parameter restore, training without a dev slice, and
+the gradient order the loop relies on."""
 
 import dataclasses
 
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 
 from vidtriage.medterm import TaggedSentence
-from vidtriage.seqtag import TrainConfig, train_blstm, train_crf
+from vidtriage.seqtag import (TrainConfig, blstm_loss_grad, build_vocab,
+                              crf_loss_grad, init_blstm, train_blstm,
+                              train_crf)
+from vidtriage.seqtag._trainutil import encode_labels
+from vidtriage.seqtag.crf import build_feature_index, init_crf
 
 B, O = "B-MED", "O"
 
@@ -63,3 +68,24 @@ def test_early_stopping_restores_best_epoch(train, lr):
         config, dev_fraction=0.0, epochs=len(history) + 1))
     assert [r["epoch"] for r in full] == list(range(1, len(history) + 2))
     assert not any("dev_loss" in r for r in full)
+
+
+def test_gradients_come_in_arrays_order():
+    # fit_tagger steps and penalizes each weight block with the gradient
+    # at the same position of the dict that the loss returns.
+    corpus = _noisy_corpus()[:6]
+    tokens = [s.tokens for s in corpus]
+    labels = [s.labels for s in corpus]
+    crf = init_crf(build_feature_index(tokens))
+    _, crf_grads = crf_loss_grad(crf, tokens, labels, l2=0.1)
+    vocab = build_vocab(corpus)
+    blstm = init_blstm(vocab.size, TrainConfig(seed=0, d_emb=4, d_hid=4),
+                       np.random.default_rng(0))
+    _, blstm_grads = blstm_loss_grad(
+        blstm, [vocab.encode(t) for t in tokens],
+        [encode_labels(l) for l in labels], l2=0.1)
+    for params, grads in [(crf, crf_grads), (blstm, blstm_grads)]:
+        assert [id(getattr(params, key)) for key in grads] \
+            == [id(w) for w in params.arrays()]
+        for w, g in zip(params.arrays(), grads.values()):
+            assert g.shape == w.shape
