@@ -1,14 +1,16 @@
-"""Artifact files: the one module that writes a file or frames a model.
+"""Artifact files: the one module that opens a file or frames a model.
 
-Every file goes through :func:`atomic_open`. Tables are a header line
-plus one line per row, cells joined by tabs; a bad row is reported as
-``<path>:<line>: <problem>``. Models are JSON under a format marker and
-version; a missing key, wrong shape or non-finite number in one raises
-:class:`ModelFormatError` naming the path.
+Files are written by :func:`atomic_open` and read by :func:`read_text`.
+Tables are a header line plus one line per row, cells joined by tabs; a
+bad row is reported as ``<path>:<line>: <problem>``. Models are JSON
+under a format marker and version; a missing key, wrong shape or
+non-finite number in one raises :class:`ModelFormatError` naming the
+path.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -49,6 +51,17 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``, newlines as they are on disk; a byte
+    that is not UTF-8 raises ValueError naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def write_tsv(path, header: Sequence[str],
               rows: Iterable[Sequence[str]]) -> None:
     """Write a header and rows of cell strings."""
@@ -66,9 +79,10 @@ def read_tsv(path, header: Sequence[str],
     ``parse_row`` raises ValueError, KeyError or IndexError, raises
     ValueError naming the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line.rstrip("\n").split("\t"))
-                 for lineno, line in enumerate(fh, start=1) if line.strip()]
+    # newline=None: a line ends at \n, \r\n or \r, as in a text-mode file.
+    lines = [(lineno, line.rstrip("\n").split("\t")) for lineno, line
+             in enumerate(io.StringIO(read_text(path), newline=None), 1)
+             if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty table")
     lineno, cells = lines[0]
@@ -105,9 +119,9 @@ def load_json_model(path, format_name: str,
     A KeyError, TypeError or ValueError from ``build`` becomes a
     ModelFormatError naming the file and, for a KeyError, the missing key.
     """
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != format_name:

@@ -126,13 +126,12 @@ class FeatureSpec:
             raise ValueError("duplicate features in spec")
 
 
-TARGETS = ("medical_info", "understandability", "recommendation")
-
 TARGET_FIELDS = {
     "medical_info": "medical_info_high",
     "understandability": "understandable",
     "recommendation": "recommended",
 }
+TARGETS = tuple(TARGET_FIELDS)
 
 _VIDEO_LEVEL = (
     "ocr_confidence", "n_active_verbs_v", "readability_v", "n_sentences_v",
@@ -140,23 +139,19 @@ _VIDEO_LEVEL = (
     "transcription_confidence", "n_transition_words_v", "n_words_v",
     "n_unique_words_v",
 )
+_METADATA_LEVEL = (
+    "has_title", "has_description", "has_tags", "n_unique_medical_terms",
+    "readability_m", "n_sentences_m", "n_words_m", "n_unique_words_m",
+    "n_transition_words_m", "n_summary_words_m", "n_active_verbs_m",
+    "duration_s",
+)
 
 FEATURE_SPECS: dict[str, FeatureSpec] = {
     "recommendation": FeatureSpec("recommendation", (
-        "medical_info_high", "understandable",
-        *_VIDEO_LEVEL,
-        "has_title", "has_description", "has_tags",
-        "n_unique_medical_terms",
-        "readability_m", "n_sentences_m", "n_words_m", "n_unique_words_m",
-        "n_transition_words_m", "n_summary_words_m", "n_active_verbs_m",
-        "duration_s",
+        "medical_info_high", "understandable", *_VIDEO_LEVEL, *_METADATA_LEVEL,
     )),
     "medical_info": FeatureSpec("medical_info", (
-        "has_title", "has_description", "has_tags",
-        "n_unique_medical_terms",
-        "readability_m", "n_sentences_m", "n_words_m", "n_unique_words_m",
-        "n_transition_words_m", "n_summary_words_m", "n_active_verbs_m",
-        "duration_s",
+        *_METADATA_LEVEL,
         "n_transition_words_v", "n_words_v", "n_unique_words_v",
         "n_active_verbs_v", "readability_v", "n_sentences_v",
     )),
@@ -197,12 +192,15 @@ SIM_RECOMMENDATION_COEFFS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class VideoTextBlocks:
-    """Text features computed separately for transcript and metadata text."""
-
-    video: TextFeatures
-    meta: TextFeatures
+# Each text feature's stem and the TextFeatures field it holds; a block
+# adds its suffix to the stem: "_v" for the transcript, "_m" for metadata.
+_TEXT_FEATURES = {
+    "n_words": "word_count", "n_unique_words": "unique_word_count",
+    "n_sentences": "sentence_count",
+    "n_transition_words": "transition_word_count",
+    "n_summary_words": "summary_word_count",
+    "n_active_verbs": "active_verb_count", "readability": "readability",
+}
 
 
 def compute_text_features(
@@ -210,27 +208,25 @@ def compute_text_features(
     transition_lex: Lexicon,
     summary_lex: Lexicon,
     verb_lex: Lexicon,
-) -> dict[str, VideoTextBlocks]:
-    """Per-video text feature blocks for every video in the store.
+) -> dict[str, dict[str, TextFeatures]]:
+    """Per-video text feature blocks, keyed by suffix, for every video.
 
-    The video-level block reads the transcript text (empty when the video
-    has none); the metadata block reads the title and description. Every
-    text shares one per-token memo, dropped when this call returns.
+    Block "v" reads the transcript text (empty when the video has none);
+    block "m" reads the title and description. Every text shares one
+    per-token memo, dropped when this call returns.
     """
     memo = TokenMemo()
-    out: dict[str, VideoTextBlocks] = {}
+    out: dict[str, dict[str, TextFeatures]] = {}
     for vid, video in store.videos.items():
         tdoc = store.transcripts.get(vid)
-        video_text = tdoc.text if tdoc is not None else ""
-        meta_text = f"{video.title}\n{video.description}"
-        out[vid] = VideoTextBlocks(
-            video=extract_text_features(
-                video_text, transition_lex, summary_lex, verb_lex, memo
-            ),
-            meta=extract_text_features(
-                meta_text, transition_lex, summary_lex, verb_lex, memo
-            ),
-        )
+        texts = {"v": tdoc.text if tdoc is not None else "",
+                 "m": f"{video.title}\n{video.description}"}
+        out[vid] = {
+            suffix: extract_text_features(
+                text, transition_lex, summary_lex, verb_lex, memo
+            )
+            for suffix, text in texts.items()
+        }
     return out
 
 
@@ -241,7 +237,7 @@ DOC_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES[:22]
 
 def doc_feature_records(
     store: CorpusStore,
-    text_blocks: Mapping[str, VideoTextBlocks],
+    text_blocks: Mapping[str, Mapping[str, TextFeatures]],
 ) -> list[FeatureVector]:
     """One row per video in the store, sorted by id, holding its document
     features; the term count and the labels keep their defaults."""
@@ -252,35 +248,24 @@ def doc_feature_records(
         video = store.videos[vid]
         tdoc = store.transcripts.get(vid)
         odoc = store.ocr.get(vid)
-        v, m = text_blocks[vid].video, text_blocks[vid].meta
+        text_values = {f"{stem}_{suffix}": float(getattr(block, name))
+                for suffix, block in text_blocks[vid].items()
+                for stem, name in _TEXT_FEATURES.items()}
         rows.append(FeatureVector(
             video_id=vid,
             ocr_confidence=odoc.confidence if odoc is not None else 0.0,
-            n_active_verbs_v=float(v.active_verb_count),
-            readability_v=v.readability,
-            n_sentences_v=float(v.sentence_count),
             n_shots=float(odoc.shot_count) if odoc is not None else 0.0,
             shot_change_confidence=(
                 odoc.shot_change_confidence if odoc is not None else 0.0
             ),
-            n_summary_words_v=float(v.summary_word_count),
             transcription_confidence=(
                 tdoc.confidence if tdoc is not None else 0.0
             ),
-            n_transition_words_v=float(v.transition_word_count),
-            n_words_v=float(v.word_count),
-            n_unique_words_v=float(v.unique_word_count),
             has_title=int(bool(video.title.strip())),
             has_description=int(bool(video.description.strip())),
             has_tags=int(len(video.tags) > 0),
-            readability_m=m.readability,
-            n_sentences_m=float(m.sentence_count),
-            n_words_m=float(m.word_count),
-            n_unique_words_m=float(m.unique_word_count),
-            n_transition_words_m=float(m.transition_word_count),
-            n_summary_words_m=float(m.summary_word_count),
-            n_active_verbs_m=float(m.active_verb_count),
             duration_s=float(video.duration_s),
+            **text_values,
         ))
     return rows
 

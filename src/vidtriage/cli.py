@@ -27,7 +27,7 @@ from . import classify as clf
 from . import corpus as corpuslib
 from . import medterm, textfeat
 from .data_files import data_path
-from .artifacts import read_tsv, write_tsv
+from .artifacts import read_text, read_tsv, write_tsv
 from .seqtag import (
     ARCH_BLSTM,
     ARCH_CRF,
@@ -148,7 +148,7 @@ class PipelineConfig:
 
 def _load_config_file(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except FileNotFoundError:
         raise FileNotFoundError(f"missing config file: {path}") from None
     except json.JSONDecodeError as exc:
@@ -232,7 +232,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     if args.api_response is not None:
         try:
             records = corpuslib.flatten_api_response(
-                _require(videos_path).read_text(encoding="utf-8")
+                read_text(_require(videos_path))
             )
         except corpuslib.CorpusError as exc:
             exc.args = (f"{videos_path}: {exc}",)
@@ -262,32 +262,20 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 def _validate_search_results(fixture: Path, keywords_path: Path,
                              store: corpuslib.CorpusStore) -> int:
     keywords = textfeat.load_lexicon(_require(keywords_path)).entries
-    n_rows = 0
-    for lineno, line in enumerate(
-        _require(fixture).read_text("utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            row = corpuslib._loads_object(line)
-        except corpuslib.CorpusError as exc:
-            raise ValueError(f"{fixture}:{lineno}: {exc}") from None
-        keyword = str(row.get("keyword", "")).lower()
-        if keyword not in keywords:
-            raise ValueError(
-                f"{fixture}:{lineno}: keyword {row.get('keyword')!r} "
-                "is not in the keyword list"
+
+    def check(row: dict) -> None:
+        if str(row.get("keyword", "")).lower() not in keywords:
+            raise corpuslib.SchemaError(
+                f"keyword {row.get('keyword')!r} is not in the keyword list"
             )
         ids = row.get("video_ids")
         if not isinstance(ids, list):
-            raise ValueError(f"{fixture}:{lineno}: video_ids must be a list")
+            raise corpuslib.SchemaError("video_ids must be a list")
         for vid in ids:
             if not isinstance(vid, str) or vid not in store.videos:
-                raise ValueError(
-                    f"{fixture}:{lineno}: unknown video id {vid!r}"
-                )
-        n_rows += 1
-    return n_rows
+                raise corpuslib.SchemaError(f"unknown video id {vid!r}")
+
+    return len(corpuslib.read_jsonl(_require(fixture), check))
 
 
 # -------------------------------------------------------------- featurize

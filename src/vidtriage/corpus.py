@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 
 
 class CorpusError(Exception):
@@ -238,17 +238,19 @@ def _video_id_of(obj: dict) -> str:
     vid = obj.get("video_id")
     if not isinstance(vid, str) or not vid:
         raise SchemaError("missing or empty video_id")
+    # Ids name CoNLL comments and TSV cells, which end at whitespace.
+    if vid.split() != [vid]:
+        raise SchemaError(f"video_id must hold no whitespace, got {vid!r}")
     return vid
 
 
-def parse_video_metadata(json_text: str) -> VideoRecord:
-    """Parse one metadata object into a :class:`VideoRecord`.
+def parse_video_metadata(obj: dict) -> VideoRecord:
+    """Check one decoded metadata object and build its :class:`VideoRecord`.
 
     ``duration_s`` is accepted either as whole seconds or as an ISO-8601
     duration string. Engagement counts that are absent stay absent (``None``)
     rather than defaulting to zero, because a real zero is meaningful.
     """
-    obj = _loads_object(json_text)
     vid = _video_id_of(obj)
 
     duration = obj.get("duration_s", 0)
@@ -285,8 +287,7 @@ def parse_video_metadata(json_text: str) -> VideoRecord:
     )
 
 
-def parse_transcript(json_text: str) -> TranscriptDoc:
-    obj = _loads_object(json_text)
+def parse_transcript(obj: dict) -> TranscriptDoc:
     vid = _video_id_of(obj)
     segments = []
     for i, seg in enumerate(_typed_field(obj, "segments", list)):
@@ -297,8 +298,7 @@ def parse_transcript(json_text: str) -> TranscriptDoc:
     return TranscriptDoc(video_id=vid, segments=tuple(segments))
 
 
-def parse_ocr(json_text: str) -> OcrDoc:
-    obj = _loads_object(json_text)
+def parse_ocr(obj: dict) -> OcrDoc:
     vid = _video_id_of(obj)
     blocks = []
     for i, blk in enumerate(_typed_field(obj, "blocks", list)):
@@ -322,8 +322,7 @@ def parse_ocr(json_text: str) -> OcrDoc:
                   shot_change_confidence=shot_conf)
 
 
-def parse_labels(json_text: str) -> AnnotationLabels:
-    obj = _loads_object(json_text)
+def parse_labels(obj: dict) -> AnnotationLabels:
     vid = _video_id_of(obj)
     return AnnotationLabels(
         video_id=vid,
@@ -361,17 +360,18 @@ def consolidate_labels(per_annotator: Sequence[AnnotationLabels]) -> AnnotationL
     )
 
 
-def _read_jsonl(path: Path, parse_one):
+def read_jsonl(path, parse_one) -> list:
+    """``parse_one`` of each non-blank line's object. Lines end at ``\n``
+    alone: a raw U+2028 may sit inside a JSON string."""
     records = []
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    text = read_text(path)
+    if text.lstrip().startswith("["):
         raise SchemaError(f"{path}: expected JSON Lines, found a JSON array")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            records.append(parse_one(line))
+            records.append(parse_one(_loads_object(line)))
         except CorpusError as exc:
             # Keep the exception class (and any offset) but prefix the location.
             exc.args = (f"{path}:{lineno}: {exc}",)
@@ -400,7 +400,7 @@ def load_corpus(
             raise FileNotFoundError(f"corpus file not found: {p}")
 
     if video_rows is None:
-        video_rows = _read_jsonl(metadata_path, parse_video_metadata)
+        video_rows = read_jsonl(metadata_path, parse_video_metadata)
     videos: dict[str, VideoRecord] = {}
     dupes = []
     for rec in video_rows:
@@ -410,9 +410,9 @@ def load_corpus(
     if dupes:
         raise IntegrityError(f"duplicate video ids in {metadata_path}: {sorted(set(dupes))}")
 
-    transcript_rows = _read_jsonl(transcript_path, parse_transcript)
-    ocr_rows = _read_jsonl(ocr_path, parse_ocr)
-    label_rows = _read_jsonl(labels_path, parse_labels)
+    transcript_rows = read_jsonl(transcript_path, parse_transcript)
+    ocr_rows = read_jsonl(ocr_path, parse_ocr)
+    label_rows = read_jsonl(labels_path, parse_labels)
 
     dangling = sorted(
         {r.video_id for r in transcript_rows + ocr_rows + label_rows} - set(videos)
@@ -517,5 +517,5 @@ def flatten_api_response(json_text: str) -> list[VideoRecord]:
             if isinstance(value, str) and value.isdecimal():
                 value = int(value)
             flat[our_key] = value
-        records.append(parse_video_metadata(json.dumps(flat)))
+        records.append(parse_video_metadata(flat))
     return records

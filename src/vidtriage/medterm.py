@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 from .textfeat import PhraseIndex, load_stopwords
 
 B_MED = "B-MED"
@@ -120,6 +119,14 @@ class TermDictionary:
         return {k for k in self.entries if " " in k}
 
 
+def _check_label(prev: str, lab: str) -> None:
+    """ValueError unless ``lab`` may follow ``prev`` (O at a start)."""
+    if lab not in LABELS:
+        raise ValueError(f"unknown label {lab!r}")
+    if lab == I_MED and prev == O:
+        raise ValueError("I-MED may not follow O or start a sentence")
+
+
 @dataclass(frozen=True)
 class TaggedSentence:
     """Token sequence with aligned BIO labels over the single class MED."""
@@ -132,13 +139,8 @@ class TaggedSentence:
             raise ValueError(
                 f"{len(self.tokens)} tokens but {len(self.labels)} labels"
             )
-        prev = O
-        for lab in self.labels:
-            if lab not in LABELS:
-                raise ValueError(f"unknown label {lab!r}")
-            if lab == I_MED and prev == O:
-                raise ValueError("I-MED may not follow O or start a sentence")
-            prev = lab
+        for prev, lab in zip((O,) + self.labels, self.labels):
+            _check_label(prev, lab)
 
     def spans(self) -> list[str]:
         """Surface forms of complete B/I spans, lowercased."""
@@ -190,9 +192,8 @@ def load_dictionary(
     if unknown:
         raise ValueError(f"unknown semantic-type codes {unknown}")
 
-    path = Path(path)
     entries: dict[str, set[str]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -278,30 +279,24 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
     """Read a CoNLL-style file back into sentences plus per-sentence video ids.
 
     Sentences written without video comments come back with ``None`` ids.
-    A sentence with an unknown or ill-formed label raises
-    DictionaryFormatError naming the file and the sentence's first line.
+    A malformed row, or one whose label is unknown or may not follow the
+    row before, raises DictionaryFormatError naming the file and the row's
+    line.
     """
     sentences: list[TaggedSentence] = []
     video_ids: list[Optional[str]] = []
     tokens: list[str] = []
     labels: list[str] = []
-    first_line = 0
     current_vid: Optional[str] = None
 
     def flush():
         nonlocal tokens, labels
         if tokens:
-            try:
-                sent = TaggedSentence(tuple(tokens), tuple(labels))
-            except ValueError as exc:
-                raise DictionaryFormatError(
-                    f"{path}:{first_line}: {exc}"
-                ) from None
-            sentences.append(sent)
+            sentences.append(TaggedSentence(tuple(tokens), tuple(labels)))
             video_ids.append(current_vid)
             tokens, labels = [], []
 
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             flush()
             continue
@@ -315,8 +310,10 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
             raise DictionaryFormatError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
-        if not tokens:
-            first_line = lineno
+        try:
+            _check_label(labels[-1] if labels else O, parts[1])
+        except ValueError as exc:
+            raise DictionaryFormatError(f"{path}:{lineno}: {exc}") from None
         tokens.append(parts[0])
         labels.append(parts[1])
     flush()

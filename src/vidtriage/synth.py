@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 from .corpus import (
     AnnotationLabels,
     OcrBlock,
@@ -230,7 +230,7 @@ def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
 
     keywords = [
         line.strip()
-        for line in data_path("keywords.txt").read_text("utf-8").splitlines()
+        for line in read_text(data_path("keywords.txt")).splitlines()
         if line.strip() and not line.startswith("#")
     ]
     with atomic_open(out_dir / "search_results.jsonl") as fh:

@@ -19,6 +19,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .artifacts import read_text
+
 
 class UndefinedReadabilityError(ValueError):
     """Raised when a grade level is requested for text with no words or sentences."""
@@ -148,7 +150,7 @@ def load_lexicon(path, name: Optional[str] = None) -> Lexicon:
     """Load a lexicon file: one phrase per line, '#' starts a comment."""
     path = Path(path)
     entries = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         phrase = line.split("#", 1)[0].strip().lower()
         if phrase:
             entries.add(" ".join(phrase.split()))

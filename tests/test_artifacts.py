@@ -1,5 +1,6 @@
 """Artifact I/O: exact round trips, atomic replacement, one writer module."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -188,3 +189,26 @@ def test_only_artifacts_module_writes_files():
                 offenders.append(f"{path.relative_to(src)}:{line}")
     assert offenders == []
     assert _WRITE_CALL.search(writer.read_text(encoding="utf-8"))
+
+
+def _opens_a_file(node):
+    """Whether ``node`` calls ``open`` or a ``read_text``, ``read_bytes``
+    or ``open`` method."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "open"
+        or isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("open", "read_text", "read_bytes"))
+
+
+def test_only_artifacts_module_reads_files():
+    # Every reader decodes through artifacts.read_text, so a bad byte is
+    # reported as file:line, never as a bare codec error.
+    src = Path(__file__).resolve().parent.parent / "src" / "vidtriage"
+    calls = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [ast.unparse(n.func) for n in ast.walk(tree)
+                 if _opens_a_file(n)]
+        if found:
+            calls[path.relative_to(src).as_posix()] = sorted(found)
+    assert calls == {"artifacts.py": ["Path(path).read_bytes", "open"]}

@@ -20,6 +20,7 @@ import vidtriage.classify as clf
 from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
+from vidtriage.data_files import data_path
 from vidtriage.medterm import TaggedSentence, unique_medical_terms
 from vidtriage.seqtag import load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
@@ -129,6 +130,20 @@ def test_ingest_keywords_rejects_unknown_video_id(tmp_path, corpus_paths,
     with caplog.at_level(logging.ERROR):
         assert main(args) == 1
     assert f"{bad}:2: {message}" in caplog.text
+
+
+def test_ingest_rejects_video_id_with_whitespace(tmp_path, corpus_paths,
+                                                 caplog):
+    # A CoNLL comment or a TSV cell would cut "vid 2" down to "vid".
+    videos = tmp_path / "videos.jsonl"
+    lines = corpus_paths["videos"].read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "video_id": "vid 2"})
+    videos.write_text("\n".join(lines) + "\n")
+    args = _ingest_args({**corpus_paths, "videos": videos}, tmp_path / "work")
+    with caplog.at_level(logging.ERROR):
+        assert main(args) == 1
+    assert f"{videos}:2: video_id must hold no whitespace" in caplog.text
+    assert not (tmp_path / "work").exists()
 
 
 def test_ingest_api_response(tmp_path, fixture_dir, capsys):
@@ -635,9 +650,7 @@ def test_bad_conll_label_exits_1_naming_line(tmp_path, caplog, label,
     with caplog.at_level(logging.ERROR):
         assert main(["train-tagger", "--arch", "crf", "--seed", "1",
                      "--work-dir", str(tmp_path)]) == 1
-    # A bad label names its sentence's first line; a malformed row, its own.
-    line = 7 if "\t" in label else 6
-    assert f"{conll}:{line}: {message}" in caplog.text
+    assert f"{conll}:7: {message}" in caplog.text
     assert "Traceback" not in caplog.text
 
 
@@ -709,6 +722,56 @@ def test_corrupt_model_exits_1_naming_file(tmp_path, model_work, caplog,
         assert main([*command, "--work-dir", str(work)]) == 1
     assert str(path) in caplog.text
     assert key is None or key in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+_INGEST = ["ingest", "--videos", "{work}/corpus/videos.jsonl",
+           "--transcripts", "{work}/corpus/transcripts.jsonl",
+           "--ocr", "{work}/corpus/ocr.jsonl",
+           "--labels", "{work}/corpus/labels.jsonl"]
+
+
+# Each kind of input file the stages read, and a command that reads it.
+@pytest.mark.parametrize("name, argv", [
+    ("corpus/labels.jsonl", ["featurize"]),
+    ("search_results.jsonl",
+     [*_INGEST, "--keywords", "{work}/search_results.jsonl"]),
+    ("api_response.json",
+     ["ingest", "--api-response", "{work}/api_response.json",
+      *_INGEST[3:]]),
+    ("pipeline.json", ["featurize", "--config", "{work}/pipeline.json"]),
+    ("transition.txt", ["featurize", "--config", "{work}/lexicons.json"]),
+    ("dictionary.tsv",
+     ["build-ner-corpus", "--dictionary", "{work}/dictionary.tsv"]),
+    ("ner/corpus.conll", ["train-tagger", "--arch", "crf", "--seed", "1"]),
+    ("ner/term_counts.tsv", ["assemble"]),
+    ("models/clf_medical_info.json", ["classify"]),
+], ids=["corpus", "search-results", "api-response", "config", "lexicon",
+        "dictionary", "conll", "table", "model"])
+def test_non_utf8_byte_exits_1_naming_line(tmp_path, model_work, fixture_dir,
+                                           caplog, capsys, name, argv):
+    work = tmp_path / "work"
+    shutil.copytree(model_work, work)
+    for extra, source in [
+        ("search_results.jsonl",
+         fixture_dir / "corpus" / "search_results.jsonl"),
+        ("api_response.json", fixture_dir / "api_response.json"),
+        ("transition.txt", data_path("transition_words.txt")),
+        ("dictionary.tsv", data_path("medical_terms.tsv")),
+    ]:
+        shutil.copy(source, work / extra)
+    (work / "pipeline.json").write_text('{"seed": 1,\n "work_dir": "w"}\n')
+    (work / "lexicons.json").write_text(json.dumps(
+        {"lexicons": {"transition": str(work / "transition.txt")}}))
+    path = work / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main([*(a.format(work=work) for a in argv),
+                     "--work-dir", str(work)]) == 1
+    assert f"{path}:2: not UTF-8 text" in caplog.text
     assert "Traceback" not in caplog.text
 
 

@@ -12,6 +12,7 @@ from vidtriage.corpus import (
     AnnotationLabels,
     CorpusError,
     IntegrityError,
+    LoadSummary,
     SchemaError,
     consolidate_labels,
     flatten_api_response,
@@ -21,6 +22,7 @@ from vidtriage.corpus import (
     parse_ocr,
     parse_transcript,
     parse_video_metadata,
+    read_jsonl,
     to_json_dict,
     write_jsonl,
 )
@@ -62,57 +64,67 @@ def test_parse_video_metadata_roundtrip():
         "caption_available": True,
         "view_count": 5,
     }
-    rec = parse_video_metadata(json.dumps(obj))
+    rec = parse_video_metadata(obj)
     assert rec.duration_s == 208
     assert rec.published_at == datetime(2019, 6, 12, 14, 30,
                                         tzinfo=timezone.utc)
     assert rec.tags == ("a", "b")
     assert rec.like_count is None
-    again = parse_video_metadata(json.dumps(to_json_dict(rec)))
+    again = parse_video_metadata(json.loads(json.dumps(to_json_dict(rec))))
     assert again == rec
 
 
-def test_parse_video_metadata_validation():
+def test_parse_video_metadata_validation(tmp_path):
     with pytest.raises(SchemaError):
-        parse_video_metadata(json.dumps({"title": "no id"}))
+        parse_video_metadata({"title": "no id"})
     with pytest.raises(SchemaError):
-        parse_video_metadata(json.dumps({"video_id": "v", "duration_s": -4}))
+        parse_video_metadata({"video_id": "v", "duration_s": -4})
     with pytest.raises(SchemaError):
-        parse_video_metadata(
-            json.dumps({"video_id": "v", "definition": "4k"})
-        )
+        parse_video_metadata({"video_id": "v", "definition": "4k"})
     with pytest.raises(SchemaError):
-        parse_video_metadata(
-            json.dumps({"video_id": "v", "view_count": -1})
-        )
-    with pytest.raises(SchemaError):
-        parse_video_metadata("[1, 2]")
+        parse_video_metadata({"video_id": "v", "view_count": -1})
+    # A line that decodes to something other than an object.
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text('{"video_id": "v"}\n[1, 2]\n')
+    with pytest.raises(SchemaError, match="videos.jsonl:2: expected a JSON object"):
+        read_jsonl(videos, parse_video_metadata)
+
+
+@pytest.mark.parametrize("parse", [
+    parse_video_metadata, parse_transcript, parse_ocr, parse_labels,
+])
+@pytest.mark.parametrize("vid", ["vid 0", "v\t1", "v\n2", "v\u20283"])
+def test_parsers_reject_video_id_with_whitespace(parse, vid):
+    # A CoNLL comment and a TSV cell would cut such an id short.
+    with pytest.raises(SchemaError, match="video_id must hold no whitespace"):
+        parse({"video_id": vid, "medical_info_high": 0,
+               "understandable": 0, "recommended": 0})
 
 
 def test_parse_transcript_and_confidence():
-    doc = parse_transcript(json.dumps({
+    doc = parse_transcript({
         "video_id": "v1",
         "segments": [
             {"text": "one two three", "confidence": 0.9},
             {"text": "four", "confidence": 0.5},
         ],
-    }))
+    })
     assert doc.text == "one two three four"
     # Word-count weighting: (3*0.9 + 1*0.5) / 4.
     assert doc.confidence == pytest.approx(0.8)
     with pytest.raises(SchemaError):
-        parse_transcript(json.dumps({
+        parse_transcript({
             "video_id": "v", "segments": [{"text": "x", "confidence": 1.2}],
-        }))
+        })
     # An integer too large for a float is out of range, not an overflow.
     with pytest.raises(SchemaError):
-        parse_transcript(json.dumps({
+        parse_transcript({
             "video_id": "v", "segments": [{"confidence": 10**400}],
-        }))
+        })
 
 
 def test_parse_ocr_and_confidence():
-    doc = parse_ocr(json.dumps({
+    doc = parse_ocr({
         "video_id": "v1",
         "blocks": [
             {"text": "a", "confidence": 0.8, "frame_time_s": 1.0},
@@ -120,22 +132,21 @@ def test_parse_ocr_and_confidence():
         ],
         "shot_count": 4,
         "shot_change_confidence": 0.5,
-    }))
+    })
     assert doc.confidence == pytest.approx(0.7)
     assert doc.shot_count == 4
-    empty = parse_ocr(json.dumps({"video_id": "v2"}))
+    empty = parse_ocr({"video_id": "v2"})
     assert empty.confidence == 0.0 and empty.blocks == ()
     # A null count reads as absent, so featurize never sees a None.
-    assert parse_ocr(json.dumps({"video_id": "v2", "shot_count": None})) \
-        == empty
+    assert parse_ocr({"video_id": "v2", "shot_count": None}) == empty
     with pytest.raises(SchemaError):
-        parse_ocr(json.dumps({"video_id": "v", "shot_count": -1}))
+        parse_ocr({"video_id": "v", "shot_count": -1})
     # A frame time must be finite; a huge integer is out of range, not
     # an overflow.
-    for bad in ("NaN", "Infinity", "1" + "0" * 400):
+    for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(SchemaError, match="frame_time_s"):
-            parse_ocr('{"video_id": "v", "blocks": [{"confidence": 0.5, '
-                      f'"frame_time_s": {bad}}}]}}')
+            parse_ocr({"video_id": "v", "blocks": [
+                {"confidence": 0.5, "frame_time_s": bad}]})
 
 
 _GOOD_BLOCK = st.fixed_dictionaries({
@@ -159,7 +170,7 @@ def test_parse_ocr_rejects_one_bad_frame_time(blocks, data):
     i = data.draw(st.integers(0, len(blocks) - 1))
     blocks[i] = {**blocks[i], "frame_time_s": data.draw(_BAD_FRAME_TIME)}
     with pytest.raises(SchemaError, match=f"block {i} frame_time_s"):
-        parse_ocr(json.dumps({"video_id": "v", "blocks": blocks}))
+        parse_ocr({"video_id": "v", "blocks": blocks})
 
 
 # ---------------------------------------------------------------- labels
@@ -167,10 +178,10 @@ def test_parse_ocr_rejects_one_bad_frame_time(blocks, data):
 
 def test_parse_labels_binary_only():
     with pytest.raises(SchemaError):
-        parse_labels(json.dumps({
+        parse_labels({
             "video_id": "v", "medical_info_high": 2,
             "understandable": 0, "recommended": 0,
-        }))
+        })
 
 
 def test_consolidate_majority_and_tie():
@@ -280,6 +291,37 @@ def test_load_corpus_error_names_line(tmp_path):
     assert f"{videos}: expected JSON Lines" in str(err.value)
 
 
+def test_corpus_line_ends_only_at_newline(tmp_path):
+    # U+2028, U+2029 and U+0085 may sit raw inside a JSON string; they
+    # do not end a JSON Lines line.
+    videos = tmp_path / "videos.jsonl"
+    description = "first\u2028second\u2029third\x85fourth"
+    videos.write_text(json.dumps({"video_id": "v1",
+                                  "description": description},
+                                 ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    store = load_corpus(videos, empty, empty, empty)
+    assert store.videos["v1"].description == description
+
+
+def test_corpus_loads_crlf_lines(tmp_path):
+    paths = {}
+    for name, obj in [("videos", {"video_id": "v1"}),
+                      ("transcripts", {"video_id": "v1", "segments": []}),
+                      ("ocr", {"video_id": "v1"}),
+                      ("labels", {"video_id": "v1", "medical_info_high": 1,
+                                  "understandable": 0, "recommended": 1})]:
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_bytes(b"\r\n" + json.dumps(obj).encode() + b"\r\n")
+    store = load_corpus(*paths.values())
+    assert store.summary == LoadSummary(1, 1, 1, 1)
+    paths["videos"].write_bytes(b'{"video_id": "v1"}\r\n{"video_id": 7}\r\n')
+    with pytest.raises(SchemaError, match="videos.jsonl:2: missing"):
+        load_corpus(*paths.values())
+
+
 def test_write_jsonl_roundtrip_and_sorted_keys(tmp_path, store):
     out = tmp_path / "videos.jsonl"
     write_jsonl(out, [store.videos[v] for v in sorted(store.videos)])
@@ -288,7 +330,7 @@ def test_write_jsonl_roundtrip_and_sorted_keys(tmp_path, store):
     for line in lines:
         obj = json.loads(line)
         assert list(obj) == sorted(obj)
-    again = [parse_video_metadata(line) for line in lines]
+    again = [parse_video_metadata(json.loads(line)) for line in lines]
     assert again == [store.videos[v] for v in sorted(store.videos)]
 
 
@@ -380,13 +422,13 @@ _API = _obj(("items",), items=st.lists(_obj(
     (parse_transcript, _TRANSCRIPT),
     (parse_ocr, _OCR),
     (parse_labels, _LABELS),
-    (flatten_api_response, _API),
+    (lambda obj: flatten_api_response(json.dumps(obj)), _API),
 ], ids=["videos", "transcripts", "ocr", "labels", "api"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_parsers_raise_only_corpus_errors(parse, objects, data):
     try:
-        parsed = parse(json.dumps(data.draw(objects)))
+        parsed = parse(data.draw(objects))
     except CorpusError:
         return
     # Whatever a parser accepts, write_jsonl writes as standard JSON.
