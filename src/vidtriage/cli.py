@@ -75,6 +75,8 @@ _FILES = {
     "tagger": "models/tagger_{arch}.json",
     "tagged": "ner/tagged_{arch}.conll",
     "term_counts": "ner/term_counts.tsv",
+    "transcript_tagged": "ner/transcript_tagged_{arch}.conll",
+    "transcript_term_counts": "ner/transcript_term_counts_{arch}.tsv",
     "features": "features/features.tsv",
     "clf": "models/clf_{target}.json",
     "predictions": "predictions/{target}.tsv",
@@ -327,7 +329,8 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
     out = _output(cfg, "ner_corpus")
-    medterm.write_conll(tagged, out, video_ids=video_ids)
+    medterm.write_conll(out, [s.tokens for s in tagged],
+                        [s.labels for s in tagged], video_ids=video_ids)
     print(f"projected {len(tagged)} sentences from {len(set(video_ids))} "
           f"videos -> {out}")
     return EXIT_OK
@@ -398,27 +401,18 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
     sentences, video_ids = _video_sentences(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
     # videos; the labels come back in the same order.
-    tagged = [
-        medterm.TaggedSentence(tokens=tuple(s), labels=tuple(p))
-        for s, p in zip(sentences, tag_sentences(model, sentences))
-    ]
+    labels = tag_sentences(model, sentences)
+    # Description tagging keeps the names that assemble reads.
+    prefix = "" if args.source == "description" else f"{args.source}_"
+    medterm.write_conll(_output(cfg, f"{prefix}tagged", arch=args.arch),
+                        sentences, labels, video_ids=video_ids)
+    counts = medterm.unique_term_counts(video_ids, sentences, labels)
+    out = _output(cfg, f"{prefix}term_counts", arch=args.arch)
     # Every video gets a count, 0 if it has no sentences.
-    per_video = {vid: [] for vid in sorted(store.videos)}
-    for vid, sentence in zip(video_ids, tagged):
-        per_video[vid].append(sentence)
-    medterm.write_conll(tagged, _output(cfg, "tagged", arch=args.arch),
-                        video_ids=video_ids)
-    out = _output(cfg, "term_counts")
-    write_tsv(
-        out,
-        _TERM_COUNTS_HEADER,
-        [[vid, str(medterm.unique_medical_terms(sents))]
-         for vid, sents in per_video.items()],
-    )
-    print(
-        f"tagged {len(tagged)} sentences across {len(per_video)} videos "
-        f"with {args.arch} -> {out}"
-    )
+    write_tsv(out, _TERM_COUNTS_HEADER,
+              [[vid, str(counts.get(vid, 0))] for vid in sorted(store.videos)])
+    print(f"tagged {len(sentences)} sentences across {len(store.videos)} "
+          f"videos with {args.arch} -> {out}")
     return EXIT_OK
 
 

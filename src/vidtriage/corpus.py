@@ -272,14 +272,14 @@ def parse_video_metadata(obj: dict) -> VideoRecord:
     published = obj.get("published_at")
     return VideoRecord(
         video_id=vid,
-        channel_id=str(obj.get("channel_id", "")),
+        channel_id=_typed_field(obj, "channel_id", str),
         published_at=_parse_timestamp(published) if published is not None else None,
-        title=str(obj.get("title", "")),
-        description=str(obj.get("description", "")),
+        title=_typed_field(obj, "title", str),
+        description=_typed_field(obj, "description", str),
         tags=tuple(tags),
         duration_s=duration,
         definition=definition,
-        caption_available=bool(obj.get("caption_available", False)),
+        caption_available=_typed_field(obj, "caption_available", bool),
         view_count=_require_nonneg_int(obj, "view_count"),
         like_count=_require_nonneg_int(obj, "like_count"),
         dislike_count=_require_nonneg_int(obj, "dislike_count"),
@@ -294,7 +294,8 @@ def parse_transcript(obj: dict) -> TranscriptDoc:
         if not isinstance(seg, dict):
             raise SchemaError(f"segment {i} must be an object")
         conf = _check_confidence(seg.get("confidence"), f"segment {i} confidence")
-        segments.append(TranscriptSegment(text=str(seg.get("text", "")), confidence=conf))
+        segments.append(TranscriptSegment(text=_typed_field(seg, "text", str),
+                                          confidence=conf))
     return TranscriptDoc(video_id=vid, segments=tuple(segments))
 
 
@@ -313,8 +314,8 @@ def parse_ocr(obj: dict) -> OcrDoc:
             raise SchemaError(
                 f"block {i} frame_time_s must be a finite non-negative number"
             )
-        blocks.append(OcrBlock(text=str(blk.get("text", "")), confidence=conf,
-                               frame_time_s=float(frame_t)))
+        blocks.append(OcrBlock(text=_typed_field(blk, "text", str),
+                               confidence=conf, frame_time_s=float(frame_t)))
     shot_count = _require_nonneg_int(obj, "shot_count") or 0
     shot_conf = _check_confidence(obj.get("shot_change_confidence", 0.0),
                                   "shot_change_confidence")
@@ -329,7 +330,7 @@ def parse_labels(obj: dict) -> AnnotationLabels:
         medical_info_high=_check_binary(obj, "medical_info_high"),
         understandable=_check_binary(obj, "understandable"),
         recommended=_check_binary(obj, "recommended"),
-        annotator_id=str(obj.get("annotator_id", "")),
+        annotator_id=_typed_field(obj, "annotator_id", str),
     )
 
 
@@ -485,37 +486,46 @@ def flatten_api_response(json_text: str) -> list[VideoRecord]:
     if not isinstance(items, list):
         raise SchemaError("API response has no 'items' list")
     records = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise SchemaError("API response item is not an object")
-        vid = item.get("id")
-        if isinstance(vid, dict):  # search responses nest the id
-            vid = vid.get("videoId")
-        snippet = _typed_field(item, "snippet", dict)
-        content = _typed_field(item, "contentDetails", dict)
-        stats = _typed_field(item, "statistics", dict)
-        flat = {
-            "video_id": vid,
-            "channel_id": snippet.get("channelId", ""),
-            "published_at": snippet.get("publishedAt"),
-            "title": snippet.get("title", ""),
-            "description": snippet.get("description", ""),
-            "tags": snippet.get("tags", []),
-            "duration_s": content.get("duration", 0),
-            "definition": content.get("definition", "sd"),
-            "caption_available": str(content.get("caption", "false")).lower() == "true",
-        }
-        for api_key, our_key in (
-            ("viewCount", "view_count"),
-            ("likeCount", "like_count"),
-            ("dislikeCount", "dislike_count"),
-            ("commentCount", "comment_count"),
-        ):
-            # The API sends counts as decimal strings; any other value
-            # goes on unchanged for parse_video_metadata to check.
-            value = stats.get(api_key)
-            if isinstance(value, str) and value.isdecimal():
-                value = int(value)
-            flat[our_key] = value
-        records.append(parse_video_metadata(flat))
+    for number, item in enumerate(items, start=1):
+        try:
+            records.append(parse_video_metadata(_flatten_item(item)))
+        except CorpusError as exc:
+            exc.args = (f"item {number}: {exc}",)
+            raise
     return records
+
+
+def _flatten_item(item) -> dict:
+    """One API item as the flat dict ``parse_video_metadata`` reads."""
+    if not isinstance(item, dict):
+        raise SchemaError("API response item is not an object")
+    vid = item.get("id")
+    if isinstance(vid, dict):  # search responses nest the id
+        vid = vid.get("videoId")
+    snippet = _typed_field(item, "snippet", dict)
+    content = _typed_field(item, "contentDetails", dict)
+    stats = _typed_field(item, "statistics", dict)
+    flat = {
+        "video_id": vid,
+        "channel_id": snippet.get("channelId", ""),
+        "published_at": snippet.get("publishedAt"),
+        "title": snippet.get("title", ""),
+        "description": snippet.get("description", ""),
+        "tags": snippet.get("tags", []),
+        "duration_s": content.get("duration", 0),
+        "definition": content.get("definition", "sd"),
+        "caption_available": str(content.get("caption", "false")).lower() == "true",
+    }
+    for api_key, our_key in (
+        ("viewCount", "view_count"),
+        ("likeCount", "like_count"),
+        ("dislikeCount", "dislike_count"),
+        ("commentCount", "comment_count"),
+    ):
+        # The API sends counts as decimal strings; any other value
+        # goes on unchanged for parse_video_metadata to check.
+        value = stats.get(api_key)
+        if isinstance(value, str) and value.isdecimal():
+            value = int(value)
+        flat[our_key] = value
+    return flat

@@ -2,8 +2,10 @@
 
 The dictionary maps cleaned terms to coarse semantic-type categories and
 replaces a full concept-mapping service: projecting its entries onto
-tokenized sentences yields BIO-labeled training data for the taggers and
-per-video unique-term counts for the classifiers.
+tokenized sentences yields BIO-labeled training data for the taggers.
+Terms split into words by ``textfeat.split_words``, as ``tokenize`` does,
+so a term matches the tokens of its own text. ``unique_term_counts``
+counts each video's distinct span surface forms (``span_forms``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .artifacts import atomic_open, read_text
-from .textfeat import PhraseIndex, load_stopwords
+from .textfeat import PhraseIndex, load_stopwords, split_words
 
 B_MED = "B-MED"
 I_MED = "I-MED"
@@ -75,24 +77,17 @@ SEMANTIC_TYPES = {
     "patf": "Pathologic Function",
 }
 
-_NON_ALNUM_RE = re.compile(r"[^a-z0-9 ]+")
-
-
-def _normalize_words(raw: str) -> list[str]:
-    """Lowercase, replace punctuation and symbols with spaces, split."""
-    return _NON_ALNUM_RE.sub(" ", raw.lower()).split()
-
 
 def clean_terms(raw_terms: Iterable[str], stopwords: frozenset[str] | set[str]) -> set[str]:
     """Reduce raw terms to a set of cleaned single words.
 
-    Punctuation and symbols are stripped, terms are split into words and
-    lowercased, stopwords are dropped, and only words longer than three
-    characters survive.
+    Terms split into lowercased words as ``textfeat.split_words`` splits
+    text, so "Crohn's" keeps its apostrophe; stopwords are dropped, and
+    only words longer than three characters survive.
     """
     out: set[str] = set()
     for raw in raw_terms:
-        for word in _normalize_words(raw):
+        for word in split_words(raw):
             if len(word) >= MIN_WORD_LEN and word not in stopwords:
                 out.add(word)
     return out
@@ -105,18 +100,10 @@ class TermDictionary:
     Keys are either single cleaned words or whole multi-word phrases
     (space-joined, lowercase). Phrases are kept intact for projection even
     though cleaning splits terms into words: real entities are often
-    multi-word and unique-term counting works on complete mentions.
+    multi-word, and projection marks the longest mention.
     """
 
     entries: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    @property
-    def word_keys(self) -> set[str]:
-        return {k for k in self.entries if " " not in k}
-
-    @property
-    def phrase_keys(self) -> set[str]:
-        return {k for k in self.entries if " " in k}
 
 
 def _check_label(prev: str, lab: str) -> None:
@@ -143,9 +130,8 @@ class TaggedSentence:
             _check_label(prev, lab)
 
     def spans(self) -> list[str]:
-        """Surface forms of complete B/I spans, lowercased."""
-        return [" ".join(t.lower() for t in self.tokens[a:b])
-                for a, b in span_offsets(self.labels)]
+        """Surface forms of the sentence's spans, as ``span_forms``."""
+        return span_forms(self.tokens, self.labels)
 
 
 def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
@@ -167,6 +153,22 @@ def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
     if start is not None:
         spans.append((start, len(labels)))
     return spans
+
+
+def span_forms(tokens: Sequence[str], labels: Sequence[str]) -> list[str]:
+    """Each span's tokens, lowercased and joined by single spaces."""
+    return [" ".join(t.lower() for t in tokens[a:b])
+            for a, b in span_offsets(labels)]
+
+
+def unique_term_counts(video_ids: Sequence[str],
+                       sentences: Sequence[Sequence[str]],
+                       labels: Sequence[Sequence[str]]) -> dict[str, int]:
+    """Each video's number of distinct span surface forms (``span_forms``)."""
+    forms: dict[str, set[str]] = {}
+    for vid, tokens, labs in zip(video_ids, sentences, labels, strict=True):
+        forms.setdefault(vid, set()).update(span_forms(tokens, labs))
+    return {vid: len(f) for vid, f in forms.items()}
 
 
 def load_dictionary(
@@ -213,7 +215,7 @@ def load_dictionary(
             continue
         for word in clean_terms([term], stopwords):
             entries.setdefault(word, set()).add(code)
-        phrase_words = _normalize_words(term)
+        phrase_words = split_words(term)
         if len(phrase_words) >= 2:
             entries.setdefault(" ".join(phrase_words), set()).add(code)
     return TermDictionary(entries={k: frozenset(v) for k, v in entries.items()})
@@ -222,23 +224,16 @@ def load_dictionary(
 def project_labels(
     dictionary: TermDictionary,
     sentences: Sequence[Sequence[str]],
-    mode: str = "phrase",
 ) -> list[TaggedSentence]:
     """Mark dictionary mentions in tokenized sentences with BIO labels.
 
-    Matching is longest-first, left-to-right, and non-overlapping, so the
-    candidate "colon cancer" beats the shorter "colon" at the same position.
-    Mode 'phrase' matches every key, 'word' only single words. Tokens are
-    non-empty and hold no whitespace, as ``textfeat.tokenize`` makes them.
-    Pass every sentence of a stage in one call: the matcher is built once
-    per call.
+    Every key, word or phrase, is matched longest-first, left-to-right,
+    and non-overlapping, so the candidate "colon cancer" beats the shorter
+    "colon" at the same position. Tokens are non-empty and hold no
+    whitespace, as ``textfeat.tokenize`` makes them. Pass every sentence
+    of a stage in one call: the matcher is built once per call.
     """
-    if mode == "word":
-        index = PhraseIndex(dictionary.word_keys)
-    elif mode == "phrase":
-        index = PhraseIndex(dictionary.entries)
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
+    index = PhraseIndex(dictionary.entries)
     tagged = []
     for sent in sentences:
         tokens = [t.lower() for t in sent]
@@ -249,28 +244,21 @@ def project_labels(
     return tagged
 
 
-def unique_medical_terms(tagged: Iterable[TaggedSentence]) -> int:
-    """Number of distinct span surface forms across all sentences of a video."""
-    forms: set[str] = set()
-    for sent in tagged:
-        forms.update(sent.spans())
-    return len(forms)
-
-
-def write_conll(tagged: Iterable[TaggedSentence], path, video_ids: Optional[Sequence[str]] = None) -> None:
-    """Write sentences as token<TAB>tag lines with blank lines between them.
+def write_conll(path, sentences: Sequence[Sequence[str]],
+                labels: Sequence[Sequence[str]],
+                video_ids: Optional[Sequence[str]] = None) -> None:
+    """Write parallel token and label sequences as token<TAB>tag lines,
+    with blank lines between sentences; unequal lengths raise ValueError.
 
     When ``video_ids`` is given (one per sentence), a ``# video_id = ...``
     comment precedes each sentence so training can split at video level.
     """
-    tagged = list(tagged)
-    if video_ids is not None and len(video_ids) != len(tagged):
-        raise ValueError("video_ids must align with sentences")
+    ids = [None] * len(sentences) if video_ids is None else video_ids
     with atomic_open(path) as fh:
-        for i, sent in enumerate(tagged):
-            if video_ids is not None:
-                fh.write(f"# video_id = {video_ids[i]}\n")
-            for tok, lab in zip(sent.tokens, sent.labels):
+        for vid, tokens, labs in zip(ids, sentences, labels, strict=True):
+            if vid is not None:
+                fh.write(f"# video_id = {vid}\n")
+            for tok, lab in zip(tokens, labs, strict=True):
                 fh.write(f"{tok}\t{lab}\n")
             fh.write("\n")
 

@@ -3,6 +3,7 @@
 Everything here is a pure function of its inputs: tokenization, sentence
 splitting, a syllable heuristic, Flesch-Kincaid grade level, and counters
 over small phrase lexicons. No model downloads, no randomness.
+``split_words`` is the one word rule, for ``tokenize`` and term dictionaries.
 
 Phrases are matched through a ``PhraseIndex`` kept on each lexicon.
 Per-token results (syllables, active-verb hits) go into a ``TokenMemo``
@@ -173,6 +174,12 @@ def _closes_abbreviation(text: str, i: int) -> bool:
     return word in _ABBREVIATIONS or (len(word) == 1 and word.isalpha())
 
 
+def split_words(text: str) -> list[str]:
+    """Lowercased runs of ASCII letters and digits; an apostrophe between
+    two runs stays inside the word, as in "crohn's"."""
+    return _WORD_RE.findall(text.lower())
+
+
 def tokenize(text: str) -> TokenizedText:
     """Split text into lowercase word tokens grouped into sentences.
 
@@ -194,7 +201,7 @@ def tokenize(text: str) -> TokenizedText:
     tokens: list[str] = []
     sentences: list[tuple[int, int]] = []
     for chunk in chunks:
-        words = _WORD_RE.findall(chunk.lower())
+        words = split_words(chunk)
         if not words:
             continue
         sentences.append((len(tokens), len(tokens) + len(words)))

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import string
 import subprocess
@@ -21,7 +22,7 @@ from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
-from vidtriage.medterm import TaggedSentence, unique_medical_terms
+from vidtriage.medterm import unique_term_counts
 from vidtriage.seqtag import load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
@@ -144,6 +145,36 @@ def test_ingest_rejects_video_id_with_whitespace(tmp_path, corpus_paths,
         assert main(args) == 1
     assert f"{videos}:2: video_id must hold no whitespace" in caplog.text
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("title", 5), ("description", ["x"]), ("caption_available", "false"),
+])
+def test_null_text_reads_empty_and_wrong_type_exits_1(
+        tmp_path, corpus_paths, caplog, capsys, key, value):
+    videos = [json.loads(line) for line
+              in corpus_paths["videos"].read_text().splitlines()]
+    videos[1]["title"] = None
+    paths = dict(corpus_paths, videos=tmp_path / "videos.jsonl")
+
+    def ingest():
+        paths["videos"].write_text(
+            "".join(json.dumps(doc) + "\n" for doc in videos))
+        return main(_ingest_args(paths, tmp_path / "work"))
+
+    assert ingest() == 0
+    assert main(["featurize", "--work-dir", str(tmp_path / "work")]) == 0
+    capsys.readouterr()
+    rows = clf.read_features_tsv(
+        tmp_path / "work" / "features" / "text_features.tsv",
+        cli._TEXT_FEATURES_HEADER)
+    assert [row.has_title for row in rows] == [
+        int(bool(doc.get("title"))) for doc in videos]
+    assert rows[1].has_title == 0
+    videos[1][key] = value
+    with caplog.at_level(logging.ERROR):
+        assert ingest() == 1
+    assert f"videos.jsonl:2: {key} must be a " in caplog.text
 
 
 def test_ingest_api_response(tmp_path, fixture_dir, capsys):
@@ -349,10 +380,10 @@ def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
     model = load_model(work / "models" / f"tagger_{arch}.json")
     for doc in videos:
         sentences = tokenize(doc["description"]).sentence_tokens()
-        tagged = [TaggedSentence(tokens=tuple(s), labels=tuple(p))
-                  for s, p in zip(sentences,
-                                  tag_sentences(model, sentences))]
-        assert counts[doc["video_id"]] == str(unique_medical_terms(tagged))
+        labels = tag_sentences(model, sentences)
+        vid = doc["video_id"]
+        assert counts[vid] == str(unique_term_counts(
+            [vid] * len(sentences), sentences, labels).get(vid, 0))
     assert sum(map(int, counts.values())) > 0
 
 
@@ -789,7 +820,8 @@ def pipeline_work(tmp_path_factory):
          str(root / "corpus" / "dictionary.tsv")],
         *(["train-tagger", "--arch", arch, "--epochs", "15", "--lr", "1.0",
            "--seed", "9"] for arch in cli.ARCHS),
-        *(["tag", "--arch", arch] for arch in cli.ARCHS),
+        *(["tag", "--arch", arch, "--source", source]
+          for arch in cli.ARCHS for source in ("description", "transcript")),
         ["assemble"],
         *(["train-clf", "--target", target, "--seed", "9"]
           for target in clf.TARGETS),
@@ -820,6 +852,50 @@ def test_file_table_names_every_file_the_stages_write(pipeline_work, capsys):
         assert len(owners) == 1, (rel, owners)
     for name, paths in expanded.items():
         assert paths <= written, (name, sorted(paths - written))
+
+
+def test_assemble_reads_description_counts(pipeline_work, capsys):
+    # Transcript tagging ran after description tagging and before
+    # assemble, and writes files of its own.
+    capsys.readouterr()
+
+    def counts(name):
+        lines = (pipeline_work / "ner" / name).read_text().splitlines()
+        return dict(line.split("\t") for line in lines[1:])
+
+    description = counts("term_counts.tsv")
+    assert description != counts("transcript_term_counts_blstm.tsv")
+    for row in clf.read_features_tsv(pipeline_work / "features" /
+                                     "features.tsv"):
+        assert row.n_unique_medical_terms == int(description[row.video_id])
+
+
+def _readme_paths():
+    """Every path the README's work-directory table names, with each
+    ``{a,b}`` group and each ``{arch}``, ``{target}`` and ``{table}``
+    expanded."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md")
+    section = readme.read_text(encoding="utf-8").split(
+        "## Work directory")[1].split("\n## ")[0]
+    paths = set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        template = line.split("`")[1]
+        # A {a,b} group lists its values; a named field takes _expand's.
+        groups = re.findall(r"\{([^}]*)\}", template)
+        options = [g.split(",") if "," in g else [None] for g in groups]
+        for combo in itertools.product(*options):
+            parts = iter(combo)
+            filled = re.sub(r"\{[^}]*\}", lambda m: next(parts) or m[0],
+                            template)
+            paths |= _expand(filled)
+    return paths
+
+
+def test_readme_file_table_matches_file_table():
+    in_table = set().union(*map(_expand, cli._FILES.values()))
+    assert _readme_paths() == in_table
 
 
 def test_classify_with_a_missing_model_keeps_old_predictions(

@@ -349,6 +349,48 @@ def test_flatten_api_response(fixture_dir):
         flatten_api_response(json.dumps({"kind": "x"}))
 
 
+@pytest.mark.parametrize("item, message", [
+    ({"id": "b 2"}, "item 2: video_id must hold no whitespace, got 'b 2'"),
+    ({"id": "b2", "statistics": {"viewCount": -4}},
+     "item 2: view_count must be >= 0, got -4"),
+    ({"id": "b2", "snippet": []}, "item 2: snippet must be a dict"),
+    ("b2", "item 2: API response item is not an object"),
+], ids=["id", "count", "snippet", "not-object"])
+def test_flatten_api_response_errors_name_the_item(item, message):
+    items = [{"id": "a1"}, item, {"id": "c3"}]
+    with pytest.raises(SchemaError) as info:
+        flatten_api_response(json.dumps({"items": items}))
+    assert str(info.value).startswith(message)
+
+
+# Text fields read as strings and flags as booleans; null reads as the
+# field's empty value and any other type is refused.
+@pytest.mark.parametrize("parse, key, wrap, empty", [
+    (parse_video_metadata, "channel_id", None, ""),
+    (parse_video_metadata, "title", None, ""),
+    (parse_video_metadata, "description", None, ""),
+    (parse_video_metadata, "caption_available", None, False),
+    (parse_labels, "annotator_id", None, ""),
+    (parse_transcript, "text", "segments", ""),
+    (parse_ocr, "text", "blocks", ""),
+])
+def test_text_and_flag_fields_take_one_type(parse, key, wrap, empty):
+    def parsed(value):
+        obj = {"video_id": "v1", "medical_info_high": 0,
+               "understandable": 0, "recommended": 0}
+        if wrap is None:
+            obj[key] = value
+            return getattr(parse(obj), key)
+        obj[wrap] = [{key: value, "confidence": 0.5}]
+        return getattr(parse(obj), wrap)[0].text
+
+    assert parsed(None) == empty
+    wrong = "false" if empty is False else 5
+    with pytest.raises(SchemaError, match=f"{key} must be a "
+                                          f"{type(empty).__name__}"):
+        parsed(wrong)
+
+
 # ------------------------------------------------------- fuzzed objects
 
 # Any JSON value: the wrong type for most fields.

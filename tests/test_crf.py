@@ -405,7 +405,7 @@ def test_crf_stages_match_golden_fixture(tmp_path):
     run("train-tagger", "--arch", "crf", "--work-dir", work, "--seed", 13)
     run("tag", "--arch", "crf", "--source", "transcript", "--work-dir", work)
     for made in (work / "models" / "tagger_crf.json",
-                 work / "ner" / "tagged_crf.conll"):
+                 work / "ner" / "transcript_tagged_crf.conll"):
         assert made.read_bytes() == (GOLDEN / made.name).read_bytes(), made
 
 

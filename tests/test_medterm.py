@@ -15,9 +15,10 @@ from vidtriage.medterm import (
     project_labels,
     read_conll,
     span_offsets,
-    unique_medical_terms,
+    unique_term_counts,
     write_conll,
 )
+from vidtriage.textfeat import tokenize
 
 STOPWORDS = frozenset({"the", "of", "with", "from", "this", "that"})
 
@@ -98,15 +99,14 @@ def test_load_dictionary_skips_unknown_codes(tmp_path):
         "colonoscopy", "polyp", "colon", "cancer", "sedation",
         "colitis", "cramping", "gastroenterologist",
     }
-    assert d.word_keys == surviving_words
-    assert d.phrase_keys == {"colon cancer"}
+    assert set(d.entries) == surviving_words | {"colon cancer"}
 
 
 def test_load_dictionary_type_filter(tmp_path):
     path = tmp_path / "dict.tsv"
     path.write_text("colonoscopy\tdiap\npolyp\tneop\nsedation\ttopp\n")
     d = load_dictionary(path, allowed_types=["neop"], stopwords=STOPWORDS)
-    assert d.word_keys == {"polyp"}
+    assert set(d.entries) == {"polyp"}
     assert d.entries["polyp"] == frozenset({"neop"})
     # The allowed codes come from the same closed set as the rows.
     with pytest.raises(ValueError, match="unknown semantic-type codes"):
@@ -145,10 +145,19 @@ def test_project_labels_longest_match(small_dict):
     assert tagged[0].spans() == ["colon cancer"]
 
 
-def test_project_labels_word_mode(small_dict):
-    tagged = project_labels(small_dict, [["colon", "cancer"]], mode="word")
-    # Word mode has no phrase keys, so each word matches alone.
-    assert list(tagged[0].labels) == [B_MED, B_MED]
+def test_apostrophe_term_projects_onto_its_own_tokens(tmp_path):
+    # Dictionary terms split into words by the rule tokenize uses, so an
+    # apostrophe stays inside the word on both sides.
+    assert clean_terms(["Crohn's disease"], STOPWORDS) == {"crohn's",
+                                                           "disease"}
+    path = tmp_path / "dict.tsv"
+    path.write_text("Crohn's disease\tdsyn\n")
+    d = load_dictionary(path, stopwords=STOPWORDS)
+    assert "crohn's disease" in d.entries
+    sentence, = tokenize("Crohn's disease is common.").sentence_tokens()
+    tagged, = project_labels(d, [sentence])
+    assert list(tagged.labels) == [B_MED, I_MED, O, O]
+    assert tagged.spans() == ["crohn's disease"]
 
 
 def test_tagged_sentence_validates():
@@ -171,24 +180,28 @@ def test_span_offsets_ignore_a_stray_inside_tag():
     assert sent.spans() == ["colon cancer", "polyp"]
 
 
-def test_unique_medical_terms_scale_fixture():
+def test_unique_term_counts_scale_fixture():
     # A constructed corpus with exactly 1917 distinct entities.
     terms = [f"term{i:04d}" for i in range(1917)]
-    sentences = [
-        TaggedSentence(tokens=(t, "filler"), labels=(B_MED, O))
-        for t in terms
-    ] + [
-        TaggedSentence(tokens=(terms[0], terms[1]), labels=(B_MED, B_MED))
-    ]
-    assert unique_medical_terms(sentences) == 1917
+    sentences = [(t, "filler") for t in terms] + [(terms[0], terms[1])]
+    labels = [(B_MED, O)] * len(terms) + [(B_MED, B_MED)]
+    counts = unique_term_counts(["v"] * len(sentences), sentences, labels)
+    assert counts["v"] == 1917
 
 
-def test_unique_medical_terms_case_folded():
-    sents = [
-        TaggedSentence(tokens=("Polyp",), labels=(B_MED,)),
-        TaggedSentence(tokens=("polyp",), labels=(B_MED,)),
-    ]
-    assert unique_medical_terms(sents) == 1
+def test_unique_term_counts_case_folded():
+    counts = unique_term_counts(["v", "v"], [("Polyp",), ("polyp",)],
+                                [(B_MED,), (B_MED,)])
+    assert counts["v"] == 1
+
+
+def test_unique_term_counts_per_video():
+    sentences = [("colon", "cancer"), ("polyp",), ("colon", "cancer")]
+    labels = [(B_MED, I_MED), (O,), (B_MED, B_MED)]
+    assert unique_term_counts(["a", "b", "a"], sentences, labels) \
+        == {"a": 3, "b": 0}
+    with pytest.raises(ValueError):
+        unique_term_counts(["a"], sentences, labels)
 
 
 # ------------------------------------------------------------ CoNLL io
@@ -200,7 +213,8 @@ def test_conll_roundtrip(tmp_path, small_dict):
         [["colon", "cancer", "facts"], ["schedule", "your", "colonoscopy"]],
     )
     path = tmp_path / "corpus.conll"
-    write_conll(tagged, path, video_ids=["v1", "v2"])
+    write_conll(path, [s.tokens for s in tagged], [s.labels for s in tagged],
+                video_ids=["v1", "v2"])
     again, vids = read_conll(path)
     assert again == tagged
     assert vids == ["v1", "v2"]
@@ -209,10 +223,24 @@ def test_conll_roundtrip(tmp_path, small_dict):
 def test_conll_roundtrip_without_ids(tmp_path, small_dict):
     tagged = project_labels(small_dict, [["polyp"]])
     path = tmp_path / "c.conll"
-    write_conll(tagged, path)
+    write_conll(path, [s.tokens for s in tagged], [s.labels for s in tagged])
     again, vids = read_conll(path)
     assert again == tagged
     assert vids == [None]
+
+
+@pytest.mark.parametrize("sentences, labels, ids", [
+    ([["polyp"]], [], None),
+    ([["polyp"]], [[B_MED, O]], None),
+    ([["polyp"]], [[B_MED]], ["v1", "v2"]),
+], ids=["labels", "tokens", "ids"])
+def test_write_conll_refuses_unaligned_sequences(tmp_path, sentences, labels,
+                                                 ids):
+    path = tmp_path / "c.conll"
+    path.write_text("old\tO\n")
+    with pytest.raises(ValueError):
+        write_conll(path, sentences, labels, video_ids=ids)
+    assert path.read_text() == "old\tO\n"
 
 
 def test_projection_random_loop_well_formed(small_dict):

@@ -74,9 +74,6 @@ def test_dictionary_loads_clean(tmp_path):
     assert len(lines) == summary.n_dictionary_terms
     # Multi-word source terms add word keys on top of their phrase key.
     assert len(dictionary.entries) >= summary.n_dictionary_terms
-    assert dictionary.phrase_keys | dictionary.word_keys == set(
-        dictionary.entries
-    )
 
 
 def test_descriptions_yield_medical_spans(tmp_path):

@@ -363,11 +363,8 @@ def _ref_active_verb_count(tok, verb_lex):
     return count
 
 
-def _ref_project_labels(dictionary, sentences, mode="phrase"):
-    if mode == "word":
-        keys = {k for k in dictionary.entries if " " not in k}
-    else:
-        keys = set(dictionary.entries)
+def _ref_project_labels(dictionary, sentences):
+    keys = set(dictionary.entries)
     max_len = max((len(k.split()) for k in keys), default=0)
     tagged = []
     for sent in sentences:
@@ -456,12 +453,11 @@ _ODD_KEYS = ["", " in", "colon cancer", "colon  cancer", "a\tb",
 @given(keys=st.frozensets(_PHRASES, max_size=12),
        odd_keys=st.frozensets(st.sampled_from(_ODD_KEYS)),
        texts=st.lists(_TEXTS, max_size=3),
-       raw=st.lists(st.lists(_TOKENS, max_size=10), max_size=3),
-       mode=st.sampled_from(["phrase", "word"]))
-def test_project_labels_match_reference(keys, odd_keys, texts, raw, mode):
+       raw=st.lists(st.lists(_TOKENS, max_size=10), max_size=3))
+def test_project_labels_match_reference(keys, odd_keys, texts, raw):
     dictionary = TermDictionary(
         entries={k: frozenset({"dsyn"}) for k in keys | odd_keys})
     sentences = [s for t in texts for s in tokenize(t).sentence_tokens()]
     sentences += raw
-    assert (project_labels(dictionary, sentences, mode)
-            == _ref_project_labels(dictionary, sentences, mode))
+    assert (project_labels(dictionary, sentences)
+            == _ref_project_labels(dictionary, sentences))
