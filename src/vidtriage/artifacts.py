@@ -1,16 +1,15 @@
 """Artifact files: the one module that opens a file or frames a model.
 
-Files are written by :func:`atomic_open` and read by :func:`read_text`.
-Tables are a header line plus one line per row, cells joined by tabs; a
-bad row is reported as ``<path>:<line>: <problem>``. Models are JSON
-under a format marker and version; a missing key, wrong shape or
-non-finite number in one raises :class:`ModelFormatError` naming the
-path.
+Files are written by :func:`atomic_open` and read by :func:`read_text`,
+and every text reader splits lines with :func:`read_lines`. Tables are a
+header line plus one line per row, cells joined by tabs; a bad row is
+reported as ``<path>:<line>: <problem>``. Models are JSON under a format
+marker and version; a missing key, wrong shape or non-finite number in
+one raises :class:`ModelFormatError` naming the path.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from contextlib import contextmanager
@@ -71,17 +70,18 @@ def write_tsv(path, header: Sequence[str],
             fh.write("\t".join(row) + "\n")
 
 
-def read_tsv(path, header: Sequence[str],
-             parse_row: Callable[[list[str]], T]) -> list[T]:
-    """Parse every row after a header that must equal ``header``.
+def read_lines(path) -> list[str]:
+    """The lines of ``path``'s text. A line ends at ``\n`` and nowhere
+    else, and a ``\r`` just before the ``\n`` is dropped."""
+    return read_text(path).replace("\r\n", "\n").split("\n")
 
-    Blank lines are skipped. A row of the wrong width, or one whose
-    ``parse_row`` raises ValueError, KeyError or IndexError, raises
-    ValueError naming the file and line.
-    """
-    # newline=None: a line ends at \n, \r\n or \r, as in a text-mode file.
-    lines = [(lineno, line.rstrip("\n").split("\t")) for lineno, line
-             in enumerate(io.StringIO(read_text(path), newline=None), 1)
+
+def read_table(path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """The line number and cells of every row after a header that must
+    equal ``header``. Blank lines are skipped; a row of the wrong width
+    raises ValueError naming the file and line."""
+    lines = [(lineno, line.split("\t"))
+             for lineno, line in enumerate(read_lines(path), 1)
              if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty table")
@@ -90,13 +90,21 @@ def read_tsv(path, header: Sequence[str],
         raise ValueError(
             f"{path}:{lineno}: expected header {list(header)}, got {cells}"
         )
-    rows = []
     for lineno, cells in lines[1:]:
         if len(cells) != len(header):
             raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} columns, "
                 f"got {len(cells)}"
             )
+    return lines[1:]
+
+
+def read_tsv(path, header: Sequence[str],
+             parse_row: Callable[[list[str]], T]) -> list[T]:
+    """``parse_row`` of each row of :func:`read_table`; its ValueError,
+    KeyError or IndexError raises ValueError naming the file and line."""
+    rows = []
+    for lineno, cells in read_table(path, header):
         try:
             rows.append(parse_row(cells))
         except (ValueError, KeyError, IndexError) as exc:

@@ -1,28 +1,29 @@
 """Per-video feature assembly and logistic-regression triage models.
 
-Three binary classifiers share one 25-field feature vector: medical
-information level uses 18 metadata-plus-text features, understandability
-uses the 11 video-level features, and recommendation uses everything,
-including the other two annotation labels. That last choice means the
-recommendation model conditions on human annotations at predict time,
-so its scores are not label-free. Features are z-scored before fitting
-(binaries pass through), the regularized Bernoulli log-likelihood is
-maximized by damped Newton steps, and coefficient significance comes from
-Wald tests against the same observed information matrix.
+Three binary classifiers read one feature table of 25 features per
+video: medical information level uses 18 metadata-plus-text features,
+understandability uses the 11 video-level features, and recommendation
+uses everything, including the other two annotation labels. That last
+choice means the recommendation model conditions on human annotations at
+predict time, so its scores are not label-free. Features are z-scored
+before fitting (binaries pass through), the regularized Bernoulli
+log-likelihood is maximized by damped Newton steps, and coefficient
+significance comes from Wald tests against the same observed information
+matrix.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
-from functools import partial
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .artifacts import (
-    finite_array, load_json_model, read_tsv, save_json_model, write_tsv,
+    finite_array, load_json_model, read_table, save_json_model, write_tsv,
 )
 from .corpus import CorpusStore
 from .numeric import normal_two_sided_tail, sigmoid
@@ -34,81 +35,35 @@ BINARY_FEATURES = frozenset({
     "medical_info_high", "understandable",
 })
 
-_CONFIDENCE_FEATURES = (
-    "ocr_confidence", "transcription_confidence", "shot_change_confidence",
-)
-
-# Readability can be negative; every other continuous feature is a count.
-_SIGNED_FEATURES = frozenset({"readability_v", "readability_m"})
-
 
 class ConvergenceError(RuntimeError):
     """Raised when the optimizer cannot reach the gradient tolerance."""
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One video's classifier inputs plus, when annotated, its labels.
-
-    ``medical_info_high`` and ``understandable`` double as features of the
-    recommendation model; ``recommended`` is only ever a label. All three
-    are None for unannotated videos.
-    """
-
-    video_id: str
-    ocr_confidence: float = 0.0
-    n_active_verbs_v: float = 0.0
-    readability_v: float = 0.0
-    n_sentences_v: float = 0.0
-    n_shots: float = 0.0
-    shot_change_confidence: float = 0.0
-    n_summary_words_v: float = 0.0
-    transcription_confidence: float = 0.0
-    n_transition_words_v: float = 0.0
-    n_words_v: float = 0.0
-    n_unique_words_v: float = 0.0
-    has_title: int = 0
-    has_description: int = 0
-    has_tags: int = 0
-    readability_m: float = 0.0
-    n_sentences_m: float = 0.0
-    n_words_m: float = 0.0
-    n_unique_words_m: float = 0.0
-    n_transition_words_m: float = 0.0
-    n_summary_words_m: float = 0.0
-    n_active_verbs_m: float = 0.0
-    duration_s: float = 0.0
-    n_unique_medical_terms: float = 0.0
-    medical_info_high: Optional[int] = None
-    understandable: Optional[int] = None
-    recommended: Optional[int] = None
-
-    def __post_init__(self):
-        for name in _CONFIDENCE_FEATURES:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in BINARY_FEATURES | {"recommended"}:
-            value = getattr(self, name)
-            if value is not None and value not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-        for name in FEATURE_NAMES:
-            if name in BINARY_FEATURES or name in _SIGNED_FEATURES:
-                continue
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-# The feature table has one column per FeatureVector field, in field
-# order; the classifier inputs are all of them but the id and the
-# recommendation label.
-FEATURES_HEADER: tuple[str, ...] = tuple(
-    f.name for f in fields(FeatureVector)
+# The feature table's columns, in file order. The document features, read
+# from the corpus alone, are the 11 video-level features and then the
+# metadata features but the tagger's term count; they are the roster of
+# the featurize-stage table.
+_VIDEO_LEVEL = (
+    "ocr_confidence", "n_active_verbs_v", "readability_v", "n_sentences_v",
+    "n_shots", "shot_change_confidence", "n_summary_words_v",
+    "transcription_confidence", "n_transition_words_v", "n_words_v",
+    "n_unique_words_v",
 )
-FEATURE_NAMES: tuple[str, ...] = tuple(
-    n for n in FEATURES_HEADER if n not in ("video_id", "recommended")
+_DOC_METADATA = (
+    "has_title", "has_description", "has_tags", "readability_m",
+    "n_sentences_m", "n_words_m", "n_unique_words_m", "n_transition_words_m",
+    "n_summary_words_m", "n_active_verbs_m", "duration_s",
 )
+DOC_FEATURE_NAMES: tuple[str, ...] = (*_VIDEO_LEVEL, *_DOC_METADATA)
+# The classifier inputs: the document features, the tagger's term count,
+# and two annotation labels, which the recommendation model reads.
+FEATURE_NAMES: tuple[str, ...] = (
+    *DOC_FEATURE_NAMES, "n_unique_medical_terms", "medical_info_high",
+    "understandable",
+)
+# The assembled table's header; ``recommended`` is only ever a label.
+FEATURES_HEADER: tuple[str, ...] = ("video_id", *FEATURE_NAMES, "recommended")
 
 
 @dataclass(frozen=True)
@@ -133,19 +88,9 @@ TARGET_FIELDS = {
 }
 TARGETS = tuple(TARGET_FIELDS)
 
-_VIDEO_LEVEL = (
-    "ocr_confidence", "n_active_verbs_v", "readability_v", "n_sentences_v",
-    "n_shots", "shot_change_confidence", "n_summary_words_v",
-    "transcription_confidence", "n_transition_words_v", "n_words_v",
-    "n_unique_words_v",
-)
-_METADATA_LEVEL = (
-    "has_title", "has_description", "has_tags", "n_unique_medical_terms",
-    "readability_m", "n_sentences_m", "n_words_m", "n_unique_words_m",
-    "n_transition_words_m", "n_summary_words_m", "n_active_verbs_m",
-    "duration_s",
-)
-
+# The specs, like their saved models, keep the term count after the flags.
+_METADATA_LEVEL = (*_DOC_METADATA[:3], "n_unique_medical_terms",
+                   *_DOC_METADATA[3:])
 FEATURE_SPECS: dict[str, FeatureSpec] = {
     "recommendation": FeatureSpec("recommendation", (
         "medical_info_high", "understandable", *_VIDEO_LEVEL, *_METADATA_LEVEL,
@@ -157,6 +102,86 @@ FEATURE_SPECS: dict[str, FeatureSpec] = {
     )),
     "understandability": FeatureSpec("understandability", _VIDEO_LEVEL),
 }
+
+# Each column's kind, which decides what its cells may hold: readability
+# can be negative, and every other continuous feature is a count.
+_COLUMN_KINDS = {
+    **dict.fromkeys(FEATURES_HEADER[1:], "count"),
+    "readability_v": "signed", "readability_m": "signed",
+    **dict.fromkeys(("ocr_confidence", "transcription_confidence",
+                     "shot_change_confidence"), "confidence"),
+    **dict.fromkeys(BINARY_FEATURES, "binary"),
+    **dict.fromkeys(TARGET_FIELDS.values(), "label"),
+}
+# Each kind's rule, as an error states it, and its test of a column of
+# values. Only a label column may hold NaN: an empty cell, a missing label.
+_KIND_RULES = {
+    "confidence": ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "count": ("a finite number >= 0", lambda v: (v >= 0.0) & (v < np.inf)),
+    "signed": ("a finite number", np.isfinite),
+    "binary": ("0 or 1", lambda v: (v == 0.0) | (v == 1.0)),
+    "label": ("0 or 1", lambda v: (v == 0.0) | (v == 1.0) | np.isnan(v)),
+}
+
+
+class CellError(ValueError):
+    """A feature-table cell that breaks its column's ``rule``, at ``row``
+    and ``column`` of the table's values."""
+
+    def __init__(self, table: FeatureTable, row: int, column: int):
+        self.row, self.column = int(row), int(column)
+        name = table.columns[column]
+        self.rule = f"{name} must be {_KIND_RULES[_COLUMN_KINDS[name]][0]}"
+        super().__init__(f"video {table.ids[row]!r}: {self.rule}, "
+                         f"got {float(table.values[row, column])!r}")
+
+
+@dataclass(eq=False)
+class FeatureTable:
+    """One row per video: its id and a float64 value in each named column.
+
+    NaN marks a missing label. Every cell must keep its column's rule,
+    else CellError names the first cell, row by row, that does not.
+    """
+
+    ids: tuple[str, ...]
+    columns: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (len(self.ids), len(self.columns)):
+            raise ValueError("the values do not fit the ids and columns")
+        ok = np.column_stack([
+            _KIND_RULES[_COLUMN_KINDS[name]][1](self.values[:, j])
+            for j, name in enumerate(self.columns)
+        ])
+        bad = np.argwhere(~ok)
+        if len(bad):
+            raise CellError(self, *bad[0])
+
+    def select(self, names: Sequence[str],
+               what: str = "feature") -> np.ndarray:
+        """Columns ``names`` as a new matrix, in that order. A missing
+        (NaN) cell raises ValueError naming its video and the column, as a
+        ``what``."""
+        # take keeps the matrix C-ordered, as the fits' float bits need.
+        X = np.take(self.values, [self.columns.index(n) for n in names], 1)
+        missing = np.argwhere(np.isnan(X))
+        if len(missing):
+            i, j = missing[0]
+            raise ValueError(
+                f"video {self.ids[i]!r}: missing {what} {names[j]!r}"
+            )
+        return X
+
+    def rows(self, ids: Iterable[str]) -> FeatureTable:
+        """The rows whose video is in ``ids``, in table order."""
+        keep = set(ids)
+        index = [i for i, vid in enumerate(self.ids) if vid in keep]
+        return FeatureTable(tuple(self.ids[i] for i in index), self.columns,
+                            self.values[index])
+
 
 SIM_RECOMMENDATION_INTERCEPT = -3.66
 
@@ -230,73 +255,36 @@ def compute_text_features(
     return out
 
 
-# Every feature computable from the documents alone: no tagger output,
-# no annotation labels. This is the roster of the featurize-stage TSV.
-DOC_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES[:22]
-
-
 def doc_feature_records(
     store: CorpusStore,
     text_blocks: Mapping[str, Mapping[str, TextFeatures]],
-) -> list[FeatureVector]:
-    """One row per video in the store, sorted by id, holding its document
-    features; the term count and the labels keep their defaults."""
+) -> FeatureTable:
+    """The document features of every video in the store, sorted by id."""
+    ids = sorted(store.videos)
     rows = []
-    for vid in sorted(store.videos):
+    for vid in ids:
         if vid not in text_blocks:
             raise ValueError(f"video {vid!r} has no text features")
         video = store.videos[vid]
-        tdoc = store.transcripts.get(vid)
-        odoc = store.ocr.get(vid)
-        text_values = {f"{stem}_{suffix}": float(getattr(block, name))
-                for suffix, block in text_blocks[vid].items()
-                for stem, name in _TEXT_FEATURES.items()}
-        rows.append(FeatureVector(
-            video_id=vid,
-            ocr_confidence=odoc.confidence if odoc is not None else 0.0,
-            n_shots=float(odoc.shot_count) if odoc is not None else 0.0,
-            shot_change_confidence=(
-                odoc.shot_change_confidence if odoc is not None else 0.0
-            ),
-            transcription_confidence=(
-                tdoc.confidence if tdoc is not None else 0.0
-            ),
-            has_title=int(bool(video.title.strip())),
-            has_description=int(bool(video.description.strip())),
-            has_tags=int(len(video.tags) > 0),
-            duration_s=float(video.duration_s),
-            **text_values,
-        ))
-    return rows
-
-
-def rows_to_matrix(
-    rows: Sequence[FeatureVector], spec: FeatureSpec
-) -> np.ndarray:
-    """Raw design matrix in spec order; a None feature value is an error."""
-    matrix = np.empty((len(rows), len(spec.features)))
-    for i, row in enumerate(rows):
-        for j, name in enumerate(spec.features):
-            value = getattr(row, name)
-            if value is None:
-                raise ValueError(
-                    f"video {row.video_id!r}: missing feature {name!r}"
-                )
-            matrix[i, j] = value
-    return matrix
-
-
-def target_vector(rows: Sequence[FeatureVector], target: str) -> np.ndarray:
-    field = TARGET_FIELDS[target]
-    values = []
-    for row in rows:
-        value = getattr(row, field)
-        if value is None:
-            raise ValueError(
-                f"video {row.video_id!r}: missing label {field!r}"
-            )
-        values.append(float(value))
-    return np.asarray(values)
+        tdoc, odoc = store.transcripts.get(vid), store.ocr.get(vid)
+        # A video without OCR or transcript keeps 0 in their columns.
+        values = dict.fromkeys(DOC_FEATURE_NAMES, 0.0)
+        values.update({f"{stem}_{suffix}": getattr(block, name)
+                       for suffix, block in text_blocks[vid].items()
+                       for stem, name in _TEXT_FEATURES.items()})
+        if odoc is not None:
+            values.update(ocr_confidence=odoc.confidence,
+                          n_shots=odoc.shot_count,
+                          shot_change_confidence=odoc.shot_change_confidence)
+        if tdoc is not None:
+            values["transcription_confidence"] = tdoc.confidence
+        values.update(has_title=bool(video.title.strip()),
+                      has_description=bool(video.description.strip()),
+                      has_tags=len(video.tags) > 0,
+                      duration_s=video.duration_s)
+        rows.append(list(values.values()))
+    return FeatureTable(tuple(ids), DOC_FEATURE_NAMES,
+                        np.reshape(rows, (len(ids), len(DOC_FEATURE_NAMES))))
 
 
 @dataclass(frozen=True)
@@ -525,10 +513,10 @@ def format_pvalue(p: float) -> str:
 
 
 def predict_batch(
-    model: LrModel, rows: Sequence[FeatureVector]
+    model: LrModel, table: FeatureTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and 0/1 labels (threshold 0.5, ties classified 1)."""
-    X = rows_to_matrix(rows, model.spec)
+    X = table.select(model.spec.features)
     Xs = standardize_apply(model.scaler, X)
     p = sigmoid(model.intercept + Xs @ model.coefficients)
     return p, (p >= 0.5).astype(int)
@@ -573,12 +561,12 @@ def metrics_from_confusion(
     )
 
 
-def evaluate(model: LrModel, rows: Sequence[FeatureVector]) -> ClfMetrics:
+def evaluate(model: LrModel, table: FeatureTable) -> ClfMetrics:
     """Score the model's own target on held-out rows."""
-    if len(rows) == 0:
+    if not table.ids:
         raise ValueError("empty test set")
-    y_true = target_vector(rows, model.spec.name)
-    _, y_pred = predict_batch(model, rows)
+    y_true = table.select([TARGET_FIELDS[model.spec.name]], "label")[:, 0]
+    _, y_pred = predict_batch(model, table)
     return metrics_from_confusion(*confusion_counts(y_true, y_pred))
 
 
@@ -626,47 +614,47 @@ def simulate_design(
     return X, y
 
 
-def _format_cell(value) -> str:
-    """TSV cell text: empty for None, bare int when integral, else repr."""
-    if value is None:
+def _format_cell(value: float) -> str:
+    """TSV cell text of a Python float: empty for NaN, a bare int when
+    integral, else its repr."""
+    if value != value:
         return ""
-    value = float(value)
     if value.is_integer():
         return str(int(value))
     return repr(value)
 
 
-def write_features_tsv(rows: Sequence[FeatureVector], path,
-                       header: Sequence[str] = FEATURES_HEADER) -> None:
-    """Feature rows as TSV, one column per ``header`` field, id first."""
-    write_tsv(path, header, (
-        [row.video_id] + [_format_cell(getattr(row, n)) for n in header[1:]]
-        for row in rows
+def write_features_tsv(table: FeatureTable, path) -> None:
+    """The table as TSV: a ``video_id`` column, then one per column."""
+    write_tsv(path, ("video_id", *table.columns), (
+        [vid, *map(_format_cell, row)]
+        for vid, row in zip(table.ids, table.values.tolist())
     ))
 
 
-def _parse_feature_row(header: Sequence[str],
-                       cells: list[str]) -> FeatureVector:
-    kwargs: dict = {"video_id": cells[0]}
-    for name, cell in zip(header[1:], cells[1:]):
-        if cell == "":
-            if name not in TARGET_FIELDS.values():
-                raise ValueError(f"empty value for {name!r}")
-            kwargs[name] = None
-        elif name in BINARY_FEATURES or name == "recommended":
-            if cell not in ("0", "1"):
-                raise ValueError(f"{name} must be 0 or 1, got {cell!r}")
-            kwargs[name] = int(cell)
-        else:
-            kwargs[name] = float(cell)
-    return FeatureVector(**kwargs)
-
-
 def read_features_tsv(path, header: Sequence[str] = FEATURES_HEADER
-                      ) -> list[FeatureVector]:
-    """Rows written with ``header``; a field with no column keeps its
-    default."""
-    return read_tsv(path, header, partial(_parse_feature_row, header))
+                      ) -> FeatureTable:
+    """The table written with ``header``. An empty cell reads as NaN; a
+    cell that is no number or breaks its column's rule raises ValueError
+    naming the file, the line and the cell."""
+    lines = read_table(path, header)
+    values = np.empty((len(lines), len(header) - 1))
+    for i, (lineno, cells) in enumerate(lines):
+        try:
+            values[i] = [float(c) if c else math.nan for c in cells[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    # A NaN spelled out, not empty, is made infinite: every rule refuses it.
+    for i, j in np.argwhere(np.isnan(values)):
+        if lines[i][1][j + 1]:
+            values[i, j] = math.inf
+    try:
+        return FeatureTable(tuple(cells[0] for _, cells in lines),
+                            tuple(header[1:]), values)
+    except CellError as exc:
+        lineno, cells = lines[exc.row]
+        raise ValueError(f"{path}:{lineno}: {exc.rule}, "
+                         f"got {cells[exc.column + 1]!r}") from None
 
 
 CLF_FORMAT_NAME = "vidtriage-classifier"

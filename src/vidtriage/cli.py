@@ -19,9 +19,11 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import classify as clf
 from . import corpus as corpuslib
@@ -287,10 +289,10 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
     transition, summary, verbs = _load_lexicons(cfg)
     blocks = clf.compute_text_features(store, transition, summary, verbs)
-    rows = clf.doc_feature_records(store, blocks)
+    table = clf.doc_feature_records(store, blocks)
     out = _output(cfg, "text_features")
-    clf.write_features_tsv(rows, out, _TEXT_FEATURES_HEADER)
-    print(f"wrote text features for {len(rows)} videos -> {out}")
+    clf.write_features_tsv(table, out)
+    print(f"wrote text features for {len(table.ids)} videos -> {out}")
     return EXIT_OK
 
 
@@ -419,32 +421,36 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
 # --------------------------------------------------------------- assemble
 
 
+def _parse_term_count(cells: list[str]) -> tuple[str, int]:
+    if int(cells[1]) < 0:
+        raise ValueError(f"n_unique_medical_terms must be >= 0, "
+                         f"got {cells[1]!r}")
+    return cells[0], int(cells[1])
+
+
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
     store = _load_work_corpus(cfg)
-    doc_rows = {row.video_id: row for row in clf.read_features_tsv(
-        _input(cfg, "text_features"), _TEXT_FEATURES_HEADER,
-    )}
-    counts = dict(read_tsv(
-        _input(cfg, "term_counts"), _TERM_COUNTS_HEADER,
-        lambda cells: (cells[0], int(cells[1])),
-    ))
+    doc = clf.read_features_tsv(_input(cfg, "text_features"),
+                                _TEXT_FEATURES_HEADER)
+    counts = dict(read_tsv(_input(cfg, "term_counts"), _TERM_COUNTS_HEADER,
+                           _parse_term_count))
     # One row per labeled video, sorted by id: its document features
     # joined with its tagger term count and its labels.
-    rows = []
-    for vid in store.labeled_ids():
-        if vid not in doc_rows:
+    row_of = {vid: i for i, vid in enumerate(doc.ids)}
+    ids = store.labeled_ids()
+    for vid in ids:
+        if vid not in row_of:
             raise ValueError(f"labeled video {vid!r} has no text features")
-        labels = store.labels[vid]
-        rows.append(replace(
-            doc_rows[vid],
-            n_unique_medical_terms=float(counts.get(vid, 0)),
-            medical_info_high=labels.medical_info_high,
-            understandable=labels.understandable,
-            recommended=labels.recommended,
-        ))
+    joined = [[counts.get(vid, 0), store.labels[vid].medical_info_high,
+               store.labels[vid].understandable, store.labels[vid].recommended]
+              for vid in ids]
+    table = clf.FeatureTable(tuple(ids), clf.FEATURES_HEADER[1:], np.hstack([
+        doc.values[[row_of[vid] for vid in ids]],
+        np.reshape(joined, (len(ids), 4)),
+    ]))
     out = _output(cfg, "features")
-    clf.write_features_tsv(rows, out)
-    print(f"assembled features for {len(rows)} labeled videos -> {out}")
+    clf.write_features_tsv(table, out)
+    print(f"assembled features for {len(ids)} labeled videos -> {out}")
     return EXIT_OK
 
 
@@ -453,14 +459,13 @@ def cmd_assemble(cfg: PipelineConfig, args) -> int:
 
 def cmd_train_clf(cfg: PipelineConfig, args) -> int:
     seed = cfg.require_seed()
-    rows = clf.read_features_tsv(_input(cfg, "features"))
-    ids = [row.video_id for row in rows]
-    train_videos, test_videos = clf.split_ids(ids, seed, cfg.split_fraction)
-    train_set = set(train_videos)
-    train_rows = [row for row in rows if row.video_id in train_set]
+    table = clf.read_features_tsv(_input(cfg, "features"))
+    train_videos, test_videos = clf.split_ids(list(table.ids), seed,
+                                              cfg.split_fraction)
+    train = table.rows(train_videos)
     spec = clf.FEATURE_SPECS[args.target]
-    X = clf.rows_to_matrix(train_rows, spec)
-    y = clf.target_vector(train_rows, args.target)
+    X = train.select(spec.features)
+    y = train.select([clf.TARGET_FIELDS[args.target]], "label")[:, 0]
     l2 = args.l2 if args.l2 is not None else cfg.classifier.get("l2")
     model = clf.train_logreg(
         X, y, l2, spec=spec,
@@ -474,7 +479,7 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
     out = _output(cfg, "clf", target=args.target)
     clf.save_lr_model(out, model)
     print(
-        f"trained {args.target} classifier on {len(train_rows)} videos "
+        f"trained {args.target} classifier on {len(train.ids)} videos "
         f"({model.train_meta['iterations']} iterations) -> {out}"
     )
     return EXIT_OK
@@ -489,20 +494,20 @@ def _load_classifiers(cfg: PipelineConfig) -> dict[str, clf.LrModel]:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    rows = clf.read_features_tsv(_input(cfg, "features"))
+    table = clf.read_features_tsv(_input(cfg, "features"))
     # Every model loads before any prediction is written, so a bad model
     # leaves the previous predictions whole.
     for target, model in _load_classifiers(cfg).items():
-        p, labels = clf.predict_batch(model, rows)
+        p, labels = clf.predict_batch(model, table)
         out = _output(cfg, "predictions", target=target)
         write_tsv(
             out,
             _PREDICTIONS_HEADER,
-            [[row.video_id, f"{prob:.6f}", str(int(lab))]
-             for row, prob, lab in zip(rows, p, labels)],
+            [[vid, f"{prob:.6f}", str(int(lab))]
+             for vid, prob, lab in zip(table.ids, p, labels)],
         )
     print(
-        f"classified {len(rows)} videos for {len(clf.TARGETS)} "
+        f"classified {len(table.ids)} videos for {len(clf.TARGETS)} "
         f"targets -> {out.parent}"
     )
     return EXIT_OK
@@ -545,22 +550,20 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
 
 
 def _eval_classifiers(cfg: PipelineConfig) -> None:
-    rows = clf.read_features_tsv(_input(cfg, "features"))
-    by_id = {row.video_id: row for row in rows}
+    table = clf.read_features_tsv(_input(cfg, "features"))
     out_rows = []
     for target, model in _load_classifiers(cfg).items():
-        test_videos = model.train_meta.get("test_videos", [])
-        test_rows = [by_id[v] for v in test_videos if v in by_id]
-        if not test_rows:
+        test = table.rows(model.train_meta.get("test_videos", []))
+        if not test.ids:
             raise ValueError(f"no test rows for target {target!r}")
-        metrics = clf.evaluate(model, test_rows)
+        metrics = clf.evaluate(model, test)
         out_rows.append([
             target, *_prf_cells(metrics.positive),
             *_prf_cells(metrics.negative), f"{metrics.accuracy:.6f}",
-            str(len(test_rows)),
+            str(len(test.ids)),
         ])
         log.info("%s accuracy=%.3f on %d test videos",
-                 target, metrics.accuracy, len(test_rows))
+                 target, metrics.accuracy, len(test.ids))
     out = _output(cfg, "clf_metrics")
     write_tsv(out, _CLF_METRICS_HEADER, out_rows)
     print(f"evaluated {len(clf.TARGETS)} classifiers -> {out}")

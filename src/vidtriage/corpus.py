@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .artifacts import atomic_open, read_text
+from .artifacts import atomic_open, read_lines
 
 
 class CorpusError(Exception):
@@ -363,12 +363,12 @@ def consolidate_labels(per_annotator: Sequence[AnnotationLabels]) -> AnnotationL
 
 def read_jsonl(path, parse_one) -> list:
     """``parse_one`` of each non-blank line's object. Lines end at ``\n``
-    alone: a raw U+2028 may sit inside a JSON string."""
+    alone (see ``read_lines``): a raw U+2028 may sit inside a JSON string."""
     records = []
-    text = read_text(path)
-    if text.lstrip().startswith("["):
+    lines = read_lines(path)
+    if "".join(lines).lstrip().startswith("["):
         raise SchemaError(f"{path}: expected JSON Lines, found a JSON array")
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .artifacts import atomic_open, read_text
+from .artifacts import atomic_open, read_lines
 from .textfeat import PhraseIndex, load_stopwords, split_words
 
 B_MED = "B-MED"
@@ -195,7 +195,7 @@ def load_dictionary(
         raise ValueError(f"unknown semantic-type codes {unknown}")
 
     entries: dict[str, set[str]] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -284,7 +284,7 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
             video_ids.append(current_vid)
             tokens, labels = [], []
 
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             flush()
             continue

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, read_text
+from .artifacts import atomic_open, read_lines
 from .corpus import (
     AnnotationLabels,
     OcrBlock,
@@ -230,7 +230,7 @@ def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
 
     keywords = [
         line.strip()
-        for line in read_text(data_path("keywords.txt")).splitlines()
+        for line in read_lines(data_path("keywords.txt"))
         if line.strip() and not line.startswith("#")
     ]
     with atomic_open(out_dir / "search_results.jsonl") as fh:

@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .artifacts import read_text
+from .artifacts import read_lines
 
 
 class UndefinedReadabilityError(ValueError):
@@ -151,7 +151,7 @@ def load_lexicon(path, name: Optional[str] = None) -> Lexicon:
     """Load a lexicon file: one phrase per line, '#' starts a comment."""
     path = Path(path)
     entries = set()
-    for line in read_text(path).splitlines():
+    for line in read_lines(path):
         phrase = line.split("#", 1)[0].strip().lower()
         if phrase:
             entries.add(" ".join(phrase.split()))

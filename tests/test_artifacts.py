@@ -11,13 +11,16 @@ from hypothesis.extra import numpy as hnp
 
 import vidtriage.classify as clf
 from vidtriage.artifacts import read_tsv, write_tsv
-from vidtriage.medterm import LABELS, TaggedSentence, read_conll, write_conll
+from vidtriage.medterm import (
+    LABELS, TaggedSentence, load_dictionary, read_conll, write_conll,
+)
 from vidtriage.seqtag import (
     ARCH_BLSTM, ARCH_CRF, BlstmParams, CrfParams, TrainConfig, load_model,
     repair_bio, save_model,
 )
 from vidtriage.seqtag.blstm import N_LABELS, PARAM_NAMES
 from vidtriage.seqtag.vocab import PAD_TOKEN, UNK_TOKEN, Vocab
+from vidtriage.textfeat import load_lexicon
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Table cells: any text without the tab and line-break characters.
@@ -68,6 +71,65 @@ def test_conll_roundtrip(tmp_path_factory, sentences, with_ids, id_text):
     again, again_ids = read_conll(path)
     assert again == tagged
     assert again_ids == (ids or [None] * len(tagged))
+
+
+# Every text reader, on lines that hold a raw U+0085, U+2028 and "\r" and
+# end in CRLF: only "\n" ends a line, and a "\r" just before it goes.
+@pytest.mark.parametrize("text, read, expected", [
+    ("x\ty\r\na\x85b\tc\u2028d\re\r\n",
+     lambda path: read_tsv(path, ("x", "y"), list),
+     [["a\x85b", "c\u2028d\re"]]),
+    ("in\x85addition\r\nfirst\u2028of all\r\n",
+     lambda path: load_lexicon(path).entries, {"in addition", "first of all"}),
+    ("colon\x85cancer\tneop\r\nlung\u2028tumor\tneop\r\n",
+     lambda path: set(load_dictionary(path).entries),
+     {"colon", "cancer", "colon cancer", "lung", "tumor", "lung tumor"}),
+    ("# video_id = v1\r\na\x85b\tB-MED\r\nc\u2028d\tI-MED\r\n\r\n",
+     read_conll,
+     ([TaggedSentence(("a\x85b", "c\u2028d"), ("B-MED", "I-MED"))], ["v1"])),
+], ids=["tsv", "lexicon", "dictionary", "conll"])
+def test_text_readers_end_lines_only_at_newline(tmp_path, text, read,
+                                                expected):
+    path = tmp_path / "file.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert read(path) == expected
+
+
+# Feature-table values by column kind: integral floats up to 1e16 and any
+# finite float, signed only for readability; a label may be missing.
+_INTEGRAL = st.integers(0, 10**16).map(float)
+_COUNT = _INTEGRAL | st.floats(min_value=0.0, allow_infinity=False)
+_SIGNED = _INTEGRAL | _INTEGRAL.map(lambda v: -v) | FINITE
+
+
+def _feature_values(name):
+    if name in clf.TARGET_FIELDS.values():
+        return st.sampled_from([0.0, 1.0, float("nan")])
+    if name in clf.BINARY_FEATURES:
+        return st.sampled_from([0.0, 1.0])
+    if name.endswith("_confidence"):
+        return st.floats(0.0, 1.0)
+    return _SIGNED if name.startswith("readability") else _COUNT
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), header=st.sampled_from([
+    clf.FEATURES_HEADER, ("video_id", *clf.DOC_FEATURE_NAMES)]))
+def test_feature_table_roundtrip(tmp_path_factory, data, header):
+    ids = data.draw(st.lists(CELL.filter(str.strip), max_size=5))
+    rows = [[data.draw(_feature_values(name)) for name in header[1:]]
+            for _ in ids]
+    table = clf.FeatureTable(tuple(ids), header[1:],
+                             np.reshape(rows, (len(ids), len(header) - 1)))
+    first, second = (tmp_path_factory.mktemp("features") / "f.tsv"
+                     for _ in range(2))
+    clf.write_features_tsv(table, first)
+    again = clf.read_features_tsv(first, header)
+    clf.write_features_tsv(again, second)
+    assert (again.ids, again.columns) == (table.ids, table.columns)
+    np.testing.assert_array_equal(again.values, table.values)
+    _same_bits(clf.read_features_tsv(second, header).values, again.values)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,5 @@
 """Classifiers: feature assembly, logistic regression, Wald inference."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -24,11 +23,22 @@ def lexicons():
 
 
 def make_row(video_id="v", **overrides):
-    base = {name: 0.0 for name in clf.FEATURE_NAMES}
+    """A one-row table of every column; None stands for a missing label."""
+    base = {name: 0.0 for name in clf.FEATURES_HEADER[1:]}
     base.update({"has_title": 1, "has_description": 1, "has_tags": 0,
-                 "medical_info_high": 1, "understandable": 0})
+                 "medical_info_high": 1, "understandable": 0,
+                 "recommended": None})
     base.update(overrides)
-    return clf.FeatureVector(video_id=video_id, **base)
+    return clf.FeatureTable(
+        (video_id,), clf.FEATURES_HEADER[1:],
+        np.array([[np.nan if v is None else v for v in base.values()]]))
+
+
+def stack(tables):
+    """One table of the rows of ``tables``, in order."""
+    return clf.FeatureTable(
+        tuple(v for t in tables for v in t.ids), tables[0].columns,
+        np.vstack([t.values for t in tables]))
 
 
 # ----------------------------------------------------------- feature rows
@@ -51,7 +61,7 @@ def test_sim_coefficients_cover_recommendation_spec():
     assert set(clf.SIM_RECOMMENDATION_COEFFS) == spec
 
 
-def test_feature_vector_validation():
+def test_feature_table_validation():
     with pytest.raises(ValueError):
         make_row(ocr_confidence=1.3)
     with pytest.raises(ValueError):
@@ -59,46 +69,45 @@ def test_feature_vector_validation():
     with pytest.raises(ValueError):
         make_row(n_words_v=-1)
     row = make_row(medical_info_high=None)
-    assert row.medical_info_high is None
+    assert np.isnan(row.values[0, row.columns.index("medical_info_high")])
 
 
 def test_assemble_features_from_fixture(store, lexicons):
     transition, summary, verbs = lexicons
     blocks = clf.compute_text_features(store, transition, summary, verbs)
-    rows = clf.doc_feature_records(store, blocks)
-    assert [r.video_id for r in rows] == sorted(store.videos)
-    by_id = {r.video_id: r for r in rows}
+    table = clf.doc_feature_records(store, blocks)
+    assert list(table.ids) == sorted(store.videos)
+    by_id = {vid: dict(zip(table.columns, row))
+             for vid, row in zip(table.ids, table.values)}
     v4 = by_id["vid004"]
-    assert v4.has_title == 0  # title is empty
-    assert v4.ocr_confidence == 0.0  # no OCR blocks
-    assert v4.n_shots == 3
-    assert v4.duration_s == 198
-    assert by_id["vid001"].has_tags == 1
-    assert by_id["vid002"].has_tags == 0
+    assert v4["has_title"] == 0  # title is empty
+    assert v4["ocr_confidence"] == 0.0  # no OCR blocks
+    assert v4["n_shots"] == 3
+    assert v4["duration_s"] == 198
+    assert by_id["vid001"]["has_tags"] == 1
+    assert by_id["vid002"]["has_tags"] == 0
     # The term count and the labels join in at the assemble stage.
-    assert all(r.n_unique_medical_terms == 0.0 for r in rows)
-    assert all(r.recommended is None for r in rows)
+    assert table.columns == clf.DOC_FEATURE_NAMES
 
 
 def test_features_tsv_roundtrip(tmp_path):
-    rows = [
-        make_row("v1", n_words_v=12, readability_v=-1.45),
+    table = stack([
+        make_row("v1", n_words_v=12, readability_v=-1.45, recommended=1),
         make_row("v2", medical_info_high=None, understandable=None),
-    ]
-    rows[1] = dataclasses.replace(rows[1], recommended=None)
-    rows[0] = dataclasses.replace(rows[0], recommended=1)
+    ])
     path = tmp_path / "features.tsv"
-    clf.write_features_tsv(rows, path)
+    clf.write_features_tsv(table, path)
     again = clf.read_features_tsv(path)
-    assert again == rows
+    assert (again.ids, again.columns) == (table.ids, table.columns)
+    np.testing.assert_array_equal(again.values, table.values)
 
 
 @pytest.mark.parametrize("column, cell", [
-    ("has_title", "0.7"), ("recommended", "1.9"),
+    ("has_title", "0.7"), ("recommended", "1.9"), ("understandable", "nan"),
 ])
 def test_features_tsv_rejects_fractional_binary_cell(tmp_path, column, cell):
     path = tmp_path / "features.tsv"
-    clf.write_features_tsv([make_row("v1", recommended=1)], path)
+    clf.write_features_tsv(make_row("v1", recommended=1), path)
     header, row = (line.split("\t")
                    for line in path.read_text().splitlines())
     row[header.index(column)] = cell
@@ -109,13 +118,13 @@ def test_features_tsv_rejects_fractional_binary_cell(tmp_path, column, cell):
         f"{path}:2: {column} must be 0 or 1, got {cell!r}"
 
 
-def test_rows_to_matrix_missing_annotation():
-    rows = [make_row("v1", medical_info_high=None)]
+def test_select_missing_annotation():
+    rows = make_row("v1", medical_info_high=None)
     with pytest.raises(ValueError) as err:
-        clf.rows_to_matrix(rows, clf.FEATURE_SPECS["recommendation"])
+        rows.select(clf.FEATURE_SPECS["recommendation"].features)
     assert "v1" in str(err.value)
     # The understandability spec never touches annotation fields.
-    X = clf.rows_to_matrix(rows, clf.FEATURE_SPECS["understandability"])
+    X = rows.select(clf.FEATURE_SPECS["understandability"].features)
     assert X.shape == (1, 11)
 
 
@@ -339,40 +348,38 @@ def _plausible_rows(seed=101, n=400):
         n_words = int(rng.integers(0, 300))
         z = 6.0 * (ocr - 0.5) - 0.01 * (n_words - 150)
         label = int(rng.random() < expit(z))
-        rows.append(dataclasses.replace(
-            make_row(
-                f"v{i:04d}",
-                ocr_confidence=ocr,
-                transcription_confidence=float(rng.uniform(0.0, 1.0)),
-                shot_change_confidence=float(rng.uniform(0.0, 1.0)),
-                n_words_v=n_words,
-                n_unique_words_v=int(n_words * 0.7),
-                n_sentences_v=int(rng.integers(0, 30)),
-                n_shots=int(rng.integers(0, 20)),
-                n_active_verbs_v=int(rng.integers(0, 15)),
-                n_summary_words_v=int(rng.integers(0, 4)),
-                n_transition_words_v=int(rng.integers(0, 6)),
-                readability_v=float(rng.normal(9.0, 4.0)),
-            ),
+        rows.append(make_row(
+            f"v{i:04d}",
+            ocr_confidence=ocr,
+            transcription_confidence=float(rng.uniform(0.0, 1.0)),
+            shot_change_confidence=float(rng.uniform(0.0, 1.0)),
+            n_words_v=n_words,
+            n_unique_words_v=int(n_words * 0.7),
+            n_sentences_v=int(rng.integers(0, 30)),
+            n_shots=int(rng.integers(0, 20)),
+            n_active_verbs_v=int(rng.integers(0, 15)),
+            n_summary_words_v=int(rng.integers(0, 4)),
+            n_transition_words_v=int(rng.integers(0, 6)),
+            readability_v=float(rng.normal(9.0, 4.0)),
             understandable=label,
         ))
-    return rows
+    return stack(rows)
 
 
 def _understandability_model(rows):
     spec = clf.FEATURE_SPECS["understandability"]
-    X = clf.rows_to_matrix(rows, spec)
-    y = clf.target_vector(rows, "understandability")
+    X = rows.select(spec.features)
+    y = rows.select(["understandable"], "label")[:, 0]
     return clf.train_logreg(X, y, spec=spec)
 
 
 def test_train_predict_roundtrip():
     rows = _plausible_rows()
     model = _understandability_model(rows)
-    p, labels = clf.predict_batch(model, rows[:20])
+    p, labels = clf.predict_batch(model, rows.rows(rows.ids[:20]))
     assert p.shape == (20,)
     # Far better than chance on its own training draw.
-    y = clf.target_vector(rows, "understandability")
+    y = rows.select(["understandable"], "label")[:, 0]
     assert np.mean(clf.predict_batch(model, rows)[1] == y) > 0.7
 
 
@@ -384,7 +391,7 @@ def test_predict_missing_feature():
         intercept=0.0, coefficients=np.zeros(k), l2=0.1, train_meta={},
     )
     with pytest.raises(ValueError) as err:
-        clf.predict_batch(model, [make_row(understandable=None)])
+        clf.predict_batch(model, make_row(understandable=None))
     assert "missing feature" in str(err.value)
 
 
@@ -413,11 +420,11 @@ def test_confusion_counts_random_loop():
 
 def test_evaluate_on_rows():
     rows = _plausible_rows(seed=41, n=300)
-    model = _understandability_model(rows[:200])
-    metrics = clf.evaluate(model, rows[200:])
+    model = _understandability_model(rows.rows(rows.ids[:200]))
+    metrics = clf.evaluate(model, rows.rows(rows.ids[200:]))
     assert metrics.accuracy > 0.7
     with pytest.raises(ValueError):
-        clf.evaluate(model, [])
+        clf.evaluate(model, rows.rows([]))
 
 
 # ------------------------------------------------------------- utilities

@@ -165,12 +165,13 @@ def test_null_text_reads_empty_and_wrong_type_exits_1(
     assert ingest() == 0
     assert main(["featurize", "--work-dir", str(tmp_path / "work")]) == 0
     capsys.readouterr()
-    rows = clf.read_features_tsv(
+    table = clf.read_features_tsv(
         tmp_path / "work" / "features" / "text_features.tsv",
         cli._TEXT_FEATURES_HEADER)
-    assert [row.has_title for row in rows] == [
+    has_title = table.select(["has_title"])[:, 0]
+    assert has_title.tolist() == [
         int(bool(doc.get("title"))) for doc in videos]
-    assert rows[1].has_title == 0
+    assert has_title[1] == 0
     videos[1][key] = value
     with caplog.at_level(logging.ERROR):
         assert ingest() == 1
@@ -463,8 +464,10 @@ def _edit_table(path, line, edit):
     ("features/features.tsv", 2, lambda c: [c[0], "abc", *c[2:]],
      ["train-clf", "--target", "understandability", "--seed", "1"], 2),
     ("features/text_features.tsv", 3, lambda c: c[:-1], ["assemble"], 3),
+    ("ner/term_counts.tsv", 4, lambda c: [c[0], "-3"], ["assemble"], 4),
 ], ids=["term-count-one-cell", "metrics-without-recall",
-        "feature-not-a-number", "text-feature-ragged"])
+        "feature-not-a-number", "text-feature-ragged",
+        "term-count-negative"])
 def test_malformed_table_exits_1_naming_file_and_line(
         tmp_path, corpus_paths, caplog, capsys,
         table, line, edit, command, bad_line):
@@ -529,22 +532,24 @@ def test_assemble_joins_counts_and_labels(tmp_path, corpus_paths, store,
                                           capsys):
     work = _assembled_work(tmp_path, corpus_paths)
     capsys.readouterr()
-    doc_rows = clf.read_features_tsv(
+    doc = clf.read_features_tsv(
         work / "features" / "text_features.tsv",
         ("video_id", *DOC_FEATURE_NAMES))
-    rows = clf.read_features_tsv(work / "features" / "features.tsv")
-    assert [r.video_id for r in rows] == store.labeled_ids()
-    for doc, row in zip(doc_rows, rows):
-        assert row.video_id == doc.video_id
-        for name in DOC_FEATURE_NAMES:
-            assert getattr(row, name) == getattr(doc, name)
+    table = clf.read_features_tsv(work / "features" / "features.tsv")
+    assert list(table.ids) == store.labeled_ids()
+    doc_values = doc.select(DOC_FEATURE_NAMES)
+    labels_of = table.select(list(clf.TARGET_FIELDS.values()), "label")
+    for i, vid in enumerate(table.ids):
+        assert vid == doc.ids[i]
+        for j, name in enumerate(DOC_FEATURE_NAMES):
+            assert table.select([name])[i, 0] == doc_values[i, j]
         # _assembled_work gives video vid00<i> the term count i.
-        assert row.n_unique_medical_terms == int(row.video_id[-1])
-        labels = store.labels[row.video_id]
-        assert (row.medical_info_high, row.understandable,
-                row.recommended) == (labels.medical_info_high,
-                                     labels.understandable,
-                                     labels.recommended)
+        assert table.select(["n_unique_medical_terms"])[i, 0] == \
+            int(vid[-1])
+        labels = store.labels[vid]
+        assert tuple(labels_of[i]) == (labels.medical_info_high,
+                                       labels.understandable,
+                                       labels.recommended)
 
 
 _TRAIN_TAGGER = ["train-tagger", "--arch", "crf"]
@@ -865,9 +870,11 @@ def test_assemble_reads_description_counts(pipeline_work, capsys):
 
     description = counts("term_counts.tsv")
     assert description != counts("transcript_term_counts_blstm.tsv")
-    for row in clf.read_features_tsv(pipeline_work / "features" /
-                                     "features.tsv"):
-        assert row.n_unique_medical_terms == int(description[row.video_id])
+    table = clf.read_features_tsv(pipeline_work / "features" /
+                                  "features.tsv")
+    counts = table.select(["n_unique_medical_terms"])[:, 0]
+    for vid, count in zip(table.ids, counts):
+        assert count == int(description[vid])
 
 
 def _readme_paths():
@@ -916,6 +923,32 @@ def test_classify_with_a_missing_model_keeps_old_predictions(
     assert "clf_recommendation.json" in caplog.text
     after = {p.name: p.read_bytes() for p in (work / "predictions").iterdir()}
     assert after == before
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["n_words_v", "readability_v"])
+@pytest.mark.parametrize("table, command", [
+    ("features.tsv", ["train-clf", "--target", "understandability",
+                      "--seed", "9"]),
+    ("features.tsv", ["classify"]),
+    ("features.tsv", ["eval", "--kind", "clf"]),
+    ("text_features.tsv", ["assemble"]),
+], ids=["train-clf", "classify", "eval", "assemble"])
+def test_non_finite_feature_cell_exits_1_naming_file_and_line(
+        tmp_path, pipeline_work, caplog, capsys, table, command, column,
+        value):
+    work = tmp_path / "work"
+    shutil.copytree(pipeline_work, work)
+    path = work / "features" / table
+    header = path.read_text().splitlines()[0].split("\t")
+    _edit_table(path, 3, lambda cells: [
+        value if name == column else cell
+        for name, cell in zip(header, cells)])
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main([*command, "--work-dir", str(work)]) == 1
+    assert f"{path}:3: {column} must be a finite number" in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def _is_work_dir_join(node):

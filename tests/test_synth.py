@@ -1,7 +1,9 @@
 """Synthetic corpus generator: determinism, balance, loadability."""
 
+import json
 import warnings
 
+from vidtriage import synth
 from vidtriage.corpus import load_corpus
 from vidtriage.data_files import data_path
 from vidtriage.medterm import load_dictionary, project_labels
@@ -114,3 +116,15 @@ def test_search_results_use_shipped_keywords(tmp_path):
     store = load_corpus(*(out / name for name in CORPUS_FILES))
     assert video_ids
     assert video_ids <= set(store.videos)
+
+
+def test_keyword_lines_end_only_at_newline(tmp_path, monkeypatch):
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_bytes("# list\r\nfirst\x85kw\r\nsecond\u2028kw\r\n"
+                         "third\r\n".encode("utf-8"))
+    monkeypatch.setattr(synth, "data_path", lambda name: keywords)
+    write_synthetic_corpus(tmp_path / "c", SynthConfig(seed=1, n_videos=7))
+    rows = (tmp_path / "c" / "search_results.jsonl").read_text(
+        encoding="utf-8").split("\n")
+    assert [json.loads(row)["keyword"] for row in rows if row] == [
+        "first\x85kw", "second\u2028kw", "third"]
