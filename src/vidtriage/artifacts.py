@@ -116,8 +116,8 @@ def save_json_model(path, format_name: str, body: dict) -> None:
     """Write ``body`` under the format marker as one line of sorted JSON."""
     doc = {"format": format_name, "format_version": FORMAT_VERSION, **body}
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        # json.dumps runs the C encoder, json.dump the pure-Python one.
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_json_model(path, format_name: str,

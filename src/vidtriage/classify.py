@@ -162,9 +162,13 @@ class FeatureTable:
 
     def select(self, names: Sequence[str],
                what: str = "feature") -> np.ndarray:
-        """Columns ``names`` as a new matrix, in that order. A missing
-        (NaN) cell raises ValueError naming its video and the column, as a
-        ``what``."""
+        """Columns ``names`` as a new matrix, in that order. A column the
+        table lacks, or a missing (NaN) cell, raises ValueError naming the
+        column, as a ``what``, and the cell's video."""
+        absent = [n for n in names if n not in self.columns]
+        if absent:
+            raise ValueError(f"feature table has no {what} column "
+                             f"{absent[0]!r}")
         # take keeps the matrix C-ordered, as the fits' float bits need.
         X = np.take(self.values, [self.columns.index(n) for n in names], 1)
         missing = np.argwhere(np.isnan(X))

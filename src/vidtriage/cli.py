@@ -90,6 +90,14 @@ _FILES = {
 # The corpus files, each named as its CorpusStore attribute and its
 # config key.
 _CORPUS_FILES = ("videos", "transcripts", "ocr", "labels")
+# The corpus files each later stage reads (tag by its --source); the
+# others are not opened, and their part of the store is empty.
+_CORPUS_READS = {
+    "featurize": _CORPUS_FILES, "build-ner-corpus": ("videos",),
+    "tag:description": ("videos",),
+    "tag:transcript": ("videos", "transcripts"),
+    "assemble": ("videos", "labels"),
+}
 
 _LEXICON_FILES = {
     "transition": "transition_words.txt",
@@ -203,10 +211,12 @@ def _input(cfg: PipelineConfig, name: str, **fields) -> Path:
     return _require(_output(cfg, name, **fields))
 
 
-def _load_work_corpus(cfg: PipelineConfig) -> corpuslib.CorpusStore:
-    return corpuslib.load_corpus(
-        *[_input(cfg, name) for name in _CORPUS_FILES]
-    )
+def _load_work_corpus(cfg, stage: str) -> corpuslib.CorpusStore:
+    """The corpus files ``stage`` reads, checked as ingest checks them."""
+    return corpuslib.load_corpus(*[
+        _input(cfg, name) if name in _CORPUS_READS[stage] else None
+        for name in _CORPUS_FILES
+    ])
 
 
 def _load_lexicons(cfg) -> tuple[textfeat.Lexicon, ...]:
@@ -286,7 +296,7 @@ def _validate_search_results(fixture: Path, keywords_path: Path,
 
 
 def cmd_featurize(cfg: PipelineConfig, args) -> int:
-    store = _load_work_corpus(cfg)
+    store = _load_work_corpus(cfg, "featurize")
     transition, summary, verbs = _load_lexicons(cfg)
     blocks = clf.compute_text_features(store, transition, summary, verbs)
     table = clf.doc_feature_records(store, blocks)
@@ -318,7 +328,7 @@ def _video_sentences(store: corpuslib.CorpusStore,
 
 
 def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
-    store = _load_work_corpus(cfg)
+    store = _load_work_corpus(cfg, "build-ner-corpus")
     dict_path = args.dictionary or cfg.dictionary_path()
     dictionary = medterm.load_dictionary(
         _require(dict_path),
@@ -399,7 +409,7 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
 
 def cmd_tag(cfg: PipelineConfig, args) -> int:
     model = load_model(_input(cfg, "tagger", arch=args.arch))
-    store = _load_work_corpus(cfg)
+    store = _load_work_corpus(cfg, f"tag:{args.source}")
     sentences, video_ids = _video_sentences(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
     # videos; the labels come back in the same order.
@@ -429,7 +439,7 @@ def _parse_term_count(cells: list[str]) -> tuple[str, int]:
 
 
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
-    store = _load_work_corpus(cfg)
+    store = _load_work_corpus(cfg, "assemble")
     doc = clf.read_features_tsv(_input(cfg, "text_features"),
                                 _TEXT_FEATURES_HEADER)
     counts = dict(read_tsv(_input(cfg, "term_counts"), _TERM_COUNTS_HEADER,

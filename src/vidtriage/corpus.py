@@ -390,15 +390,16 @@ def load_corpus(
     file are hard errors; the error message lists every offender. Label rows
     are consolidated to one majority-vote record per video. Given
     ``video_rows`` (say, a flattened API response), they stand in for the
-    metadata file's records, and ``metadata_path`` names their source.
+    metadata file's records, and ``metadata_path`` names their source. A
+    transcript, OCR or labels path of None is not read, and its part of
+    the store is empty.
     """
-    metadata_path = Path(metadata_path)
-    transcript_path = Path(transcript_path)
-    ocr_path = Path(ocr_path)
-    labels_path = Path(labels_path)
-    for p in (metadata_path, transcript_path, ocr_path, labels_path):
-        if not p.exists():
+    paths = [None if p is None else Path(p) for p in
+             (metadata_path, transcript_path, ocr_path, labels_path)]
+    for p in paths:
+        if p is not None and not p.exists():
             raise FileNotFoundError(f"corpus file not found: {p}")
+    metadata_path, transcript_path, ocr_path, labels_path = paths
 
     if video_rows is None:
         video_rows = read_jsonl(metadata_path, parse_video_metadata)
@@ -411,9 +412,11 @@ def load_corpus(
     if dupes:
         raise IntegrityError(f"duplicate video ids in {metadata_path}: {sorted(set(dupes))}")
 
-    transcript_rows = read_jsonl(transcript_path, parse_transcript)
-    ocr_rows = read_jsonl(ocr_path, parse_ocr)
-    label_rows = read_jsonl(labels_path, parse_labels)
+    transcript_rows, ocr_rows, label_rows = (
+        [] if path is None else read_jsonl(path, parse)
+        for path, parse in ((transcript_path, parse_transcript),
+                            (ocr_path, parse_ocr), (labels_path, parse_labels))
+    )
 
     dangling = sorted(
         {r.video_id for r in transcript_rows + ocr_rows + label_rows} - set(videos)
@@ -422,27 +425,21 @@ def load_corpus(
         raise IntegrityError(f"ids not present in {metadata_path}: {dangling}")
 
     transcripts: dict[str, TranscriptDoc] = {}
-    for doc in transcript_rows:
-        if doc.video_id in transcripts:
-            raise IntegrityError(f"duplicate transcript for video {doc.video_id}")
-        transcripts[doc.video_id] = doc
     ocr: dict[str, OcrDoc] = {}
-    for doc in ocr_rows:
-        if doc.video_id in ocr:
-            raise IntegrityError(f"duplicate ocr document for video {doc.video_id}")
-        ocr[doc.video_id] = doc
+    for rows, by_id, kind in ((transcript_rows, transcripts, "transcript"),
+                              (ocr_rows, ocr, "ocr document")):
+        for doc in rows:
+            if doc.video_id in by_id:
+                raise IntegrityError(f"duplicate {kind} for video {doc.video_id}")
+            by_id[doc.video_id] = doc
 
     by_video: dict[str, list[AnnotationLabels]] = {}
     for row in label_rows:
         by_video.setdefault(row.video_id, []).append(row)
     labels = {vid: consolidate_labels(rows) for vid, rows in by_video.items()}
 
-    summary = LoadSummary(
-        n_videos=len(videos),
-        n_transcripts=len(transcripts),
-        n_ocr=len(ocr),
-        n_label_rows=len(label_rows),
-    )
+    summary = LoadSummary(len(videos), len(transcripts), len(ocr),
+                          len(label_rows))
     return CorpusStore(videos=videos, transcripts=transcripts, ocr=ocr,
                        labels=labels, summary=summary)
 

@@ -395,6 +395,23 @@ def test_predict_missing_feature():
     assert "missing feature" in str(err.value)
 
 
+def test_predict_on_table_without_model_column(store, lexicons):
+    # The featurize stage's table holds the document features only, so a
+    # model that needs the term count must name that column.
+    table = clf.doc_feature_records(
+        store, clf.compute_text_features(store, *lexicons))
+    assert "n_unique_medical_terms" not in table.columns
+    spec = clf.FEATURE_SPECS["medical_info"]
+    k = len(spec.features)
+    model = clf.LrModel(
+        spec=spec, scaler=clf.Scaler(spec.features, (0.0,) * k, (1.0,) * k),
+        intercept=0.0, coefficients=np.zeros(k), l2=0.1, train_meta={},
+    )
+    with pytest.raises(ValueError) as err:
+        clf.predict_batch(model, table)
+    assert "no feature column 'n_unique_medical_terms'" in str(err.value)
+
+
 def test_metrics_from_confusion_fixture():
     m = clf.metrics_from_confusion(22, 2, 1, 32)
     assert m.positive.precision == pytest.approx(0.917, abs=0.001)

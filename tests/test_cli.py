@@ -877,6 +877,49 @@ def test_assemble_reads_description_counts(pipeline_work, capsys):
         assert count == int(description[vid])
 
 
+@pytest.mark.parametrize("stage, argv, outputs", [
+    ("build-ner-corpus",
+     ["build-ner-corpus", "--dictionary", "{root}/corpus/dictionary.tsv"],
+     ["ner_corpus"]),
+    ("tag:description", ["tag", "--arch", "crf"], ["tagged", "term_counts"]),
+    ("tag:transcript", ["tag", "--arch", "blstm", "--source", "transcript"],
+     ["transcript_tagged", "transcript_term_counts"]),
+    ("assemble", ["assemble"], ["features"]),
+])
+def test_stages_read_only_their_declared_corpus_files(
+        tmp_path, pipeline_work, caplog, capsys, stage, argv, outputs):
+    # Each stage runs on a full work dir and on one without the corpus
+    # files it does not declare; the two trees must end byte-identical.
+    argv = [a.format(root=pipeline_work.parent) for a in argv]
+    arch = argv[argv.index("--arch") + 1] if "--arch" in argv else None
+    made = [cli._FILES[name].format(arch=arch) for name in outputs]
+    unread = [cli._FILES[name] for name in cli._CORPUS_FILES
+              if name not in cli._CORPUS_READS[stage]]
+    assert unread
+    trees = []
+    for deleted in ([], unread):
+        work = tmp_path / f"work{len(trees)}"
+        shutil.copytree(pipeline_work, work)
+        for rel in made + deleted:
+            (work / rel).unlink()
+        assert main([*argv, "--work-dir", str(work)]) == 0
+        trees.append({p.relative_to(work).as_posix(): p.read_bytes()
+                      for p in work.rglob("*") if p.is_file()})
+    assert set(made) <= trees[1].keys()
+    assert trees[1] == {rel: data for rel, data in trees[0].items()
+                        if rel not in unread}
+    # The files a stage does read are still checked: a repeated video id
+    # ends it with exit 1, naming the file.
+    videos = work / cli._FILES["videos"]
+    first = videos.read_text().splitlines(keepends=True)[0]
+    videos.write_text(videos.read_text() + first)
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main([*argv, "--work-dir", str(work)]) == 1
+    assert f"duplicate video ids in {videos}" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 def _readme_paths():
     """Every path the README's work-directory table names, with each
     ``{a,b}`` group and each ``{arch}``, ``{target}`` and ``{table}``

@@ -1,5 +1,6 @@
 """Linear-chain CRF: brute-force oracles, gradients, training."""
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -23,9 +24,9 @@ from vidtriage.seqtag import (
 from vidtriage.seqtag.crf import (
     N_LABELS,
     FeatureEncoder,
+    _emissions,
     _loss_grad_encoded,
     _marginals,
-    _padded_emissions,
     _viterbi_batch,
     build_feature_index,
     encode_labels,
@@ -185,7 +186,7 @@ def test_batch_loss_grad_is_mean_of_single_sentence_calls():
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     # Sentences past the fourth may carry features the index has not seen.
     encoder = FeatureEncoder(params.feature_index)
-    encoded = [encoder.encode(s) for s in sentences]
+    encoded = [encoder.encode([s]) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
     loss, grads = _loss_grad_encoded(params, encoded, label_ids, 0.0)
     singles = [_loss_grad_encoded(params, [e], [y], 0.0)
@@ -198,7 +199,34 @@ def test_batch_loss_grad_is_mean_of_single_sentence_calls():
             rtol=0, atol=1e-12)
 
 
+# Reference emissions: each token's feature ids as a list, padded at the
+# end, as the tagger gathered them before the id matrix.
+
+
+def _ref_flat_ids(tokens):
+    """Every token's feature ids end to end, and each token's id count."""
+    counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    flat = np.fromiter(itertools.chain.from_iterable(tokens), dtype=np.intp,
+                       count=int(counts.sum()))
+    return flat, counts
+
+
+def _ref_padded_emissions(w_pad, encoded):
+    """(B, T, L) emissions of a right-padded batch of id lists."""
+    flat, counts = _ref_flat_ids([ids for sent in encoded for ids in sent])
+    ids = np.full((len(counts), counts.max()), w_pad.shape[0] - 1,
+                  dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < counts[:, None]] = flat
+    lengths = np.array([len(sent) for sent in encoded])
+    emit = np.zeros((len(encoded), lengths.max(), w_pad.shape[1]))
+    emit[np.arange(emit.shape[1]) < lengths[:, None]] = \
+        w_pad[ids].sum(axis=1)
+    return emit
+
+
 def test_padded_emissions_equal_per_sentence_bits():
+    # Each token's ids sit in random columns of its 11, in order, and the
+    # zero row (id 40) fills the rest.
     rng = np.random.default_rng(404)
     w_emit = rng.normal(0.0, 1.0, size=(40, N_LABELS))
     w_pad = np.vstack([w_emit, np.zeros((1, N_LABELS))])
@@ -207,8 +235,15 @@ def test_padded_emissions_equal_per_sentence_bits():
          for _ in range(int(rng.integers(1, 8)))]
         for _ in range(9)
     ]
-    emit = _padded_emissions(w_pad, encoded)
+    rows = []
+    for ids in (ids for sent in encoded for ids in sent):
+        row = np.full(11, 40)
+        row[np.sort(rng.choice(11, size=len(ids), replace=False))] = ids
+        rows.append(row)
+    lengths = np.array([len(s) for s in encoded])
+    emit = _emissions(w_pad, np.array(rows), lengths)
     assert emit.shape == (9, max(len(s) for s in encoded), N_LABELS)
+    np.testing.assert_array_equal(emit, _ref_padded_emissions(w_pad, encoded))
     for row, sent in zip(emit, encoded):
         # Reference: each token sums its own rows of w_emit in order.
         expected = np.zeros((len(sent), N_LABELS))
@@ -251,8 +286,8 @@ def test_word_shape():
 def _feature_names(sentences, tokens):
     index = build_feature_index(sentences)
     names = {i: f for f, i in index.items()}
-    return [[names[i] for i in ids]
-            for ids in FeatureEncoder(index).encode(tokens)]
+    return [[names[i] for i in ids if i in names]
+            for ids in FeatureEncoder(index).encode([tokens]).tolist()]
 
 
 def test_token_features_context():
@@ -322,26 +357,48 @@ _SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=8),
                       min_size=1, max_size=6)
 
 
+def _ref_id_rows(feature_index, tokens):
+    """Each token's 11 feature ids in template order; a feature missing
+    from the index, or an affix longer than the word, is the zero row's id,
+    len(feature_index)."""
+    zero = len(feature_index)
+    rows = []
+    for i in range(len(tokens)):
+        feats = _ref_token_features(tokens, i)
+        rows.append([feature_index.get(f, zero) for f in feats]
+                    + [zero] * (11 - len(feats)))
+    return rows
+
+
 @settings(max_examples=200, deadline=None)
 @given(train=_SENTENCES, other=_SENTENCES, seed=st.integers(0, 2**32 - 1))
 def test_feature_encoder_matches_reference(train, other, seed):
     index = build_feature_index(train)
     assert list(index.items()) == list(_ref_build_feature_index(train).items())
-    # One encoder for both sets, so the second reuses the first's memo;
-    # features of ``other`` that ``train`` lacks must be dropped.
+    # A word the index has never seen, next to words it has.
+    other = other + [[train[0][0], "Unseen-Word", "q", train[0][-1]]]
+    # One encoder for both sets, so the second call reuses the first's
+    # table; features of ``other`` that ``train`` lacks must be dropped.
     encoder = FeatureEncoder(index)
-    encoded = [encoder.encode(s) for s in train + other]
-    expected = [_ref_encode_sentence(index, s) for s in train + other]
-    assert [[list(ids) for ids in sent] for sent in encoded] \
-        == [[ids.tolist() for ids in sent] for sent in expected]
+    ids = np.concatenate([encoder.encode(train), encoder.encode(other)])
+    zero = len(index)
+    expected = [ref for s in train + other for ref in
+                _ref_encode_sentence(index, s)]
+    assert ids.shape == (len(expected), 11)
+    assert [[i for i in row if i != zero] for row in ids.tolist()] \
+        == [ref.tolist() for ref in expected]
+    assert ids.tolist() == [row for s in train + other
+                            for row in _ref_id_rows(index, s)]
     rng = np.random.default_rng(seed)
     w_emit = rng.normal(0.0, 1.0, size=(len(index), N_LABELS))
     w_pad = np.vstack([w_emit, np.zeros((1, N_LABELS))])
-    emit = _padded_emissions(w_pad, encoded)
-    for row, sent in zip(emit, expected):
-        per_token = np.array([w_emit[ids].sum(axis=0) for ids in sent])
-        np.testing.assert_array_equal(row[:len(sent)], per_token)
-        assert not row[len(sent):].any()
+    lengths = np.array([len(s) for s in train + other])
+    emit = _emissions(w_pad, ids, lengths)
+    rows = emit[np.arange(emit.shape[1]) < lengths[:, None]]
+    per_token = np.array([w_emit[ref].sum(axis=0) for ref in expected])
+    np.testing.assert_array_equal(rows, per_token)
+    np.testing.assert_array_equal(emit, _ref_padded_emissions(
+        w_pad, [_ref_encode_sentence(index, s) for s in train + other]))
 
 
 def _ref_tag(params, sentences):
@@ -495,6 +552,20 @@ def test_train_crf_deterministic():
     assert np.array_equal(p1.w_emit, p2.w_emit)
     assert np.array_equal(p1.w_trans, p2.w_trans)
     assert np.array_equal(p1.w_start, p2.w_start)
+
+
+def test_train_crf_weights_match_recorded_digest():
+    # The sha256 of the trained weights' bytes, recorded when emissions
+    # came from per-token id lists and the gradient scattered their flat
+    # ids. Training on the id matrix must keep every bit.
+    params, history = train_crf(_toy_corpus(), TrainConfig(
+        seed=5, epochs=6, batch_size=8, l2=1e-3))
+    digest = hashlib.sha256()
+    for arr in params.arrays():
+        digest.update(arr.tobytes())
+    assert len(history) == 6
+    assert digest.hexdigest() == ("79c8a5c7d44249c46c935b0b346a49e6"
+                                  "4a92c8d7ae490bf97835372b525e235b")
 
 
 def test_tag_with_crf_outputs_well_formed():

@@ -1,5 +1,6 @@
 """Tagger model files: save/load round trips and format validation."""
 
+import io
 import json
 
 import numpy as np
@@ -71,6 +72,27 @@ def test_save_is_deterministic(tmp_path):
     save_model(a, params, config)
     save_model(b, params, config)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("arch", [ARCH_CRF, ARCH_BLSTM])
+def test_saved_model_is_one_line_of_sorted_json(tmp_path, arch):
+    # The file is the C encoder's text of the document, and json.dump,
+    # which runs the pure-Python encoder, writes the same text.
+    config = TrainConfig(seed=2, epochs=2, batch_size=4, d_emb=4, d_hid=3)
+    if arch == ARCH_CRF:
+        params, _ = train_crf(CORPUS, config)
+        vocab = None
+    else:
+        params, vocab, _ = train_blstm(CORPUS, config)
+    path = tmp_path / "model.json"
+    save_model(path, params, config, vocab=vocab,
+               train_meta={"note": "caf\u00e9 \u2028", "tiny": 5e-324})
+    data = path.read_bytes()
+    doc = json.loads(data)
+    assert data == (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True)
+    assert data.decode("utf-8") == buf.getvalue() + "\n"
 
 
 def test_load_rejects_bad_files(tmp_path):
