@@ -112,12 +112,36 @@ def read_tsv(path, header: Sequence[str],
     return rows
 
 
+# List items per json.dumps call when a model is written.
+_JSON_SLICE = 1024
+
+
+def _write_json(fh: TextIO, value) -> None:
+    """Write ``json.dumps(value, sort_keys=True)`` a dict entry or a list
+    slice at a time. json.dumps runs the C encoder, which holds all of one
+    call's text at once, and json.dump the pure-Python one."""
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("" if i == 0 else ", ") + json.dumps(key) + ": ")
+            _write_json(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, list):
+        fh.write("[")
+        for lo in range(0, len(value), _JSON_SLICE):
+            text = json.dumps(value[lo:lo + _JSON_SLICE], sort_keys=True)
+            fh.write(("" if lo == 0 else ", ") + text[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value, sort_keys=True))
+
+
 def save_json_model(path, format_name: str, body: dict) -> None:
     """Write ``body`` under the format marker as one line of sorted JSON."""
     doc = {"format": format_name, "format_version": FORMAT_VERSION, **body}
     with atomic_open(path) as fh:
-        # json.dumps runs the C encoder, json.dump the pure-Python one.
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        _write_json(fh, doc)
+        fh.write("\n")
 
 
 def load_json_model(path, format_name: str,

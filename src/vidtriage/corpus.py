@@ -412,11 +412,12 @@ def load_corpus(
     if dupes:
         raise IntegrityError(f"duplicate video ids in {metadata_path}: {sorted(set(dupes))}")
 
-    transcript_rows, ocr_rows, label_rows = (
-        [] if path is None else read_jsonl(path, parse)
-        for path, parse in ((transcript_path, parse_transcript),
-                            (ocr_path, parse_ocr), (labels_path, parse_labels))
-    )
+    def rows(path, parse):
+        return [] if path is None else read_jsonl(path, parse)
+
+    transcript_rows = rows(transcript_path, parse_transcript)
+    ocr_rows = rows(ocr_path, parse_ocr)
+    label_rows = rows(labels_path, parse_labels)
 
     dangling = sorted(
         {r.video_id for r in transcript_rows + ocr_rows + label_rows} - set(videos)
@@ -425,21 +426,27 @@ def load_corpus(
         raise IntegrityError(f"ids not present in {metadata_path}: {dangling}")
 
     transcripts: dict[str, TranscriptDoc] = {}
+    for doc in transcript_rows:
+        if doc.video_id in transcripts:
+            raise IntegrityError(f"duplicate transcript for video {doc.video_id}")
+        transcripts[doc.video_id] = doc
     ocr: dict[str, OcrDoc] = {}
-    for rows, by_id, kind in ((transcript_rows, transcripts, "transcript"),
-                              (ocr_rows, ocr, "ocr document")):
-        for doc in rows:
-            if doc.video_id in by_id:
-                raise IntegrityError(f"duplicate {kind} for video {doc.video_id}")
-            by_id[doc.video_id] = doc
+    for doc in ocr_rows:
+        if doc.video_id in ocr:
+            raise IntegrityError(f"duplicate ocr document for video {doc.video_id}")
+        ocr[doc.video_id] = doc
 
     by_video: dict[str, list[AnnotationLabels]] = {}
     for row in label_rows:
         by_video.setdefault(row.video_id, []).append(row)
     labels = {vid: consolidate_labels(rows) for vid, rows in by_video.items()}
 
-    summary = LoadSummary(len(videos), len(transcripts), len(ocr),
-                          len(label_rows))
+    summary = LoadSummary(
+        n_videos=len(videos),
+        n_transcripts=len(transcripts),
+        n_ocr=len(ocr),
+        n_label_rows=len(label_rows),
+    )
     return CorpusStore(videos=videos, transcripts=transcripts, ocr=ocr,
                        labels=labels, summary=summary)
 

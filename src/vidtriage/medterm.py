@@ -167,9 +167,7 @@ def unique_term_counts(video_ids: Sequence[str],
     """Each video's number of distinct span surface forms (``span_forms``)."""
     forms: dict[str, set[str]] = {}
     for vid, tokens, labs in zip(video_ids, sentences, labels, strict=True):
-        # Only a B-MED opens a span: a sentence without one adds no form.
-        forms.setdefault(vid, set()).update(
-            span_forms(tokens, labs) if B_MED in labs else ())
+        forms.setdefault(vid, set()).update(span_forms(tokens, labs))
     return {vid: len(f) for vid, f in forms.items()}
 
 

@@ -8,15 +8,15 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ..medterm import B_MED, I_MED, LABELS, O
+from ..medterm import LABELS
 from .config import TrainConfig
+from .metrics import repair_bio
 
 P = TypeVar("P")
 
 N_LABELS = len(LABELS)
 _LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
-_B, _I, _O = (_LABEL_TO_ID[lab] for lab in (B_MED, I_MED, O))
 
 # Sentences per padded forward pass outside training: dev loss and tagging.
 # 64: a BLSTM step takes 3.3 us/row to 65 rows, 6.5-7.2 from 96 (Xeon VM).
@@ -205,9 +205,6 @@ def decode_in_batches(
     for lo in range(0, len(order), EVAL_BATCH):
         rows = order[lo:lo + EVAL_BATCH]
         best = best_ids([sentences[i] for i in rows])
-        # repair_bio on the whole batch, from each label's predecessor.
-        before = np.hstack([np.full((len(rows), 1), _O), best[:, :-1]])
-        best[(best == _I) & (before == _O)] = _B
         for i, labels in zip(rows, _LABEL_NAMES[best].tolist()):
-            tagged[i] = labels[:len(sentences[i])]
+            tagged[i] = repair_bio(labels[:len(sentences[i])])
     return tagged

@@ -140,15 +140,22 @@ class CrfParams:
         return (self.w_emit, self.w_trans, self.w_start)
 
     def copy(self) -> "CrfParams":
-        return CrfParams(dict(self.feature_index),
-                         *(a.copy() for a in self.arrays()))
+        return CrfParams(
+            feature_index=dict(self.feature_index),
+            w_emit=self.w_emit.copy(),
+            w_trans=self.w_trans.copy(),
+            w_start=self.w_start.copy(),
+        )
 
 
 def init_crf(feature_index: dict[str, int]) -> CrfParams:
     """Zero-initialized weights; the objective is convex so zeros suffice."""
-    return CrfParams(dict(feature_index),
-                     np.zeros((len(feature_index), N_LABELS)),
-                     np.zeros((N_LABELS, N_LABELS)), np.zeros(N_LABELS))
+    return CrfParams(
+        feature_index=dict(feature_index),
+        w_emit=np.zeros((len(feature_index), N_LABELS)),
+        w_trans=np.zeros((N_LABELS, N_LABELS)),
+        w_start=np.zeros(N_LABELS),
+    )
 
 
 def _emissions(w_pad: np.ndarray, ids: np.ndarray,
@@ -164,8 +171,9 @@ def _emissions(w_pad: np.ndarray, ids: np.ndarray,
 
 
 def _check_scores(emit: np.ndarray, trans: np.ndarray, start: np.ndarray):
-    emit, trans, start = (np.asarray(a, dtype=float)
-                          for a in (emit, trans, start))
+    emit = np.asarray(emit, dtype=float)
+    trans = np.asarray(trans, dtype=float)
+    start = np.asarray(start, dtype=float)
     if emit.ndim != 2 or emit.shape[0] == 0:
         raise ValueError("emission matrix must be (T, L) with T >= 1")
     n = emit.shape[1]

@@ -30,11 +30,15 @@ def repair_bio(labels: Sequence[str]) -> list[str]:
 
     Per-token softmax output can emit sequences no BIO reading admits;
     promoting the stray inside-tag to a span start is the minimal fix.
-    The repair never makes or removes an O, so whether a label follows an
-    O can be read from the input.
     """
-    return [B_MED if lab == I_MED and prev == O else lab
-            for prev, lab in zip((O, *labels), labels)]
+    out = []
+    prev = O
+    for lab in labels:
+        if lab == I_MED and prev == O:
+            lab = B_MED
+        out.append(lab)
+        prev = lab
+    return out
 
 
 def _check_aligned(predictions, gold):

@@ -2,16 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from vidtriage.medterm import LABELS
 from vidtriage.seqtag import (
     TagMetrics,
     evaluate_tagger,
     evaluate_tagger_spans,
     repair_bio,
 )
-from vidtriage.seqtag._trainutil import decode_in_batches
 
 B, I, O = "B-MED", "I-MED", "O"
 
@@ -44,22 +41,6 @@ def test_repair_bio():
         for lab in fixed:
             assert not (lab == I and prev == O)
             prev = lab
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.lists(st.integers(0, 2), max_size=9), max_size=150),
-       junk=st.integers(0, 2))
-def test_decode_in_batches_repairs_as_repair_bio(rows, junk):
-    # Each "sentence" is its own label ids; best_ids pads a batch with
-    # junk, which must not reach any row's labels.
-    def best_ids(batch):
-        out = np.full((len(batch), max(map(len, batch))), junk)
-        for r, ids in enumerate(batch):
-            out[r, :len(ids)] = ids
-        return out
-
-    assert decode_in_batches(rows, best_ids) \
-        == [repair_bio([LABELS[k] for k in ids]) for ids in rows]
 
 
 def test_evaluate_tagger_exact_and_confused():
