@@ -4,13 +4,15 @@ Files are written by :func:`atomic_open` and read by :func:`read_text`,
 and every text reader splits lines with :func:`read_lines`. Tables are a
 header line plus one line per row, cells joined by tabs; a bad row is
 reported as ``<path>:<line>: <problem>``. Models are JSON under a format
-marker and version; a missing key, wrong shape or non-finite number in
-one raises :class:`ModelFormatError` naming the path.
+marker and version; a missing key, wrong shape, bad weight block or
+non-finite number in one raises :class:`ModelFormatError` naming the path.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 T = TypeVar("T")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -112,36 +114,11 @@ def read_tsv(path, header: Sequence[str],
     return rows
 
 
-# List items per json.dumps call when a model is written.
-_JSON_SLICE = 1024
-
-
-def _write_json(fh: TextIO, value) -> None:
-    """Write ``json.dumps(value, sort_keys=True)`` a dict entry or a list
-    slice at a time. json.dumps runs the C encoder, which holds all of one
-    call's text at once, and json.dump the pure-Python one."""
-    if isinstance(value, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(("" if i == 0 else ", ") + json.dumps(key) + ": ")
-            _write_json(fh, value[key])
-        fh.write("}")
-    elif isinstance(value, list):
-        fh.write("[")
-        for lo in range(0, len(value), _JSON_SLICE):
-            text = json.dumps(value[lo:lo + _JSON_SLICE], sort_keys=True)
-            fh.write(("" if lo == 0 else ", ") + text[1:-1])
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value, sort_keys=True))
-
-
 def save_json_model(path, format_name: str, body: dict) -> None:
     """Write ``body`` under the format marker as one line of sorted JSON."""
     doc = {"format": format_name, "format_version": FORMAT_VERSION, **body}
     with atomic_open(path) as fh:
-        _write_json(fh, doc)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_json_model(path, format_name: str,
@@ -181,3 +158,30 @@ def finite_array(values, key: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"{key}: non-finite value")
     return arr
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """``arr`` as a model block: its shape, and the base64 text of its
+    little-endian float64 bytes in C order."""
+    data = np.asarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(data).decode()}
+
+
+def decode_array(block: dict, key: str, shape: tuple) -> np.ndarray:
+    """The array of ``shape`` that :func:`encode_array` wrote as
+    ``block``; ModelFormatError naming ``key`` if the block has another
+    shape, is not base64 text of the right byte count, or holds a NaN or
+    infinite value."""
+    if tuple(block["shape"]) != shape:
+        raise ModelFormatError(
+            f"{key}: shape {block['shape']}, expected {list(shape)}"
+        )
+    try:
+        data = base64.b64decode(block["f64le"], validate=True)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"{key}: f64le is not base64 text") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ModelFormatError(
+            f"{key}: {len(data)} bytes do not fit shape {list(shape)}"
+        )
+    return finite_array(np.frombuffer(data, "<f8").astype(float), key, shape)

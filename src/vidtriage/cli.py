@@ -93,7 +93,8 @@ _CORPUS_FILES = ("videos", "transcripts", "ocr", "labels")
 # The corpus files each later stage reads (tag by its --source); the
 # others are not opened, and their part of the store is empty.
 _CORPUS_READS = {
-    "featurize": _CORPUS_FILES, "build-ner-corpus": ("videos",),
+    "featurize": ("videos", "transcripts", "ocr"),
+    "build-ner-corpus": ("videos",),
     "tag:description": ("videos",),
     "tag:transcript": ("videos", "transcripts"),
     "assemble": ("videos", "labels"),

@@ -366,7 +366,8 @@ def read_jsonl(path, parse_one) -> list:
     alone (see ``read_lines``): a raw U+2028 may sit inside a JSON string."""
     records = []
     lines = read_lines(path)
-    if "".join(lines).lstrip().startswith("["):
+    first = next((line.lstrip() for line in lines if line.strip()), "")
+    if first.startswith("["):
         raise SchemaError(f"{path}: expected JSON Lines, found a JSON array")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

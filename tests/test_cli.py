@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, ingest, config handling."""
 
 import ast
+import base64
 import itertools
 import json
 import logging
@@ -22,7 +23,7 @@ from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
-from vidtriage.medterm import unique_term_counts
+from vidtriage.medterm import read_conll, unique_term_counts
 from vidtriage.seqtag import load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
@@ -712,6 +713,31 @@ def _set_nan(*keys):
     return edit
 
 
+def _f64le(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def _values(block):
+    return np.frombuffer(base64.b64decode(block["f64le"]), "<f8")
+
+
+def _set_weights(name, text_of):
+    """Edit that replaces the base64 text of weight block ``name`` with
+    ``text_of(values)``, given the block's float64 values."""
+    def edit(doc):
+        block = doc["arrays"][name]
+        block["f64le"] = text_of(_values(block))
+    return edit
+
+
+def _as_format_1(doc):
+    """Edit that writes the tagger as format 1 did: float lists."""
+    doc["format_version"] = 1
+    for block in doc["arrays"].values():
+        block["data"] = _values(block).tolist()
+        del block["f64le"]
+
+
 def _set_symbols(key, *names):
     """Edit that overwrites the symbol list ``doc[key]`` from index 2 on
     with ``names``, past the ids a vocab reserves."""
@@ -727,8 +753,17 @@ def _set_symbols(key, *names):
      ["classify"], "coefficients"),
     ("clf_recommendation.json", _set_nan("p_values", 1),
      ["report", "--table", "6"], "p_values"),
-    ("tagger_crf.json", _set_nan("arrays", "w_trans", "data", 0),
-     ["tag", "--arch", "crf"], "w_trans"),
+    ("tagger_crf.json",
+     _set_weights("w_trans", lambda v: _f64le([math.nan, *v[1:]])),
+     ["tag", "--arch", "crf"], "w_trans: non-finite value"),
+    ("tagger_blstm.json", _set_weights("w_fwd", lambda v: "*" + _f64le(v)),
+     ["tag", "--arch", "blstm"], "w_fwd: f64le is not base64 text"),
+    ("tagger_crf.json", _set_weights("w_emit", lambda v: _f64le(v[:1])),
+     ["tag", "--arch", "crf"], "w_emit: 8 bytes do not fit shape"),
+    ("tagger_blstm.json", _set_weights("embed", lambda v: v.tolist()),
+     ["tag", "--arch", "blstm"], "embed: f64le is not base64 text"),
+    ("tagger_crf.json", _as_format_1,
+     ["tag", "--arch", "crf"], "unsupported format version 1"),
     ("tagger_blstm.json", None, ["tag", "--arch", "blstm"], None),
     ("tagger_crf.json", _set_symbols("feature_index", "w=dup", "w=dup"),
      ["tag", "--arch", "crf"], "'w=dup' repeats"),
@@ -737,7 +772,10 @@ def _set_symbols(key, *names):
     ("tagger_blstm.json", _set_symbols("vocab", 7),
      ["tag", "--arch", "blstm"], "entry 7 is not a string"),
 ], ids=["classify-no-target", "classify-nan-coefficient",
-        "report6-nan-p-value", "tag-nan-crf-weight", "tag-truncated-blstm",
+        "report6-nan-p-value", "tag-nan-crf-weight",
+        "tag-bad-base64-blstm-weight", "tag-wrong-byte-count-crf-weight",
+        "tag-non-string-blstm-weight", "tag-format-1-crf",
+        "tag-truncated-blstm",
         "tag-repeated-crf-feature", "tag-repeated-blstm-word",
         "tag-non-string-blstm-word"])
 def test_corrupt_model_exits_1_naming_file(tmp_path, model_work, caplog,
@@ -769,7 +807,7 @@ _INGEST = ["ingest", "--videos", "{work}/corpus/videos.jsonl",
 
 # Each kind of input file the stages read, and a command that reads it.
 @pytest.mark.parametrize("name, argv", [
-    ("corpus/labels.jsonl", ["featurize"]),
+    ("corpus/labels.jsonl", ["assemble"]),
     ("search_results.jsonl",
      [*_INGEST, "--keywords", "{work}/search_results.jsonl"]),
     ("api_response.json",
@@ -838,6 +876,46 @@ def pipeline_work(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def criterion_8_taggers(tmp_path_factory):
+    """Work dir of the criterion-8 corpus (synth seed 88, 30 videos of 6
+    sentences) with its NER corpus and both taggers trained on it."""
+    root = tmp_path_factory.mktemp("criterion8")
+    corpus = root / "corpus"
+    write_synthetic_corpus(
+        corpus, SynthConfig(seed=88, n_videos=30, sentences_per_video=6))
+    work = root / "work"
+    paths = {name: corpus / f"{name}.jsonl"
+             for name in ("videos", "transcripts", "ocr", "labels")}
+    assert main(_ingest_args(paths, work)) == 0
+    steps = [
+        ["build-ner-corpus", "--dictionary", str(corpus / "dictionary.tsv")],
+        *(["train-tagger", "--arch", arch, "--seed", "88"]
+          for arch in cli.ARCHS),
+    ]
+    for argv in steps:
+        assert main([*argv, "--work-dir", str(work)]) == 0, argv
+    return work
+
+
+@pytest.mark.parametrize("arch", cli.ARCHS)
+def test_tagging_a_sentence_ignores_the_others(criterion_8_taggers, arch):
+    # Tagging a random subset, a permutation, or every sentence twice
+    # gives each sentence the labels it gets in the whole corpus, though
+    # the length-sorted batches it is decoded in change.
+    work = criterion_8_taggers
+    model = load_model(work / cli._FILES["tagger"].format(arch=arch))
+    tagged, _ = read_conll(work / cli._FILES["ner_corpus"])
+    sentences = [s.tokens for s in tagged]
+    whole = tag_sentences(model, sentences)
+    rng = np.random.default_rng(8)
+    n = len(sentences)
+    for picks in (rng.choice(n, size=n // 3, replace=False),
+                  rng.permutation(n), rng.permutation(np.tile(range(n), 2))):
+        assert tag_sentences(model, [sentences[i] for i in picks]) \
+            == [whole[i] for i in picks]
+
+
 def _expand(template):
     """Every path ``template`` names across archs, targets and tables."""
     values = {"arch": cli.ARCHS, "target": clf.TARGETS,
@@ -885,6 +963,7 @@ def test_assemble_reads_description_counts(pipeline_work, capsys):
     ("tag:transcript", ["tag", "--arch", "blstm", "--source", "transcript"],
      ["transcript_tagged", "transcript_term_counts"]),
     ("assemble", ["assemble"], ["features"]),
+    ("featurize", ["featurize"], ["text_features"]),
 ])
 def test_stages_read_only_their_declared_corpus_files(
         tmp_path, pipeline_work, caplog, capsys, stage, argv, outputs):

@@ -445,8 +445,10 @@ def test_crf_stages_match_golden_fixture(tmp_path):
 
     The fixture was made with ``SynthConfig(seed=13, n_videos=12,
     sentences_per_video=4)`` and the stages below, before the feature
-    encoder memoized per word. Regenerate it only for a deliberate change
-    to what the CRF computes.
+    encoder memoized per word. When the model format went to version 2,
+    the model's weight blocks were re-encoded as base64 float64 bytes from
+    its own committed floats, not retrained. Regenerate it only for a
+    deliberate change to what the CRF computes or to the model format.
     """
     work = tmp_path / "work"
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vidtriage.artifacts import encode_array
 from vidtriage.medterm import TaggedSentence
 from vidtriage.seqtag import (
     ARCH_BLSTM,
@@ -125,7 +126,8 @@ def test_load_rejects_bad_files(tmp_path):
         load_model(path)
 
     doc_bad = json.loads(good.read_text())
-    doc_bad["arrays"]["w_trans"] = {"shape": [2, 2], "data": [0.0] * 4}
+    doc_bad["arrays"]["w_trans"] = encode_array(np.zeros((2, 2)))
     path.write_text(json.dumps(doc_bad))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError,
+                       match=r"w_trans: shape \[2, 2\], expected \[3, 3\]"):
         load_model(path)
