@@ -368,6 +368,12 @@ def _information(Xa: np.ndarray, beta: np.ndarray, l2: float) -> np.ndarray:
     return Xa.T @ (Xa * (p * (1.0 - p))[:, None]) + np.diag(ridge)
 
 
+def _check_l2(l2) -> None:
+    if (isinstance(l2, bool) or not isinstance(l2, numbers.Real)
+            or not 0 <= l2 < np.inf):
+        raise ValueError(f"l2 must be a finite non-negative number, got {l2!r}")
+
+
 def fit_logreg(
     X: np.ndarray,
     y: np.ndarray,
@@ -382,11 +388,7 @@ def fit_logreg(
     norm reaches ``tol``; a stalled line search or more than ``max_iter``
     steps raise ConvergenceError.
     """
-    if (isinstance(l2, bool) or not isinstance(l2, numbers.Real)
-            or not 0 <= l2 < np.inf):
-        raise ValueError(
-            f"l2 must be a finite non-negative number, got {l2!r}"
-        )
+    _check_l2(l2)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
@@ -468,6 +470,7 @@ def train_logreg(
         )
     if l2 is None:
         l2 = 1.0 / max(len(y), 1)
+    _check_l2(l2)  # before the scaler warns about the data
     scaler = standardize_fit(X, spec)
     beta, opt_info = fit_logreg(standardize_apply(scaler, X), y, l2)
     model = LrModel(

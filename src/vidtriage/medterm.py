@@ -22,6 +22,8 @@ B_MED = "B-MED"
 I_MED = "I-MED"
 O = "O"
 LABELS = (B_MED, I_MED, O)
+# The (previous, next) label pairs BIO admits; O stands before a start.
+_FOLLOWS = frozenset({(a, b) for a in LABELS for b in LABELS} - {(O, I_MED)})
 
 MIN_WORD_LEN = 4  # cleaning keeps words of length strictly greater than 3
 
@@ -106,15 +108,7 @@ class TermDictionary:
     entries: dict[str, frozenset[str]] = field(default_factory=dict)
 
 
-def _check_label(prev: str, lab: str) -> None:
-    """ValueError unless ``lab`` may follow ``prev`` (O at a start)."""
-    if lab not in LABELS:
-        raise ValueError(f"unknown label {lab!r}")
-    if lab == I_MED and prev == O:
-        raise ValueError("I-MED may not follow O or start a sentence")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
     """Token sequence with aligned BIO labels over the single class MED."""
 
@@ -126,8 +120,12 @@ class TaggedSentence:
             raise ValueError(
                 f"{len(self.tokens)} tokens but {len(self.labels)} labels"
             )
-        for prev, lab in zip((O,) + self.labels, self.labels):
-            _check_label(prev, lab)
+        if not _FOLLOWS.issuperset(zip((O,) + self.labels, self.labels)):
+            for prev, lab in zip((O,) + self.labels, self.labels):
+                if lab not in LABELS:
+                    raise ValueError(f"unknown label {lab!r}")
+                if (prev, lab) not in _FOLLOWS:
+                    raise ValueError("I-MED may not follow O or start a sentence")
 
     def spans(self) -> list[str]:
         """Surface forms of the sentence's spans, as ``span_forms``."""
@@ -156,9 +154,8 @@ def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
 
 
 def span_forms(tokens: Sequence[str], labels: Sequence[str]) -> list[str]:
-    """Each span's tokens, lowercased and joined by single spaces."""
-    return [" ".join(t.lower() for t in tokens[a:b])
-            for a, b in span_offsets(labels)]
+    """Each span's tokens joined by single spaces, lowercased."""
+    return [" ".join(tokens[a:b]).lower() for a, b in span_offsets(labels)]
 
 
 def unique_term_counts(video_ids: Sequence[str],
@@ -273,36 +270,32 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
     """
     sentences: list[TaggedSentence] = []
     video_ids: list[Optional[str]] = []
-    tokens: list[str] = []
-    labels: list[str] = []
+    rows, rows_at = [], []  # the open sentence's rows and their lines
     current_vid: Optional[str] = None
-
-    def flush():
-        nonlocal tokens, labels
-        if tokens:
-            sentences.append(TaggedSentence(tuple(tokens), tuple(labels)))
-            video_ids.append(current_vid)
-            tokens, labels = [], []
-
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            flush()
-            continue
+    for lineno, line in enumerate(read_lines(path) + [""], start=1):
         if line.startswith("#"):
             m = re.match(r"#\s*video_id\s*=\s*(\S+)", line)
             if m:
                 current_vid = m.group(1)
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
+        if line.strip() and line.count("\t") == 1:
+            rows.append(line)
+            rows_at.append(lineno)
+            continue
+        # A blank line or a bad row ends the sentence, whose labels
+        # TaggedSentence checks; the first bad label names its line.
+        if rows:
+            cells = "\t".join(rows).split("\t")
+            labels = tuple(cells[1::2])
+            try:
+                sentences.append(TaggedSentence(tuple(cells[::2]), labels))
+            except ValueError as exc:
+                bad = [p in _FOLLOWS for p in zip((O,) + labels, labels)].index(False)
+                raise DictionaryFormatError(f"{path}:{rows_at[bad]}: {exc}") from None
+            video_ids.append(current_vid)
+            rows, rows_at = [], []
+        if line.strip():
             raise DictionaryFormatError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
-        try:
-            _check_label(labels[-1] if labels else O, parts[1])
-        except ValueError as exc:
-            raise DictionaryFormatError(f"{path}:{lineno}: {exc}") from None
-        tokens.append(parts[0])
-        labels.append(parts[1])
-    flush()
     return sentences, video_ids

@@ -23,8 +23,8 @@ import numpy as np
 
 from ..medterm import TaggedSentence
 from ..numeric import logsumexp, sigmoid
-from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
-                         decode_in_batches, fit_tagger)
+from ._trainutil import (EVAL_BATCH, N_LABELS, _check_corpus, _pad_batch,
+                         add_l2, decode_in_batches, fit_tagger)
 from .config import TrainConfig
 from .vocab import PAD_ID, Vocab, build_vocab
 
@@ -334,4 +334,4 @@ def tag_with_blstm(
     def best_ids(batch):
         return np.argmax(_forward_batch(params, proj, batch)[-1], axis=2)
 
-    return decode_in_batches(encoded, best_ids)
+    return decode_in_batches(encoded, best_ids, EVAL_BATCH)

@@ -32,6 +32,9 @@ from .config import TrainConfig
 
 _BOS = "<s>"
 _EOS = "</s>"
+# Sentences per tagging batch: the emission gather and the Viterbi step
+# are elementwise, so a wide batch spreads their per-call cost (README).
+_DECODE_BATCH = 512
 
 
 def word_shape(word: str) -> str:
@@ -232,12 +235,15 @@ def _viterbi_batch(
     Row b runs crf_viterbi's recursion over its first lengths[b] tokens;
     its entries past that length are padding and mean nothing.
     """
-    n, t_max, _ = emit.shape
+    n, t_max, n_labels = emit.shape
     best_to_end = emit.copy()
     for t in range(t_max - 2, -1, -1):
-        step = emit[:, t] + np.max(
-            trans[None] + best_to_end[:, t + 1][:, None, :], axis=2
-        )
+        # The max over next labels, as elementwise maxima of label columns.
+        after = best_to_end[:, t + 1, :, None]
+        step = trans[:, 0] + after[:, 0]
+        for j in range(1, n_labels):
+            np.maximum(step, trans[:, j] + after[:, j], out=step)
+        step += emit[:, t]
         inner = (t < lengths - 1)[:, None]
         best_to_end[:, t] = np.where(inner, step, emit[:, t])
     path = np.empty((n, t_max), dtype=np.intp)
@@ -396,4 +402,4 @@ def tag_with_crf(
         emit = _emissions(w_pad, encoder.encode(batch), lengths)
         return _viterbi_batch(emit, lengths, params.w_trans, params.w_start)
 
-    return decode_in_batches(sentences, best_ids)
+    return decode_in_batches(sentences, best_ids, _DECODE_BATCH)

@@ -24,7 +24,7 @@ from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
 from vidtriage.medterm import read_conll, unique_term_counts
-from vidtriage.seqtag import load_model, tag_sentences
+from vidtriage.seqtag import crf, load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
 
@@ -914,6 +914,56 @@ def test_tagging_a_sentence_ignores_the_others(criterion_8_taggers, arch):
                   rng.permutation(n), rng.permutation(np.tile(range(n), 2))):
         assert tag_sentences(model, [sentences[i] for i in picks]) \
             == [whole[i] for i in picks]
+
+
+def test_crf_decode_width_changes_no_label_or_emission_bit(
+        criterion_8_taggers, monkeypatch):
+    # Each sentence's emission rows and labels are the same bits whether
+    # it is decoded alone, 64 to a batch, or at the tagger's own width.
+    work = criterion_8_taggers
+    params = load_model(work / cli._FILES["tagger"].format(arch="crf")).params
+    tagged, _ = read_conll(work / cli._FILES["ner_corpus"])
+    sentences = sorted((s.tokens for s in tagged), key=len)
+    w_pad = np.vstack([params.w_emit, np.zeros((1, crf.N_LABELS))])
+    rows, labels = {}, {}
+    for width in (1, 64, crf._DECODE_BATCH):
+        encoder = crf.FeatureEncoder(params.feature_index)
+        rows[width] = []
+        for lo in range(0, len(sentences), width):
+            batch = sentences[lo:lo + width]
+            lengths = np.array([len(s) for s in batch])
+            emit = crf._emissions(w_pad, encoder.encode(batch), lengths)
+            rows[width] += [row[:n] for row, n in zip(emit, lengths)]
+        monkeypatch.setattr(crf, "_DECODE_BATCH", width)
+        labels[width] = crf.tag_with_crf(params, sentences)
+    assert len(sentences) > 2 * 64
+    for width in (64, crf._DECODE_BATCH):
+        assert labels[width] == labels[1]
+        for row, alone in zip(rows[width], rows[1]):
+            assert row.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("arch", cli.ARCHS)
+def test_tagging_a_third_of_the_videos_keeps_their_term_counts(
+        criterion_8_taggers, tmp_path, arch):
+    whole, third = tmp_path / "whole", tmp_path / "third"
+    for work in (whole, third):
+        shutil.copytree(criterion_8_taggers, work)
+    videos = third / cli._FILES["videos"]
+    lines = videos.read_text().splitlines(keepends=True)
+    keep = np.random.default_rng(3).choice(len(lines), size=len(lines) // 3,
+                                           replace=False)
+    videos.write_text("".join(lines[i] for i in sorted(keep)))
+    for work in (whole, third):
+        assert main(["tag", "--arch", arch, "--work-dir", str(work)]) == 0
+
+    def rows(work):
+        return (work / cli._FILES["term_counts"]).read_text().splitlines()
+
+    kept = {json.loads(lines[i])["video_id"] for i in keep}
+    assert rows(third)[1:] == [row for row in rows(whole)[1:]
+                               if row.split("\t")[0] in kept]
+    assert len(rows(third)) == 1 + len(kept)
 
 
 def _expand(template):

@@ -120,13 +120,14 @@ def test_viterbi_tie_prefers_lower_label_id():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=40),
     integer=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_viterbi_matches_brute_force(lengths, integer, seed):
-    # Integer-valued scores make exact ties, which must go to the lower
-    # label id in every row; padding holds junk that must not matter.
+    # Integer-valued scores make exact ties, which must go to the
+    # lexicographically smallest optimum in every row of a batch up to 40
+    # wide; padding holds junk that must not matter.
     rng = np.random.default_rng(seed)
 
     def scores(shape):

@@ -1,7 +1,11 @@
 """Term dictionary: cleaning, semantic-type filtering, BIO projection."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vidtriage.medterm import (
     B_MED,
@@ -14,6 +18,7 @@ from vidtriage.medterm import (
     load_dictionary,
     project_labels,
     read_conll,
+    span_forms,
     span_offsets,
     unique_term_counts,
     write_conll,
@@ -180,6 +185,44 @@ def test_span_offsets_ignore_a_stray_inside_tag():
     assert sent.spans() == ["colon cancer", "polyp"]
 
 
+def _span_offsets_oracle(labels):
+    """Spans as runs of a pattern: code B-MED as B, O as O and any other
+    label as I; each match of ``BI*`` is a span."""
+    code = "".join({B_MED: "B", O: "O"}.get(lab, "I") for lab in labels)
+    return [m.span() for m in re.finditer("BI*", code)]
+
+
+def _label_sequences(alphabet, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(alphabet, repeat=n)
+
+
+def test_span_offsets_match_the_pattern_oracle():
+    # Every BIO sequence up to length 7, and every sequence up to length 5
+    # that also holds a label outside BIO, as a tuple and as a list.
+    cases = itertools.chain(_label_sequences((B_MED, I_MED, O), 7),
+                            _label_sequences((B_MED, I_MED, O, "X"), 5))
+    for labels in cases:
+        expected = _span_offsets_oracle(labels)
+        assert span_offsets(labels) == expected, labels
+        assert span_offsets(list(labels)) == expected, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(st.text(st.characters(blacklist_categories=("Z", "C")),
+                               min_size=1, max_size=4), max_size=6),
+       data=st.data())
+def test_span_forms_lowercase_each_token(tokens, data):
+    # Lowercasing the joined span equals joining the lowercased tokens,
+    # also for letters whose lowercase depends on context (final sigma).
+    labels = data.draw(st.lists(st.sampled_from([B_MED, I_MED, O]),
+                                min_size=len(tokens), max_size=len(tokens)))
+    tokens = [t.replace("a", "\u03a3") for t in tokens]
+    assert span_forms(tokens, labels) == [
+        " ".join(t.lower() for t in tokens[a:b])
+        for a, b in _span_offsets_oracle(labels)]
+
+
 def test_unique_term_counts_scale_fixture():
     # A constructed corpus with exactly 1917 distinct entities.
     terms = [f"term{i:04d}" for i in range(1917)]
@@ -227,6 +270,25 @@ def test_conll_roundtrip_without_ids(tmp_path, small_dict):
     again, vids = read_conll(path)
     assert again == tagged
     assert vids == [None]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("a\tO\nb\tI-MED\nc\n\n", 2, "I-MED may not follow O"),
+    ("a\tB-MED\nb\tX\nc\td\te\n", 2, "unknown label 'X'"),
+    ("a\tO\nb\tO\nc\n\nd\tI-MED\n", 3, "expected 'token<TAB>tag'"),
+    ("# video_id = v\na\tO\n# note\n\t\n \nb\tO\n# x\nc\tI-MED\n",
+     8, "I-MED may not follow O"),
+    ("a\tB-MED\n\nb\tI-MED\n", 3, "I-MED may not follow O or start"),
+], ids=["label-before-bad-row", "unknown", "bad-row-first", "comments",
+        "start"])
+def test_read_conll_names_the_first_bad_line(tmp_path, text, line, message):
+    # Rows are read in order: the first bad row names its own line, also
+    # past comment and whitespace-only lines.
+    path = tmp_path / "c.conll"
+    path.write_text(text)
+    with pytest.raises(DictionaryFormatError, match=f"c.conll:{line}: "
+                       f"{re.escape(message)}"):
+        read_conll(path)
 
 
 @pytest.mark.parametrize("sentences, labels, ids", [

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vidtriage.data_files import data_path
 from vidtriage.medterm import (
@@ -18,6 +18,7 @@ from vidtriage.medterm import (
     project_labels,
 )
 from vidtriage.textfeat import (
+    _WORD_RE,
     Lexicon,
     TokenizedText,
     TokenMemo,
@@ -31,6 +32,7 @@ from vidtriage.textfeat import (
     load_stopwords,
     readability,
     readability_from_tokens,
+    split_words,
     tokenize,
 )
 
@@ -75,6 +77,25 @@ def test_tokenize_is_linear_on_long_terminator_runs(text, n_words):
     tok = tokenize(text)
     assert time.perf_counter() - t0 < 5.0
     assert tok.word_count == n_words
+
+
+# Characters whose lowercase form is or holds ASCII (dotted capital I,
+# the Kelvin sign), that are not ASCII themselves (sharp s, the fi
+# ligature, a combining acute accent), apostrophes, NUL and separators.
+_WORD_EDGES = st.text(st.one_of(
+    st.sampled_from(list("aZ09'\u2019 .-\t\n\x00\u0130\u212a\u00df\ufb01\u0301")),
+    st.characters()), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_WORD_EDGES)
+@example(text="''")
+@example(text="'crohn's' a''b don't '")
+@example(text="\u0130stanbul \u212aelvin stra\u00dfe \ufb01le cafe\u0301s")
+@example(text="a\x00b\x00'c")
+def test_split_words_matches_the_word_pattern(text):
+    # The byte-table split equals the pattern on the lowercased text.
+    assert split_words(text) == _WORD_RE.findall(text.lower())
 
 
 def test_tokenize_sentence_ranges_cover_tokens():
