@@ -6,6 +6,9 @@ header line plus one line per row, cells joined by tabs; a bad row is
 reported as ``<path>:<line>: <problem>``. Models are JSON under a format
 marker and version; a missing key, wrong shape, bad weight block or
 non-finite number in one raises :class:`ModelFormatError` naming the path.
+
+Each stage is its own process, and most stages handle only text, so
+numpy loads inside the three weight-array helpers, not with this module.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
-
-import numpy as np
 
 T = TypeVar("T")
 
@@ -151,6 +152,7 @@ def finite_array(values, key: str, shape: tuple) -> np.ndarray:
     """``values`` as a float array of ``shape``; ModelFormatError naming
     ``key`` if one is not a number, the count does not fit, or one is NaN
     or infinite."""
+    import numpy as np
     try:
         arr = np.asarray(values, dtype=float).reshape(shape)
     except (TypeError, ValueError) as exc:
@@ -163,6 +165,7 @@ def finite_array(values, key: str, shape: tuple) -> np.ndarray:
 def encode_array(arr: np.ndarray) -> dict:
     """``arr`` as a model block: its shape, and the base64 text of its
     little-endian float64 bytes in C order."""
+    import numpy as np
     data = np.asarray(arr, dtype="<f8").tobytes()
     return {"shape": list(arr.shape), "f64le": base64.b64encode(data).decode()}
 
@@ -172,6 +175,7 @@ def decode_array(block: dict, key: str, shape: tuple) -> np.ndarray:
     ``block``; ModelFormatError naming ``key`` if the block has another
     shape, is not base64 text of the right byte count, or holds a NaN or
     infinite value."""
+    import numpy as np
     if tuple(block["shape"]) != shape:
         raise ModelFormatError(
             f"{key}: shape {block['shape']}, expected {list(shape)}"

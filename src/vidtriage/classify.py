@@ -28,16 +28,13 @@ from .artifacts import (
 from .corpus import CorpusStore
 from .numeric import normal_two_sided_tail, sigmoid
 from .seqtag.metrics import TagMetrics
+from .targets import TARGET_FIELDS, TARGETS, ConvergenceError
 from .textfeat import Lexicon, TextFeatures, TokenMemo, extract_text_features
 
 BINARY_FEATURES = frozenset({
     "has_title", "has_description", "has_tags",
     "medical_info_high", "understandable",
 })
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the optimizer cannot reach the gradient tolerance."""
 
 
 # The feature table's columns, in file order. The document features, read
@@ -80,13 +77,6 @@ class FeatureSpec:
         if len(set(self.features)) != len(self.features):
             raise ValueError("duplicate features in spec")
 
-
-TARGET_FIELDS = {
-    "medical_info": "medical_info_high",
-    "understandability": "understandable",
-    "recommendation": "recommended",
-}
-TARGETS = tuple(TARGET_FIELDS)
 
 # The specs, like their saved models, keep the term count after the flags.
 _METADATA_LEVEL = (*_DOC_METADATA[:3], "n_unique_medical_terms",

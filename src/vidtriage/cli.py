@@ -11,6 +11,10 @@ directory, and prints a one-line summary; logs go to standard error.
 
 Exit codes: 0 success, 1 validation or missing-input error, 2 internal
 error, 64 usage error.
+
+Each stage runs as its own process, so importing this module loads no
+numpy: a command that needs numpy, :mod:`vidtriage.classify` or a tagger
+imports it when it runs.
 """
 
 from __future__ import annotations
@@ -23,27 +27,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import classify as clf
 from . import corpus as corpuslib
 from . import medterm, textfeat
 from .data_files import data_path
 from .artifacts import read_text, read_tsv, write_tsv
-from .seqtag import (
-    ARCH_BLSTM,
-    ARCH_CRF,
-    TagMetrics,
-    TrainConfig,
-    TrainingDivergedError,
-    evaluate_tagger,
-    evaluate_tagger_spans,
-    load_model,
-    save_model,
-    tag_sentences,
-    train_blstm,
-    train_crf,
-)
+from .seqtag.config import (ARCH_BLSTM, ARCH_CRF, TrainConfig,
+                            TrainingDivergedError)
+from .seqtag.metrics import TagMetrics, evaluate_tagger, evaluate_tagger_spans
+from .targets import TARGETS, ConvergenceError
 
 log = logging.getLogger("vidtriage")
 
@@ -54,8 +45,23 @@ EXIT_USAGE = 64
 
 ARCHS = (ARCH_CRF, ARCH_BLSTM)
 
+# The tagger entry points the commands call, each bound into this module
+# on first use by __getattr__. The commands look them up here as _cli.<name>
+# when they call them, so a wrapper set on this module is the one called.
+_TAGGER_API = ("train_crf", "train_blstm", "save_model", "load_model",
+               "tag_sentences")
+
+
+def __getattr__(name: str):
+    if name not in _TAGGER_API:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import seqtag
+    return globals().setdefault(name, getattr(seqtag, name))
+
+
+_cli = sys.modules[__name__]
+
 # Table headers, each shared by the table's writer and its reader.
-_TEXT_FEATURES_HEADER = ("video_id", *clf.DOC_FEATURE_NAMES)
 _TERM_COUNTS_HEADER = ("video_id", "n_unique_medical_terms")
 _PREDICTIONS_HEADER = ("video_id", "probability", "label")
 _TAGGER_METRICS_HEADER = ("model", "precision", "recall", "f_measure",
@@ -297,6 +303,7 @@ def _validate_search_results(fixture: Path, keywords_path: Path,
 
 
 def cmd_featurize(cfg: PipelineConfig, args) -> int:
+    from . import classify as clf
     store = _load_work_corpus(cfg, "featurize")
     transition, summary, verbs = _load_lexicons(cfg)
     blocks = clf.compute_text_features(store, transition, summary, verbs)
@@ -363,12 +370,13 @@ def _tagger_train_config(cfg: PipelineConfig, args, seed: int) -> TrainConfig:
 
 def _split_conll(cfg, seed):
     """Read the BIO corpus and split it at the video level."""
+    from .classify import split_ids
     conll = _input(cfg, "ner_corpus")
     sentences, video_ids = medterm.read_conll(conll)
     ids = sorted({v for v in video_ids if v is not None})
     if not ids:
         raise ValueError(f"{conll}: no video ids; rebuild the corpus")
-    train_videos, test_videos = clf.split_ids(ids, seed, cfg.split_fraction)
+    train_videos, test_videos = split_ids(ids, seed, cfg.split_fraction)
     train_set = set(train_videos)
     train = [s for s, v in zip(sentences, video_ids) if v in train_set]
     test = [(s, v) for s, v in zip(sentences, video_ids)
@@ -383,10 +391,10 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
     config = _tagger_train_config(cfg, args, seed)
     train, test, train_videos, test_videos = _split_conll(cfg, seed)
     if args.arch == ARCH_CRF:
-        params, history = train_crf(train, config)
+        params, history = _cli.train_crf(train, config)
         vocab = None
     else:
-        params, vocab, history = train_blstm(train, config)
+        params, vocab, history = _cli.train_blstm(train, config)
     meta = {
         "seed": seed,
         "split_fraction": cfg.split_fraction,
@@ -397,7 +405,7 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
         "epochs_run": len(history),
     }
     out = _output(cfg, "tagger", arch=args.arch)
-    save_model(out, params, config, vocab=vocab, train_meta=meta)
+    _cli.save_model(out, params, config, vocab=vocab, train_meta=meta)
     print(
         f"trained {args.arch} tagger on {len(train)} sentences "
         f"({len(train_videos)} videos, {len(history)} epochs) -> {out}"
@@ -409,12 +417,12 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_tag(cfg: PipelineConfig, args) -> int:
-    model = load_model(_input(cfg, "tagger", arch=args.arch))
+    model = _cli.load_model(_input(cfg, "tagger", arch=args.arch))
     store = _load_work_corpus(cfg, f"tag:{args.source}")
     sentences, video_ids = _video_sentences(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
     # videos; the labels come back in the same order.
-    labels = tag_sentences(model, sentences)
+    labels = _cli.tag_sentences(model, sentences)
     # Description tagging keeps the names that assemble reads.
     prefix = "" if args.source == "description" else f"{args.source}_"
     medterm.write_conll(_output(cfg, f"{prefix}tagged", arch=args.arch),
@@ -440,10 +448,13 @@ def _parse_term_count(cells: list[str]) -> tuple[str, int]:
 
 
 def cmd_assemble(cfg: PipelineConfig, args) -> int:
+    import numpy as np
+    from . import classify as clf
     store = _load_work_corpus(cfg, "assemble")
     doc = clf.read_features_tsv(_input(cfg, "text_features"),
-                                _TEXT_FEATURES_HEADER)
-    counts = dict(read_tsv(_input(cfg, "term_counts"), _TERM_COUNTS_HEADER,
+                                ("video_id", *clf.DOC_FEATURE_NAMES))
+    counts_path = _input(cfg, "term_counts")
+    counts = dict(read_tsv(counts_path, _TERM_COUNTS_HEADER,
                            _parse_term_count))
     # One row per labeled video, sorted by id: its document features
     # joined with its tagger term count and its labels.
@@ -452,7 +463,9 @@ def cmd_assemble(cfg: PipelineConfig, args) -> int:
     for vid in ids:
         if vid not in row_of:
             raise ValueError(f"labeled video {vid!r} has no text features")
-    joined = [[counts.get(vid, 0), store.labels[vid].medical_info_high,
+        if vid not in counts:
+            raise ValueError(f"{counts_path}: no row for labeled video {vid!r}")
+    joined = [[counts[vid], store.labels[vid].medical_info_high,
                store.labels[vid].understandable, store.labels[vid].recommended]
               for vid in ids]
     table = clf.FeatureTable(tuple(ids), clf.FEATURES_HEADER[1:], np.hstack([
@@ -469,6 +482,7 @@ def cmd_assemble(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_train_clf(cfg: PipelineConfig, args) -> int:
+    from . import classify as clf
     seed = cfg.require_seed()
     table = clf.read_features_tsv(_input(cfg, "features"))
     train_videos, test_videos = clf.split_ids(list(table.ids), seed,
@@ -499,12 +513,14 @@ def cmd_train_clf(cfg: PipelineConfig, args) -> int:
 # --------------------------------------------------------------- classify
 
 
-def _load_classifiers(cfg: PipelineConfig) -> dict[str, clf.LrModel]:
-    return {target: clf.load_lr_model(_input(cfg, "clf", target=target))
-            for target in clf.TARGETS}
+def _load_classifiers(cfg: PipelineConfig) -> dict:
+    from .classify import load_lr_model
+    return {target: load_lr_model(_input(cfg, "clf", target=target))
+            for target in TARGETS}
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
+    from . import classify as clf
     table = clf.read_features_tsv(_input(cfg, "features"))
     # Every model loads before any prediction is written, so a bad model
     # leaves the previous predictions whole.
@@ -518,7 +534,7 @@ def cmd_classify(cfg: PipelineConfig, args) -> int:
              for vid, prob, lab in zip(table.ids, p, labels)],
         )
     print(
-        f"classified {len(table.ids)} videos for {len(clf.TARGETS)} "
+        f"classified {len(table.ids)} videos for {len(TARGETS)} "
         f"targets -> {out.parent}"
     )
     return EXIT_OK
@@ -535,7 +551,7 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
     sentences, video_ids = medterm.read_conll(_input(cfg, "ner_corpus"))
     token_rows, span_rows = [], []
     for arch in ARCHS:
-        model = load_model(_input(cfg, "tagger", arch=arch))
+        model = _cli.load_model(_input(cfg, "tagger", arch=arch))
         test_videos = set(model.train_meta.get("test_videos", []))
         if not test_videos:
             raise ValueError(
@@ -544,7 +560,7 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
         gold = [s for s, v in zip(sentences, video_ids) if v in test_videos]
         if not gold:
             raise ValueError(f"no test sentences for arch {arch!r}")
-        predicted = tag_sentences(model, [list(s.tokens) for s in gold])
+        predicted = _cli.tag_sentences(model, [list(s.tokens) for s in gold])
         gold_labels = [list(s.labels) for s in gold]
         token = evaluate_tagger(predicted, gold_labels)
         spans = evaluate_tagger_spans(predicted, gold_labels)
@@ -561,6 +577,7 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
 
 
 def _eval_classifiers(cfg: PipelineConfig) -> None:
+    from . import classify as clf
     table = clf.read_features_tsv(_input(cfg, "features"))
     out_rows = []
     for target, model in _load_classifiers(cfg).items():
@@ -577,7 +594,7 @@ def _eval_classifiers(cfg: PipelineConfig) -> None:
                  target, metrics.accuracy, len(test.ids))
     out = _output(cfg, "clf_metrics")
     write_tsv(out, _CLF_METRICS_HEADER, out_rows)
-    print(f"evaluated {len(clf.TARGETS)} classifiers -> {out}")
+    print(f"evaluated {len(TARGETS)} classifiers -> {out}")
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
@@ -643,6 +660,7 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
 def _table6_rows(cfg) -> list[list[str]]:
     """Coefficient table across the three models, sorted by the
     recommendation estimate descending; absent features print '-'."""
+    from .classify import format_pvalue
     per_target: dict[str, dict[str, tuple[float, float]]] = {}
     for target, model in _load_classifiers(cfg).items():
         entries = {"(intercept)": (model.intercept, model.p_values[0])}
@@ -664,7 +682,7 @@ def _table6_rows(cfg) -> list[list[str]]:
             else:
                 # An estimate that rounds to zero prints as 0.00, never -0.00.
                 estimate = f"{entry[0]:.2f}".replace("-0.00", "0.00")
-                row += [estimate, clf.format_pvalue(entry[1])]
+                row += [estimate, format_pvalue(entry[1])]
         rows.append(row)
     return rows
 
@@ -733,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-clf", parents=[common],
                        help="train one logistic-regression classifier")
-    p.add_argument("--target", choices=clf.TARGETS, required=True)
+    p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--l2", type=float)
     p.set_defaults(func=cmd_train_clf)
 
@@ -773,7 +791,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _resolve_config(args)
         return args.func(cfg, args)
     except (corpuslib.CorpusError, OSError, ValueError,
-            TrainingDivergedError, clf.ConvergenceError) as exc:
+            TrainingDivergedError, ConvergenceError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
     except Exception:

@@ -9,7 +9,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from ..medterm import LABELS
-from .config import TrainConfig
+from .config import TrainConfig, TrainingDivergedError
 from .metrics import repair_bio
 
 P = TypeVar("P")
@@ -21,10 +21,6 @@ _LABEL_NAMES = np.array(LABELS, dtype=object)
 # Sentences per padded forward pass of the dev loss and of BLSTM tagging.
 # 64: a BLSTM step takes 3.3 us/row to 65 rows, 6.5-7.2 from 96 (Xeon VM).
 EVAL_BATCH = 64
-
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss turns non-finite."""
 
 
 def encode_labels(labels: Sequence[str]) -> list[int]:

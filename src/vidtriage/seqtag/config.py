@@ -1,9 +1,17 @@
-"""Shared training configuration for both tagger architectures."""
+"""Shared training configuration, architecture names and training error
+of both taggers. numpy-free, so the command line loads no tagger for them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+ARCH_CRF = "crf"
+ARCH_BLSTM = "blstm"
+
+
+class TrainingDivergedError(RuntimeError):
+    """Raised when a training loss turns non-finite."""
 
 
 @dataclass(frozen=True)

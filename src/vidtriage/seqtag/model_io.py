@@ -23,14 +23,11 @@ from ..artifacts import (
 )
 from ._trainutil import N_LABELS
 from .blstm import BlstmParams, PARAM_NAMES, tag_with_blstm
-from .config import TrainConfig
+from .config import ARCH_BLSTM, ARCH_CRF, TrainConfig
 from .crf import CrfParams, tag_with_crf
 from .vocab import Vocab
 
 FORMAT_NAME = "vidtriage-tagger"
-
-ARCH_CRF = "crf"
-ARCH_BLSTM = "blstm"
 
 
 @dataclass

@@ -168,7 +168,7 @@ def test_null_text_reads_empty_and_wrong_type_exits_1(
     capsys.readouterr()
     table = clf.read_features_tsv(
         tmp_path / "work" / "features" / "text_features.tsv",
-        cli._TEXT_FEATURES_HEADER)
+        ("video_id", *DOC_FEATURE_NAMES))
     has_title = table.select(["has_title"])[:, 0]
     assert has_title.tolist() == [
         int(bool(doc.get("title"))) for doc in videos]
@@ -492,6 +492,22 @@ def test_malformed_table_exits_1_naming_file_and_line(
         assert main([*command, "--work-dir", str(work)]) == 1
     assert f"{work / table}:{bad_line}:" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+def test_assemble_refuses_a_labeled_video_without_a_term_count(
+        tmp_path, corpus_paths, caplog, capsys):
+    work = _assembled_work(tmp_path, corpus_paths)
+    features = (work / "features" / "features.tsv").read_bytes()
+    counts = work / "ner" / "term_counts.tsv"
+    counts.write_text("".join(line for line in counts.read_text()
+                              .splitlines(keepends=True)
+                              if not line.startswith("vid003\t")))
+    capsys.readouterr()
+    with caplog.at_level(logging.ERROR):
+        assert main(["assemble", "--work-dir", str(work)]) == 1
+    assert f"{counts}: no row for labeled video 'vid003'" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert (work / "features" / "features.tsv").read_bytes() == features
 
 
 def _assembled_work(tmp_path, corpus_paths):
@@ -964,6 +980,75 @@ def test_tagging_a_third_of_the_videos_keeps_their_term_counts(
     assert rows(third)[1:] == [row for row in rows(whole)[1:]
                                if row.split("\t")[0] in kept]
     assert len(rows(third)) == 1 + len(kept)
+
+
+@pytest.fixture(scope="module")
+def criterion_8_classified(criterion_8_taggers, tmp_path_factory):
+    """The criterion-8 work dir after featurize, tag, assemble, the three
+    classifiers and classify."""
+    work = tmp_path_factory.mktemp("criterion8_clf") / "work"
+    shutil.copytree(criterion_8_taggers, work)
+    for argv in (["featurize"], ["tag"], ["assemble"],
+                 *(["train-clf", "--target", t, "--seed", "88"]
+                   for t in clf.TARGETS),
+                 ["classify"]):
+        assert main([*argv, "--work-dir", str(work)]) == 0, argv
+    return work
+
+
+def _random_rows(path, seed):
+    """The header of a table or JSON-Lines file at ``path`` and a random
+    subset of its other lines, in file order."""
+    lines = path.read_text().splitlines(keepends=True)
+    first = 1 if path.suffix == ".tsv" else 0
+    keep = np.random.default_rng(seed).choice(
+        range(first, len(lines)), size=(len(lines) - first) // 2,
+        replace=False)
+    return lines[:first], [lines[i] for i in sorted(keep)]
+
+
+def _rows_of(path, ids):
+    """The rows of table ``path`` whose first cell is in ``ids``."""
+    return [line for line in path.read_text().splitlines()[1:]
+            if line.split("\t")[0] in ids]
+
+
+def test_featurizing_some_videos_keeps_their_text_features(
+        criterion_8_classified, tmp_path, capsys):
+    whole = criterion_8_classified
+    _, kept = _random_rows(whole / cli._FILES["videos"], seed=5)
+    ids = {json.loads(line)["video_id"] for line in kept}
+    for name in ("videos", "transcripts", "ocr", "labels"):
+        out = tmp_path / cli._FILES[name]
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text("".join(
+            line for line in (whole / cli._FILES[name]).read_text()
+            .splitlines(keepends=True)
+            if json.loads(line)["video_id"] in ids))
+    assert main(["featurize", "--work-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    part = tmp_path / cli._FILES["text_features"]
+    assert _rows_of(part, ids) == _rows_of(whole / cli._FILES["text_features"],
+                                           ids)
+    assert len(part.read_text().splitlines()) == 1 + len(ids) == 16
+
+
+def test_classifying_some_videos_keeps_their_predictions(
+        criterion_8_classified, tmp_path, capsys):
+    whole = criterion_8_classified
+    shutil.copytree(whole / "models", tmp_path / "models")
+    header, kept = _random_rows(whole / cli._FILES["features"], seed=6)
+    out = tmp_path / cli._FILES["features"]
+    out.parent.mkdir()
+    out.write_text("".join(header + kept))
+    assert main(["classify", "--work-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    ids = {line.split("\t")[0] for line in kept}
+    for target in clf.TARGETS:
+        name = cli._FILES["predictions"].format(target=target)
+        part = _rows_of(tmp_path / name, ids)
+        assert part == _rows_of(whole / name, ids)
+        assert len(part) == len(ids) == 15
 
 
 def _expand(template):
