@@ -14,6 +14,7 @@ numpy loads inside the three weight-array helpers, not with this module.
 from __future__ import annotations
 
 import base64
+import glob
 import json
 import math
 import os
@@ -36,12 +37,20 @@ def atomic_open(path) -> Iterator[TextIO]:
     directory, and move it over ``path`` only if the block succeeds.
 
     On an exception the temp file is deleted and ``path`` keeps its old
-    bytes. The temp file gets the umask's permissions, as ``open(path,
-    "w")`` would. Nothing is fsynced: this guards against a stage that
-    dies or raises mid-write, not against a power cut.
+    bytes; the temp files of ``path`` whose writer's pid has died (a kill)
+    are removed first. The temp file gets the umask's permissions, as
+    ``open(path, "w")`` would. Nothing is fsynced: this guards against a
+    stage that dies or raises mid-write, not against a power cut.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    for stale in path.parent.glob(f".{glob.escape(path.name)}.[0-9]*.tmp"):
+        try:  # signal 0 only asks whether that writer still runs
+            os.kill(int(stale.name[len(path.name) + 2:-4]), 0)
+        except (ProcessLookupError, OverflowError):
+            stale.unlink(missing_ok=True)
+        except (PermissionError, ValueError):  # another user's; not a pid
+            pass
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:

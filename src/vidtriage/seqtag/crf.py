@@ -1,11 +1,12 @@
 """Linear-chain CRF tagger with hand-built feature templates.
 
-Inference is exact: the partition function comes from a log-space forward
-pass and decoding from a max-product recursion. Scores live in three
-weight blocks: per-feature emission weights, a label transition matrix,
-and a start vector. Training minimizes the mean per-sentence negative
+Inference is exact: the partition function comes from a scaled forward
+pass in the probability domain (Rabiner, Proc. IEEE 1989) and decoding
+from a log-space max-product recursion. Scores live in three weight
+blocks: per-feature emission weights, a label transition matrix, and a
+start vector. Training minimizes the mean per-sentence negative
 log-likelihood plus an L2 penalty by mini-batch gradient descent; each
-minibatch runs one forward-backward over right-padded emissions.
+minibatch runs one scaled forward-backward over right-padded emissions.
 
 Each call (building the index, training, a loss evaluation, tagging)
 makes its own ``FeatureEncoder``. It builds each distinct word's feature
@@ -25,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..medterm import TaggedSentence
-from ..numeric import logsumexp
 from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
                          decode_in_batches, encode_labels, fit_tagger)
 from .config import TrainConfig
@@ -255,41 +255,47 @@ def _viterbi_batch(
 
 
 def _forward_batch(emit, lengths, trans, start):
-    """(B, T, L) log forward scores and (B,) log-partitions of a padded batch.
+    """Scaled forward pass of right-padded (B, T, L) emissions: the
+    time-major state ``(alpha, scale, x, e, real)`` and the (B,) log Z.
 
-    alpha[b, t, j] sums, in log space, the scores of every label prefix of
-    row b that ends in label j at token t; past a row's length it is junk.
-    """
-    alpha = np.empty_like(emit)
-    alpha[:, 0] = start + emit[:, 0]
-    for t in range(1, emit.shape[1]):
-        alpha[:, t] = emit[:, t] + logsumexp(alpha[:, t - 1, :, None] + trans,
-                                             axis=1)
-    return alpha, logsumexp(alpha[np.arange(len(emit)), lengths - 1], axis=1)
+    Scores are exponentiated less their max (per token for ``x``), and
+    each forward vector is divided by its sum, ``scale`` (L copies); past
+    a row's end both are junk. A sum underflows only when a row's
+    transition (or start) and emission score gaps both exceed about 700."""
+    shift = emit.max(axis=2, keepdims=True)
+    x = np.exp(emit - shift).transpose(1, 0, 2).copy()
+    e, row_sums = np.exp(trans - trans.max()), np.ones(trans.shape)
+    alpha, scale = np.empty_like(x), np.empty_like(x)
+    step = np.exp(start - start.max()) * x[0]
+    for t in range(len(x)):
+        if t:
+            np.dot(alpha[t - 1], e, out=step)
+            step *= x[t]
+        np.dot(step, row_sums, out=scale[t])  # each row's sum, L times
+        np.divide(step, scale[t], out=alpha[t])
+    real = (np.arange(len(x))[:, None] < lengths)[:, :, None]
+    log_z = (np.log(scale) + shift.transpose(1, 0, 2)).sum(axis=0, where=real)
+    return (alpha, scale, x, e, real), \
+        log_z[:, 0] + start.max() + (lengths - 1) * trans.max()
 
 
 def _marginals(emit, lengths, trans, start):
     """(B, T, L) token and (B, T-1, L, L) pair marginals, and (B,) log Z.
 
     pair[b, t] is the joint marginal of the labels at tokens t and t+1.
-    Beta is held at 0 from each row's last real token onward, and both
-    marginals are 0 wherever a token is padding.
+    With ``c`` the forward scales and nxt = x * beta / c, token marginals
+    are alpha * beta and pair ones alpha[t] outer nxt[t + 1] times e; both
+    are exact zeros on padding.
     """
-    alpha, log_z = _forward_batch(emit, lengths, trans, start)
-    beta = np.zeros_like(emit)
-    for t in range(emit.shape[1] - 2, -1, -1):
-        step = logsumexp(trans + (emit[:, t + 1] + beta[:, t + 1])[:, None],
-                         axis=2)
-        beta[:, t] = np.where((t < lengths - 1)[:, None], step, 0.0)
-    real = (np.arange(emit.shape[1]) < lengths[:, None])[:, :, None]
-    shift = log_z[:, None, None]
-    token = np.exp(np.where(real, alpha + beta - shift, -np.inf))
-    pair = np.exp(np.where(
-        real[:, 1:, None],
-        alpha[:, :-1, :, None] + trans
-        + (emit[:, 1:] + beta[:, 1:] - shift)[:, :, None], -np.inf,
-    ))
-    return token, pair, log_z
+    (alpha, c, x, e, real), log_z = _forward_batch(emit, lengths, trans, start)
+    nxt, beta, ended = x / c * real, np.ones_like(x), ~real
+    for t in range(len(x) - 2, -1, -1):
+        nxt[t + 1] *= beta[t + 1]
+        np.dot(nxt[t + 1], e.T, out=beta[t])
+        beta[t] += ended[t + 1]  # nxt is 0 past a row's end: beta is 0 + 1
+    token = alpha * beta * real
+    pair = alpha[:-1, :, :, None] * e * nxt[1:, :, None]
+    return token.transpose(1, 0, 2), pair.transpose(1, 0, 2, 3), log_z
 
 
 def _padded_batch(params, inputs, label_ids):

@@ -24,7 +24,7 @@ from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
 from vidtriage.medterm import read_conll, unique_term_counts
-from vidtriage.seqtag import crf, load_model, tag_sentences
+from vidtriage.seqtag import blstm, crf, load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
 
@@ -957,6 +957,61 @@ def test_crf_decode_width_changes_no_label_or_emission_bit(
         assert labels[width] == labels[1]
         for row, alone in zip(rows[width], rows[1]):
             assert row.tobytes() == alone.tobytes()
+
+
+def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
+        criterion_8_taggers, monkeypatch):
+    # The recurrent matmul on a few live rows takes another BLAS path, so
+    # the bits of a sentence's log-probabilities depend on its batch; the
+    # values stay within 1e-12 and the labels do not change.
+    model = load_model(criterion_8_taggers
+                       / cli._FILES["tagger"].format(arch="blstm"))
+    tagged, _ = read_conll(criterion_8_taggers / cli._FILES["ner_corpus"])
+    sentences = sorted((s.tokens for s in tagged), key=len)
+    encoded = [model.vocab.encode(s) for s in sentences]
+    proj = blstm._project(model.params, encoded)
+    logp, labels = {}, {}
+    for width in (1, 2, 7, 64):
+        logp[width] = []
+        for lo in range(0, len(encoded), width):
+            batch = encoded[lo:lo + width]
+            out = blstm._forward_batch(model.params, proj, batch)[-1]
+            logp[width] += [row[:len(ids)] for row, ids in zip(out, batch)]
+        monkeypatch.setattr(blstm, "EVAL_BATCH", width)
+        labels[width] = tag_sentences(model, sentences)
+    assert len(sentences) > 2 * 64
+    for width in (2, 7, 64):
+        assert labels[width] == labels[1]
+        for row, alone in zip(logp[width], logp[1]):
+            np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+
+
+def test_a_write_removes_only_dead_writers_temp_files(criterion_8_taggers,
+                                                       tmp_path):
+    # A writer killed before its replace leaves .<name>.<pid>.tmp behind.
+    # The next write of that file removes it once the pid is gone, keeps
+    # a live writer's (this test's process), and leaves other files' be.
+    work = tmp_path / "work"
+    shutil.copytree(criterion_8_taggers, work)
+    gone = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True, check=True).stdout
+    counts = work / cli._FILES["term_counts"]
+    corpus = work / cli._FILES["ner_corpus"]
+    dead, live, other = (
+        path.with_name(f".{path.name}.{int(pid)}.tmp")
+        for path, pid in ((counts, gone), (counts, os.getpid()),
+                          (corpus, gone)))
+    for planted in (dead, live, other):
+        planted.write_text("half-written\n")
+    src = Path(vidtriage.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-m", "vidtriage.cli", "tag", "--arch", "crf",
+         "--work-dir", str(work)],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        capture_output=True, timeout=120)
+    assert not dead.exists()
+    assert live.exists() and other.exists()
 
 
 @pytest.mark.parametrize("arch", cli.ARCHS)

@@ -3,16 +3,19 @@
 import hashlib
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from vidtriage import numeric
 from vidtriage.cli import main as cli_main
 from vidtriage.medterm import LABELS, TaggedSentence
 from vidtriage.seqtag import (
     TrainConfig,
+    TrainingDivergedError,
     crf_log_partition,
     crf_loss_grad,
     crf_sequence_score,
@@ -21,10 +24,12 @@ from vidtriage.seqtag import (
     tag_with_crf,
     train_crf,
 )
+from vidtriage.seqtag import crf
 from vidtriage.seqtag.crf import (
     N_LABELS,
     FeatureEncoder,
     _emissions,
+    _forward_batch,
     _loss_grad_encoded,
     _marginals,
     _viterbi_batch,
@@ -170,6 +175,97 @@ def test_batched_marginals_match_brute_force(lengths, seed):
         np.testing.assert_allclose(pair[b, :n - 1].sum(axis=1),
                                    token[b, 1:n], rtol=0, atol=1e-12)
         assert not token[b, n:].any() and not pair[b, n - 1:].any()
+
+
+# Reference forward-backward: the log-space recursions the tagger trained
+# with before it scaled the forward and backward vectors, with the same
+# logsumexp; patched into the tagger, they train the bits it trained then.
+
+
+def _ref_forward_batch(emit, lengths, trans, start):
+    """(B, T, L) log forward scores and (B,) log-partitions of a padded batch.
+
+    alpha[b, t, j] sums, in log space, the scores of every label prefix of
+    row b that ends in label j at token t; past a row's length it is junk.
+    """
+    alpha = np.empty_like(emit)
+    alpha[:, 0] = start + emit[:, 0]
+    for t in range(1, emit.shape[1]):
+        alpha[:, t] = emit[:, t] + numeric.logsumexp(
+            alpha[:, t - 1, :, None] + trans, axis=1)
+    return alpha, numeric.logsumexp(alpha[np.arange(len(emit)), lengths - 1],
+                                    axis=1)
+
+
+def _ref_marginals(emit, lengths, trans, start):
+    """(B, T, L) token and (B, T-1, L, L) pair marginals, and (B,) log Z.
+
+    Beta is held at 0 from each row's last real token onward, and both
+    marginals are 0 wherever a token is padding.
+    """
+    alpha, log_z = _ref_forward_batch(emit, lengths, trans, start)
+    beta = np.zeros_like(emit)
+    for t in range(emit.shape[1] - 2, -1, -1):
+        step = numeric.logsumexp(
+            trans + (emit[:, t + 1] + beta[:, t + 1])[:, None], axis=2)
+        beta[:, t] = np.where((t < lengths - 1)[:, None], step, 0.0)
+    real = (np.arange(emit.shape[1]) < lengths[:, None])[:, :, None]
+    shift = log_z[:, None, None]
+    token = np.exp(np.where(real, alpha + beta - shift, -np.inf))
+    pair = np.exp(np.where(
+        real[:, 1:, None],
+        alpha[:, :-1, :, None] + trans
+        + (emit[:, 1:] + beta[:, 1:] - shift)[:, :, None], -np.inf,
+    ))
+    return token, pair, log_z
+
+
+def _ref_kernels():
+    """Patch the log-space reference into the tagger's training."""
+    return mock.patch.multiple(crf, _forward_batch=_ref_forward_batch,
+                               _marginals=_ref_marginals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40),
+    sigma=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaled_forward_backward_matches_log_space(lengths, sigma, seed):
+    # Lengths and score scales past what enumeration reaches; padding
+    # holds junk, which must not reach any row and gives exact zeros.
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    trans = rng.normal(0.0, sigma, size=(N_LABELS, N_LABELS))
+    start = rng.normal(0.0, sigma, size=N_LABELS)
+    emit = rng.normal(0.0, sigma,
+                      size=(len(lengths), lengths.max(), N_LABELS))
+    token, pair, log_z = _marginals(emit, lengths, trans, start)
+    expected = _ref_marginals(emit, lengths, trans, start)
+    for got, ref in zip((token, pair, log_z), expected):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(
+        _forward_batch(emit, lengths, trans, start)[1], log_z)
+    padding = np.arange(lengths.max()) >= lengths[:, None]
+    assert not token[padding].any() and not pair[padding[:, 1:]].any()
+
+    words = ["polyp", "colon", "cancer", "water", "Visit", "x-ray", "b12"]
+    sentences = [[words[i] for i in rng.integers(0, len(words), size=n)]
+                 for n in lengths]
+    labels = [[LABELS[i] for i in rng.integers(0, N_LABELS, size=n)]
+              for n in lengths]
+    params = init_crf(build_feature_index(sentences))
+    for arr in params.arrays():
+        arr += rng.normal(0.0, sigma, size=arr.shape)
+    loss, grads = crf_loss_grad(params, sentences, labels, l2=1e-3)
+    with _ref_kernels():
+        ref_loss, ref_grads = crf_loss_grad(params, sentences, labels,
+                                            l2=1e-3)
+    assert abs(loss - ref_loss) <= 1e-10
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10)
 
 
 def test_batch_loss_grad_is_mean_of_single_sentence_calls():
@@ -444,12 +540,13 @@ def test_tagging_keeps_no_state_between_calls():
 def test_crf_stages_match_golden_fixture(tmp_path):
     """Retrain and retag the committed corpus; both files match byte for byte.
 
-    The fixture was made with ``SynthConfig(seed=13, n_videos=12,
-    sentences_per_video=4)`` and the stages below, before the feature
-    encoder memoized per word. When the model format went to version 2,
-    the model's weight blocks were re-encoded as base64 float64 bytes from
-    its own committed floats, not retrained. Regenerate it only for a
-    deliberate change to what the CRF computes or to the model format.
+    The corpus was made with ``SynthConfig(seed=13, n_videos=12,
+    sentences_per_video=4)``. ``tagger_crf.json`` pins the bits of the
+    scaled probability-domain forward-backward: it was regenerated by the
+    stages below when training left the log-space recursions, which moved
+    no weight by more than 7e-14, and the tagged file kept its bytes.
+    Regenerate it only for a deliberate change to what the CRF computes
+    or to the model format.
     """
     work = tmp_path / "work"
 
@@ -557,18 +654,34 @@ def test_train_crf_deterministic():
     assert np.array_equal(p1.w_start, p2.w_start)
 
 
+def test_train_crf_divergence_raises():
+    # A step this large puts score gaps past what the scaled forward pass
+    # can hold; the non-finite loss stops training, naming the epoch.
+    config = TrainConfig(seed=5, epochs=5, batch_size=8, lr=1e200, l2=0.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            train_crf(_toy_corpus(), config)
+    assert "epoch 1" in str(err.value)
+
+
 def test_train_crf_weights_match_recorded_digest():
-    # The sha256 of the trained weights' bytes, recorded when emissions
-    # came from per-token id lists and the gradient scattered their flat
-    # ids. Training on the id matrix must keep every bit.
-    params, history = train_crf(_toy_corpus(), TrainConfig(
-        seed=5, epochs=6, batch_size=8, l2=1e-3))
+    # The sha256 of the trained weights' bytes pins the arithmetic of the
+    # scaled probability-domain forward-backward, with emissions gathered
+    # from the id matrix and the gradient scattered in id order. Training
+    # with the log-space reference recursions gives the same weights
+    # within 1e-10.
+    config = TrainConfig(seed=5, epochs=6, batch_size=8, l2=1e-3)
+    params, history = train_crf(_toy_corpus(), config)
     digest = hashlib.sha256()
     for arr in params.arrays():
         digest.update(arr.tobytes())
     assert len(history) == 6
-    assert digest.hexdigest() == ("79c8a5c7d44249c46c935b0b346a49e6"
-                                  "4a92c8d7ae490bf97835372b525e235b")
+    assert digest.hexdigest() == ("1705bcd838b48a0150d97762175b1102"
+                                  "ccdeb476cc6793b08ffe7bc71920bce3")
+    with _ref_kernels():
+        ref_params, _ = train_crf(_toy_corpus(), config)
+    for arr, ref in zip(params.arrays(), ref_params.arrays()):
+        np.testing.assert_allclose(arr, ref, rtol=0, atol=1e-10)
 
 
 def test_tag_with_crf_outputs_well_formed():
