@@ -19,7 +19,9 @@ _LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
 
 # Sentences per padded forward pass of the dev loss and of BLSTM tagging.
-# 64: a BLSTM step takes 3.3 us/row to 65 rows, 6.5-7.2 from 96 (Xeon VM).
+# BLSTM tagging costs a flat 3.9-4.2 us/token from 48 to 256 (medians, one
+# BLAS thread, Xeon VM); 64 keeps the dev-loss chunks, and so the summation
+# order of both taggers' dev losses, as they were.
 EVAL_BATCH = 64
 
 

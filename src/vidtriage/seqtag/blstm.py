@@ -4,12 +4,14 @@ One embedding table feeds two LSTM passes, one per direction, whose
 hidden states are concatenated and mapped to per-token label log
 probabilities. All math is float64 and the gradients come from
 backpropagation through time, so they can be verified against finite
-differences. Training, the dev loss and decoding share one recurrence:
-``embed[id] @ W_x.T + b`` is computed once per distinct word id of the
-work unit (a minibatch, a dev-loss chunk, or a whole ``tag_with_blstm``
-call), and each step adds its ids' rows to ``h @ W_h.T``. Batches run
-sorted by length, and each step computes only the rows whose sentence
-is still running; a mask keeps padded positions out of the loss.
+differences. ``embed[id] @ W_x.T + b`` is computed once per distinct
+word id of the work unit (a minibatch, a dev-loss chunk, or a whole
+``tag_with_blstm`` call), and each step adds its ids' rows to
+``h @ W_h.T``. Batches run sorted by length, and each step computes only
+the rows whose sentence is still running; a mask keeps padded positions
+out of the loss. Training keeps each step's gates for backpropagation;
+the dev loss and decoding keep none and run a leaner step on weights
+folded once per call (``_fold``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,21 +89,30 @@ def init_blstm(
 @dataclass
 class _Projection:
     """``embed[ids] @ W_x.T + b`` of each direction, W_x being the first
-    d_emb columns of its weight; ``row[i]`` is the row of vocabulary id
+    d_emb columns of its weight: an (ids, 4h) array for training, or a
+    ``_LeanPass`` for decoding. ``row[i]`` is the row of vocabulary id
     ``i`` (0 for ids not in ``ids``)."""
 
     ids: np.ndarray
     row: np.ndarray
-    fwd: np.ndarray
-    bwd: np.ndarray
+    fwd: np.ndarray | _LeanPass
+    bwd: np.ndarray | _LeanPass
+
+
+def _distinct_ids(params: BlstmParams, seqs: Sequence[Sequence[int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of ``seqs``, and each vocabulary id's index
+    among them (0 for ids not in ``seqs``)."""
+    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
+    row = np.zeros(len(params.embed), dtype=np.intp)
+    row[ids] = np.arange(len(ids))
+    return ids, row
 
 
 def _project(params: BlstmParams,
              seqs: Sequence[Sequence[int]]) -> _Projection:
     """Project each distinct id of ``seqs`` once, for both directions."""
-    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
-    row = np.zeros(len(params.embed), dtype=np.intp)
-    row[ids] = np.arange(len(ids))
+    ids, row = _distinct_ids(params, seqs)
     x = params.embed[ids]
     d = x.shape[1]
     fwd = x @ params.w_fwd[:, :d].T
@@ -118,17 +129,16 @@ def _run_direction(
     starts: np.ndarray,
     reverse: bool,
     h_seq: np.ndarray,
-    steps: Optional[list[dict]] = None,
-) -> None:
-    """One LSTM pass over length-sorted rows, writing h into ``h_seq``.
+) -> list[dict]:
+    """One LSTM pass over length-sorted rows, writing h into ``h_seq``;
+    returns each step's gate cache for backpropagation.
 
     ``rows`` (B, T) indexes ``proj``, and the rows still inside their
     sentence at step t are those from ``starts[t]`` on. Only they are
     computed: a finished row is never read again, and in the reverse pass
     a row that has not started keeps h = c = 0, so padding changes
     nothing. ``h_seq`` starts at zero and is never written on padding, so
-    it also holds each step's previous h. Given a ``steps`` list, each
-    step's gate cache is appended to it for backpropagation.
+    it also holds each step's previous h.
     """
     n, t_max = rows.shape
     h_dim = w_h.shape[1]
@@ -136,6 +146,7 @@ def _run_direction(
     w_ht = w_h.T
     step = -1 if reverse else 1
     first = t_max - 1 if reverse else 0
+    steps = []
     for t in range(first, first + step * t_max, step):
         lo = starts[t]
         z = proj[rows[lo:, t]]
@@ -152,12 +163,114 @@ def _run_direction(
         c[lo:] = fc + gate_i * gate_g
         tanh_c = np.tanh(c[lo:])
         h_seq[lo:, t] = gate_o * tanh_c
-        if steps is not None:
-            steps.append({
-                "t": t, "lo": lo, "h_prev": h_prev, "i": gate_i,
-                "f": gate_f, "o": gate_o, "g": gate_g, "fc": fc,
-                "tanh_c": tanh_c,
-            })
+        steps.append({
+            "t": t, "lo": lo, "h_prev": h_prev, "i": gate_i,
+            "f": gate_f, "o": gate_o, "g": gate_g, "fc": fc,
+            "tanh_c": tanh_c,
+        })
+    return steps
+
+
+def _fold_gates(a: np.ndarray) -> np.ndarray:
+    """Negate the i/f/o blocks of gate-major (4, ..., h) ``a`` and scale
+    its g block by -2, in place. Both are exact in binary floating point
+    and commute with rounding, so sums and products of folded weights are
+    exactly the folded sums and products: the pre-activations come out
+    folded."""
+    a[:3] *= -1.0
+    a[3] *= -2.0
+    return a
+
+
+def _lean_step(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+    """One LSTM step from folded gate-major pre-activations ``z``
+    (4, n, h), which it overwrites: updates the cell state ``c`` (n, h)
+    in place and writes h into ``h``.
+
+    With e = exp(folded z), each sigmoid gate is 1 / (1 + e) and
+    tanh(g) = 2 / (1 + e_g) - 1, so the gate products are divisions:
+    i * tanh(g) = tanh(g) / (1 + e_i), f * c = c / (1 + e_f) and
+    h = tanh(c) / (1 + e_o). Where exp overflows, 1 + e is inf and the
+    gate is exactly 0; the caller ignores that overflow.
+    """
+    np.exp(z, out=z)
+    z += 1.0
+    gate_i, gate_f, gate_o, gate_g = z
+    np.divide(2.0, gate_g, out=gate_g)
+    gate_g -= 1.0
+    gate_g /= gate_i
+    c /= gate_f
+    c += gate_g
+    np.tanh(c, out=h)
+    h /= gate_o
+
+
+@dataclass
+class _LeanPass:
+    """One direction of a decode call, in gate-major blocks folded by
+    ``_fold_gates``: ``proj`` (4, ids, h) holds ``embed[id] @ W_x.T + b``
+    and ``w`` (4, h, h) each gate's block of W_h, transposed. A pass
+    starts from h = c = 0, so its first step depends only on its token:
+    ``h0``/``c0`` hold that step's state for each projection row in
+    ``first`` (sorted)."""
+
+    proj: np.ndarray
+    w: np.ndarray
+    first: np.ndarray
+    h0: np.ndarray
+    c0: np.ndarray
+
+
+def _lean_pass(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+               first: np.ndarray) -> _LeanPass:
+    """Fold one direction's weights for the embeddings ``x`` of a call's
+    distinct ids, and tabulate the first step of the rows ``first``."""
+    h_dim, d = w.shape[0] // 4, x.shape[1]
+    blocks = w.reshape(4, h_dim, -1).transpose(0, 2, 1)
+    proj = np.matmul(x, blocks[:, :d])
+    proj += b.reshape(4, 1, h_dim)
+    _fold_gates(proj)
+    first = np.unique(first)
+    c0 = np.zeros((len(first), h_dim))
+    h0 = np.empty_like(c0)
+    _lean_step(np.take(proj, first, axis=1), c0, h0)
+    return _LeanPass(proj, _fold_gates(blocks[:, d:].copy()), first, h0, c0)
+
+
+def _fold(params: BlstmParams,
+          seqs: Sequence[Sequence[int]]) -> _Projection:
+    """Project and fold a decode call over ``seqs`` (see
+    ``_forward_batch``); the forward pass starts at each sentence's first
+    id, the backward pass at its last."""
+    ids, row = _distinct_ids(params, seqs)
+    x = params.embed[ids]
+
+    def first(k):
+        return row[np.fromiter((s[k] for s in seqs if len(s)), np.intp)]
+
+    return _Projection(ids, row,
+                       _lean_pass(x, params.w_fwd, params.b_fwd, first(0)),
+                       _lean_pass(x, params.w_bwd, params.b_bwd, first(-1)))
+
+
+def _lean_direction(lean: _LeanPass, rows: np.ndarray, lengths: np.ndarray,
+                    starts: np.ndarray, reverse: bool,
+                    h_seq: np.ndarray) -> None:
+    """``_run_direction`` with the lean step and no caches, writing h into
+    the time-major (T, B, h) ``h_seq``: each row's first step (token 0,
+    or its last token in reverse) is looked up, and the loop then
+    computes the rows whose previous token is real."""
+    n, t_max = rows.shape
+    at = lengths - 1 if reverse else np.zeros(n, dtype=np.intp)
+    k = np.searchsorted(lean.first, rows[np.arange(n), at])
+    c = lean.c0[k]
+    h_seq[at, np.arange(n)] = lean.h0[k]
+    step = -1 if reverse else 1
+    for t in range(t_max - 2, -1, -1) if reverse else range(1, t_max):
+        lo = starts[t + 1] if reverse else starts[t]
+        z = np.take(lean.proj, rows[lo:, t], axis=1)
+        z += np.matmul(h_seq[t - step, lo:], lean.w)
+        _lean_step(z, c[lo:], h_seq[t, lo:])
 
 
 def _back_direction(
@@ -193,30 +306,38 @@ def _back_direction(
     return g_wh, g_proj
 
 
-def _forward_batch(params: BlstmParams, proj: _Projection,
-                   batch_ids: Sequence[Sequence[int]],
-                   keep_steps: bool = False):
+def _forward_batch(params: BlstmParams, proj, batch_ids):
     """Label log-probabilities (B, T, L) of a right-padded batch.
 
     The rows run through both directions stably sorted by length,
     ascending, so the rows live at each step are a suffix that one
-    searchsorted finds. Returns the sort order, the sorted projection
-    rows and hidden states, the step caches (kept only for training) and
-    logp, the one output put back in input order.
+    searchsorted finds. The passes of a ``_project`` projection keep
+    their step caches for training; those of a ``_fold`` one keep none
+    and run the lean step, which must run under
+    ``np.errstate(over="ignore")``. Returns the sort order, the sorted
+    projection rows and hidden states, the step caches (None when
+    folded) and logp, the one output put back in input order.
     """
     lengths = np.array([len(seq) for seq in batch_ids])
     order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
     ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
     rows = proj.row[ids]
-    starts = np.searchsorted(lengths[order], np.arange(ids.shape[1]),
-                             side="right")
+    n, t_max = ids.shape
+    starts = np.searchsorted(lengths, np.arange(t_max), side="right")
     h, d = params.d_hid, params.embed.shape[1]
-    h2 = np.zeros((*ids.shape, 2 * h))
-    steps_f, steps_b = ([], []) if keep_steps else (None, None)
-    _run_direction(params.w_fwd[:, d:], proj.fwd, rows, starts, False,
-                   h2[:, :, :h], steps_f)
-    _run_direction(params.w_bwd[:, d:], proj.bwd, rows, starts, True,
-                   h2[:, :, h:], steps_b)
+    if isinstance(proj.fwd, _LeanPass):
+        h_seq = np.zeros((2, t_max, n, h))
+        _lean_direction(proj.fwd, rows, lengths, starts, False, h_seq[0])
+        _lean_direction(proj.bwd, rows, lengths, starts, True, h_seq[1])
+        h2 = h_seq.transpose(2, 1, 0, 3).reshape(n, t_max, 2 * h)
+        steps_f = steps_b = None
+    else:
+        h2 = np.zeros((n, t_max, 2 * h))
+        steps_f = _run_direction(params.w_fwd[:, d:], proj.fwd, rows,
+                                 starts, False, h2[:, :, :h])
+        steps_b = _run_direction(params.w_bwd[:, d:], proj.bwd, rows,
+                                 starts, True, h2[:, :, h:])
     logits = h2 @ params.w_out.T + params.b_out
     logp = np.empty_like(logits)
     logp[order] = logits - logsumexp(logits, axis=2, keepdims=True)
@@ -246,7 +367,7 @@ def blstm_loss_grad(
     _check_corpus(batch_ids, batch_labels)
     proj = _project(params, batch_ids)
     order, rows, h2, steps_f, steps_b, logp = _forward_batch(
-        params, proj, batch_ids, keep_steps=True)
+        params, proj, batch_ids)
     labels, mask = _pad_batch(batch_labels, 0)
     n, t_max = labels.shape
     n_tokens = float(mask.sum())
@@ -290,7 +411,8 @@ def _chunk_loss(
     """Summed per-token cross-entropy, without the L2 term, and the number
     of tokens."""
     labels, mask = _pad_batch(label_ids, 0)
-    logp = _forward_batch(params, _project(params, encoded), encoded)[-1]
+    with np.errstate(over="ignore"):
+        logp = _forward_batch(params, _fold(params, encoded), encoded)[-1]
     return _summed_nll(logp, labels, mask), float(mask.sum())
 
 
@@ -323,15 +445,17 @@ def tag_with_blstm(
 ) -> list[list[str]]:
     """Argmax-decode each sentence; ties keep the lower label id.
 
-    The call projects each distinct word id once, then runs the sentences
-    in length-sorted batches. The per-token argmax can produce an I-MED
-    with no span start, so the output is BIO-repaired before being
-    returned.
+    The call projects and folds each distinct word id once, then runs the
+    sentences in length-sorted batches. The per-token argmax can produce
+    an I-MED with no span start, so the output is BIO-repaired before
+    being returned.
     """
     encoded = [vocab.encode(s) for s in sentences]
-    proj = _project(params, encoded)
+    with np.errstate(over="ignore"):
+        folded = _fold(params, encoded)
 
-    def best_ids(batch):
-        return np.argmax(_forward_batch(params, proj, batch)[-1], axis=2)
+        def best_ids(batch):
+            return np.argmax(_forward_batch(params, folded, batch)[-1],
+                             axis=2)
 
-    return decode_in_batches(encoded, best_ids, EVAL_BATCH)
+        return decode_in_batches(encoded, best_ids, EVAL_BATCH)

@@ -254,6 +254,9 @@ def _viterbi_batch(
     return path
 
 
+# A sum that underflows to 0 turns the pass non-finite without a warning;
+# the non-finite loss then raises TrainingDivergedError.
+@np.errstate(divide="ignore", invalid="ignore")
 def _forward_batch(emit, lengths, trans, start):
     """Scaled forward pass of right-padded (B, T, L) emissions: the
     time-major state ``(alpha, scale, x, e, real)`` and the (B,) log Z.
@@ -279,6 +282,7 @@ def _forward_batch(emit, lengths, trans, start):
         log_z[:, 0] + start.max() + (lengths - 1) * trans.max()
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _marginals(emit, lengths, trans, start):
     """(B, T, L) token and (B, T-1, L, L) pair marginals, and (B,) log Z.
 

@@ -25,6 +25,7 @@ from vidtriage.seqtag import blstm
 from vidtriage.seqtag._trainutil import EVAL_BATCH, _check_corpus, _pad_batch
 from vidtriage.seqtag.blstm import (N_LABELS, PARAM_NAMES, BlstmParams,
                                     _summed_nll)
+from vidtriage.seqtag.vocab import Vocab
 
 B, I, O = "B-MED", "I-MED", "O"
 
@@ -297,18 +298,26 @@ def _ref_blstm_loss_grad(
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, saturate=False):
     """Unsorted batches of 1-20 sentences of length 1-15 (sometimes all
-    of one length) over a vocabulary of 2-12 ids, so ids repeat and <unk>
-    and <pad> ids occur; small random widths; l2 zero or not."""
+    of one length, or all of one token) over a vocabulary of 2-12 ids, so
+    ids repeat and <unk> and <pad> ids occur; sometimes every sentence
+    shares its first or its last id; small random widths; l2 zero or not.
+    With ``saturate``, the LSTM weights are sometimes scaled so far that
+    most pre-activations lie beyond +-750, where exp overflows."""
     vocab_size = draw(st.integers(2, 12))
     n = draw(st.integers(1, 20))
-    if draw(st.booleans()):
-        lengths = [draw(st.integers(1, 15))] * n
-    else:
+    shape = draw(st.sampled_from(["ragged", "equal", "one-token"]))
+    if shape == "ragged":
         lengths = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    else:
+        lengths = [1 if shape == "one-token" else draw(st.integers(1, 15))] * n
     ids = [draw(st.lists(st.integers(0, vocab_size - 1), min_size=k,
                          max_size=k)) for k in lengths]
+    shared = draw(st.sampled_from([None, 0, -1]))
+    if shared is not None:
+        for seq in ids:
+            seq[shared] = ids[0][shared]
     labels = [draw(st.lists(st.integers(0, N_LABELS - 1), min_size=k,
                             max_size=k)) for k in lengths]
     params = small_params(seed=draw(st.integers(0, 2**32 - 1)),
@@ -320,6 +329,9 @@ def oracle_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for w in params.arrays():
         w += rng.normal(0.0, 0.5, size=w.shape)
+    if saturate and draw(st.booleans()):
+        for w in (params.w_fwd, params.b_fwd, params.w_bwd, params.b_bwd):
+            w *= 1e4
     return params, ids, labels, draw(st.sampled_from([0.0, 1e-3, 0.1]))
 
 
@@ -340,6 +352,37 @@ def test_recurrence_matches_masked_oracle(case):
     for name in PARAM_NAMES:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0,
                                    atol=1e-12, err_msg=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases(saturate=True))
+def test_lean_step_matches_masked_oracle(case):
+    # The cache-free decode step: folded weights, one exp per step, first
+    # steps looked up. Overflowing exps must give gates of exactly 0 or 1
+    # with no warning, which pytest would turn into an error: the dev
+    # loss and tagging set their own errstate.
+    params, ids, labels, _ = case
+    padded, mask = _pad_batch(ids, PAD_ID)
+    ref_logp = _ref_forward_batch(params, padded, mask)[-1]
+    real = mask.astype(bool)
+    with np.errstate(over="ignore"):
+        logp = blstm._forward_batch(params, blstm._fold(params, ids), ids)[-1]
+    np.testing.assert_allclose(logp[real], ref_logp[real], rtol=0,
+                               atol=1e-12)
+
+    total, count = blstm._chunk_loss(params, ids, labels)
+    ref_total = _summed_nll(ref_logp, _pad_batch(labels, 0)[0], mask)
+    assert count == real.sum()
+    assert abs(total - ref_total) <= 1e-12 * count
+
+    words = ("<unk>", "<pad>",
+             *(f"w{i}" for i in range(2, len(params.embed))))
+    vocab = Vocab(id_to_word=words)
+    tagged = tag_with_blstm(params, vocab,
+                            [[words[i] for i in seq] for seq in ids])
+    for seq, row, got in zip(ids, ref_logp, tagged):
+        best = np.argmax(row[:len(seq)], axis=1)
+        assert got == repair_bio([LABELS[i] for i in best])
 
 
 # -------------------------------------------------------------- training
@@ -427,8 +470,8 @@ def _assert_batched_tagging_matches(lengths, seed):
     batches = []
     forward = blstm._forward_batch
 
-    def recording(p, proj, batch_ids, keep_steps=False):
-        out = forward(p, proj, batch_ids, keep_steps)
+    def recording(p, proj, batch_ids):
+        out = forward(p, proj, batch_ids)
         batches.append((batch_ids, out[-1]))
         return out
 

@@ -914,6 +914,24 @@ def criterion_8_taggers(tmp_path_factory):
     return work
 
 
+def test_diverging_crf_training_prints_only_the_error_line(
+        criterion_8_taggers, tmp_path):
+    # A step this large puts the CRF's score gaps past what its scaled
+    # forward-backward holds; training stops with exit 1 and one error
+    # line, and numpy prints no warning on the way.
+    work = tmp_path / "work"
+    shutil.copytree(criterion_8_taggers, work)
+    src = Path(vidtriage.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "vidtriage.cli", "train-tagger", "--arch",
+         "crf", "--seed", "88", "--lr", "1e6", "--work-dir", str(work)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 1
+    assert "ERROR crf training diverged at epoch 1" in done.stderr
+    assert "Warning" not in done.stderr
+
+
 @pytest.mark.parametrize("arch", cli.ARCHS)
 def test_tagging_a_sentence_ignores_the_others(criterion_8_taggers, arch):
     # Tagging a random subset, a permutation, or every sentence twice
@@ -969,13 +987,15 @@ def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
     tagged, _ = read_conll(criterion_8_taggers / cli._FILES["ner_corpus"])
     sentences = sorted((s.tokens for s in tagged), key=len)
     encoded = [model.vocab.encode(s) for s in sentences]
-    proj = blstm._project(model.params, encoded)
+    with np.errstate(over="ignore"):
+        folded = blstm._fold(model.params, encoded)
     logp, labels = {}, {}
     for width in (1, 2, 7, 64):
         logp[width] = []
         for lo in range(0, len(encoded), width):
             batch = encoded[lo:lo + width]
-            out = blstm._forward_batch(model.params, proj, batch)[-1]
+            with np.errstate(over="ignore"):
+                out = blstm._forward_batch(model.params, folded, batch)[-1]
             logp[width] += [row[:len(ids)] for row, ids in zip(out, batch)]
         monkeypatch.setattr(blstm, "EVAL_BATCH", width)
         labels[width] = tag_sentences(model, sentences)

@@ -664,6 +664,16 @@ def test_train_crf_divergence_raises():
     assert "epoch 1" in str(err.value)
 
 
+def test_train_crf_diverges_without_a_warning():
+    # One clipped step of norm 5 * 1e3 moves scores by thousands, past the
+    # ~700 gap a scale can hold. The scaled pass goes non-finite quietly
+    # (pytest turns a RuntimeWarning into an error), and the non-finite
+    # loss stops training.
+    config = TrainConfig(seed=5, epochs=5, batch_size=8, lr=1e3, l2=0.0)
+    with pytest.raises(TrainingDivergedError, match="epoch 1"):
+        train_crf(_toy_corpus(), config)
+
+
 def test_train_crf_weights_match_recorded_digest():
     # The sha256 of the trained weights' bytes pins the arithmetic of the
     # scaled probability-domain forward-backward, with emissions gathered
