@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import criterion8
 import vidtriage
 import vidtriage.classify as clf
 from vidtriage import cli
@@ -896,22 +897,7 @@ def pipeline_work(tmp_path_factory):
 def criterion_8_taggers(tmp_path_factory):
     """Work dir of the criterion-8 corpus (synth seed 88, 30 videos of 6
     sentences) with its NER corpus and both taggers trained on it."""
-    root = tmp_path_factory.mktemp("criterion8")
-    corpus = root / "corpus"
-    write_synthetic_corpus(
-        corpus, SynthConfig(seed=88, n_videos=30, sentences_per_video=6))
-    work = root / "work"
-    paths = {name: corpus / f"{name}.jsonl"
-             for name in ("videos", "transcripts", "ocr", "labels")}
-    assert main(_ingest_args(paths, work)) == 0
-    steps = [
-        ["build-ner-corpus", "--dictionary", str(corpus / "dictionary.tsv")],
-        *(["train-tagger", "--arch", arch, "--seed", "88"]
-          for arch in cli.ARCHS),
-    ]
-    for argv in steps:
-        assert main([*argv, "--work-dir", str(work)]) == 0, argv
-    return work
+    return criterion8.build_taggers(tmp_path_factory.mktemp("criterion8"))
 
 
 def test_diverging_crf_training_prints_only_the_error_line(
@@ -1059,16 +1045,28 @@ def test_tagging_a_third_of_the_videos_keeps_their_term_counts(
 
 @pytest.fixture(scope="module")
 def criterion_8_classified(criterion_8_taggers, tmp_path_factory):
-    """The criterion-8 work dir after featurize, tag, assemble, the three
-    classifiers and classify."""
+    """The whole criterion-8 tree: the tagger work dir after featurize,
+    tag with both archs and sources (blstm last), assemble, the three
+    classifiers, classify, eval and reports 2/5/6/7."""
     work = tmp_path_factory.mktemp("criterion8_clf") / "work"
     shutil.copytree(criterion_8_taggers, work)
-    for argv in (["featurize"], ["tag"], ["assemble"],
-                 *(["train-clf", "--target", t, "--seed", "88"]
-                   for t in clf.TARGETS),
-                 ["classify"]):
-        assert main([*argv, "--work-dir", str(work)]) == 0, argv
+    criterion8.build_rest(work)
     return work
+
+
+def test_criterion_8_tree_matches_recorded_digests(criterion_8_taggers,
+                                                   criterion_8_classified):
+    # The pipeline's outputs for one seed are pinned across commits, not
+    # only from run to run. A change meant to move them re-records with
+    # tests/record_criterion8_digests.py and says why each file moved.
+    recorded = json.loads(criterion8.DIGESTS.read_text())
+    files = criterion8.tree_files(criterion_8_taggers.parent / "corpus",
+                                  criterion_8_classified)
+    moved = criterion8.moves(recorded, files)
+    assert not moved, "\n".join([
+        "criterion-8 tree differs from tests/fixtures/criterion8_digests.json:",
+        *moved, f"recorded with {recorded['versions']}",
+        f"running with {criterion8.versions()}"])
 
 
 def _random_rows(path, seed):
