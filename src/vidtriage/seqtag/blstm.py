@@ -4,14 +4,14 @@ One embedding table feeds two LSTM passes, one per direction, whose
 hidden states are concatenated and mapped to per-token label log
 probabilities. All math is float64 and the gradients come from
 backpropagation through time, so they can be verified against finite
-differences. ``embed[id] @ W_x.T + b`` is computed once per distinct
-word id of the work unit (a minibatch, a dev-loss chunk, or a whole
-``tag_with_blstm`` call), and each step adds its ids' rows to
-``h @ W_h.T``. Batches run sorted by length, and each step computes only
-the rows whose sentence is still running; a mask keeps padded positions
-out of the loss. Training keeps each step's gates for backpropagation;
-the dev loss and decoding keep none and run a leaner step on weights
-folded once per call (``_fold``).
+differences. ``_fold`` projects ``embed[id] @ W_x.T + b`` once per
+distinct word id of the work unit (a minibatch, a dev-loss chunk, or a
+whole ``tag_with_blstm`` call) into gate-major blocks, with the gates
+folded so that one exp gives all four, and each step adds its ids' rows
+to ``h @ W_h.T``. Batches run sorted by length, and each step computes
+only the rows whose sentence is still running; a mask keeps padded
+positions out of the loss. Training's step keeps its gates for
+backpropagation; decoding's divides by them in place and keeps nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..medterm import TaggedSentence
-from ..numeric import logsumexp, sigmoid
+from ..numeric import logsumexp
 from ._trainutil import (EVAL_BATCH, N_LABELS, _check_corpus, _pad_batch,
                          add_l2, decode_in_batches, fit_tagger)
 from .config import TrainConfig
@@ -86,91 +86,6 @@ def init_blstm(
     )
 
 
-@dataclass
-class _Projection:
-    """``embed[ids] @ W_x.T + b`` of each direction, W_x being the first
-    d_emb columns of its weight: an (ids, 4h) array for training, or a
-    ``_LeanPass`` for decoding. ``row[i]`` is the row of vocabulary id
-    ``i`` (0 for ids not in ``ids``)."""
-
-    ids: np.ndarray
-    row: np.ndarray
-    fwd: np.ndarray | _LeanPass
-    bwd: np.ndarray | _LeanPass
-
-
-def _distinct_ids(params: BlstmParams, seqs: Sequence[Sequence[int]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct ids of ``seqs``, and each vocabulary id's index
-    among them (0 for ids not in ``seqs``)."""
-    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
-    row = np.zeros(len(params.embed), dtype=np.intp)
-    row[ids] = np.arange(len(ids))
-    return ids, row
-
-
-def _project(params: BlstmParams,
-             seqs: Sequence[Sequence[int]]) -> _Projection:
-    """Project each distinct id of ``seqs`` once, for both directions."""
-    ids, row = _distinct_ids(params, seqs)
-    x = params.embed[ids]
-    d = x.shape[1]
-    fwd = x @ params.w_fwd[:, :d].T
-    fwd += params.b_fwd
-    bwd = x @ params.w_bwd[:, :d].T
-    bwd += params.b_bwd
-    return _Projection(ids, row, fwd, bwd)
-
-
-def _run_direction(
-    w_h: np.ndarray,
-    proj: np.ndarray,
-    rows: np.ndarray,
-    starts: np.ndarray,
-    reverse: bool,
-    h_seq: np.ndarray,
-) -> list[dict]:
-    """One LSTM pass over length-sorted rows, writing h into ``h_seq``;
-    returns each step's gate cache for backpropagation.
-
-    ``rows`` (B, T) indexes ``proj``, and the rows still inside their
-    sentence at step t are those from ``starts[t]`` on. Only they are
-    computed: a finished row is never read again, and in the reverse pass
-    a row that has not started keeps h = c = 0, so padding changes
-    nothing. ``h_seq`` starts at zero and is never written on padding, so
-    it also holds each step's previous h.
-    """
-    n, t_max = rows.shape
-    h_dim = w_h.shape[1]
-    c = np.zeros((n, h_dim))
-    w_ht = w_h.T
-    step = -1 if reverse else 1
-    first = t_max - 1 if reverse else 0
-    steps = []
-    for t in range(first, first + step * t_max, step):
-        lo = starts[t]
-        z = proj[rows[lo:, t]]
-        h_prev = None if t == first else h_seq[lo:, t - step]
-        if h_prev is not None:
-            z += h_prev @ w_ht
-        ifo = sigmoid(z[:, :3 * h_dim])
-        gate_i = ifo[:, :h_dim]
-        gate_f = ifo[:, h_dim:2 * h_dim]
-        gate_o = ifo[:, 2 * h_dim:]
-        gate_g = np.tanh(z[:, 3 * h_dim:])
-        # f * c_prev, kept because backprop needs it once c is overwritten.
-        fc = gate_f * c[lo:]
-        c[lo:] = fc + gate_i * gate_g
-        tanh_c = np.tanh(c[lo:])
-        h_seq[lo:, t] = gate_o * tanh_c
-        steps.append({
-            "t": t, "lo": lo, "h_prev": h_prev, "i": gate_i,
-            "f": gate_f, "o": gate_o, "g": gate_g, "fc": fc,
-            "tanh_c": tanh_c,
-        })
-    return steps
-
-
 def _fold_gates(a: np.ndarray) -> np.ndarray:
     """Negate the i/f/o blocks of gate-major (4, ..., h) ``a`` and scale
     its g block by -2, in place. Both are exact in binary floating point
@@ -182,8 +97,72 @@ def _fold_gates(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass
+class _Pass:
+    """One direction of a call in gate-major blocks folded by
+    ``_fold_gates``: ``proj`` (4, ids, h) holds ``embed[id] @ W_x.T + b``
+    of each distinct id of the call, and ``w`` (4, h, h) each gate's block
+    of W_h, transposed."""
+
+    proj: np.ndarray
+    w: np.ndarray
+
+
+def _fold(params: BlstmParams, seqs: Sequence[Sequence[int]]):
+    """Project and fold each distinct id of ``seqs`` once per direction,
+    one stacked matmul each. Returns the sorted distinct ids, each
+    vocabulary id's row among them (0 for ids not in ``seqs``), and the
+    forward and backward ``_Pass``."""
+    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
+    row = np.zeros(len(params.embed), dtype=np.intp)
+    row[ids] = np.arange(len(ids))
+    x = params.embed[ids]
+
+    def fold(w, b):
+        h_dim, d = w.shape[0] // 4, x.shape[1]
+        blocks = w.reshape(4, h_dim, -1).transpose(0, 2, 1)
+        proj = np.matmul(x, blocks[:, :d])
+        proj += b.reshape(4, 1, h_dim)
+        return _Pass(_fold_gates(proj), _fold_gates(blocks[:, d:].copy()))
+
+    return ids, row, (fold(params.w_fwd, params.b_fwd),
+                      fold(params.w_bwd, params.b_bwd))
+
+
+def _forward_batch(params: BlstmParams, row: np.ndarray, passes, run,
+                   batch_ids):
+    """Label log-probabilities (B, T, L) of a right-padded batch.
+
+    The rows run through both directions stably sorted by length,
+    ascending, so the rows live at each step are a suffix that one
+    searchsorted finds. ``run(pass, rows, lengths, starts, reverse,
+    h_seq)`` runs the forward, then the backward one of ``passes``,
+    writing h into the time-major (T + 1, B, h) ``h_seq``; its row T
+    stays 0, the state before a row's first step (t - 1 = -1 forward,
+    t + 1 = T in reverse). Returns the sort order, the sorted projection
+    rows, ``starts``, both ``h_seq``, what each ``run`` returned, the
+    sorted (B, T, 2h) hidden states, and logp in input order.
+    """
+    lengths = np.array([len(seq) for seq in batch_ids])
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
+    rows = row[ids]
+    n, t_max = ids.shape
+    starts = np.searchsorted(lengths, np.arange(t_max), side="right")
+    h = params.d_hid
+    h_seq = np.zeros((2, t_max + 1, n, h))
+    runs = [run(p, rows, lengths, starts, reverse, h_seq[k])
+            for k, (p, reverse) in enumerate(zip(passes, (False, True)))]
+    h2 = h_seq[:, :t_max].transpose(2, 1, 0, 3).reshape(n, t_max, 2 * h)
+    logits = h2 @ params.w_out.T + params.b_out
+    logp = np.empty_like(logits)
+    logp[order] = logits - logsumexp(logits, axis=2, keepdims=True)
+    return order, rows, starts, h_seq, runs, h2, logp
+
+
 def _lean_step(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
-    """One LSTM step from folded gate-major pre-activations ``z``
+    """Decoding's LSTM step from folded gate-major pre-activations ``z``
     (4, n, h), which it overwrites: updates the cell state ``c`` (n, h)
     in place and writes h into ``h``.
 
@@ -206,142 +185,126 @@ def _lean_step(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
 
 
 @dataclass
-class _LeanPass:
-    """One direction of a decode call, in gate-major blocks folded by
-    ``_fold_gates``: ``proj`` (4, ids, h) holds ``embed[id] @ W_x.T + b``
-    and ``w`` (4, h, h) each gate's block of W_h, transposed. A pass
-    starts from h = c = 0, so its first step depends only on its token:
-    ``h0``/``c0`` hold that step's state for each projection row in
-    ``first`` (sorted)."""
+class _DecodePass:
+    """A decode call's ``_Pass`` and its first steps: a pass starts from
+    h = c = 0, so its first step depends only on its token. ``h0``/``c0``
+    hold that step's state for each projection row in ``first``
+    (sorted)."""
 
-    proj: np.ndarray
-    w: np.ndarray
+    lean: _Pass
     first: np.ndarray
     h0: np.ndarray
     c0: np.ndarray
 
 
-def _lean_pass(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-               first: np.ndarray) -> _LeanPass:
-    """Fold one direction's weights for the embeddings ``x`` of a call's
-    distinct ids, and tabulate the first step of the rows ``first``."""
-    h_dim, d = w.shape[0] // 4, x.shape[1]
-    blocks = w.reshape(4, h_dim, -1).transpose(0, 2, 1)
-    proj = np.matmul(x, blocks[:, :d])
-    proj += b.reshape(4, 1, h_dim)
-    _fold_gates(proj)
-    first = np.unique(first)
-    c0 = np.zeros((len(first), h_dim))
-    h0 = np.empty_like(c0)
-    _lean_step(np.take(proj, first, axis=1), c0, h0)
-    return _LeanPass(proj, _fold_gates(blocks[:, d:].copy()), first, h0, c0)
+def _decoder(params: BlstmParams, seqs: Sequence[Sequence[int]]):
+    """Fold a decode call over ``seqs`` and tabulate each pass's first
+    step (the forward pass starts at each sentence's first id, the
+    backward pass at its last). Returns ``row`` and both passes."""
+    _, row, passes = _fold(params, seqs)
+
+    def tabulate(lean, k):
+        first = np.unique(row[np.fromiter((s[k] for s in seqs if len(s)),
+                                          np.intp)])
+        c0 = np.zeros((len(first), lean.w.shape[1]))
+        h0 = np.empty_like(c0)
+        _lean_step(np.take(lean.proj, first, axis=1), c0, h0)
+        return _DecodePass(lean, first, h0, c0)
+
+    return row, (tabulate(passes[0], 0), tabulate(passes[1], -1))
 
 
-def _fold(params: BlstmParams,
-          seqs: Sequence[Sequence[int]]) -> _Projection:
-    """Project and fold a decode call over ``seqs`` (see
-    ``_forward_batch``); the forward pass starts at each sentence's first
-    id, the backward pass at its last."""
-    ids, row = _distinct_ids(params, seqs)
-    x = params.embed[ids]
-
-    def first(k):
-        return row[np.fromiter((s[k] for s in seqs if len(s)), np.intp)]
-
-    return _Projection(ids, row,
-                       _lean_pass(x, params.w_fwd, params.b_fwd, first(0)),
-                       _lean_pass(x, params.w_bwd, params.b_bwd, first(-1)))
-
-
-def _lean_direction(lean: _LeanPass, rows: np.ndarray, lengths: np.ndarray,
+def _lean_direction(dec: _DecodePass, rows: np.ndarray, lengths: np.ndarray,
                     starts: np.ndarray, reverse: bool,
                     h_seq: np.ndarray) -> None:
-    """``_run_direction`` with the lean step and no caches, writing h into
-    the time-major (T, B, h) ``h_seq``: each row's first step (token 0,
-    or its last token in reverse) is looked up, and the loop then
-    computes the rows whose previous token is real."""
+    """One decode pass: each row's first step (token 0, or its last token
+    in reverse) is looked up, and the loop then computes the rows whose
+    previous token is real with the lean step."""
     n, t_max = rows.shape
     at = lengths - 1 if reverse else np.zeros(n, dtype=np.intp)
-    k = np.searchsorted(lean.first, rows[np.arange(n), at])
-    c = lean.c0[k]
-    h_seq[at, np.arange(n)] = lean.h0[k]
+    k = np.searchsorted(dec.first, rows[np.arange(n), at])
+    c = dec.c0[k]
+    h_seq[at, np.arange(n)] = dec.h0[k]
     step = -1 if reverse else 1
     for t in range(t_max - 2, -1, -1) if reverse else range(1, t_max):
         lo = starts[t + 1] if reverse else starts[t]
-        z = np.take(lean.proj, rows[lo:, t], axis=1)
-        z += np.matmul(h_seq[t - step, lo:], lean.w)
+        z = np.take(dec.lean.proj, rows[lo:, t], axis=1)
+        z += np.matmul(h_seq[t - step, lo:], dec.lean.w)
         _lean_step(z, c[lo:], h_seq[t, lo:])
 
 
-def _back_direction(
-    w_h: np.ndarray,
-    rows: np.ndarray,
-    steps: list[dict],
-    dh_seq: np.ndarray,
-    n_proj: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate one pass: the gradients of its recurrent weights and
-    of each of its ``n_proj`` projection rows."""
-    n = rows.shape[0]
-    h_dim = w_h.shape[1]
-    g_wh = np.zeros_like(w_h)
-    g_proj = np.zeros((n_proj, 4 * h_dim))
-    dh = np.zeros((n, h_dim))
-    dc = np.zeros((n, h_dim))
-    for step in reversed(steps):
-        t, lo = step["t"], step["lo"]
-        dh_t = dh[lo:] + dh_seq[lo:, t]
-        dc_t = dc[lo:] + dh_t * step["o"] * (1.0 - step["tanh_c"] ** 2)
-        d_i = dc_t * step["g"] * step["i"] * (1.0 - step["i"])
-        d_f = dc_t * step["fc"] * (1.0 - step["f"])
-        d_o = dh_t * step["tanh_c"] * step["o"] * (1.0 - step["o"])
-        d_g = dc_t * step["i"] * (1.0 - step["g"] ** 2)
-        dz = np.concatenate([d_i, d_f, d_o, d_g], axis=1)
-        # Summed per distinct id: a 0/1 (ids x live rows) product.
-        g_proj += (np.arange(n_proj)[:, None] == rows[lo:, t]) @ dz
-        if step["h_prev"] is not None:
-            g_wh += dz.T @ step["h_prev"]
-        dh[lo:] = dz @ w_h
-        dc[lo:] = dc_t * step["f"]
-    return g_wh, g_proj
+def _train_direction(lean: _Pass, rows: np.ndarray, lengths: np.ndarray,
+                     starts: np.ndarray, reverse: bool, h_seq: np.ndarray):
+    """One training pass. Step t computes the rows from ``starts[t]`` on,
+    those still inside their sentence: a finished row is never read
+    again, and in reverse a row that has not started reads the zero state
+    of its padding, so padding changes nothing.
 
-
-def _forward_batch(params: BlstmParams, proj, batch_ids):
-    """Label log-probabilities (B, T, L) of a right-padded batch.
-
-    The rows run through both directions stably sorted by length,
-    ascending, so the rows live at each step are a suffix that one
-    searchsorted finds. The passes of a ``_project`` projection keep
-    their step caches for training; those of a ``_fold`` one keep none
-    and run the lean step, which must run under
-    ``np.errstate(over="ignore")``. Returns the sort order, the sorted
-    projection rows and hidden states, the step caches (None when
-    folded) and logp, the one output put back in input order.
+    A step takes one in-place exp of the folded pre-activations, adds 1
+    and takes the reciprocal. That gives R: the gates i, f, o and
+    sigma(2g), with tanh(g) = 2 sigma(2g) - 1. Returns the cell states,
+    time-major (T + 1, B, h) like ``h_seq``, and each step's R, tanh(g)
+    and tanh(c).
     """
-    lengths = np.array([len(seq) for seq in batch_ids])
-    order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
-    ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
-    rows = proj.row[ids]
-    n, t_max = ids.shape
-    starts = np.searchsorted(lengths, np.arange(t_max), side="right")
-    h, d = params.d_hid, params.embed.shape[1]
-    if isinstance(proj.fwd, _LeanPass):
-        h_seq = np.zeros((2, t_max, n, h))
-        _lean_direction(proj.fwd, rows, lengths, starts, False, h_seq[0])
-        _lean_direction(proj.bwd, rows, lengths, starts, True, h_seq[1])
-        h2 = h_seq.transpose(2, 1, 0, 3).reshape(n, t_max, 2 * h)
-        steps_f = steps_b = None
-    else:
-        h2 = np.zeros((n, t_max, 2 * h))
-        steps_f = _run_direction(params.w_fwd[:, d:], proj.fwd, rows,
-                                 starts, False, h2[:, :, :h])
-        steps_b = _run_direction(params.w_bwd[:, d:], proj.bwd, rows,
-                                 starts, True, h2[:, :, h:])
-    logits = h2 @ params.w_out.T + params.b_out
-    logp = np.empty_like(logits)
-    logp[order] = logits - logsumexp(logits, axis=2, keepdims=True)
-    return order, rows, h2, steps_f, steps_b, logp
+    t_max = rows.shape[1]
+    c_seq = np.zeros_like(h_seq)
+    step = -1 if reverse else 1
+    steps = []
+    for t in range(t_max - 1, -1, -1) if reverse else range(t_max):
+        lo = starts[t]
+        r = np.take(lean.proj, rows[lo:, t], axis=1)
+        r += np.matmul(h_seq[t - step, lo:], lean.w)
+        np.exp(r, out=r)
+        r += 1.0
+        np.reciprocal(r, out=r)
+        gate_i, gate_f, gate_o, sig_g = r
+        tanh_g = 2.0 * sig_g - 1.0
+        c = c_seq[t, lo:]
+        np.multiply(gate_f, c_seq[t - step, lo:], out=c)
+        c += gate_i * tanh_g
+        tanh_c = np.tanh(c)
+        np.multiply(gate_o, tanh_c, out=h_seq[t, lo:])
+        steps.append((t, r, tanh_g, tanh_c))
+    return c_seq, steps
+
+
+def _back_direction(w_h: np.ndarray, rows: np.ndarray, starts: np.ndarray,
+                    reverse: bool, h_seq: np.ndarray, cache,
+                    dh_seq: np.ndarray, n_proj: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate one training pass, given W_h in gate blocks ``w_h``
+    (4, h, h), the pass's states and ``cache`` and dL/dh (T, B, h).
+    Returns the gradients of ``w_h`` and, gate-major (4, n_proj, h), of
+    each projection row.
+
+    dL/d(activation) is one (4, m, h) block, multiplied once by R - R^2,
+    the sigmoid's derivative; tanh(g) = 2 sigma(2g) - 1 has the
+    derivative 4 (R - R^2), so the g block is scaled by 4 first.
+    """
+    c_seq, steps = cache
+    g_wh = np.zeros_like(w_h)
+    g_proj = np.zeros((4, n_proj, w_h.shape[1]))
+    dh = np.zeros(h_seq.shape[1:])
+    dc = np.zeros_like(dh)
+    step = -1 if reverse else 1
+    for t, r, tanh_g, tanh_c in reversed(steps):
+        lo = starts[t]
+        gate_i, gate_f, gate_o, _ = r
+        dh_t = dh[lo:] + dh_seq[t, lo:]
+        dc_t = dc[lo:] + dh_t * gate_o * (1.0 - tanh_c * tanh_c)
+        da = np.empty_like(r)
+        np.multiply(dc_t, tanh_g, out=da[0])
+        np.multiply(dc_t, c_seq[t - step, lo:], out=da[1])
+        np.multiply(dh_t, tanh_c, out=da[2])
+        np.multiply(dc_t, gate_i, out=da[3])
+        da[3] *= 4.0
+        da *= r - r * r
+        # Summed per distinct id: a 0/1 (ids x live rows) product.
+        g_proj += np.matmul(np.arange(n_proj)[:, None] == rows[lo:, t], da)
+        g_wh += np.matmul(da.transpose(0, 2, 1), h_seq[t - step, lo:])
+        dh[lo:] = np.matmul(da, w_h).sum(axis=0)
+        dc[lo:] = dc_t * gate_f
+    return g_wh, g_proj
 
 
 def _summed_nll(logp: np.ndarray, labels: np.ndarray,
@@ -365,9 +328,10 @@ def blstm_loss_grad(
     term is `l2` times the sum of squares of all parameters.
     """
     _check_corpus(batch_ids, batch_labels)
-    proj = _project(params, batch_ids)
-    order, rows, h2, steps_f, steps_b, logp = _forward_batch(
-        params, proj, batch_ids)
+    ids, row, passes = _fold(params, batch_ids)
+    with np.errstate(over="ignore"):
+        order, rows, starts, h_seq, caches, h2, logp = _forward_batch(
+            params, row, passes, _train_direction, batch_ids)
     labels, mask = _pad_batch(batch_labels, 0)
     n, t_max = labels.shape
     n_tokens = float(mask.sum())
@@ -379,21 +343,25 @@ def blstm_loss_grad(
     dlogits = dlogits[order]
     g_wout = np.einsum("ntl,nth->lh", dlogits, h2)
     g_bout = dlogits.sum(axis=(0, 1))
-    dh2 = dlogits @ params.w_out
     h, d = params.d_hid, params.embed.shape[1]
-    x = params.embed[proj.ids]
+    # Each direction's dL/dh, time-major like its states.
+    dh_seq = (dlogits @ params.w_out).reshape(n, t_max, 2, h)
+    x = params.embed[ids]
     g_embed = np.zeros_like(params.embed)
 
-    def direction(w, steps, dh_seq):
+    def direction(k, w):
         # dz summed per distinct id gives the input weights, bias and
         # embedding rows their gradients in one product each.
-        g_wh, g_u = _back_direction(w[:, d:], rows, steps, dh_seq,
-                                    len(proj.ids))
-        g_embed[proj.ids] += g_u @ w[:, :d]
-        return np.concatenate([g_u.T @ x, g_wh], axis=1), g_u.sum(axis=0)
+        g_wh, g_proj = _back_direction(
+            w[:, d:].reshape(4, h, h), rows, starts, k == 1, h_seq[k],
+            caches[k], dh_seq[:, :, k].transpose(1, 0, 2), len(ids))
+        g_u = g_proj.transpose(1, 0, 2).reshape(len(ids), 4 * h)
+        g_embed[ids] += g_u @ w[:, :d]
+        return (np.concatenate([g_u.T @ x, g_wh.reshape(4 * h, h)], axis=1),
+                g_u.sum(axis=0))
 
-    g_wf, g_bf = direction(params.w_fwd, steps_f, dh2[:, :, :h])
-    g_wb, g_bb = direction(params.w_bwd, steps_b, dh2[:, :, h:])
+    g_wf, g_bf = direction(0, params.w_fwd)
+    g_wb, g_bb = direction(1, params.w_bwd)
     grads = {
         "embed": g_embed,
         "w_fwd": g_wf, "b_fwd": g_bf,
@@ -412,7 +380,9 @@ def _chunk_loss(
     of tokens."""
     labels, mask = _pad_batch(label_ids, 0)
     with np.errstate(over="ignore"):
-        logp = _forward_batch(params, _fold(params, encoded), encoded)[-1]
+        row, passes = _decoder(params, encoded)
+        logp = _forward_batch(params, row, passes, _lean_direction,
+                              encoded)[-1]
     return _summed_nll(logp, labels, mask), float(mask.sum())
 
 
@@ -452,10 +422,11 @@ def tag_with_blstm(
     """
     encoded = [vocab.encode(s) for s in sentences]
     with np.errstate(over="ignore"):
-        folded = _fold(params, encoded)
+        row, passes = _decoder(params, encoded)
 
         def best_ids(batch):
-            return np.argmax(_forward_batch(params, folded, batch)[-1],
+            return np.argmax(_forward_batch(params, row, passes,
+                                            _lean_direction, batch)[-1],
                              axis=2)
 
         return decode_in_batches(encoded, best_ids, EVAL_BATCH)

@@ -974,14 +974,15 @@ def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
     sentences = sorted((s.tokens for s in tagged), key=len)
     encoded = [model.vocab.encode(s) for s in sentences]
     with np.errstate(over="ignore"):
-        folded = blstm._fold(model.params, encoded)
+        row_of, passes = blstm._decoder(model.params, encoded)
     logp, labels = {}, {}
     for width in (1, 2, 7, 64):
         logp[width] = []
         for lo in range(0, len(encoded), width):
             batch = encoded[lo:lo + width]
             with np.errstate(over="ignore"):
-                out = blstm._forward_batch(model.params, folded, batch)[-1]
+                out = blstm._forward_batch(model.params, row_of, passes,
+                                           blstm._lean_direction, batch)[-1]
             logp[width] += [row[:len(ids)] for row, ids in zip(out, batch)]
         monkeypatch.setattr(blstm, "EVAL_BATCH", width)
         labels[width] = tag_sentences(model, sentences)
