@@ -14,9 +14,9 @@ matrix.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,6 +30,8 @@ from .numeric import normal_two_sided_tail, sigmoid
 from .seqtag.metrics import TagMetrics
 from .targets import TARGET_FIELDS, TARGETS, ConvergenceError
 from .textfeat import Lexicon, TextFeatures, TokenMemo, extract_text_features
+
+log = logging.getLogger("vidtriage")
 
 BINARY_FEATURES = frozenset({
     "has_title", "has_description", "has_tags",
@@ -295,7 +297,8 @@ def standardize_fit(X: np.ndarray, spec: FeatureSpec) -> Scaler:
 
     Continuous features get their sample mean and n-1 standard deviation;
     binary features pass through; a zero-variance continuous column also
-    passes through, with a warning, so it cannot blow up the scaling.
+    passes through, with a logged warning, so it cannot blow up the
+    scaling.
     """
     X = np.asarray(X, dtype=float)
     means, stds = [], []
@@ -307,9 +310,8 @@ def standardize_fit(X: np.ndarray, spec: FeatureSpec) -> Scaler:
         col = X[:, j]
         sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
         if sd == 0.0 or not np.isfinite(sd):
-            warnings.warn(
-                f"feature {name!r} has zero variance; passed through unscaled"
-            )
+            log.warning("feature %r has zero variance; passed through "
+                        "unscaled", name)
             means.append(0.0)
             stds.append(1.0)
         else:

@@ -10,13 +10,15 @@ counts each video's distinct span surface forms (``span_forms``).
 
 from __future__ import annotations
 
+import logging
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .artifacts import atomic_open, read_lines
 from .textfeat import PhraseIndex, load_stopwords, split_words
+
+log = logging.getLogger("vidtriage")
 
 B_MED = "B-MED"
 I_MED = "I-MED"
@@ -30,10 +32,6 @@ MIN_WORD_LEN = 4  # cleaning keeps words of length strictly greater than 3
 
 class DictionaryFormatError(ValueError):
     """Malformed dictionary row; message carries the line number."""
-
-
-class DictionaryWarning(UserWarning):
-    """Recoverable dictionary problem, e.g. an unknown semantic-type code."""
 
 
 # Closed set of semantic-type categories admitted into the dictionary,
@@ -176,7 +174,7 @@ def load_dictionary(
     """Load a term dictionary from a TSV of ``term<TAB>semantic-type code``.
 
     Rows with codes outside :data:`SEMANTIC_TYPES` are skipped with a
-    warning; rows whose code is valid but not in ``allowed_types`` (codes,
+    logged warning; rows whose code is valid but not in ``allowed_types`` (codes,
     default all) are silently filtered. An unknown code in
     ``allowed_types`` raises ValueError.
     Each surviving term contributes its cleaned words, and multi-word terms
@@ -202,11 +200,8 @@ def load_dictionary(
             )
         term, code = parts[0].strip(), parts[1].strip()
         if code not in SEMANTIC_TYPES:
-            warnings.warn(
-                f"{path}:{lineno}: unknown semantic-type code {code!r}, row skipped",
-                DictionaryWarning,
-                stacklevel=2,
-            )
+            log.warning("%s:%d: unknown semantic-type code %r, row skipped",
+                        path, lineno, code)
             continue
         if code not in allowed:
             continue

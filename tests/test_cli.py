@@ -1070,6 +1070,33 @@ def test_criterion_8_tree_matches_recorded_digests(criterion_8_taggers,
         f"running with {criterion8.versions()}"])
 
 
+def test_zero_variance_feature_logs_one_line(criterion_8_classified,
+                                             tmp_path):
+    # A constant term count passes through unscaled, and train-clf says so
+    # in one log line, with no Python warning or source line on stderr.
+    work = tmp_path / "work"
+    shutil.copytree(criterion_8_classified, work)
+    features = work / cli._FILES["features"]
+    header, *rows = features.read_text().splitlines(keepends=True)
+    col = header.split("\t").index("n_unique_medical_terms")
+    cells = [row.split("\t") for row in rows]
+    for row in cells:
+        row[col] = "0"
+    features.write_text(header + "".join("\t".join(row) for row in cells))
+    src = Path(vidtriage.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "vidtriage.cli", "train-clf", "--target",
+         "medical_info", "--seed", "88", "--work-dir", str(work)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert ("WARNING feature 'n_unique_medical_terms' has zero variance; "
+            "passed through unscaled") in lines
+    assert not [line for line in lines
+                if "Warning:" in line or line.startswith(" ")]
+
+
 def _random_rows(path, seed):
     """The header of a table or JSON-Lines file at ``path`` and a random
     subset of its other lines, in file order."""

@@ -1,6 +1,7 @@
 """Term dictionary: cleaning, semantic-type filtering, BIO projection."""
 
 import itertools
+import logging
 import re
 
 import numpy as np
@@ -12,7 +13,6 @@ from vidtriage.medterm import (
     I_MED,
     O,
     DictionaryFormatError,
-    DictionaryWarning,
     TaggedSentence,
     clean_terms,
     load_dictionary,
@@ -82,7 +82,7 @@ def test_clean_terms_properties_random_loop():
 # ------------------------------------------------------------ dictionary
 
 
-def test_load_dictionary_skips_unknown_codes(tmp_path):
+def test_load_dictionary_skips_unknown_codes(tmp_path, caplog):
     rows = [
         ("colonoscopy", "diap"),
         ("polyp", "neop"),
@@ -97,8 +97,9 @@ def test_load_dictionary_skips_unknown_codes(tmp_path):
     ]
     path = tmp_path / "dict.tsv"
     path.write_text("".join(f"{t}\t{c}\n" for t, c in rows))
-    with pytest.warns(DictionaryWarning):
+    with caplog.at_level(logging.WARNING, logger="vidtriage"):
         d = load_dictionary(path, stopwords=STOPWORDS)
+    assert "unknown semantic-type code" in caplog.text
     # 7 valid rows survive out of 10.
     surviving_words = {
         "colonoscopy", "polyp", "colon", "cancer", "sedation",
