@@ -22,15 +22,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _third_party_imports(top: Path) -> set[str]:
     """Top-level names of every absolute import under ``top`` that is not
-    the standard library or the package itself."""
+    the standard library, the package itself or a module under ``top``."""
     names = set()
-    for path in top.rglob("*.py"):
+    paths = list(top.rglob("*.py"))
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"vidtriage"}
+    return (names - set(sys.stdlib_module_names) - {"vidtriage"}
+            - {path.stem for path in paths})
 
 
 def _requirement_names(requirements) -> set[str]:
