@@ -277,9 +277,10 @@ def _back_direction(w_h: np.ndarray, rows: np.ndarray, starts: np.ndarray,
     Returns the gradients of ``w_h`` and, gate-major (4, n_proj, h), of
     each projection row.
 
-    dL/d(activation) is one (4, m, h) block, multiplied once by R - R^2,
-    the sigmoid's derivative; tanh(g) = 2 sigma(2g) - 1 has the
-    derivative 4 (R - R^2), so the g block is scaled by 4 first.
+    dL/d(activation) is one (4, m, h) block, multiplied once by
+    R (1 - R), the sigmoid's derivative (R - R^2 would cancel near
+    R = 1); tanh(g) = 2 sigma(2g) - 1 has the derivative 4 R (1 - R), so
+    the g block is scaled by 4 first.
     """
     c_seq, steps = cache
     g_wh = np.zeros_like(w_h)
@@ -298,7 +299,7 @@ def _back_direction(w_h: np.ndarray, rows: np.ndarray, starts: np.ndarray,
         np.multiply(dh_t, tanh_c, out=da[2])
         np.multiply(dc_t, gate_i, out=da[3])
         da[3] *= 4.0
-        da *= r - r * r
+        da *= r * (1.0 - r)
         # Summed per distinct id: a 0/1 (ids x live rows) product.
         g_proj += np.matmul(np.arange(n_proj)[:, None] == rows[lo:, t], da)
         g_wh += np.matmul(da.transpose(0, 2, 1), h_seq[t - step, lo:])
