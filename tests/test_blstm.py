@@ -369,9 +369,9 @@ def oracle_atol(scale, ref):
 @given(case=oracle_cases(saturate=True))
 def test_recurrence_matches_masked_oracle(case):
     # The training step: folded weights, one exp and one reciprocal per
-    # step. Overflowing exps must give exact gates and gradients with no
-    # warning, which pytest would turn into an error: blstm_loss_grad
-    # sets its own errstate.
+    # step. Overflowing exps must give gates of exactly 0 or 1 and the
+    # oracle's gradients with no warning, which pytest would turn into an
+    # error: blstm_loss_grad sets its own errstate.
     params, ids, labels, l2, scale = case
     logp = train_logp(params, ids)
     padded, mask = _pad_batch(ids, PAD_ID)
