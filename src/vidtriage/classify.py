@@ -366,19 +366,23 @@ def _check_l2(l2) -> None:
         raise ValueError(f"l2 must be a finite non-negative number, got {l2!r}")
 
 
+# fit_logreg stops at this gradient norm, and gives up after this many
+# Newton steps.
+_FIT_TOL = 1e-8
+_FIT_MAX_ITER = 100
+
+
 def fit_logreg(
     X: np.ndarray,
     y: np.ndarray,
     l2: float,
-    max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, dict]:
     """Maximize the regularized log-likelihood by damped Newton steps.
 
     Each step is halved until it gives a sufficient increase or still
     ends uphill, so the objective never decreases. Stops when the gradient
-    norm reaches ``tol``; a stalled line search or more than ``max_iter``
-    steps raise ConvergenceError.
+    norm reaches ``_FIT_TOL``; a stalled line search or more than
+    ``_FIT_MAX_ITER`` steps raise ConvergenceError.
     """
     _check_l2(l2)
     X = np.asarray(X, dtype=float)
@@ -392,13 +396,13 @@ def fit_logreg(
     Xa = np.hstack([np.ones((len(X), 1)), X])
     beta = np.zeros(Xa.shape[1])
     obj, grad = logreg_objective_grad(beta, X, y, l2)
-    for iteration in range(max_iter + 1):
+    for iteration in range(_FIT_MAX_ITER + 1):
         norm = float(np.linalg.norm(grad))
-        if norm <= tol:
+        if norm <= _FIT_TOL:
             return beta, {"iterations": iteration, "grad_norm": norm,
                           "objective": obj}
-        if iteration == max_iter:
-            raise ConvergenceError(f"no convergence in {max_iter} "
+        if iteration == _FIT_MAX_ITER:
+            raise ConvergenceError(f"no convergence in {_FIT_MAX_ITER} "
                                    f"iterations; gradient norm {norm:.3e}")
         # The Hessian of the mean objective is -information / n; pinv skips
         # directions an unpenalized collinearity leaves flat.

@@ -125,13 +125,19 @@ def fit_tagger(
     permutation per epoch. Training stops once the dev loss has failed to
     improve for ``patience`` epochs, and the best parameters are restored.
     A non-finite train or dev loss raises TrainingDivergedError naming the
-    epoch.
+    epoch and the learning rate.
     """
     _check_corpus(inputs, labels)
     label_ids = [encode_labels(l) for l in labels]
 
     def pick(indices):
         return [inputs[i] for i in indices], [label_ids[i] for i in indices]
+
+    def check_finite(loss, epoch):
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(
+                f"{name} training diverged at epoch {epoch} with learning "
+                f"rate {config.lr:g}; lower --lr")
 
     train_idx, dev_idx = split_train_dev(len(inputs), config.dev_fraction,
                                          rng)
@@ -146,10 +152,7 @@ def fit_tagger(
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo:lo + config.batch_size]
             loss, grads = loss_grad(params, *pick(batch), config.l2)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"{name} training diverged at epoch {epoch}"
-                )
+            check_finite(loss, epoch)
             grads = list(grads.values())
             clip_gradients(grads, config.clip_norm)
             for w, g in zip(params.arrays(), grads):
@@ -165,10 +168,7 @@ def fit_tagger(
                 total += chunk_total
                 count += chunk_count
             dev = total / count
-            if not np.isfinite(dev):
-                raise TrainingDivergedError(
-                    f"{name} training diverged at epoch {epoch}"
-                )
+            check_finite(dev, epoch)
             record["dev_loss"] = dev
             if dev < best_dev:
                 best_dev = dev

@@ -10,8 +10,11 @@ whole ``tag_with_blstm`` call) into gate-major blocks, with the gates
 folded so that one exp gives all four, and each step adds its ids' rows
 to ``h @ W_h.T``. Batches run sorted by length, and each step computes
 only the rows whose sentence is still running; a mask keeps padded
-positions out of the loss. Training's step keeps its gates for
-backpropagation; decoding's divides by them in place and keeps nothing.
+positions out of the loss. Training and decoding run the same loop:
+training's step reads a zero state before each row's first step, and
+decoding's first step is its projection row alone. Training's step
+keeps its gates for backpropagation; decoding's divides by them in
+place and keeps nothing.
 """
 
 from __future__ import annotations
@@ -134,14 +137,16 @@ def _forward_batch(params: BlstmParams, row: np.ndarray, passes, run,
     """Label log-probabilities (B, T, L) of a right-padded batch.
 
     The rows run through both directions stably sorted by length,
-    ascending, so the rows live at each step are a suffix that one
-    searchsorted finds. ``run(pass, rows, lengths, starts, reverse,
-    h_seq)`` runs the forward, then the backward one of ``passes``,
-    writing h into the time-major (T + 1, B, h) ``h_seq``; its row T
-    stays 0, the state before a row's first step (t - 1 = -1 forward,
-    t + 1 = T in reverse). Returns the sort order, the sorted projection
-    rows, ``starts``, both ``h_seq``, what each ``run`` returned, the
-    sorted (B, T, 2h) hidden states, and logp in input order.
+    ascending, so the rows live at step t are the suffix from
+    ``starts[t]`` on; ``starts`` has T + 1 entries, and ``starts[T]`` is
+    B. ``run(pass, rows, starts, reverse, h_seq)`` runs the forward, then
+    the backward one of ``passes``, writing h into the time-major
+    (T + 1, B, h) ``h_seq``. Its row T stays 0: training's step reads it
+    as the state before a row's first step (t - 1 = -1 forward, t + 1 = T
+    in reverse), and decoding's first steps read no state. Returns the
+    sort order, the sorted projection rows, ``starts``, both ``h_seq``,
+    what each ``run`` returned, the sorted (B, T, 2h) hidden states, and
+    logp in input order.
     """
     lengths = np.array([len(seq) for seq in batch_ids])
     order = np.argsort(lengths, kind="stable")
@@ -149,10 +154,10 @@ def _forward_batch(params: BlstmParams, row: np.ndarray, passes, run,
     ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
     rows = row[ids]
     n, t_max = ids.shape
-    starts = np.searchsorted(lengths, np.arange(t_max), side="right")
+    starts = np.searchsorted(lengths, np.arange(t_max + 1), side="right")
     h = params.d_hid
     h_seq = np.zeros((2, t_max + 1, n, h))
-    runs = [run(p, rows, lengths, starts, reverse, h_seq[k])
+    runs = [run(p, rows, starts, reverse, h_seq[k])
             for k, (p, reverse) in enumerate(zip(passes, (False, True)))]
     h2 = h_seq[:, :t_max].transpose(2, 1, 0, 3).reshape(n, t_max, 2 * h)
     logits = h2 @ params.w_out.T + params.b_out
@@ -184,57 +189,27 @@ def _lean_step(z: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
     h /= gate_o
 
 
-@dataclass
-class _DecodePass:
-    """A decode call's ``_Pass`` and its first steps: a pass starts from
-    h = c = 0, so its first step depends only on its token. ``h0``/``c0``
-    hold that step's state for each projection row in ``first``
-    (sorted)."""
-
-    lean: _Pass
-    first: np.ndarray
-    h0: np.ndarray
-    c0: np.ndarray
-
-
-def _decoder(params: BlstmParams, seqs: Sequence[Sequence[int]]):
-    """Fold a decode call over ``seqs`` and tabulate each pass's first
-    step (the forward pass starts at each sentence's first id, the
-    backward pass at its last). Returns ``row`` and both passes."""
-    _, row, passes = _fold(params, seqs)
-
-    def tabulate(lean, k):
-        first = np.unique(row[np.fromiter((s[k] for s in seqs if len(s)),
-                                          np.intp)])
-        c0 = np.zeros((len(first), lean.w.shape[1]))
-        h0 = np.empty_like(c0)
-        _lean_step(np.take(lean.proj, first, axis=1), c0, h0)
-        return _DecodePass(lean, first, h0, c0)
-
-    return row, (tabulate(passes[0], 0), tabulate(passes[1], -1))
-
-
-def _lean_direction(dec: _DecodePass, rows: np.ndarray, lengths: np.ndarray,
-                    starts: np.ndarray, reverse: bool,
-                    h_seq: np.ndarray) -> None:
-    """One decode pass: each row's first step (token 0, or its last token
-    in reverse) is looked up, and the loop then computes the rows whose
-    previous token is real with the lean step."""
+def _lean_direction(lean: _Pass, rows: np.ndarray, starts: np.ndarray,
+                    reverse: bool, h_seq: np.ndarray) -> None:
+    """One decode pass, stepping like ``_train_direction``: step t
+    computes the rows from ``starts[t]`` on with the lean step. Only the
+    rows whose previous token is real add ``h @ W_h``: none at forward
+    t = 0, every live row at forward t >= 1, and the rows from
+    ``starts[t + 1]`` on in reverse. A row's first step is thus the lean
+    step of its projection row alone, from c = 0."""
     n, t_max = rows.shape
-    at = lengths - 1 if reverse else np.zeros(n, dtype=np.intp)
-    k = np.searchsorted(dec.first, rows[np.arange(n), at])
-    c = dec.c0[k]
-    h_seq[at, np.arange(n)] = dec.h0[k]
+    c = np.zeros((n, lean.w.shape[1]))
     step = -1 if reverse else 1
-    for t in range(t_max - 2, -1, -1) if reverse else range(1, t_max):
-        lo = starts[t + 1] if reverse else starts[t]
-        z = np.take(dec.lean.proj, rows[lo:, t], axis=1)
-        z += np.matmul(h_seq[t - step, lo:], dec.lean.w)
+    for t in range(t_max - 1, -1, -1) if reverse else range(t_max):
+        lo = starts[t]
+        z = np.take(lean.proj, rows[lo:, t], axis=1)
+        on = starts[t + 1] if reverse else (lo if t else n)
+        z[:, on - lo:] += np.matmul(h_seq[t - step, on:], lean.w)
         _lean_step(z, c[lo:], h_seq[t, lo:])
 
 
-def _train_direction(lean: _Pass, rows: np.ndarray, lengths: np.ndarray,
-                     starts: np.ndarray, reverse: bool, h_seq: np.ndarray):
+def _train_direction(lean: _Pass, rows: np.ndarray, starts: np.ndarray,
+                     reverse: bool, h_seq: np.ndarray):
     """One training pass. Step t computes the rows from ``starts[t]`` on,
     those still inside their sentence: a finished row is never read
     again, and in reverse a row that has not started reads the zero state
@@ -381,7 +356,7 @@ def _chunk_loss(
     of tokens."""
     labels, mask = _pad_batch(label_ids, 0)
     with np.errstate(over="ignore"):
-        row, passes = _decoder(params, encoded)
+        _, row, passes = _fold(params, encoded)
         logp = _forward_batch(params, row, passes, _lean_direction,
                               encoded)[-1]
     return _summed_nll(logp, labels, mask), float(mask.sum())
@@ -423,7 +398,7 @@ def tag_with_blstm(
     """
     encoded = [vocab.encode(s) for s in sentences]
     with np.errstate(over="ignore"):
-        row, passes = _decoder(params, encoded)
+        _, row, passes = _fold(params, encoded)
 
         def best_ids(batch):
             return np.argmax(_forward_batch(params, row, passes,

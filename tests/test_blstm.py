@@ -47,8 +47,8 @@ def train_logp(params, batch):
 def decode_logp(params, batch):
     """Decoding's label log-probabilities (B, T, 3) of a call over one
     batch."""
+    _, row, passes = blstm._fold(params, batch)
     with np.errstate(over="ignore"):
-        row, passes = blstm._decoder(params, batch)
         return blstm._forward_batch(params, row, passes,
                                     blstm._lean_direction, batch)[-1]
 
@@ -391,10 +391,10 @@ def test_recurrence_matches_masked_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(case=oracle_cases(saturate=True))
 def test_lean_step_matches_masked_oracle(case):
-    # The cache-free decode step: folded weights, one exp per step, first
-    # steps looked up. Overflowing exps must give gates of exactly 0 or 1
-    # with no warning, which pytest would turn into an error: the dev
-    # loss and tagging set their own errstate.
+    # The cache-free decode step: folded weights, one exp per step, a
+    # first step from the projection row alone. Overflowing exps must
+    # give gates of exactly 0 or 1 with no warning, which pytest would
+    # turn into an error: the dev loss and tagging set their own errstate.
     params, ids, labels, _, scale = case
     padded, mask = _pad_batch(ids, PAD_ID)
     ref_logp = _ref_forward_batch(params, padded, mask)[-1]

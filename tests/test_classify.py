@@ -194,15 +194,16 @@ def test_fit_logreg_separable_toy():
     assert np.array_equal(preds, y.astype(bool))
 
 
-def test_fit_logreg_validates():
+def test_fit_logreg_validates(monkeypatch):
     with pytest.raises(ValueError):
         clf.fit_logreg(np.zeros((3, 1)), np.ones(3), l2=0.1)  # one class
     with pytest.raises(ValueError):
         clf.fit_logreg(np.zeros((1, 1)), np.zeros(1), l2=0.1)
-    with pytest.raises(clf.ConvergenceError):
+    monkeypatch.setattr(clf, "_FIT_MAX_ITER", 2)
+    with pytest.raises(clf.ConvergenceError, match="no convergence in 2 "):
         X = np.array([[-1.0], [1.0], [0.5], [-0.5]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        clf.fit_logreg(X, y, l2=0.01, max_iter=2)
+        clf.fit_logreg(X, y, l2=0.01)
 
 
 def _damped_design():
