@@ -8,6 +8,7 @@ feature table, train-clf / classify / eval fit and score the three
 classifiers, and report renders the canned TSV tables. Every stage is
 deterministic given its inputs and seed, writes only into the work
 directory, and prints a one-line summary; logs go to standard error.
+:data:`STAGES` declares each stage's function, help, reads and writes.
 
 Exit codes: 0 success, 1 validation or missing-input error, 2 internal
 error, 64 usage error.
@@ -23,6 +24,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -71,8 +73,8 @@ _CLF_METRICS_HEADER = ("target", "precision_pos", "recall_pos",
                        "f_measure_neg", "accuracy", "n_test_videos")
 
 # Every file the stages write under the work directory, by name, as a
-# template relative to it. Commands reach work-dir files only through
-# _output and _input.
+# template relative to it; STAGES says which stage reads and writes each.
+# Commands reach work-dir files only through _output and _input.
 _FILES = {
     "videos": "corpus/videos.jsonl",
     "transcripts": "corpus/transcripts.jsonl",
@@ -93,18 +95,9 @@ _FILES = {
     "clf_metrics": "eval/clf_metrics.tsv",
     "report": "reports/table{table}.tsv",
 }
-# The corpus files, each named as its CorpusStore attribute and its
-# config key.
+# The corpus files, each named as its CorpusStore attribute and its config
+# key. A stage opens only those it reads; the rest of its store is empty.
 _CORPUS_FILES = ("videos", "transcripts", "ocr", "labels")
-# The corpus files each later stage reads (tag by its --source); the
-# others are not opened, and their part of the store is empty.
-_CORPUS_READS = {
-    "featurize": ("videos", "transcripts", "ocr"),
-    "build-ner-corpus": ("videos",),
-    "tag:description": ("videos",),
-    "tag:transcript": ("videos", "transcripts"),
-    "assemble": ("videos", "labels"),
-}
 
 _LEXICON_FILES = {
     "transition": "transition_words.txt",
@@ -221,7 +214,7 @@ def _input(cfg: PipelineConfig, name: str, **fields) -> Path:
 def _load_work_corpus(cfg, stage: str) -> corpuslib.CorpusStore:
     """The corpus files ``stage`` reads, checked as ingest checks them."""
     return corpuslib.load_corpus(*[
-        _input(cfg, name) if name in _CORPUS_READS[stage] else None
+        _input(cfg, name) if name in STAGES[stage].reads else None
         for name in _CORPUS_FILES
     ])
 
@@ -417,18 +410,18 @@ def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_tag(cfg: PipelineConfig, args) -> int:
+    stage = f"tag:{args.source}"
     model = _cli.load_model(_input(cfg, "tagger", arch=args.arch))
-    store = _load_work_corpus(cfg, f"tag:{args.source}")
+    store = _load_work_corpus(cfg, stage)
     sentences, video_ids = _video_sentences(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
     # videos; the labels come back in the same order.
     labels = _cli.tag_sentences(model, sentences)
-    # Description tagging keeps the names that assemble reads.
-    prefix = "" if args.source == "description" else f"{args.source}_"
-    medterm.write_conll(_output(cfg, f"{prefix}tagged", arch=args.arch),
+    tagged, term_counts = STAGES[stage].writes
+    medterm.write_conll(_output(cfg, tagged, arch=args.arch),
                         sentences, labels, video_ids=video_ids)
     counts = medterm.unique_term_counts(video_ids, sentences, labels)
-    out = _output(cfg, f"{prefix}term_counts", arch=args.arch)
+    out = _output(cfg, term_counts, arch=args.arch)
     # Every video gets a count, 0 if it has no sentences.
     write_tsv(out, _TERM_COUNTS_HEADER,
               [[vid, str(counts.get(vid, 0))] for vid in sorted(store.videos)])
@@ -522,10 +515,11 @@ def _load_classifiers(cfg: PipelineConfig) -> dict:
 def cmd_classify(cfg: PipelineConfig, args) -> int:
     from . import classify as clf
     table = clf.read_features_tsv(_input(cfg, "features"))
-    # Every model loads before any prediction is written, so a bad model
-    # leaves the previous predictions whole.
-    for target, model in _load_classifiers(cfg).items():
-        p, labels = clf.predict_batch(model, table)
+    # Every target is predicted before any prediction is written, so a bad
+    # model or a missing feature leaves the previous predictions whole.
+    predicted = {target: clf.predict_batch(model, table)
+                 for target, model in _load_classifiers(cfg).items()}
+    for target, (p, labels) in predicted.items():
         out = _output(cfg, "predictions", target=target)
         write_tsv(
             out,
@@ -690,6 +684,51 @@ def _table6_rows(cfg) -> list[list[str]]:
 # ------------------------------------------------------------ entry point
 
 
+# Each stage's command function, help line, and the _FILES names it reads
+# and writes; a name's {field} is the command's flag of that name, or every
+# value if it has none. A command whose variants touch different files has
+# a stage per variant, "command:variant"; the first carries the help line.
+Stage = namedtuple("Stage", "func help reads writes")
+STAGES = {
+    "ingest": Stage(cmd_ingest, "load and normalize the corpus files", (),
+                    _CORPUS_FILES),
+    "featurize": Stage(cmd_featurize, "compute per-video text features",
+                       ("videos", "transcripts", "ocr"), ("text_features",)),
+    "build-ner-corpus": Stage(cmd_build_ner_corpus, "project dictionary "
+                              "terms onto description sentences as BIO "
+                              "labels", ("videos",), ("ner_corpus",)),
+    "train-tagger": Stage(cmd_train_tagger, "train a sequence tagger on "
+                          "the BIO corpus", ("ner_corpus",), ("tagger",)),
+    "tag:description": Stage(cmd_tag, "tag video text and count unique "
+                             "medical terms", ("tagger", "videos"),
+                             ("tagged", "term_counts")),
+    "tag:transcript": Stage(cmd_tag, None, ("tagger", "videos", "transcripts"),
+                            ("transcript_tagged", "transcript_term_counts")),
+    "assemble": Stage(cmd_assemble, "join text features, term counts, and "
+                      "labels", ("videos", "labels", "text_features",
+                                 "term_counts"), ("features",)),
+    "train-clf": Stage(cmd_train_clf, "train one logistic-regression "
+                       "classifier", ("features",), ("clf",)),
+    "classify": Stage(cmd_classify, "predict all three labels for every "
+                      "video in the feature table", ("features", "clf"),
+                      ("predictions",)),
+    "eval:clf": Stage(cmd_eval, "evaluate taggers and classifiers on their "
+                      "test splits", ("features", "clf"), ("clf_metrics",)),
+    "eval:all": Stage(cmd_eval, None,
+                      ("ner_corpus", "tagger", "features", "clf"),
+                      ("tagger_metrics", "tagger_span_metrics",
+                       "clf_metrics")),
+    "eval-tagger": Stage(cmd_eval_tagger, "evaluate both taggers on their "
+                         "test split", ("ner_corpus", "tagger"),
+                         ("tagger_metrics", "tagger_span_metrics")),
+    "report:2": Stage(cmd_report, "render an evaluation table as TSV",
+                      ("tagger_metrics",), ("report",)),
+    "report:5": Stage(cmd_report, None, ("clf_metrics",), ("report",)),
+    "report:6": Stage(cmd_report, None, ("clf",), ("report",)),
+    "report:7": Stage(cmd_report, None, ("clf_metrics",), ("report",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, metavar="PATH",
@@ -700,81 +739,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pipeline state directory (default: work)")
 
     parser = argparse.ArgumentParser(
-        prog="vidtriage",
-        description="Patient-education video triage pipeline.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-
-    p = sub.add_parser("ingest", parents=[common],
-                       help="load and normalize the corpus files")
-    p.add_argument("--videos", type=Path)
-    p.add_argument("--transcripts", type=Path)
-    p.add_argument("--ocr", type=Path)
-    p.add_argument("--labels", type=Path)
-    p.add_argument("--api-response", type=Path, metavar="PATH",
-                   help="flatten a raw metadata-list API response instead "
-                        "of reading --videos")
+        "vidtriage", description="Patient-education video triage pipeline.")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
+    for key, stage in STAGES.items():
+        if stage.help is not None:
+            sub.add_parser(key.partition(":")[0], parents=[common],
+                           help=stage.help).set_defaults(func=stage.func)
+    p = sub.choices["ingest"]
+    videos = p.add_mutually_exclusive_group()
+    videos.add_argument("--videos", type=Path)
+    for name in _CORPUS_FILES[1:]:
+        p.add_argument(f"--{name}", type=Path)
+    videos.add_argument("--api-response", type=Path, metavar="PATH",
+                        help="flatten a raw metadata-list API response "
+                             "instead of reading --videos")
     p.add_argument("--keywords", type=Path, metavar="FIXTURE",
                    help="validate a search-result fixture (JSON lines of "
                         "keyword + video_ids) against the keyword list")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("featurize", parents=[common],
-                       help="compute per-video text features")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("build-ner-corpus", parents=[common],
-                       help="project dictionary terms onto description "
-                            "sentences as BIO labels")
-    p.add_argument("--dictionary", type=Path, metavar="PATH",
-                   help="term dictionary TSV (default: the bundled one)")
-    p.set_defaults(func=cmd_build_ner_corpus)
-
-    p = sub.add_parser("train-tagger", parents=[common],
-                       help="train a sequence tagger on the BIO corpus")
+    sub.choices["build-ner-corpus"].add_argument(
+        "--dictionary", type=Path, metavar="PATH",
+        help="term dictionary TSV (default: the bundled one)")
+    p = sub.choices["train-tagger"]
     p.add_argument("--arch", choices=ARCHS, required=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.set_defaults(func=cmd_train_tagger)
-
-    p = sub.add_parser("tag", parents=[common],
-                       help="tag video text and count unique medical terms")
+    p = sub.choices["tag"]
     p.add_argument("--arch", choices=ARCHS, default=ARCH_BLSTM)
     p.add_argument("--source", choices=("description", "transcript"),
                    default="description")
-    p.set_defaults(func=cmd_tag)
-
-    p = sub.add_parser("assemble", parents=[common],
-                       help="join text features, term counts, and labels")
-    p.set_defaults(func=cmd_assemble)
-
-    p = sub.add_parser("train-clf", parents=[common],
-                       help="train one logistic-regression classifier")
+    p = sub.choices["train-clf"]
     p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--l2", type=float)
-    p.set_defaults(func=cmd_train_clf)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="predict all three labels for every video in "
-                            "the feature table")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate taggers and classifiers on their "
-                            "test splits")
-    p.add_argument("--kind", choices=("clf", "all"), default="all")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("eval-tagger", parents=[common],
-                       help="evaluate both taggers on their test split")
-    p.set_defaults(func=cmd_eval_tagger)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="render an evaluation table as TSV")
-    p.add_argument("--table", choices=("2", "5", "6", "7"), required=True)
-    p.set_defaults(func=cmd_report)
-
+    sub.choices["eval"].add_argument("--kind", choices=("clf", "all"),
+                                     default="all")
+    sub.choices["report"].add_argument("--table", required=True,
+                                       choices=("2", "5", "6", "7"))
     return parser
 
 

@@ -257,6 +257,17 @@ def test_failed_api_ingest_leaves_work_dir_untouched(
     assert _tree(work) == before
 
 
+def test_ingest_refuses_videos_with_api_response(tmp_path, corpus_paths,
+                                                fixture_dir, capsys):
+    work = tmp_path / "work"
+    args = [*_ingest_args(corpus_paths, work),
+            "--api-response", str(fixture_dir / "api_response.json")]
+    assert main(args) == 64
+    assert ("argument --api-response: not allowed with argument --videos"
+            in capsys.readouterr().err)
+    assert not work.exists()
+
+
 @pytest.mark.parametrize("flag", [
     "--videos", "--keywords", "--config", "--dictionary",
 ])
@@ -1135,13 +1146,16 @@ def test_classifying_some_videos_keeps_their_predictions(
         assert len(part) == len(ids) == 15
 
 
-def _expand(template):
-    """Every path ``template`` names across archs, targets and tables."""
+def _expand(template, args=None):
+    """Every path ``template`` names across archs, targets and tables; a
+    field that parsed command line ``args`` sets takes its value alone."""
     values = {"arch": cli.ARCHS, "target": clf.TARGETS,
               "table": ("2", "5", "6", "7")}
     names = [f for _, f, _, _ in string.Formatter().parse(template) if f]
+    picked = [values[n] if getattr(args, n, None) is None
+              else [getattr(args, n)] for n in names]
     return {template.format(**dict(zip(names, combo)))
-            for combo in itertools.product(*(values[n] for n in names))}
+            for combo in itertools.product(*picked)}
 
 
 def test_file_table_names_every_file_the_stages_write(pipeline_work, capsys):
@@ -1174,76 +1188,115 @@ def test_assemble_reads_description_counts(pipeline_work, capsys):
         assert count == int(description[vid])
 
 
-@pytest.mark.parametrize("stage, argv, outputs", [
-    ("build-ner-corpus",
-     ["build-ner-corpus", "--dictionary", "{root}/corpus/dictionary.tsv"],
-     ["ner_corpus"]),
-    ("tag:description", ["tag", "--arch", "crf"], ["tagged", "term_counts"]),
-    ("tag:transcript", ["tag", "--arch", "blstm", "--source", "transcript"],
-     ["transcript_tagged", "transcript_term_counts"]),
-    ("assemble", ["assemble"], ["features"]),
-    ("featurize", ["featurize"], ["text_features"]),
-])
-def test_stages_read_only_their_declared_corpus_files(
-        tmp_path, pipeline_work, caplog, capsys, stage, argv, outputs):
-    # Each stage runs on a full work dir and on one without the corpus
-    # files it does not declare; the two trees must end byte-identical.
-    argv = [a.format(root=pipeline_work.parent) for a in argv]
-    arch = argv[argv.index("--arch") + 1] if "--arch" in argv else None
-    made = [cli._FILES[name].format(arch=arch) for name in outputs]
-    unread = [cli._FILES[name] for name in cli._CORPUS_FILES
-              if name not in cli._CORPUS_READS[stage]]
-    assert unread
-    trees = []
-    for deleted in ([], unread):
-        work = tmp_path / f"work{len(trees)}"
-        shutil.copytree(pipeline_work, work)
-        for rel in made + deleted:
-            (work / rel).unlink()
+# A command line for each stage of the table, run on pipeline_work; the
+# tagger trains for one epoch.
+_STAGE_ARGV = {
+    "ingest": ["ingest", *(arg for name in cli._CORPUS_FILES for arg in (
+        f"--{name}", f"{{root}}/corpus/{name}.jsonl"))],
+    "featurize": ["featurize"],
+    "build-ner-corpus": ["build-ner-corpus", "--dictionary",
+                         "{root}/corpus/dictionary.tsv"],
+    "train-tagger": ["train-tagger", "--arch", "blstm", "--epochs", "1",
+                     "--seed", "9"],
+    "tag:description": ["tag", "--arch", "crf"],
+    "tag:transcript": ["tag", "--source", "transcript"],
+    "assemble": ["assemble"],
+    "train-clf": ["train-clf", "--target", "recommendation", "--seed", "9"],
+    "classify": ["classify"],
+    "eval:clf": ["eval", "--kind", "clf"],
+    "eval:all": ["eval"],
+    "eval-tagger": ["eval-tagger"],
+    **{f"report:{table}": ["report", "--table", table]
+       for table in ("2", "5", "6", "7")},
+}
+
+
+def test_stage_table_has_a_writer_for_every_file_and_read():
+    written = {name for stage in cli.STAGES.values() for name in stage.writes}
+    read = {name for stage in cli.STAGES.values() for name in stage.reads}
+    assert written == cli._FILES.keys()
+    assert read <= written | set(cli._CORPUS_FILES)
+    assert _STAGE_ARGV.keys() == cli.STAGES.keys()
+
+
+@pytest.mark.parametrize("stage", cli.STAGES)
+def test_stage_reads_and_writes_only_its_declared_files(
+        tmp_path, pipeline_work, caplog, capsys, stage):
+    # The stage runs on the whole work dir and on one that holds only the
+    # files it declares it reads. The second run must write exactly the
+    # files it declares it writes, each byte-identical to the first run's.
+    argv = [a.format(root=pipeline_work.parent) for a in _STAGE_ARGV[stage]]
+    args = cli.build_parser().parse_args(argv)
+    assert args.func is cli.STAGES[stage].func
+    assert stage.partition(":")[2] in {"", *map(str, vars(args).values())}
+    reads, writes = ({Path(rel) for name in names
+                      for rel in _expand(cli._FILES[name], args)}
+                     for names in (cli.STAGES[stage].reads,
+                                   cli.STAGES[stage].writes))
+    whole, part = tmp_path / "whole", tmp_path / "part"
+    shutil.copytree(pipeline_work, whole)
+    part.mkdir()
+    for rel in reads:
+        (part / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(pipeline_work / rel, part / rel)
+    for work in (whole, part):
         assert main([*argv, "--work-dir", str(work)]) == 0
-        trees.append({p.relative_to(work).as_posix(): p.read_bytes()
-                      for p in work.rglob("*") if p.is_file()})
-    assert set(made) <= trees[1].keys()
-    assert trees[1] == {rel: data for rel, data in trees[0].items()
-                        if rel not in unread}
-    # The files a stage does read are still checked: a repeated video id
-    # ends it with exit 1, naming the file.
-    videos = work / cli._FILES["videos"]
+    capsys.readouterr()
+    assert _tree(part) == {
+        **{rel: (pipeline_work / rel).read_bytes() for rel in reads},
+        **{rel: (whole / rel).read_bytes() for rel in writes}}
+    if "videos" not in cli.STAGES[stage].reads:
+        return
+    # The corpus files a stage reads are still checked: a repeated video
+    # id ends it with exit 1, naming the file.
+    videos = part / cli._FILES["videos"]
     first = videos.read_text().splitlines(keepends=True)[0]
     videos.write_text(videos.read_text() + first)
-    capsys.readouterr()
     with caplog.at_level(logging.ERROR):
-        assert main([*argv, "--work-dir", str(work)]) == 1
+        assert main([*argv, "--work-dir", str(part)]) == 1
     assert f"duplicate video ids in {videos}" in caplog.text
     assert "Traceback" not in caplog.text
 
 
-def _readme_paths():
-    """Every path the README's work-directory table names, with each
-    ``{a,b}`` group and each ``{arch}``, ``{target}`` and ``{table}``
-    expanded."""
+def _readme_rows():
+    """Each row of the README's work-directory table: the paths its file
+    names, with each ``{a,b}`` group and each ``{arch}``, ``{target}`` and
+    ``{table}`` expanded, and the stages its "Written by" and "Read by"
+    cells name."""
     readme = (Path(__file__).resolve().parent.parent / "README.md")
     section = readme.read_text(encoding="utf-8").split(
         "## Work directory")[1].split("\n## ")[0]
-    paths = set()
+    rows = []
     for line in section.splitlines():
         if not line.startswith("| `"):
             continue
-        template = line.split("`")[1]
+        file, written, read = line.split("|")[1:4]
+        template = file.strip().strip("`")
         # A {a,b} group lists its values; a named field takes _expand's.
         groups = re.findall(r"\{([^}]*)\}", template)
         options = [g.split(",") if "," in g else [None] for g in groups]
+        paths = set()
         for combo in itertools.product(*options):
             parts = iter(combo)
             filled = re.sub(r"\{[^}]*\}", lambda m: next(parts) or m[0],
                             template)
             paths |= _expand(filled)
-    return paths
+        rows.append((frozenset(paths), set(re.findall(r"`([^`]*)`", written)),
+                     set(re.findall(r"`([^`]*)`", read))))
+    return rows
 
 
 def test_readme_file_table_matches_file_table():
-    in_table = set().union(*map(_expand, cli._FILES.values()))
-    assert _readme_paths() == in_table
+    name_of = {frozenset(_expand(t)): name for name, t in cli._FILES.items()}
+    rows = {}
+    for paths, written, read in _readme_rows():
+        assert paths in name_of, sorted(paths)
+        assert name_of[paths] not in rows, sorted(paths)
+        rows[name_of[paths]] = written, read
+    assert rows == {name: (
+        {key for key, stage in cli.STAGES.items() if name in stage.writes},
+        {key for key, stage in cli.STAGES.items() if name in stage.reads},
+    ) for name in cli._FILES}
 
 
 def test_classify_with_a_missing_model_keeps_old_predictions(
@@ -1262,6 +1315,21 @@ def test_classify_with_a_missing_model_keeps_old_predictions(
     with caplog.at_level(logging.ERROR):
         assert main(["classify", "--work-dir", str(work)]) == 1
     assert "clf_recommendation.json" in caplog.text
+    after = {p.name: p.read_bytes() for p in (work / "predictions").iterdir()}
+    assert after == before
+    # A missing feature is found before any file is written, too: the
+    # recommendation classifier reads the understandable label, after the
+    # changed medical_info model has made new predictions.
+    shutil.copy(pipeline_work / "models" / "clf_recommendation.json",
+                work / "models")
+    features = work / "features" / "features.tsv"
+    header = features.read_text().splitlines()[0].split("\t")
+    _edit_table(features, 3, lambda cells: [
+        "" if name == "understandable" else cell
+        for name, cell in zip(header, cells)])
+    with caplog.at_level(logging.ERROR):
+        assert main(["classify", "--work-dir", str(work)]) == 1
+    assert "missing feature 'understandable'" in caplog.text
     after = {p.name: p.read_bytes() for p in (work / "predictions").iterdir()}
     assert after == before
 
