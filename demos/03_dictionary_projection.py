@@ -10,15 +10,18 @@ BIO labels ready for tagger training.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from vidtriage.data_files import data_path
 from vidtriage.medterm import (
+    LABELS,
     SEMANTIC_TYPES,
     clean_terms,
     load_dictionary,
     project_labels,
-    unique_term_counts,
     write_conll,
 )
+from vidtriage.seqtag import term_counts
 from vidtriage.textfeat import load_stopwords, tokenize
 
 # The dictionary is a two-column TSV: term, semantic-type code. Each
@@ -52,19 +55,25 @@ sentences = tokenize(text).sentence_tokens()
 tagged = project_labels(dictionary, sentences)
 for sent in tagged:
     print(list(zip(sent.tokens, sent.labels)))
-labels = [sent.labels for sent in tagged]
+
+# The tag stage holds a call's sentences end to end: one token list,
+# each sentence's length and video id, and one label id per token.
+tokens = [tok for sent in tagged for tok in sent.tokens]
+labels = [lab for sent in tagged for lab in sent.labels]
+lengths = [len(sent.tokens) for sent in tagged]
+video_ids = ["demo"] * len(tagged)
 
 # The distinct span surface forms per video drive a classifier
 # feature; spans() recovers them from one sentence's BIO labels, and
-# unique_term_counts counts them per video straight from parallel
-# token and label sequences, as the tag stage does with tagger output.
+# term_counts counts them per video from the label ids of all
+# sentences, as the tag stage does with tagger output.
 print("spans:", [sent.spans() for sent in tagged])
-video_ids = ["demo"] * len(sentences)
+label_ids = np.array([LABELS.index(lab) for lab in labels])
 print("unique term count:",
-      unique_term_counts(video_ids, sentences, labels)["demo"])
+      term_counts(tokens, lengths, label_ids, video_ids)["demo"])
 
-# The same sequences serialize to CoNLL for the training commands.
+# The same arrays serialize to CoNLL for the training commands.
 with tempfile.TemporaryDirectory(prefix="vidtriage-demo-") as tmp:
     out = Path(tmp) / "corpus.conll"
-    write_conll(out, sentences, labels, video_ids=video_ids)
+    write_conll(out, tokens, labels, lengths, video_ids=video_ids)
     print(out.read_text().splitlines()[:6])

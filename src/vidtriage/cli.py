@@ -26,6 +26,7 @@ import logging
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,7 +52,8 @@ ARCHS = (ARCH_CRF, ARCH_BLSTM)
 # on first use by __getattr__. The commands look them up here as _cli.<name>
 # when they call them, so a wrapper set on this module is the one called.
 _TAGGER_API = ("train_crf", "train_blstm", "save_model", "load_model",
-               "tag_sentences")
+               "tag_sentences", "label_names", "tag_by_sentence",
+               "term_counts")
 
 
 def __getattr__(name: str):
@@ -310,22 +312,22 @@ def cmd_featurize(cfg: PipelineConfig, args) -> int:
 # ------------------------------------------------------- build-ner-corpus
 
 
-def _video_sentences(store: corpuslib.CorpusStore,
-                     source: str) -> tuple[list, list]:
-    """Every video's ``source`` text (description or transcript) split
-    into token sentences, in video-id order, with each sentence's video
-    id."""
-    sentences, video_ids = [], []
+def _video_tokens(store: corpuslib.CorpusStore,
+                  source: str) -> tuple[list, list, list]:
+    """Every video's ``source`` text (description or transcript), in id
+    order: all tokens end to end, and each sentence's length and video."""
+    tokens, lengths, video_ids = [], [], []
     for vid in sorted(store.videos):
         if source == "description":
             text = store.videos[vid].description
         else:
             tdoc = store.transcripts.get(vid)
             text = tdoc.text if tdoc is not None else ""
-        sents = textfeat.tokenize(text).sentence_tokens()
-        sentences.extend(sents)
-        video_ids.extend([vid] * len(sents))
-    return sentences, video_ids
+        tok = textfeat.tokenize(text)
+        tokens += tok.tokens
+        lengths += [end - start for start, end in tok.sentences]
+        video_ids += [vid] * len(tok.sentences)
+    return tokens, lengths, video_ids
 
 
 def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
@@ -335,15 +337,16 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
         _require(dict_path),
         stopwords=textfeat.load_stopwords(cfg.lexicon_path("stopwords")),
     )
-    sentences, video_ids = _video_sentences(store, "description")
+    tokens, lengths, video_ids = _video_tokens(store, "description")
     # One call projects every video's sentences, so the dictionary's
     # matcher is built once; labels come back in the same order.
-    tagged = medterm.project_labels(dictionary, sentences)
+    tagged = medterm.project_labels(dictionary, [
+        tokens[end - n:end] for n, end in zip(lengths, accumulate(lengths))])
     if not tagged:
         raise ValueError("no sentences to project; are descriptions empty?")
     out = _output(cfg, "ner_corpus")
-    medterm.write_conll(out, [s.tokens for s in tagged],
-                        [s.labels for s in tagged], video_ids=video_ids)
+    medterm.write_conll(out, tokens, [lab for s in tagged for lab in s.labels],
+                        lengths, video_ids=video_ids)
     print(f"projected {len(tagged)} sentences from {len(set(video_ids))} "
           f"videos -> {out}")
     return EXIT_OK
@@ -413,19 +416,20 @@ def cmd_tag(cfg: PipelineConfig, args) -> int:
     stage = f"tag:{args.source}"
     model = _cli.load_model(_input(cfg, "tagger", arch=args.arch))
     store = _load_work_corpus(cfg, stage)
-    sentences, video_ids = _video_sentences(store, args.source)
+    tokens, lengths, video_ids = _video_tokens(store, args.source)
     # One call tags every video's sentences, so the taggers batch across
-    # videos; the labels come back in the same order.
-    labels = _cli.tag_sentences(model, sentences)
-    tagged, term_counts = STAGES[stage].writes
-    medterm.write_conll(_output(cfg, tagged, arch=args.arch),
-                        sentences, labels, video_ids=video_ids)
-    counts = medterm.unique_term_counts(video_ids, sentences, labels)
-    out = _output(cfg, term_counts, arch=args.arch)
+    # videos; the label ids come back in token order.
+    labels = _cli.tag_sentences(model, tokens, lengths)
+    tagged, counts_file = STAGES[stage].writes
+    medterm.write_conll(_output(cfg, tagged, arch=args.arch), tokens,
+                        _cli.label_names(labels), lengths,
+                        video_ids=video_ids)
+    counts = _cli.term_counts(tokens, lengths, labels, video_ids)
+    out = _output(cfg, counts_file, arch=args.arch)
     # Every video gets a count, 0 if it has no sentences.
     write_tsv(out, _TERM_COUNTS_HEADER,
               [[vid, str(counts.get(vid, 0))] for vid in sorted(store.videos)])
-    print(f"tagged {len(sentences)} sentences across {len(store.videos)} "
+    print(f"tagged {len(lengths)} sentences across {len(store.videos)} "
           f"videos with {args.arch} -> {out}")
     return EXIT_OK
 
@@ -554,7 +558,8 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
         gold = [s for s, v in zip(sentences, video_ids) if v in test_videos]
         if not gold:
             raise ValueError(f"no test sentences for arch {arch!r}")
-        predicted = _cli.tag_sentences(model, [list(s.tokens) for s in gold])
+        predicted = _cli.tag_by_sentence(_cli.tag_sentences, model,
+                                         [s.tokens for s in gold])
         gold_labels = [list(s.labels) for s in gold]
         token = evaluate_tagger(predicted, gold_labels)
         spans = evaluate_tagger_spans(predicted, gold_labels)

@@ -4,8 +4,7 @@ The dictionary maps cleaned terms to coarse semantic-type categories and
 replaces a full concept-mapping service: projecting its entries onto
 tokenized sentences yields BIO-labeled training data for the taggers.
 Terms split into words by ``textfeat.split_words``, as ``tokenize`` does,
-so a term matches the tokens of its own text. ``unique_term_counts``
-counts each video's distinct span surface forms (``span_forms``).
+so a term matches the tokens of its own text.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .artifacts import atomic_open, read_lines
@@ -156,16 +156,6 @@ def span_forms(tokens: Sequence[str], labels: Sequence[str]) -> list[str]:
     return [" ".join(tokens[a:b]).lower() for a, b in span_offsets(labels)]
 
 
-def unique_term_counts(video_ids: Sequence[str],
-                       sentences: Sequence[Sequence[str]],
-                       labels: Sequence[Sequence[str]]) -> dict[str, int]:
-    """Each video's number of distinct span surface forms (``span_forms``)."""
-    forms: dict[str, set[str]] = {}
-    for vid, tokens, labs in zip(video_ids, sentences, labels, strict=True):
-        forms.setdefault(vid, set()).update(span_forms(tokens, labs))
-    return {vid: len(f) for vid, f in forms.items()}
-
-
 def load_dictionary(
     path,
     allowed_types: Optional[Iterable[str]] = None,
@@ -236,23 +226,28 @@ def project_labels(
     return tagged
 
 
-def write_conll(path, sentences: Sequence[Sequence[str]],
-                labels: Sequence[Sequence[str]],
+def write_conll(path, tokens: Sequence[str], labels: Sequence[str],
+                lengths: Sequence[int],
                 video_ids: Optional[Sequence[str]] = None) -> None:
-    """Write parallel token and label sequences as token<TAB>tag lines,
-    with blank lines between sentences; unequal lengths raise ValueError.
+    """Write sentences of ``lengths`` tokens, end to end in ``tokens`` and
+    ``labels``, as token<TAB>tag lines with a blank line after each;
+    sizes that do not add up raise ValueError.
 
     When ``video_ids`` is given (one per sentence), a ``# video_id = ...``
     comment precedes each sentence so training can split at video level.
     """
-    ids = [None] * len(sentences) if video_ids is None else video_ids
+    if not len(tokens) == len(labels) == sum(lengths) or (
+            video_ids is not None and len(video_ids) != len(lengths)):
+        raise ValueError("tokens, labels, lengths or video ids differ")
+    lines = map("\t".join, zip(tokens, labels))
     with atomic_open(path) as fh:
-        for vid, tokens, labs in zip(ids, sentences, labels, strict=True):
-            if vid is not None:
-                fh.write(f"# video_id = {vid}\n")
-            for tok, lab in zip(tokens, labs, strict=True):
-                fh.write(f"{tok}\t{lab}\n")
-            fh.write("\n")
+        for lo in range(0, len(lengths), 512):  # sentences per write()
+            chunk = []
+            for k in range(lo, min(lo + 512, len(lengths))):
+                if video_ids is not None:
+                    chunk.append(f"# video_id = {video_ids[k]}")
+                chunk += [*islice(lines, lengths[k]), ""]
+            fh.write("\n".join(chunk) + "\n")
 
 
 def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:

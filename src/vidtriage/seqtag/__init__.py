@@ -25,6 +25,8 @@ _LAZY = {
                      "train_blstm", "tag_with_blstm"), "blstm"),
     **dict.fromkeys(("load_model", "save_model", "tag_sentences"),
                     "model_io"),
+    **dict.fromkeys(("label_names", "tag_by_sentence", "term_counts"),
+                    "_trainutil"),
 }
 
 

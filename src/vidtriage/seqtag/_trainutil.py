@@ -1,22 +1,23 @@
-"""Label ids, the training loop with its checks and L2 term, padding and
-batched decode of both taggers."""
+"""Label ids, the training loop with its checks and L2 term, padding,
+batched decode of both taggers, and the spans their label ids mark."""
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ..medterm import LABELS
+from ..medterm import B_MED, I_MED, LABELS, O
 from .config import TrainConfig, TrainingDivergedError
-from .metrics import repair_bio
 
 P = TypeVar("P")
 
 N_LABELS = len(LABELS)
 _LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
+_B, _I, _O = (_LABEL_TO_ID[lab] for lab in (B_MED, I_MED, O))
 
 # Sentences per padded forward pass of the dev loss and of BLSTM tagging.
 # BLSTM tagging costs a flat 3.9-4.2 us/token from 48 to 256 (medians, one
@@ -185,25 +186,57 @@ def fit_tagger(
 
 
 def decode_in_batches(
-    sentences: Sequence[Sequence],
-    best_ids: Callable[[list], np.ndarray],
+    lengths: Sequence[int],
+    best_ids: Callable[[np.ndarray, np.ndarray], np.ndarray],
     width: int,
-) -> list[list[str]]:
-    """BIO labels for every sentence, decoded in length-sorted batches.
-
-    A sentence is any sequence with one entry per token: words, or their
-    vocabulary ids. The non-empty sentences, in one stable argsort of
-    their lengths, are cut into batches of ``width``; ``best_ids(batch)``
-    returns a right-padded (B, T) array of label ids, of which each row's
-    first len(sentence) entries are kept. Labels are BIO-repaired and
-    returned in input order; an empty sentence gets no labels.
-    """
-    tagged: list[list[str]] = [[] for _ in sentences]
-    lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
-    order = np.argsort(lengths, kind="stable").tolist()[(lengths == 0).sum():]
+) -> np.ndarray:
+    """Label ids of sentences of ``lengths`` tokens lying end to end,
+    BIO-repaired as ``repair_bio`` repairs each sentence. The non-empty
+    sentences, in one stable argsort of their lengths, are cut into
+    batches of ``width``; ``best_ids(at, real)`` gets a batch's (B, T)
+    token positions, each row padded with its last, and the mask of real
+    ones, and returns (B, T) label ids."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    labels = np.empty(lengths.sum(), dtype=np.int8)
+    order = np.argsort(lengths, kind="stable")[(lengths == 0).sum():]
     for lo in range(0, len(order), width):
         rows = order[lo:lo + width]
-        best = best_ids([sentences[i] for i in rows])
-        for i, labels in zip(rows, _LABEL_NAMES[best].tolist()):
-            tagged[i] = repair_bio(labels[:len(sentences[i])])
-    return tagged
+        n = lengths[rows]
+        real = np.arange(n[-1]) < n[:, None]
+        at = starts[rows, None] + np.minimum(np.arange(n[-1]), n[:, None] - 1)
+        labels[at[real]] = best_ids(at, real)[real]
+    # An I-MED at a sentence start or right after an O becomes B-MED.
+    after_o = np.append(True, labels[:-1] == _O)
+    after_o[starts[lengths > 0]] = True
+    labels[(labels == _I) & after_o] = _B
+    return labels
+
+
+def label_names(labels: np.ndarray) -> list[str]:
+    return _LABEL_NAMES[labels].tolist()
+
+
+def tag_by_sentence(tag: Callable, *model_and_sentences):
+    """Each sentence's label names from one ``tag(*model, tokens,
+    lengths)``, given ``*model, sentences``."""
+    *model, sentences = model_and_sentences
+    lengths = [len(s) for s in sentences]
+    names = iter(label_names(
+        tag(*model, [t for s in sentences for t in s], lengths)))
+    return [list(islice(names, n)) for n in lengths]
+
+
+def term_counts(tokens: Sequence[str], lengths: Sequence[int],
+                labels: np.ndarray, video_ids: Sequence[str]) -> dict:
+    """Each video's number of distinct ``span_forms``, given each
+    sentence's video and the label ids of ``decode_in_batches``: as no
+    I-MED starts a sentence, a span is a B-MED and the I-MEDs after it."""
+    forms = {vid: set() for vid, _ in zip(video_ids, lengths, strict=True)}
+    begins = np.flatnonzero(labels == _B)
+    stops = np.append(np.flatnonzero(labels != _I), len(labels))
+    sentence = np.searchsorted(np.cumsum(lengths), begins, "right")
+    ends = stops[np.searchsorted(stops, begins, "right")]
+    for k, a, b in zip(sentence.tolist(), begins.tolist(), ends.tolist()):
+        forms[video_ids[k]].add(" ".join(tokens[a:b]).lower())
+    return {vid: len(f) for vid, f in forms.items()}

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..medterm import TaggedSentence
 from ..numeric import logsumexp
 from ._trainutil import (EVAL_BATCH, N_LABELS, _check_corpus, _pad_batch,
-                         add_l2, decode_in_batches, fit_tagger)
+                         add_l2, decode_in_batches, fit_tagger,
+                         tag_by_sentence)
 from .config import TrainConfig
 from .vocab import PAD_ID, Vocab, build_vocab
 
@@ -111,12 +111,12 @@ class _Pass:
     w: np.ndarray
 
 
-def _fold(params: BlstmParams, seqs: Sequence[Sequence[int]]):
-    """Project and fold each distinct id of ``seqs`` once per direction,
+def _fold(params: BlstmParams, ids: np.ndarray):
+    """Project and fold each distinct id of ``ids`` once per direction,
     one stacked matmul each. Returns the sorted distinct ids, each
-    vocabulary id's row among them (0 for ids not in ``seqs``), and the
+    vocabulary id's row among them (0 for ids not in ``ids``), and the
     forward and backward ``_Pass``."""
-    ids = np.unique(np.fromiter(chain.from_iterable(seqs), dtype=np.intp))
+    ids = np.unique(ids)
     row = np.zeros(len(params.embed), dtype=np.intp)
     row[ids] = np.arange(len(ids))
     x = params.embed[ids]
@@ -133,8 +133,9 @@ def _fold(params: BlstmParams, seqs: Sequence[Sequence[int]]):
 
 
 def _forward_batch(params: BlstmParams, row: np.ndarray, passes, run,
-                   batch_ids):
-    """Label log-probabilities (B, T, L) of a right-padded batch.
+                   ids: np.ndarray, mask: np.ndarray):
+    """Label log-probabilities (B, T, L) of a (B, T) batch of word ids
+    whose real ones ``mask`` marks; padding may hold any vocabulary id.
 
     The rows run through both directions stably sorted by length,
     ascending, so the rows live at step t are the suffix from
@@ -148,11 +149,10 @@ def _forward_batch(params: BlstmParams, row: np.ndarray, passes, run,
     what each ``run`` returned, the sorted (B, T, 2h) hidden states, and
     logp in input order.
     """
-    lengths = np.array([len(seq) for seq in batch_ids])
+    lengths = mask.sum(axis=1)
     order = np.argsort(lengths, kind="stable")
     lengths = lengths[order]
-    ids, _ = _pad_batch([batch_ids[i] for i in order], PAD_ID)
-    rows = row[ids]
+    rows = row[ids[order]]
     n, t_max = ids.shape
     starts = np.searchsorted(lengths, np.arange(t_max + 1), side="right")
     h = params.d_hid
@@ -304,11 +304,12 @@ def blstm_loss_grad(
     term is `l2` times the sum of squares of all parameters.
     """
     _check_corpus(batch_ids, batch_labels)
-    ids, row, passes = _fold(params, batch_ids)
+    padded, mask = _pad_batch(batch_ids, PAD_ID)
+    ids, row, passes = _fold(params, padded[mask > 0])
+    labels, _ = _pad_batch(batch_labels, 0)
     with np.errstate(over="ignore"):
         order, rows, starts, h_seq, caches, h2, logp = _forward_batch(
-            params, row, passes, _train_direction, batch_ids)
-    labels, mask = _pad_batch(batch_labels, 0)
+            params, row, passes, _train_direction, padded, mask)
     n, t_max = labels.shape
     n_tokens = float(mask.sum())
     loss = _summed_nll(logp, labels, mask) / n_tokens
@@ -355,10 +356,11 @@ def _chunk_loss(
     """Summed per-token cross-entropy, without the L2 term, and the number
     of tokens."""
     labels, mask = _pad_batch(label_ids, 0)
+    padded, _ = _pad_batch(encoded, PAD_ID)
     with np.errstate(over="ignore"):
-        _, row, passes = _fold(params, encoded)
-        logp = _forward_batch(params, row, passes, _lean_direction,
-                              encoded)[-1]
+        _, row, passes = _fold(params, padded[mask > 0])
+        logp = _forward_batch(params, row, passes, _lean_direction, padded,
+                              mask)[-1]
     return _summed_nll(logp, labels, mask), float(mask.sum())
 
 
@@ -386,23 +388,21 @@ def train_blstm(
     return params, vocab, history
 
 
-def tag_with_blstm(
-    params: BlstmParams, vocab: Vocab, sentences: Sequence[Sequence[str]]
-) -> list[list[str]]:
-    """Argmax-decode each sentence; ties keep the lower label id.
-
-    The call projects and folds each distinct word id once, then runs the
-    sentences in length-sorted batches. The per-token argmax can produce
-    an I-MED with no span start, so the output is BIO-repaired before
-    being returned.
-    """
-    encoded = [vocab.encode(s) for s in sentences]
+def tag_with_blstm(params: BlstmParams, vocab: Vocab, tokens: Sequence,
+                   lengths: Optional[Sequence[int]] = None):
+    """BIO-repaired argmax label ids (ties keep the lower) of sentences of
+    ``lengths`` tokens, end to end in ``tokens``, run in length-sorted
+    batches after one projection of each distinct word id. Without
+    ``lengths``, ``tokens`` lists sentences, each given its label names."""
+    if lengths is None:
+        return tag_by_sentence(tag_with_blstm, params, vocab, tokens)
+    encoded = np.array(vocab.encode(tokens), dtype=np.intp)
     with np.errstate(over="ignore"):
         _, row, passes = _fold(params, encoded)
 
-        def best_ids(batch):
+        def best_ids(at, real):
             return np.argmax(_forward_batch(params, row, passes,
-                                            _lean_direction, batch)[-1],
-                             axis=2)
+                                            _lean_direction, encoded[at],
+                                            real)[-1], axis=2)
 
-        return decode_in_batches(encoded, best_ids, EVAL_BATCH)
+        return decode_in_batches(lengths, best_ids, EVAL_BATCH)

@@ -27,7 +27,8 @@ import numpy as np
 
 from ..medterm import TaggedSentence
 from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
-                         decode_in_batches, encode_labels, fit_tagger)
+                         decode_in_batches, encode_labels, fit_tagger,
+                         tag_by_sentence)
 from .config import TrainConfig
 
 _BOS = "<s>"
@@ -73,7 +74,7 @@ def _word_features(word: str) -> list[Optional[str]]:
 class FeatureEncoder:
     """Feature id matrices of sentences under one feature index.
 
-    ``encode`` gives a batch of sentences one ``(tokens, 11)`` int matrix,
+    ``encode`` gives a batch of words one ``(tokens, 11)`` int matrix,
     a row per token and a column per template (``_word_features``). An
     absent feature (not in the index, or an affix longer than the word)
     gets ``len(feature_index)``, the id of the all-zero row that pads
@@ -91,10 +92,10 @@ class FeatureEncoder:
         self._codes: dict[str, int] = {}
         self._table = np.empty((0, 11), dtype=np.intp)
 
-    def encode(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
-        """The feature ids of every token of ``sentences``, end to end."""
+    def encode(self, words: Sequence[str],
+               lengths: Sequence[int]) -> np.ndarray:
+        """The feature ids of ``words``, sentences of ``lengths`` words."""
         codes = self._codes
-        words = list(itertools.chain.from_iterable(sentences))
         new = [w for w in dict.fromkeys(words) if w not in codes]
         if new:
             get, zero = self.feature_index.get, self.zero
@@ -105,7 +106,7 @@ class FeatureEncoder:
             )])
         ids = self._table[np.fromiter(map(codes.__getitem__, words),
                                       dtype=np.intp, count=len(words))]
-        lengths = np.fromiter(filter(None, map(len, sentences)), np.intp)
+        lengths = np.fromiter(filter(None, lengths), np.intp)
         ends = np.cumsum(lengths)
         ids[1:, _PREV] = ids[:-1, _PREV]
         ids[:-1, _NEXT] = ids[1:, _NEXT]
@@ -117,13 +118,15 @@ class FeatureEncoder:
 def build_feature_index(sentences: Sequence[Sequence[str]]) -> dict[str, int]:
     """Assign dense ids to every feature seen, in first-seen order: token
     by token, and each token's features in column order."""
+    words = list(itertools.chain.from_iterable(sentences))
     names = {f"prev={_BOS}": 0, f"next={_EOS}": 1}
-    for word in dict.fromkeys(itertools.chain.from_iterable(sentences)):
+    for word in dict.fromkeys(words):
         for name in _word_features(word):
             if name is not None:
                 names.setdefault(name, len(names))
     # Renumber the names that occur, by where each first occurs.
-    flat = FeatureEncoder(names).encode(sentences).ravel()
+    flat = FeatureEncoder(names).encode(
+        words, [len(s) for s in sentences]).ravel()
     first = np.full(len(names) + 1, flat.size)
     np.minimum.at(first, flat, np.arange(flat.size))
     occurs = np.flatnonzero(first[:-1] < flat.size)
@@ -363,9 +366,10 @@ def crf_loss_grad(
 def _encode_sentences(feature_index: dict[str, int],
                       sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
     """Each sentence's feature id matrix, as views of one encoding."""
-    ids = FeatureEncoder(feature_index).encode(sentences)
-    ends = np.cumsum([len(s) for s in sentences], dtype=np.intp)
-    return [ids[end - len(s):end] for s, end in zip(sentences, ends)]
+    lengths = [len(s) for s in sentences]
+    ids = FeatureEncoder(feature_index).encode(
+        list(itertools.chain.from_iterable(sentences)), lengths)
+    return [ids[end - n:end] for n, end in zip(lengths, np.cumsum(lengths))]
 
 
 def _chunk_loss(params: CrfParams, inputs: list,
@@ -395,21 +399,21 @@ def train_crf(
                       [s.labels for s in corpus], config, rng)
 
 
-def tag_with_crf(
-    params: CrfParams, sentences: Sequence[Sequence[str]]
-) -> list[list[str]]:
-    """Viterbi-decode each sentence to BIO labels.
-
-    Sentences are decoded in length-sorted, right-padded batches.
-    Transitions are learned, not constrained, so a decode can start a
-    sentence with I-MED; the output is BIO-repaired before being returned.
-    """
+def tag_with_crf(params: CrfParams, tokens: Sequence,
+                 lengths: Optional[Sequence[int]] = None):
+    """BIO-repaired Viterbi label ids (learned transitions may start with
+    I-MED) of sentences of ``lengths`` tokens, end to end in ``tokens``,
+    in length-sorted, right-padded batches. Without ``lengths``,
+    ``tokens`` lists sentences, each given its label names."""
+    if lengths is None:
+        return tag_by_sentence(tag_with_crf, params, tokens)
     w_pad = np.vstack([params.w_emit, np.zeros((1, params.w_emit.shape[1]))])
     encoder = FeatureEncoder(params.feature_index)
 
-    def best_ids(batch):
-        lengths = np.array([len(s) for s in batch])
-        emit = _emissions(w_pad, encoder.encode(batch), lengths)
+    def best_ids(at, real):
+        lengths = real.sum(axis=1)
+        words = list(map(tokens.__getitem__, at[real].tolist()))
+        emit = _emissions(w_pad, encoder.encode(words, lengths), lengths)
         return _viterbi_batch(emit, lengths, params.w_trans, params.w_start)
 
-    return decode_in_batches(sentences, best_ids, _DECODE_BATCH)
+    return decode_in_batches(lengths, best_ids, _DECODE_BATCH)

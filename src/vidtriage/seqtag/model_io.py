@@ -113,12 +113,12 @@ def load_model(path) -> LoadedModel:
     return load_json_model(path, FORMAT_NAME, _build)
 
 
-def tag_sentences(
-    model: LoadedModel, sentences: Sequence[Sequence[str]]
-) -> list[list[str]]:
-    """Tag token sequences with whichever architecture the model holds."""
+def tag_sentences(model: LoadedModel, tokens: Sequence[str],
+                  lengths: Sequence[int]) -> np.ndarray:
+    """BIO-repaired label ids of sentences of ``lengths`` tokens, end to
+    end in ``tokens``, tagged by whichever architecture the model holds."""
     if model.arch == ARCH_CRF:
-        return tag_with_crf(model.params, sentences)
+        return tag_with_crf(model.params, tokens, lengths)
     if model.arch == ARCH_BLSTM:
-        return tag_with_blstm(model.params, model.vocab, sentences)
+        return tag_with_blstm(model.params, model.vocab, tokens, lengths)
     raise ValueError(f"unknown arch {model.arch!r}")

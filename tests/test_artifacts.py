@@ -69,8 +69,9 @@ def test_conll_roundtrip(tmp_path_factory, sentences, with_ids, id_text):
     ids = ([f"{id_text}{i // 2}" for i in range(len(tagged))]
            if with_ids else None)
     path = tmp_path_factory.mktemp("conll") / "c.conll"
-    write_conll(path, [s.tokens for s in tagged], [s.labels for s in tagged],
-                video_ids=ids)
+    write_conll(path, [t for s in tagged for t in s.tokens],
+                [lab for s in tagged for lab in s.labels],
+                [len(s.tokens) for s in tagged], video_ids=ids)
     again, again_ids = read_conll(path)
     assert again == tagged
     assert again_ids == (ids or [None] * len(tagged))

@@ -36,21 +36,24 @@ def small_params(seed=0, vocab_size=9, d_emb=3, d_hid=4):
     return init_blstm(vocab_size, config, rng=rng)
 
 
+def _logp(params, batch, run):
+    """Label log-probabilities (B, T, 3) of one batch, stepped by ``run``."""
+    padded, mask = _pad_batch(batch, PAD_ID)
+    _, row, passes = blstm._fold(params, padded[mask > 0])
+    with np.errstate(over="ignore"):
+        return blstm._forward_batch(params, row, passes, run, padded,
+                                    mask)[-1]
+
+
 def train_logp(params, batch):
     """Training's label log-probabilities (B, T, 3) of one batch."""
-    _, row, passes = blstm._fold(params, batch)
-    with np.errstate(over="ignore"):
-        return blstm._forward_batch(params, row, passes,
-                                    blstm._train_direction, batch)[-1]
+    return _logp(params, batch, blstm._train_direction)
 
 
 def decode_logp(params, batch):
     """Decoding's label log-probabilities (B, T, 3) of a call over one
     batch."""
-    _, row, passes = blstm._fold(params, batch)
-    with np.errstate(over="ignore"):
-        return blstm._forward_batch(params, row, passes,
-                                    blstm._lean_direction, batch)[-1]
+    return _logp(params, batch, blstm._lean_direction)
 
 
 def forward_one(params, token_ids):
@@ -503,19 +506,18 @@ def _assert_batched_tagging_matches(lengths, seed):
     batches = []
     forward = blstm._forward_batch
 
-    def recording(p, row, passes, run, batch_ids):
-        out = forward(p, row, passes, run, batch_ids)
-        batches.append((batch_ids, out[-1]))
+    def recording(p, row, passes, run, ids, mask):
+        out = forward(p, row, passes, run, ids, mask)
+        batches.append((ids, mask.sum(axis=1), out[-1]))
         return out
 
     with mock.patch.object(blstm, "_forward_batch", recording):
         tagged = tag_with_blstm(params, vocab, sentences)
     n_real = sum(1 for n in lengths if n)
     assert len(batches) == -(-n_real // EVAL_BATCH) >= 2
-    for batch_ids, logp in batches:
-        for row_ids, row_logp in zip(batch_ids, logp):
-            n = len(row_ids)
-            single = forward_one(params, list(row_ids))
+    for ids, batch_lengths, logp in batches:
+        for row_ids, n, row_logp in zip(ids, batch_lengths, logp):
+            single = forward_one(params, row_ids[:n].tolist())
             np.testing.assert_allclose(row_logp[:n], single, rtol=0,
                                        atol=1e-12)
     for tokens, labels in zip(sentences, tagged):

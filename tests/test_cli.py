@@ -24,8 +24,10 @@ from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
-from vidtriage.medterm import read_conll, unique_term_counts
-from vidtriage.seqtag import blstm, crf, load_model, tag_sentences
+from vidtriage.medterm import read_conll, span_forms
+from vidtriage.seqtag import (blstm, crf, load_model, tag_by_sentence,
+                              tag_sentences)
+from vidtriage.seqtag._trainutil import _pad_batch
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
 
@@ -359,6 +361,11 @@ def test_build_ner_corpus(tmp_path, corpus_paths, capsys):
     assert "colonoscopy\tB-MED" in conll
 
 
+def _tag(model, sentences):
+    """Each sentence's label names from one ``tag_sentences`` call."""
+    return tag_by_sentence(tag_sentences, model, sentences)
+
+
 @pytest.mark.parametrize("arch", ["crf", "blstm"])
 def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
     corpus = tmp_path / "corpus"
@@ -390,14 +397,15 @@ def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
     assert sorted(counts) == sorted(doc["video_id"] for doc in videos)
     conll = (work / "ner" / f"tagged_{arch}.conll").read_text()
     assert f"# video_id = {empty}\n" not in conll
-    # Tagging each video on its own gives the same counts.
+    # Tagging each video on its own and counting the distinct span forms
+    # sentence by sentence gives the same counts.
     model = load_model(work / "models" / f"tagger_{arch}.json")
     for doc in videos:
         sentences = tokenize(doc["description"]).sentence_tokens()
-        labels = tag_sentences(model, sentences)
-        vid = doc["video_id"]
-        assert counts[vid] == str(unique_term_counts(
-            [vid] * len(sentences), sentences, labels).get(vid, 0))
+        forms = {form for tokens, labels in zip(sentences, _tag(model,
+                                                                sentences))
+                 for form in span_forms(tokens, labels)}
+        assert counts[doc["video_id"]] == str(len(forms))
     assert sum(map(int, counts.values())) > 0
 
 
@@ -933,12 +941,12 @@ def test_tagging_a_sentence_ignores_the_others(criterion_8_taggers, arch):
     model = load_model(work / cli._FILES["tagger"].format(arch=arch))
     tagged, _ = read_conll(work / cli._FILES["ner_corpus"])
     sentences = [s.tokens for s in tagged]
-    whole = tag_sentences(model, sentences)
+    whole = _tag(model, sentences)
     rng = np.random.default_rng(8)
     n = len(sentences)
     for picks in (rng.choice(n, size=n // 3, replace=False),
                   rng.permutation(n), rng.permutation(np.tile(range(n), 2))):
-        assert tag_sentences(model, [sentences[i] for i in picks]) \
+        assert _tag(model, [sentences[i] for i in picks]) \
             == [whole[i] for i in picks]
 
 
@@ -958,7 +966,8 @@ def test_crf_decode_width_changes_no_label_or_emission_bit(
         for lo in range(0, len(sentences), width):
             batch = sentences[lo:lo + width]
             lengths = np.array([len(s) for s in batch])
-            emit = crf._emissions(w_pad, encoder.encode(batch), lengths)
+            emit = crf._emissions(w_pad, encoder.encode(
+                [t for s in batch for t in s], lengths), lengths)
             rows[width] += [row[:n] for row, n in zip(emit, lengths)]
         monkeypatch.setattr(crf, "_DECODE_BATCH", width)
         labels[width] = crf.tag_with_crf(params, sentences)
@@ -979,18 +988,20 @@ def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
     tagged, _ = read_conll(criterion_8_taggers / cli._FILES["ner_corpus"])
     sentences = sorted((s.tokens for s in tagged), key=len)
     encoded = [model.vocab.encode(s) for s in sentences]
-    _, row_of, passes = blstm._fold(model.params, encoded)
+    _, row_of, passes = blstm._fold(model.params, np.array(
+        [i for ids in encoded for i in ids]))
     logp, labels = {}, {}
     for width in (1, 2, 7, 64):
         logp[width] = []
         for lo in range(0, len(encoded), width):
             batch = encoded[lo:lo + width]
             with np.errstate(over="ignore"):
-                out = blstm._forward_batch(model.params, row_of, passes,
-                                           blstm._lean_direction, batch)[-1]
+                out = blstm._forward_batch(
+                    model.params, row_of, passes, blstm._lean_direction,
+                    *_pad_batch(batch, blstm.PAD_ID))[-1]
             logp[width] += [row[:len(ids)] for row, ids in zip(out, batch)]
         monkeypatch.setattr(blstm, "EVAL_BATCH", width)
-        labels[width] = tag_sentences(model, sentences)
+        labels[width] = _tag(model, sentences)
     assert len(sentences) > 2 * 64
     for width in (2, 7, 64):
         assert labels[width] == labels[1]

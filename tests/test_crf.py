@@ -283,7 +283,7 @@ def test_batch_loss_grad_is_mean_of_single_sentence_calls():
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     # Sentences past the fourth may carry features the index has not seen.
     encoder = FeatureEncoder(params.feature_index)
-    encoded = [encoder.encode([s]) for s in sentences]
+    encoded = [encoder.encode(s, [len(s)]) for s in sentences]
     label_ids = [encode_labels(l) for l in labels]
     loss, grads = _loss_grad_encoded(params, encoded, label_ids, 0.0)
     singles = [_loss_grad_encoded(params, [e], [y], 0.0)
@@ -384,7 +384,8 @@ def _feature_names(sentences, tokens):
     index = build_feature_index(sentences)
     names = {i: f for f, i in index.items()}
     return [[names[i] for i in ids if i in names]
-            for ids in FeatureEncoder(index).encode([tokens]).tolist()]
+            for ids in FeatureEncoder(index).encode(tokens,
+                                                    [len(tokens)]).tolist()]
 
 
 def test_token_features_context():
@@ -477,7 +478,9 @@ def test_feature_encoder_matches_reference(train, other, seed):
     # One encoder for both sets, so the second call reuses the first's
     # table; features of ``other`` that ``train`` lacks must be dropped.
     encoder = FeatureEncoder(index)
-    ids = np.concatenate([encoder.encode(train), encoder.encode(other)])
+    ids = np.concatenate([
+        encoder.encode([t for s in sents for t in s], [len(s) for s in sents])
+        for sents in (train, other)])
     zero = len(index)
     expected = [ref for s in train + other for ref in
                 _ref_encode_sentence(index, s)]

@@ -6,11 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vidtriage.medterm import (
     B_MED,
     I_MED,
+    LABELS,
     O,
     DictionaryFormatError,
     TaggedSentence,
@@ -20,9 +21,10 @@ from vidtriage.medterm import (
     read_conll,
     span_forms,
     span_offsets,
-    unique_term_counts,
     write_conll,
 )
+from vidtriage.seqtag import repair_bio, tag_by_sentence, term_counts
+from vidtriage.seqtag._trainutil import decode_in_batches
 from vidtriage.textfeat import tokenize
 
 STOPWORDS = frozenset({"the", "of", "with", "from", "this", "that"})
@@ -224,31 +226,100 @@ def test_span_forms_lowercase_each_token(tokens, data):
         for a, b in _span_offsets_oracle(labels)]
 
 
+def _unique_term_counts(video_ids, sentences, labels):
+    """The per-sentence oracle of ``term_counts``: each video's number of
+    distinct ``span_forms``, 0 for a video whose sentences hold none."""
+    forms = {}
+    for vid, tokens, labs in zip(video_ids, sentences, labels, strict=True):
+        forms.setdefault(vid, set()).update(span_forms(tokens, labs))
+    return {vid: len(f) for vid, f in forms.items()}
+
+
+def _term_counts(video_ids, sentences, labels):
+    """``term_counts`` of sentences given one list per sentence."""
+    return term_counts(
+        [t for s in sentences for t in s], [len(s) for s in sentences],
+        np.array([LABELS.index(lab) for labs in labels for lab in labs]),
+        video_ids)
+
+
 def test_unique_term_counts_scale_fixture():
     # A constructed corpus with exactly 1917 distinct entities.
     terms = [f"term{i:04d}" for i in range(1917)]
     sentences = [(t, "filler") for t in terms] + [(terms[0], terms[1])]
     labels = [(B_MED, O)] * len(terms) + [(B_MED, B_MED)]
-    counts = unique_term_counts(["v"] * len(sentences), sentences, labels)
+    counts = _term_counts(["v"] * len(sentences), sentences, labels)
     assert counts["v"] == 1917
 
 
 def test_unique_term_counts_case_folded():
-    counts = unique_term_counts(["v", "v"], [("Polyp",), ("polyp",)],
-                                [(B_MED,), (B_MED,)])
+    counts = _term_counts(["v", "v"], [("Polyp",), ("polyp",)],
+                          [(B_MED,), (B_MED,)])
     assert counts["v"] == 1
 
 
 def test_unique_term_counts_per_video():
     sentences = [("colon", "cancer"), ("polyp",), ("colon", "cancer")]
     labels = [(B_MED, I_MED), (O,), (B_MED, B_MED)]
-    assert unique_term_counts(["a", "b", "a"], sentences, labels) \
+    assert _term_counts(["a", "b", "a"], sentences, labels) \
         == {"a": 3, "b": 0}
     with pytest.raises(ValueError):
-        unique_term_counts(["a"], sentences, labels)
+        _term_counts(["a"], sentences, labels)
+
+
+# Several videos' sentences of 0-12 tokens with labels drawn at random,
+# so an I-MED often starts a sentence or follows an O, and a span often
+# touches a sentence end before a sentence that starts on I-MED. Tokens
+# repeat across sentences and videos, one of them in two letter cases.
+_VIDEOS = st.lists(st.lists(st.lists(
+    st.tuples(st.sampled_from(["polyp", "Polyp", "colon", "cancer"]),
+              st.sampled_from(LABELS)), max_size=12),
+    max_size=4), min_size=1, max_size=4)
+# Two videos whose first sentence ends inside a span and whose second
+# starts on I-MED.
+_ACROSS_ENDS = [[[("colon", B_MED), ("cancer", I_MED)],
+                 [("cancer", I_MED), ("polyp", O)]],
+                [[("polyp", O), ("colon", B_MED)], [("cancer", I_MED)]]]
+
+
+def _flat(videos):
+    """The sentences of ``videos`` end to end: each sentence's video id,
+    tokens and label names, and all tokens and label ids."""
+    sentences = [(f"v{k}", s) for k, video in enumerate(videos)
+                 for s in video]
+    rows = [row for _, s in sentences for row in s]
+    return ([vid for vid, _ in sentences],
+            [[t for t, _ in s] for _, s in sentences],
+            [[lab for _, lab in s] for _, s in sentences],
+            [t for t, _ in rows],
+            np.array([LABELS.index(lab) for _, lab in rows], dtype=np.intp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(videos=_VIDEOS, width=st.integers(1, 5))
+@example(videos=_ACROSS_ENDS, width=1)
+def test_flat_repair_and_term_counts_match_the_per_sentence_walk(videos,
+                                                                 width):
+    # decode_in_batches scatters each batch's ids back to token order and
+    # repairs the whole call at once; it equals repair_bio on each
+    # sentence, and term_counts on its output equals counting span_forms
+    # sentence by sentence.
+    video_ids, sentences, names, tokens, raw = _flat(videos)
+    lengths = [len(s) for s in sentences]
+    labels = decode_in_batches(lengths, lambda at, real: raw[at], width)
+    repaired = [repair_bio(labs) for labs in names]
+    assert tag_by_sentence(lambda t, n: labels, sentences) == repaired
+    assert term_counts(tokens, lengths, labels, video_ids) \
+        == _unique_term_counts(video_ids, sentences, repaired)
 
 
 # ------------------------------------------------------------ CoNLL io
+
+
+def _write_tagged(path, tagged, video_ids=None):
+    write_conll(path, [t for s in tagged for t in s.tokens],
+                [lab for s in tagged for lab in s.labels],
+                [len(s.tokens) for s in tagged], video_ids=video_ids)
 
 
 def test_conll_roundtrip(tmp_path, small_dict):
@@ -257,8 +328,7 @@ def test_conll_roundtrip(tmp_path, small_dict):
         [["colon", "cancer", "facts"], ["schedule", "your", "colonoscopy"]],
     )
     path = tmp_path / "corpus.conll"
-    write_conll(path, [s.tokens for s in tagged], [s.labels for s in tagged],
-                video_ids=["v1", "v2"])
+    _write_tagged(path, tagged, video_ids=["v1", "v2"])
     again, vids = read_conll(path)
     assert again == tagged
     assert vids == ["v1", "v2"]
@@ -267,12 +337,50 @@ def test_conll_roundtrip(tmp_path, small_dict):
 def test_conll_roundtrip_without_ids(tmp_path, small_dict):
     tagged = project_labels(small_dict, [["polyp"]])
     path = tmp_path / "c.conll"
-    write_conll(path, [s.tokens for s in tagged], [s.labels for s in tagged])
+    _write_tagged(path, tagged)
     again, vids = read_conll(path)
     assert again == tagged
     assert vids == [None]
 
 
+def _reference_conll(tokens, labels, lengths, video_ids):
+    """CoNLL text written row by row: the writer's byte-for-byte oracle."""
+    out, pos = [], 0
+    for k, n in enumerate(lengths):
+        if video_ids is not None:
+            out.append(f"# video_id = {video_ids[k]}\n")
+        for i in range(pos, pos + n):
+            out.append(f"{tokens[i]}\t{labels[i]}\n")
+        out.append("\n")
+        pos += n
+    return "".join(out)
+
+
+@pytest.mark.parametrize("n_sentences", [511, 512, 513])
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_chunked_write_conll_matches_the_row_by_row_writer(
+        tmp_path, n_sentences, with_ids):
+    # The writer joins 512 sentences per write(); around that chunk size
+    # its bytes equal those of a writer that writes one row at a time,
+    # and read_conll gives the sentences back.
+    rng = np.random.default_rng(n_sentences)
+    words = ["colon", "cancer", "polyp", "the", "doctor"]
+    tagged = []
+    for k in range(n_sentences):
+        labels = repair_bio([LABELS[i] for i in
+                             rng.integers(0, 3, size=1 + k % 7)])
+        tagged.append(TaggedSentence(
+            tuple(words[i] for i in rng.integers(0, 5, size=len(labels))),
+            tuple(labels)))
+    video_ids = [f"v{k // 3}" for k in range(n_sentences)] if with_ids \
+        else None
+    path = tmp_path / "c.conll"
+    _write_tagged(path, tagged, video_ids)
+    assert path.read_bytes().decode("utf-8") == _reference_conll(
+        [t for s in tagged for t in s.tokens],
+        [lab for s in tagged for lab in s.labels],
+        [len(s.tokens) for s in tagged], video_ids)
+    assert read_conll(path) == (tagged, video_ids or [None] * n_sentences)
 @pytest.mark.parametrize("text, line, message", [
     ("a\tO\nb\tI-MED\nc\n\n", 2, "I-MED may not follow O"),
     ("a\tB-MED\nb\tX\nc\td\te\n", 2, "unknown label 'X'"),
@@ -292,17 +400,17 @@ def test_read_conll_names_the_first_bad_line(tmp_path, text, line, message):
         read_conll(path)
 
 
-@pytest.mark.parametrize("sentences, labels, ids", [
-    ([["polyp"]], [], None),
-    ([["polyp"]], [[B_MED, O]], None),
-    ([["polyp"]], [[B_MED]], ["v1", "v2"]),
+@pytest.mark.parametrize("tokens, labels, ids", [
+    (["polyp"], [], None),
+    (["polyp"], [B_MED, O], None),
+    (["polyp"], [B_MED], ["v1", "v2"]),
 ], ids=["labels", "tokens", "ids"])
-def test_write_conll_refuses_unaligned_sequences(tmp_path, sentences, labels,
+def test_write_conll_refuses_unaligned_sequences(tmp_path, tokens, labels,
                                                  ids):
     path = tmp_path / "c.conll"
     path.write_text("old\tO\n")
     with pytest.raises(ValueError):
-        write_conll(path, sentences, labels, video_ids=ids)
+        write_conll(path, tokens, labels, [1], video_ids=ids)
     assert path.read_text() == "old\tO\n"
 
 

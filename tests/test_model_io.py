@@ -44,9 +44,9 @@ def test_crf_roundtrip(tmp_path):
     assert loaded.arch == ARCH_CRF
     assert loaded.train_meta["seed"] == 2
     assert loaded.config.epochs == 4
-    sentences = [["polyp", "water"], ["home", "colitis"]]
-    assert tag_sentences(loaded, sentences) \
-        == tag_with_crf(params, sentences)
+    tokens, lengths = ["polyp", "water", "home", "colitis"], [2, 2]
+    np.testing.assert_array_equal(tag_sentences(loaded, tokens, lengths),
+                                  tag_with_crf(params, tokens, lengths))
     np.testing.assert_array_equal(loaded.params.w_emit, params.w_emit)
 
 
@@ -58,9 +58,10 @@ def test_blstm_roundtrip(tmp_path):
                train_meta={"seed": 2})
     loaded = load_model(path)
     assert loaded.arch == ARCH_BLSTM
-    sentences = [["polyp", "water"], ["unseen", "colitis"]]
-    assert tag_sentences(loaded, sentences) \
-        == tag_with_blstm(params, vocab, sentences)
+    tokens, lengths = ["polyp", "water", "unseen", "colitis"], [2, 2]
+    np.testing.assert_array_equal(
+        tag_sentences(loaded, tokens, lengths),
+        tag_with_blstm(params, vocab, tokens, lengths))
     for name in PARAM_NAMES:
         np.testing.assert_array_equal(getattr(loaded.params, name),
                                       getattr(params, name))

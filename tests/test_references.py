@@ -79,6 +79,15 @@ def test_every_traced_name_resolves():
         assert hasattr(importlib.import_module(module), attr), (module, attr)
 
 
+def _counting(calls: dict, name: str, fn):
+    """``fn``, adding 1 to ``calls[name]`` on each call."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_tagger_commands_call_the_wrappers_set_on_cli(
         tmp_path, corpus_paths, monkeypatch, capsys):
     # cli binds its tagger entry points on first use; the commands must
@@ -87,16 +96,9 @@ def test_tagger_commands_call_the_wrappers_set_on_cli(
              if module == "vidtriage.cli"]
     assert len(names) == 6
     calls = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in names:
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, name, _counting(calls, name,
+                                                 getattr(cli, name)))
     work = ["--work-dir", str(tmp_path / "work")]
     for argv in (
             ["ingest", *(f"--{k}={path}" for k, path in corpus_paths.items())],
@@ -115,4 +117,35 @@ def test_tagger_commands_call_the_wrappers_set_on_cli(
         before = dict(calls)
         assert cli.main([*argv, *work]) == 0, argv
         assert {n for n in names if calls[n] > before[n]} == called, argv
+    capsys.readouterr()
+
+
+def test_each_tag_and_conll_write_is_one_traced_call(
+        tmp_path, corpus_paths, monkeypatch, capsys):
+    # crf.tag_s, blstm.tag_us_per_token and medterm.conll_io_s time the
+    # spans of these names: tag must decode all its sentences in one
+    # tagger call and write its CoNLL file in one writer call, and
+    # build-ner-corpus must write its corpus in one call.
+    traced = [(module, attr) for module, attr in _traced_names()
+              if attr in ("tag_with_crf", "tag_with_blstm", "write_conll")]
+    assert len(traced) == 3
+    calls = dict.fromkeys((attr for _, attr in traced), 0)
+    for module, attr in traced:
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, attr,
+                            _counting(calls, attr, getattr(module, attr)))
+    work = ["--work-dir", str(tmp_path / "work")]
+    for argv, called in [
+        (["ingest", *(f"--{k}={path}" for k, path in corpus_paths.items())],
+         {}),
+        (["build-ner-corpus"], {"write_conll": 1}),
+        (["train-tagger", "--arch=crf", "--epochs=1", "--seed=1"], {}),
+        (["train-tagger", "--arch=blstm", "--epochs=1", "--seed=1"], {}),
+        (["tag", "--arch=crf"], {"tag_with_crf": 1, "write_conll": 1}),
+        (["tag", "--arch=blstm"], {"tag_with_blstm": 1, "write_conll": 1}),
+    ]:
+        before = dict(calls)
+        assert cli.main([*argv, *work]) == 0, argv
+        assert {n: calls[n] - before[n] for n in calls
+                if calls[n] > before[n]} == called, argv
     capsys.readouterr()
