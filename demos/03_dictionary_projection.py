@@ -19,6 +19,7 @@ from vidtriage.medterm import (
     clean_terms,
     load_dictionary,
     project_labels,
+    span_forms,
     write_conll,
 )
 from vidtriage.seqtag import term_counts
@@ -48,26 +49,28 @@ print("cleaned:", sorted(clean_terms(raw, stopwords)))
 
 # Projection marks dictionary mentions in token sequences with BIO
 # labels. Every key, word or phrase, takes part, and the longest match
-# wins, so "colon cancer" is one entity.
+# wins, so "colon cancer" is one entity. One call takes every sentence
+# end to end, as one token list and each sentence's length, and gives
+# one label per token; no mention spans a sentence end.
 text = ("The doctor explains colon cancer screening. "
         "A colonoscopy finds any polyp early.")
-sentences = tokenize(text).sentence_tokens()
-tagged = project_labels(dictionary, sentences)
-for sent in tagged:
-    print(list(zip(sent.tokens, sent.labels)))
+tok = tokenize(text)
+tokens = list(tok.tokens)
+lengths = [end - start for start, end in tok.sentences]
+labels = project_labels(dictionary, tokens, lengths)
+for start, end in tok.sentences:
+    print(list(zip(tokens[start:end], labels[start:end])))
 
-# The tag stage holds a call's sentences end to end: one token list,
-# each sentence's length and video id, and one label id per token.
-tokens = [tok for sent in tagged for tok in sent.tokens]
-labels = [lab for sent in tagged for lab in sent.labels]
-lengths = [len(sent.tokens) for sent in tagged]
-video_ids = ["demo"] * len(tagged)
+# The tag stage holds a call's sentences the same way, with each
+# sentence's video id and one label id per token.
+video_ids = ["demo"] * len(lengths)
 
 # The distinct span surface forms per video drive a classifier
-# feature; spans() recovers them from one sentence's BIO labels, and
+# feature; span_forms recovers them from one sentence's BIO labels, and
 # term_counts counts them per video from the label ids of all
 # sentences, as the tag stage does with tagger output.
-print("spans:", [sent.spans() for sent in tagged])
+print("spans:", [span_forms(tokens[start:end], labels[start:end])
+                 for start, end in tok.sentences])
 label_ids = np.array([LABELS.index(lab) for lab in labels])
 print("unique term count:",
       term_counts(tokens, lengths, label_ids, video_ids)["demo"])

@@ -7,10 +7,12 @@ architectures from scratch, and compares token-level metrics on a held
 out slice. Everything is seeded, so reruns print identical numbers.
 """
 
+from itertools import islice
+
 import numpy as np
 
 from vidtriage.data_files import data_path
-from vidtriage.medterm import load_dictionary, project_labels
+from vidtriage.medterm import TaggedSentence, load_dictionary, project_labels
 from vidtriage.seqtag import (
     TrainConfig,
     evaluate_tagger,
@@ -35,7 +37,10 @@ for _ in range(120):
         pool = terms if rng.random() < 0.35 else filler
         sent.append(pool[int(rng.integers(len(pool)))])
     sentences.append(sent)
-corpus = project_labels(dictionary, sentences)
+labels = iter(project_labels(dictionary, [t for s in sentences for t in s],
+                             [len(s) for s in sentences]))
+corpus = [TaggedSentence(tuple(s), tuple(islice(labels, len(s))))
+          for s in sentences]
 train, test = corpus[:100], corpus[100:]
 print("train sentences:", len(train), "test sentences:", len(test))
 

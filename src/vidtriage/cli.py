@@ -26,7 +26,6 @@ import logging
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -338,16 +337,14 @@ def cmd_build_ner_corpus(cfg: PipelineConfig, args) -> int:
         stopwords=textfeat.load_stopwords(cfg.lexicon_path("stopwords")),
     )
     tokens, lengths, video_ids = _video_tokens(store, "description")
-    # One call projects every video's sentences, so the dictionary's
-    # matcher is built once; labels come back in the same order.
-    tagged = medterm.project_labels(dictionary, [
-        tokens[end - n:end] for n, end in zip(lengths, accumulate(lengths))])
-    if not tagged:
+    if not lengths:
         raise ValueError("no sentences to project; are descriptions empty?")
+    # One call projects every video's sentences, so the dictionary's
+    # matcher is built once; labels come back in token order.
+    labels = medterm.project_labels(dictionary, tokens, lengths)
     out = _output(cfg, "ner_corpus")
-    medterm.write_conll(out, tokens, [lab for s in tagged for lab in s.labels],
-                        lengths, video_ids=video_ids)
-    print(f"projected {len(tagged)} sentences from {len(set(video_ids))} "
+    medterm.write_conll(out, tokens, labels, lengths, video_ids=video_ids)
+    print(f"projected {len(lengths)} sentences from {len(set(video_ids))} "
           f"videos -> {out}")
     return EXIT_OK
 

@@ -214,7 +214,21 @@ def _check_binary(obj: dict, key: str) -> int:
     return int(value)
 
 
+# json.loads' C scanner, and json.dumps(..., sort_keys=True)'s encoder.
+_scan_once = json.JSONDecoder().scan_once
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _loads_object(json_text: str) -> dict:
+    # A text that is one object from its first character to its last needs
+    # only the scanner; any other (whitespace, a BOM, extra data, bad JSON)
+    # takes json.loads, for the same object or error and offset.
+    try:
+        obj, end = _scan_once(json_text, 0)
+        if end == len(json_text) and isinstance(obj, dict):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
     try:
         obj = json.loads(json_text)
     except json.JSONDecodeError as exc:
@@ -475,7 +489,7 @@ def write_jsonl(path, records: Iterable) -> None:
     """Write corpus records as one JSON object per line, keys sorted."""
     with atomic_open(path) as fh:
         for rec in records:
-            fh.write(json.dumps(to_json_dict(rec), sort_keys=True))
+            fh.write(SORTED_JSON.encode(to_json_dict(rec)))
             fh.write("\n")
 
 

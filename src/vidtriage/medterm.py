@@ -1,4 +1,4 @@
-"""Medical term dictionary: cleaning, loading, and projection onto sentences.
+"""Medical term dictionary: cleaning, loading, and projection onto tokens.
 
 The dictionary maps cleaned terms to coarse semantic-type categories and
 replaces a full concept-mapping service: projecting its entries onto
@@ -125,10 +125,6 @@ class TaggedSentence:
                 if (prev, lab) not in _FOLLOWS:
                     raise ValueError("I-MED may not follow O or start a sentence")
 
-    def spans(self) -> list[str]:
-        """Surface forms of the sentence's spans, as ``span_forms``."""
-        return span_forms(self.tokens, self.labels)
-
 
 def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
     """``(start, end)`` token offsets of each span, in order.
@@ -203,27 +199,34 @@ def load_dictionary(
     return TermDictionary(entries={k: frozenset(v) for k, v in entries.items()})
 
 
-def project_labels(
-    dictionary: TermDictionary,
-    sentences: Sequence[Sequence[str]],
-) -> list[TaggedSentence]:
-    """Mark dictionary mentions in tokenized sentences with BIO labels.
+def project_labels(dictionary: TermDictionary, tokens: Sequence[str],
+                   lengths: Sequence[int]) -> list[str]:
+    """BIO label names of dictionary mentions, in token order, for
+    sentences of ``lengths`` tokens end to end in ``tokens``; sizes that
+    do not add up raise ValueError.
 
     Every key, word or phrase, is matched longest-first, left-to-right,
-    and non-overlapping, so the candidate "colon cancer" beats the shorter
-    "colon" at the same position. Tokens are non-empty and hold no
-    whitespace, as ``textfeat.tokenize`` makes them. Pass every sentence
-    of a stage in one call: the matcher is built once per call.
+    and non-overlapping within a sentence, so the candidate "colon
+    cancer" beats the shorter "colon" at the same position, and no
+    mention spans a sentence end. Tokens match in lowercase. They are
+    non-empty and hold no whitespace, as ``textfeat.tokenize`` makes
+    them. Pass every sentence of a stage in one call: the matcher is
+    built once per call.
     """
-    index = PhraseIndex(dictionary.entries)
-    tagged = []
-    for sent in sentences:
-        tokens = [t.lower() for t in sent]
-        labels = [O] * len(tokens)
-        for i, width in index.matches(tokens):
-            labels[i:i + width] = [B_MED] + [I_MED] * (width - 1)
-        tagged.append(TaggedSentence(tokens=tuple(tokens), labels=tuple(labels)))
-    return tagged
+    if sum(lengths) != len(tokens):
+        raise ValueError(f"{len(tokens)} tokens but lengths add up to "
+                         f"{sum(lengths)}")
+    # One pass, and no token copied when all are lowercase (as tokenized).
+    joined = "\n".join(tokens)
+    lowered = joined.lower()
+    if lowered != joined:
+        tokens = lowered.split("\n")
+    labels = [O] * len(tokens)
+    for i, width in PhraseIndex(dictionary.entries).matches(tokens, lengths):
+        labels[i] = B_MED
+        if width > 1:
+            labels[i + 1:i + width] = [I_MED] * (width - 1)
+    return labels
 
 
 def write_conll(path, tokens: Sequence[str], labels: Sequence[str],

@@ -9,7 +9,6 @@ write byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .artifacts import atomic_open, read_lines
 from .corpus import (
+    SORTED_JSON,
     AnnotationLabels,
     OcrBlock,
     OcrDoc,
@@ -236,8 +236,8 @@ def write_synthetic_corpus(out_dir, config: SynthConfig) -> SynthSummary:
     with atomic_open(out_dir / "search_results.jsonl") as fh:
         for k, keyword in enumerate(keywords[:3]):
             ids = [v.video_id for v in videos[k::7][:5]]
-            fh.write(json.dumps({"keyword": keyword, "video_ids": ids},
-                                sort_keys=True) + "\n")
+            fh.write(SORTED_JSON.encode({"keyword": keyword, "video_ids": ids})
+                     + "\n")
 
     return SynthSummary(
         n_videos=len(videos),

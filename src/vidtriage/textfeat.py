@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, compress, count
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -86,9 +87,10 @@ class PhraseIndex:
     """Longest-first, left-to-right, non-overlapping phrase matcher.
 
     Built once per phrase set. It maps each phrase's first word to the
-    widths of the phrases that start with it, longest first, so a window
-    of tokens is joined and looked up only when its first token starts a
-    phrase of that width. Membership in ``phrases`` decides every match.
+    widths of the phrases that start with it, longest first, so only the
+    tokens that start some phrase are visited, and a window of tokens is
+    joined and looked up only when its first token starts a phrase of
+    that width. Membership in ``phrases`` decides every match.
     """
 
     def __init__(self, phrases: Iterable[str]):
@@ -99,21 +101,28 @@ class PhraseIndex:
             widths.setdefault(words[0], set()).add(len(words))
         self._widths = {w: sorted(ws, reverse=True) for w, ws in widths.items()}
 
-    def matches(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
-        """(start, width) of every match in ``tokens``, left to right.
-
-        Tokens are non-empty and hold no whitespace, as ``tokenize`` makes
-        them, so a window joins into a phrase only when its first token is
-        the phrase's first word and its width the phrase's word count.
+    def matches(self, tokens: Sequence[str],
+                lengths: Sequence[int]) -> list[tuple[int, int]]:
+        """(start, width) of every match in ``tokens``, left to right, where
+        no match spans the end of a sentence of ``lengths`` (which add up to
+        ``len(tokens)``). Tokens are non-empty and hold no whitespace, as
+        ``tokenize`` makes them, so a window joins into a phrase only when
+        its first token is the phrase's first word and its width the
+        phrase's word count; a width of 1 is the token itself, unjoined.
         """
-        n = len(tokens)
+        widths, phrases = self._widths, self.phrases
+        ends = accumulate(lengths)
+        end = 0  # the end of the sentence that holds token i
         found = []
         free = 0
-        for i, token in enumerate(tokens):
-            if i < free or token not in self._widths:
+        for i in compress(count(), map(widths.__contains__, tokens)):
+            if i < free:
                 continue
-            for width in self._widths[token]:
-                if width <= n - i and " ".join(tokens[i:i + width]) in self.phrases:
+            while end <= i:
+                end = next(ends)
+            for width in widths[tokens[i]]:
+                if width == 1 or (width <= end - i and
+                                  " ".join(tokens[i:i + width]) in phrases):
                     found.append((i, width))
                     free = i + width
                     break
@@ -259,8 +268,9 @@ def readability_from_tokens(tok: TokenizedText,
 
 
 def lexicon_count(tok: TokenizedText, lex: Lexicon) -> int:
-    """Count lexicon phrase occurrences: longest match first, non-overlapping."""
-    return len(lex.index.matches(tok.tokens))
+    """Count lexicon phrase occurrences: longest match first, non-overlapping,
+    and across sentence ends."""
+    return len(lex.index.matches(tok.tokens, (tok.word_count,)))
 
 
 def _verb_base_candidates(word: str) -> list[str]:

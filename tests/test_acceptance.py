@@ -409,10 +409,10 @@ def test_criterion_9_bio_wellformed(tmp_path):
     for _ in range(500):
         n = int(rng.integers(1, 10))
         sent = [pool[i] for i in rng.integers(0, len(pool), size=n)]
-        for tagged in project_labels(dictionary, [sent]):
-            repaired = repair_bio(tagged.labels)
-            assert _bio_ok(repaired)
-            assert list(tagged.labels) == repaired  # already well-formed
+        labels = project_labels(dictionary, sent, [len(sent)])
+        repaired = repair_bio(labels)
+        assert _bio_ok(repaired)
+        assert labels == repaired  # already well-formed
 
     # 250 CRF and 250 BLSTM tagged outputs, repaired then checked.
     marked = ["polyp", "colitis", "adenoma", "sedation"]

@@ -13,7 +13,9 @@ from vidtriage.corpus import (
     CorpusError,
     IntegrityError,
     LoadSummary,
+    ParseError,
     SchemaError,
+    _loads_object,
     consolidate_labels,
     flatten_api_response,
     load_corpus,
@@ -332,6 +334,46 @@ def test_write_jsonl_roundtrip_and_sorted_keys(tmp_path, store):
         assert list(obj) == sorted(obj)
     again = [parse_video_metadata(json.loads(line)) for line in lines]
     assert again == [store.videos[v] for v in sorted(store.videos)]
+
+
+# A corpus line: one JSON object, then one way a line can differ from it.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_LINE_MUTATIONS = {
+    "none": lambda line, k: line,
+    "leading space": lambda line, k: " \t"[k % 2] * (1 + k % 3) + line,
+    "trailing space": lambda line, k: line + " \r"[k % 2] * (1 + k % 3),
+    "bom": lambda line, k: "\ufeff" + line,
+    "extra object": lambda line, k: line + ", {}",
+    "null": lambda line, k: "null",
+    "bare NaN": lambda line, k: line[:-1] + ", " * (line != "{}") + '"n": NaN}',
+    "truncated": lambda line, k: line[:k % len(line)],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
+       mutation=st.sampled_from(sorted(_LINE_MUTATIONS)),
+       k=st.integers(0, 10**6))
+def test_line_decode_matches_json_loads(obj, mutation, k):
+    line = _LINE_MUTATIONS[mutation](json.dumps(obj), k)
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ParseError) as err:
+            _loads_object(line)
+        assert str(err.value) == (f"malformed JSON: {exc.msg} "
+                                  f"(byte offset {exc.pos})")
+        return
+    if isinstance(expected, dict):
+        # repr, not ==: it tells NaN, -0.0 and key order apart.
+        assert repr(_loads_object(line)) == repr(expected)
+    else:
+        with pytest.raises(SchemaError, match="expected a JSON object"):
+            _loads_object(line)
 
 
 # ------------------------------------------------------------ api adapter

@@ -142,15 +142,24 @@ def small_dict(tmp_path_factory):
     return load_dictionary(path, stopwords=STOPWORDS)
 
 
+def _project(dictionary, sentences):
+    """``sentences`` projected in one call, as TaggedSentences (whose
+    construction checks BIO)."""
+    labels = iter(project_labels(dictionary, [t for s in sentences for t in s],
+                                 [len(s) for s in sentences]))
+    return [TaggedSentence(tuple(s), tuple(itertools.islice(labels, len(s))))
+            for s in sentences]
+
+
 def test_project_labels_longest_match(small_dict):
-    tagged = project_labels(
+    tagged = _project(
         small_dict,
         [["early", "colon", "cancer", "screening"],
          ["a", "polyp", "near", "the", "colon"]],
     )
     assert list(tagged[0].labels) == [O, B_MED, I_MED, O]
     assert list(tagged[1].labels) == [O, B_MED, O, O, B_MED]
-    assert tagged[0].spans() == ["colon cancer"]
+    assert span_forms(tagged[0].tokens, tagged[0].labels) == ["colon cancer"]
 
 
 def test_apostrophe_term_projects_onto_its_own_tokens(tmp_path):
@@ -163,9 +172,9 @@ def test_apostrophe_term_projects_onto_its_own_tokens(tmp_path):
     d = load_dictionary(path, stopwords=STOPWORDS)
     assert "crohn's disease" in d.entries
     sentence, = tokenize("Crohn's disease is common.").sentence_tokens()
-    tagged, = project_labels(d, [sentence])
+    tagged, = _project(d, [sentence])
     assert list(tagged.labels) == [B_MED, I_MED, O, O]
-    assert tagged.spans() == ["crohn's disease"]
+    assert span_forms(tagged.tokens, tagged.labels) == ["crohn's disease"]
 
 
 def test_tagged_sentence_validates():
@@ -185,7 +194,7 @@ def test_span_offsets_ignore_a_stray_inside_tag():
         == [(1, 3), (5, 6)]
     sent = TaggedSentence(tokens=("Colon", "Cancer", "and", "Polyp"),
                           labels=(B_MED, I_MED, O, B_MED))
-    assert sent.spans() == ["colon cancer", "polyp"]
+    assert span_forms(sent.tokens, sent.labels) == ["colon cancer", "polyp"]
 
 
 def _span_offsets_oracle(labels):
@@ -323,7 +332,7 @@ def _write_tagged(path, tagged, video_ids=None):
 
 
 def test_conll_roundtrip(tmp_path, small_dict):
-    tagged = project_labels(
+    tagged = _project(
         small_dict,
         [["colon", "cancer", "facts"], ["schedule", "your", "colonoscopy"]],
     )
@@ -335,7 +344,7 @@ def test_conll_roundtrip(tmp_path, small_dict):
 
 
 def test_conll_roundtrip_without_ids(tmp_path, small_dict):
-    tagged = project_labels(small_dict, [["polyp"]])
+    tagged = _project(small_dict, [["polyp"]])
     path = tmp_path / "c.conll"
     _write_tagged(path, tagged)
     again, vids = read_conll(path)
@@ -414,6 +423,12 @@ def test_write_conll_refuses_unaligned_sequences(tmp_path, tokens, labels,
     assert path.read_text() == "old\tO\n"
 
 
+def test_project_labels_refuses_lengths_that_do_not_add_up(small_dict):
+    for lengths in ([1], [2, 1], []):
+        with pytest.raises(ValueError, match="lengths add up"):
+            project_labels(small_dict, ["colon", "polyp"], lengths)
+
+
 def test_projection_random_loop_well_formed(small_dict):
     rng = np.random.default_rng(23)
     vocab = ["colon", "cancer", "polyp", "colonoscopy", "bowel",
@@ -421,7 +436,7 @@ def test_projection_random_loop_well_formed(small_dict):
     for _ in range(300):
         n = int(rng.integers(1, 12))
         sent = [vocab[i] for i in rng.integers(0, len(vocab), size=n)]
-        tagged = project_labels(small_dict, [sent])[0]
+        tagged, = _project(small_dict, [sent])
         # Construction enforces the BIO invariant; spot-check projection
         # marks every exact single-word dictionary hit.
         for tok, lab in zip(tagged.tokens, tagged.labels):

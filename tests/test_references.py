@@ -122,13 +122,15 @@ def test_tagger_commands_call_the_wrappers_set_on_cli(
 
 def test_each_tag_and_conll_write_is_one_traced_call(
         tmp_path, corpus_paths, monkeypatch, capsys):
-    # crf.tag_s, blstm.tag_us_per_token and medterm.conll_io_s time the
-    # spans of these names: tag must decode all its sentences in one
-    # tagger call and write its CoNLL file in one writer call, and
-    # build-ner-corpus must write its corpus in one call.
+    # crf.tag_s, blstm.tag_us_per_token, medterm.project_s and
+    # medterm.conll_io_s time the spans of these names: tag must decode
+    # all its sentences in one tagger call and write its CoNLL file in
+    # one writer call, and build-ner-corpus must project its sentences
+    # in one call and write its corpus in one call.
     traced = [(module, attr) for module, attr in _traced_names()
-              if attr in ("tag_with_crf", "tag_with_blstm", "write_conll")]
-    assert len(traced) == 3
+              if attr in ("tag_with_crf", "tag_with_blstm", "project_labels",
+                          "write_conll")]
+    assert len(traced) == 4
     calls = dict.fromkeys((attr for _, attr in traced), 0)
     for module, attr in traced:
         module = importlib.import_module(module)
@@ -138,7 +140,7 @@ def test_each_tag_and_conll_write_is_one_traced_call(
     for argv, called in [
         (["ingest", *(f"--{k}={path}" for k, path in corpus_paths.items())],
          {}),
-        (["build-ner-corpus"], {"write_conll": 1}),
+        (["build-ner-corpus"], {"project_labels": 1, "write_conll": 1}),
         (["train-tagger", "--arch=crf", "--epochs=1", "--seed=1"], {}),
         (["train-tagger", "--arch=blstm", "--epochs=1", "--seed=1"], {}),
         (["tag", "--arch=crf"], {"tag_with_crf": 1, "write_conll": 1}),

@@ -85,10 +85,11 @@ def test_descriptions_yield_medical_spans(tmp_path):
     n_b = 0
     n_sentences = 0
     for video in store.videos.values():
-        tokens = tokenize(video.description)
-        tagged = project_labels(dictionary, tokens.sentence_tokens())
-        n_sentences += len(tagged)
-        n_b += sum(sent.labels.count("B-MED") for sent in tagged)
+        tok = tokenize(video.description)
+        labels = project_labels(dictionary, tok.tokens,
+                                [b - a for a, b in tok.sentences])
+        n_sentences += tok.sentence_count
+        n_b += labels.count("B-MED")
     assert n_sentences == 50
     # Every video description should carry trainable signal.
     assert n_b >= n_sentences

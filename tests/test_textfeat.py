@@ -13,7 +13,6 @@ from vidtriage.medterm import (
     B_MED,
     I_MED,
     O,
-    TaggedSentence,
     TermDictionary,
     project_labels,
 )
@@ -385,9 +384,10 @@ def _ref_active_verb_count(tok, verb_lex):
 
 
 def _ref_project_labels(dictionary, sentences):
+    """Every sentence's labels, one sentence at a time, end to end."""
     keys = set(dictionary.entries)
     max_len = max((len(k.split()) for k in keys), default=0)
-    tagged = []
+    flat = []
     for sent in sentences:
         tokens = [t.lower() for t in sent]
         labels = [O] * len(tokens)
@@ -405,8 +405,8 @@ def _ref_project_labels(dictionary, sentences):
                 i += matched
             else:
                 i += 1
-        tagged.append(TaggedSentence(tokens=tuple(tokens), labels=tuple(labels)))
-    return tagged
+        flat += labels
+    return flat
 
 
 # Words shared by texts and lexicons, so phrases share first words and
@@ -474,11 +474,19 @@ _ODD_KEYS = ["", " in", "colon cancer", "colon  cancer", "a\tb",
 @given(keys=st.frozensets(_PHRASES, max_size=12),
        odd_keys=st.frozensets(st.sampled_from(_ODD_KEYS)),
        texts=st.lists(_TEXTS, max_size=3),
-       raw=st.lists(st.lists(_TOKENS, max_size=10), max_size=3))
-def test_project_labels_match_reference(keys, odd_keys, texts, raw):
-    dictionary = TermDictionary(
-        entries={k: frozenset({"dsyn"}) for k in keys | odd_keys})
+       raw=st.lists(st.lists(_TOKENS, max_size=10), max_size=3),
+       straddle=st.lists(_TOKENS, min_size=2, max_size=4),
+       cut=st.integers(1, 3))
+def test_project_labels_match_reference(keys, odd_keys, texts, raw,
+                                        straddle, cut):
+    # One call takes every sentence end to end. The key drawn as
+    # ``straddle`` is cut across two sentences, where it may not match.
+    cut = min(cut, len(straddle) - 1)
+    dictionary = TermDictionary(entries={
+        k: frozenset({"dsyn"})
+        for k in keys | odd_keys | {" ".join(straddle).lower()}})
     sentences = [s for t in texts for s in tokenize(t).sentence_tokens()]
-    sentences += raw
-    assert (project_labels(dictionary, sentences)
-            == _ref_project_labels(dictionary, sentences))
+    sentences += raw + [straddle[:cut], straddle[cut:]]
+    labels = project_labels(dictionary, [t for s in sentences for t in s],
+                            [len(s) for s in sentences])
+    assert labels == _ref_project_labels(dictionary, sentences)
