@@ -19,10 +19,9 @@ from vidtriage.medterm import (
     clean_terms,
     load_dictionary,
     project_labels,
-    span_forms,
     write_conll,
 )
-from vidtriage.seqtag import term_counts
+from vidtriage.seqtag import span_forms, term_counts
 from vidtriage.textfeat import load_stopwords, tokenize
 
 # The dictionary is a two-column TSV: term, semantic-type code. Each
@@ -64,14 +63,16 @@ for start, end in tok.sentences:
 # The tag stage holds a call's sentences the same way, with each
 # sentence's video id and one label id per token.
 video_ids = ["demo"] * len(lengths)
+label_ids = np.array([LABELS.index(lab) for lab in labels])
 
 # The distinct span surface forms per video drive a classifier
-# feature; span_forms recovers them from one sentence's BIO labels, and
-# term_counts counts them per video from the label ids of all
-# sentences, as the tag stage does with tagger output.
-print("spans:", [span_forms(tokens[start:end], labels[start:end])
-                 for start, end in tok.sentences])
-label_ids = np.array([LABELS.index(lab) for lab in labels])
+# feature; span_forms recovers each span's sentence and form from the
+# label ids of all sentences, and term_counts counts the forms per
+# video, as the tag stage does with tagger output.
+spans = [[] for _ in lengths]
+for sentence, form in span_forms(tokens, lengths, label_ids):
+    spans[sentence].append(form)
+print("spans:", spans)
 print("unique term count:",
       term_counts(tokens, lengths, label_ids, video_ids)["demo"])
 

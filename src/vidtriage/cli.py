@@ -26,6 +26,7 @@ import logging
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,8 +52,7 @@ ARCHS = (ARCH_CRF, ARCH_BLSTM)
 # on first use by __getattr__. The commands look them up here as _cli.<name>
 # when they call them, so a wrapper set on this module is the one called.
 _TAGGER_API = ("train_crf", "train_blstm", "save_model", "load_model",
-               "tag_sentences", "label_names", "tag_by_sentence",
-               "term_counts")
+               "tag_sentences", "label_names", "term_counts")
 
 
 def __getattr__(name: str):
@@ -361,47 +361,58 @@ def _tagger_train_config(cfg: PipelineConfig, args, seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, **overrides)
 
 
+def _sentences_of(corpus, videos: set):
+    """The tokens, label ids and lengths of the sentences of ``videos``,
+    given a corpus as ``read_conll`` reads it."""
+    import numpy as np
+    tokens, labels, lengths, video_ids = corpus
+    keep = np.array([v in videos for v in video_ids], dtype=bool)
+    per_token = np.repeat(keep, lengths)
+    return (list(compress(tokens, per_token.tolist())),
+            np.asarray(labels)[per_token], np.asarray(lengths)[keep])
+
+
 def _split_conll(cfg, seed):
-    """Read the BIO corpus and split it at the video level."""
+    """Read the BIO corpus and split it at the video level: the training
+    sentences, as ``_sentences_of`` gives them, and the split's entries
+    of a tagger's train_meta."""
     from .classify import split_ids
     conll = _input(cfg, "ner_corpus")
-    sentences, video_ids = medterm.read_conll(conll)
-    ids = sorted({v for v in video_ids if v is not None})
-    if not ids:
+    corpus = medterm.read_conll(conll)
+    video_ids = corpus[-1]
+    if not video_ids:
         raise ValueError(f"{conll}: no video ids; rebuild the corpus")
-    train_videos, test_videos = split_ids(ids, seed, cfg.split_fraction)
-    train_set = set(train_videos)
-    train = [s for s, v in zip(sentences, video_ids) if v in train_set]
-    test = [(s, v) for s, v in zip(sentences, video_ids)
-            if v not in train_set]
-    if not train:
+    if None in video_ids:
+        raise ValueError(f"{conll}: sentence {video_ids.index(None) + 1} "
+                         f"has no video id; rebuild the corpus")
+    train_videos, test_videos = split_ids(sorted(set(video_ids)), seed,
+                                          cfg.split_fraction)
+    train = _sentences_of(corpus, set(train_videos))
+    n_train = len(train[2])
+    if not n_train:
         raise ValueError("empty training split")
-    return train, test, train_videos, test_videos
+    return train, {"train_videos": train_videos, "test_videos": test_videos,
+                   "n_train_sentences": n_train,
+                   "n_test_sentences": len(video_ids) - n_train}
 
 
 def cmd_train_tagger(cfg: PipelineConfig, args) -> int:
     seed = cfg.require_seed()
     config = _tagger_train_config(cfg, args, seed)
-    train, test, train_videos, test_videos = _split_conll(cfg, seed)
+    train, split = _split_conll(cfg, seed)
     if args.arch == ARCH_CRF:
-        params, history = _cli.train_crf(train, config)
+        params, history = _cli.train_crf(*train, config)
         vocab = None
     else:
-        params, vocab, history = _cli.train_blstm(train, config)
-    meta = {
-        "seed": seed,
-        "split_fraction": cfg.split_fraction,
-        "train_videos": train_videos,
-        "test_videos": test_videos,
-        "n_train_sentences": len(train),
-        "n_test_sentences": len(test),
-        "epochs_run": len(history),
-    }
+        params, vocab, history = _cli.train_blstm(*train, config)
+    meta = {"seed": seed, "split_fraction": cfg.split_fraction, **split,
+            "epochs_run": len(history)}
     out = _output(cfg, "tagger", arch=args.arch)
     _cli.save_model(out, params, config, vocab=vocab, train_meta=meta)
     print(
-        f"trained {args.arch} tagger on {len(train)} sentences "
-        f"({len(train_videos)} videos, {len(history)} epochs) -> {out}"
+        f"trained {args.arch} tagger on {split['n_train_sentences']} "
+        f"sentences ({len(split['train_videos'])} videos, {len(history)} "
+        f"epochs) -> {out}"
     )
     return EXIT_OK
 
@@ -543,7 +554,8 @@ def _prf_cells(m: TagMetrics) -> list[str]:
 
 
 def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
-    sentences, video_ids = medterm.read_conll(_input(cfg, "ner_corpus"))
+    conll = _input(cfg, "ner_corpus")
+    corpus = medterm.read_conll(conll)
     token_rows, span_rows = [], []
     for arch in ARCHS:
         model = _cli.load_model(_input(cfg, "tagger", arch=arch))
@@ -552,18 +564,24 @@ def cmd_eval_tagger(cfg: PipelineConfig, args) -> int:
             raise ValueError(
                 f"tagger model for {arch!r} records no test videos"
             )
-        gold = [s for s, v in zip(sentences, video_ids) if v in test_videos]
-        if not gold:
+        tokens, gold, lengths = _sentences_of(corpus, test_videos)
+        n = len(lengths)
+        # A corpus rebuilt after training would be scored on a subset.
+        trained_beside = model.train_meta.get("n_test_sentences")
+        if n != trained_beside:
+            raise ValueError(
+                f"{conll}: {n} test sentences for arch {arch!r}, but its "
+                f"tagger was trained beside {trained_beside}; rebuild the "
+                f"corpus or retrain the tagger")
+        if not n:
             raise ValueError(f"no test sentences for arch {arch!r}")
-        predicted = _cli.tag_by_sentence(_cli.tag_sentences, model,
-                                         [s.tokens for s in gold])
-        gold_labels = [list(s.labels) for s in gold]
-        token = evaluate_tagger(predicted, gold_labels)
-        spans = evaluate_tagger_spans(predicted, gold_labels)
-        token_rows.append([arch, *_prf_cells(token), str(len(gold))])
-        span_rows.append([arch, *_prf_cells(spans), str(len(gold))])
+        predicted = _cli.tag_sentences(model, tokens, lengths)
+        token = evaluate_tagger(predicted, gold)
+        spans = evaluate_tagger_spans(predicted, gold)
+        token_rows.append([arch, *_prf_cells(token), str(n)])
+        span_rows.append([arch, *_prf_cells(spans), str(n)])
         log.info("%s token F=%.3f on %d test sentences",
-                 arch, token.f_measure, len(gold))
+                 arch, token.f_measure, n)
     out = _output(cfg, "tagger_metrics")
     write_tsv(out, _TAGGER_METRICS_HEADER, token_rows)
     write_tsv(_output(cfg, "tagger_span_metrics"), _TAGGER_METRICS_HEADER,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional, Sequence
@@ -24,8 +25,9 @@ B_MED = "B-MED"
 I_MED = "I-MED"
 O = "O"
 LABELS = (B_MED, I_MED, O)
-# The (previous, next) label pairs BIO admits; O stands before a start.
-_FOLLOWS = frozenset({(a, b) for a in LABELS for b in LABELS} - {(O, I_MED)})
+# A label's id is its index in LABELS.
+_LABEL_IDS = {lab: i for i, lab in enumerate(LABELS)}
+_I_ID, _O_ID = _LABEL_IDS[I_MED], _LABEL_IDS[O]
 
 MIN_WORD_LEN = 4  # cleaning keeps words of length strictly greater than 3
 
@@ -104,52 +106,6 @@ class TermDictionary:
     """
 
     entries: dict[str, frozenset[str]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class TaggedSentence:
-    """Token sequence with aligned BIO labels over the single class MED."""
-
-    tokens: tuple[str, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.labels):
-            raise ValueError(
-                f"{len(self.tokens)} tokens but {len(self.labels)} labels"
-            )
-        if not _FOLLOWS.issuperset(zip((O,) + self.labels, self.labels)):
-            for prev, lab in zip((O,) + self.labels, self.labels):
-                if lab not in LABELS:
-                    raise ValueError(f"unknown label {lab!r}")
-                if (prev, lab) not in _FOLLOWS:
-                    raise ValueError("I-MED may not follow O or start a sentence")
-
-
-def span_offsets(labels: Sequence[str]) -> list[tuple[int, int]]:
-    """``(start, end)`` token offsets of each span, in order.
-
-    A B-MED opens a span and an O closes it; any other label continues
-    the open span, so an I-MED with no span open starts none.
-    """
-    spans = []
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == B_MED:
-            if start is not None:
-                spans.append((start, i))
-            start = i
-        elif lab == O and start is not None:
-            spans.append((start, i))
-            start = None
-    if start is not None:
-        spans.append((start, len(labels)))
-    return spans
-
-
-def span_forms(tokens: Sequence[str], labels: Sequence[str]) -> list[str]:
-    """Each span's tokens joined by single spaces, lowercased."""
-    return [" ".join(tokens[a:b]).lower() for a, b in span_offsets(labels)]
 
 
 def load_dictionary(
@@ -253,17 +209,22 @@ def write_conll(path, tokens: Sequence[str], labels: Sequence[str],
             fh.write("\n".join(chunk) + "\n")
 
 
-def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
-    """Read a CoNLL-style file back into sentences plus per-sentence video ids.
+def read_conll(path) -> tuple[list[str], array, list[int],
+                              list[Optional[str]]]:
+    """Read a CoNLL-style file back as ``write_conll`` takes it: tokens,
+    label ids (int8 indexes into LABELS), sentence lengths and each
+    sentence's video id.
 
     Sentences written without video comments come back with ``None`` ids.
     A malformed row, or one whose label is unknown or may not follow the
     row before, raises DictionaryFormatError naming the file and the row's
     line.
     """
-    sentences: list[TaggedSentence] = []
+    tokens: list[str] = []
+    labels = array("b")
+    lengths: list[int] = []
     video_ids: list[Optional[str]] = []
-    rows, rows_at = [], []  # the open sentence's rows and their lines
+    n = 0  # rows of the open sentence
     current_vid: Optional[str] = None
     for lineno, line in enumerate(read_lines(path) + [""], start=1):
         if line.startswith("#"):
@@ -272,23 +233,26 @@ def read_conll(path) -> tuple[list[TaggedSentence], list[Optional[str]]]:
                 current_vid = m.group(1)
             continue
         if line.strip() and line.count("\t") == 1:
-            rows.append(line)
-            rows_at.append(lineno)
+            token, name = line.split("\t")
+            label = _LABEL_IDS.get(name)
+            if label is None:
+                raise DictionaryFormatError(
+                    f"{path}:{lineno}: unknown label {name!r}")
+            if label == _I_ID and (not n or labels[-1] == _O_ID):
+                raise DictionaryFormatError(
+                    f"{path}:{lineno}: I-MED may not follow O or start a "
+                    f"sentence")
+            tokens.append(token)
+            labels.append(label)
+            n += 1
             continue
-        # A blank line or a bad row ends the sentence, whose labels
-        # TaggedSentence checks; the first bad label names its line.
-        if rows:
-            cells = "\t".join(rows).split("\t")
-            labels = tuple(cells[1::2])
-            try:
-                sentences.append(TaggedSentence(tuple(cells[::2]), labels))
-            except ValueError as exc:
-                bad = [p in _FOLLOWS for p in zip((O,) + labels, labels)].index(False)
-                raise DictionaryFormatError(f"{path}:{rows_at[bad]}: {exc}") from None
+        # A blank line or a bad row ends the open sentence.
+        if n:
+            lengths.append(n)
             video_ids.append(current_vid)
-            rows, rows_at = [], []
+            n = 0
         if line.strip():
             raise DictionaryFormatError(
                 f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
             )
-    return sentences, video_ids
+    return tokens, labels, lengths, video_ids

@@ -13,7 +13,7 @@ import importlib
 
 from ..artifacts import ModelFormatError
 from .config import ARCH_BLSTM, ARCH_CRF, TrainConfig, TrainingDivergedError
-from .metrics import TagMetrics, evaluate_tagger, evaluate_tagger_spans, repair_bio
+from .metrics import TagMetrics, evaluate_tagger, evaluate_tagger_spans
 from .vocab import UNK_ID, PAD_ID, build_vocab
 
 # Each name the numpy submodules export, by the submodule defining it.
@@ -25,7 +25,7 @@ _LAZY = {
                      "train_blstm", "tag_with_blstm"), "blstm"),
     **dict.fromkeys(("load_model", "save_model", "tag_sentences"),
                     "model_io"),
-    **dict.fromkeys(("label_names", "tag_by_sentence", "term_counts"),
+    **dict.fromkeys(("label_names", "span_forms", "term_counts"),
                     "_trainutil"),
 }
 

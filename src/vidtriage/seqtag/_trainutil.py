@@ -1,23 +1,27 @@
-"""Label ids, the training loop with its checks and L2 term, padding,
-batched decode of both taggers, and the spans their label ids mark."""
+"""Label ids, the training loop with its checks and L2 term, the
+padding gather, batched decode of both taggers, and the spans their label
+ids mark.
+
+Sentences lie end to end: per-token inputs and label ids, and each
+sentence's length. A batch is a list of sentence indices, gathered by
+``pad_positions`` into (B, T) rows."""
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from ..medterm import B_MED, I_MED, LABELS, O
 from .config import TrainConfig, TrainingDivergedError
+from .metrics import span_bounds
 
 P = TypeVar("P")
 
 N_LABELS = len(LABELS)
-_LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
-_B, _I, _O = (_LABEL_TO_ID[lab] for lab in (B_MED, I_MED, O))
+_B, _I, _O = map(LABELS.index, (B_MED, I_MED, O))
 
 # Sentences per padded forward pass of the dev loss and of BLSTM tagging.
 # BLSTM tagging costs a flat 3.9-4.2 us/token from 48 to 256 (medians, one
@@ -26,22 +30,51 @@ _B, _I, _O = (_LABEL_TO_ID[lab] for lab in (B_MED, I_MED, O))
 EVAL_BATCH = 64
 
 
-def encode_labels(labels: Sequence[str]) -> list[int]:
-    try:
-        return [_LABEL_TO_ID[lab] for lab in labels]
-    except KeyError as exc:
-        raise ValueError(f"unknown label {exc.args[0]!r}") from None
+def pad_positions(starts: np.ndarray, lengths: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) positions of the sentences ``rows``, of ``lengths`` tokens
+    from ``starts`` end to end, each row padded with its last position,
+    and the (B, T) mask of the real ones."""
+    n = lengths[rows]
+    steps = np.arange(n.max())
+    return (starts[rows, None] + np.minimum(steps, n[:, None] - 1),
+            steps < n[:, None])
 
 
-def _pad_batch(
-    sequences: Sequence[Sequence[int]], fill: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad integer sequences to (B, T) with ``fill``; 0/1 float mask."""
-    lengths = np.array([len(seq) for seq in sequences])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    out = np.full(mask.shape, fill, dtype=np.intp)
-    out[mask] = np.concatenate(sequences)
-    return out, mask.astype(float)
+def batcher(inputs: Sequence, labels: Sequence[int],
+            lengths: Sequence[int]) -> Callable:
+    """``pick(rows)``: the (B, T) inputs and label ids of the sentences
+    ``rows`` gathered by ``pad_positions``, and the mask of real tokens,
+    given one input (a word id or a row of feature ids) and one label id
+    per token of sentences of ``lengths`` tokens end to end. No sentence,
+    an empty one, or sizes that do not add up raise ValueError."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if not len(lengths) or not lengths.all():
+        raise ValueError("no sentences, or an empty one")
+    if not len(inputs) == len(labels) == lengths.sum():
+        raise ValueError(f"{len(inputs)} tokens and {len(labels)} labels "
+                         f"for sentences of {lengths.sum()}")
+    starts = np.cumsum(lengths) - lengths
+    inputs, labels = np.asarray(inputs), np.asarray(labels)
+
+    def pick(rows):
+        at, real = pad_positions(starts, lengths, rows)
+        return inputs[at], labels[at], real
+
+    return pick
+
+
+def list_batch(inputs: Sequence[Sequence], labels: Sequence[Sequence[int]]):
+    """Per-sentence inputs and label ids gathered into one batch, as
+    ``batcher`` gathers a minibatch; sequences that differ in number or
+    length raise ValueError."""
+    lengths = [len(s) for s in inputs]
+    if [len(s) for s in labels] != lengths:
+        raise ValueError("sentences and label sequences differ in number "
+                         "or length")
+    return batcher([x for s in inputs for x in s],
+                   [y for s in labels for y in s],
+                   lengths)(np.arange(len(lengths)))
 
 
 def add_l2(loss: float, grads: dict, params, l2: float) -> float:
@@ -85,42 +118,27 @@ def split_train_dev(
     return perm[n_dev:], perm[:n_dev]
 
 
-def _check_corpus(sentences, labels):
-    if len(sentences) == 0:
-        raise ValueError("no sentences")
-    if len(sentences) != len(labels):
-        raise ValueError(
-            f"{len(sentences)} sentences vs {len(labels)} label sequences"
-        )
-    for i, (s, l) in enumerate(zip(sentences, labels)):
-        if len(s) == 0:
-            raise ValueError(f"sentence {i} is empty")
-        if len(s) != len(l):
-            raise ValueError(
-                f"sentence {i}: {len(s)} tokens vs {len(l)} labels"
-            )
-
-
 def fit_tagger(
     name: str,
     params: P,
-    loss_grad: Callable[[P, list, list, float],
-                        tuple[float, dict[str, np.ndarray]]],
-    summed_loss: Callable[[P, list, list], tuple[float, float]],
+    loss_grad: Callable[..., tuple[float, dict[str, np.ndarray]]],
+    summed_loss: Callable[..., tuple[float, float]],
     inputs: Sequence,
-    labels: Sequence[Sequence[str]],
+    labels: Sequence[int],
+    lengths: Sequence[int],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[P, list[dict]]:
     """Mini-batch gradient descent with early stopping on a held-out slice.
 
-    ``inputs`` holds one encoded sentence, one entry per token, for each
-    label sequence; the corpus is checked and its labels encoded here.
-    ``loss_grad(params, inputs, label_ids, l2)`` returns a batch's loss
-    and its gradients in ``params.arrays()`` order. ``summed_loss`` returns
-    the unpenalized loss of one EVAL_BATCH chunk of the dev slice, summed
-    over its units (sentences or tokens), and the unit count; the dev loss
-    is the ratio of their totals.
+    ``inputs`` and ``labels`` hold one input and one label id per token
+    of sentences of ``lengths`` tokens end to end, checked by
+    ``batcher``, which gathers each batch of sentences.
+    ``loss_grad(params, inputs, labels, real, l2)`` returns a batch's loss
+    and its gradients in ``params.arrays()`` order. ``summed_loss(params,
+    inputs, labels, real)`` returns the unpenalized loss of one EVAL_BATCH
+    chunk of the dev slice, summed over its units (sentences or tokens),
+    and the unit count; the dev loss is the ratio of their totals.
 
     The seeded shuffle splits off the dev slice, then draws one
     permutation per epoch. Training stops once the dev loss has failed to
@@ -128,11 +146,7 @@ def fit_tagger(
     A non-finite train or dev loss raises TrainingDivergedError naming the
     epoch and the learning rate.
     """
-    _check_corpus(inputs, labels)
-    label_ids = [encode_labels(l) for l in labels]
-
-    def pick(indices):
-        return [inputs[i] for i in indices], [label_ids[i] for i in indices]
+    pick = batcher(inputs, labels, lengths)
 
     def check_finite(loss, epoch):
         if not np.isfinite(loss):
@@ -140,9 +154,8 @@ def fit_tagger(
                 f"{name} training diverged at epoch {epoch} with learning "
                 f"rate {config.lr:g}; lower --lr")
 
-    train_idx, dev_idx = split_train_dev(len(inputs), config.dev_fraction,
+    train_idx, dev_idx = split_train_dev(len(lengths), config.dev_fraction,
                                          rng)
-    dev_inputs, dev_labels = pick(dev_idx)
     best_dev = np.inf
     best_params = params.copy()
     bad_epochs = 0
@@ -164,8 +177,7 @@ def fit_tagger(
             total = count = 0.0
             for lo in range(0, len(dev_idx), EVAL_BATCH):
                 chunk_total, chunk_count = summed_loss(
-                    params, dev_inputs[lo:lo + EVAL_BATCH],
-                    dev_labels[lo:lo + EVAL_BATCH])
+                    params, *pick(dev_idx[lo:lo + EVAL_BATCH]))
                 total += chunk_total
                 count += chunk_count
             dev = total / count
@@ -191,20 +203,16 @@ def decode_in_batches(
     width: int,
 ) -> np.ndarray:
     """Label ids of sentences of ``lengths`` tokens lying end to end,
-    BIO-repaired as ``repair_bio`` repairs each sentence. The non-empty
-    sentences, in one stable argsort of their lengths, are cut into
-    batches of ``width``; ``best_ids(at, real)`` gets a batch's (B, T)
-    token positions, each row padded with its last, and the mask of real
-    ones, and returns (B, T) label ids."""
+    BIO-repaired: an I-MED that starts a sentence or follows an O becomes
+    a B-MED. The non-empty sentences, in one stable argsort of their
+    lengths, are cut into batches of ``width``; ``best_ids(at, real)``
+    gets a batch's ``pad_positions`` and returns (B, T) label ids."""
     lengths = np.asarray(lengths, dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
     labels = np.empty(lengths.sum(), dtype=np.int8)
     order = np.argsort(lengths, kind="stable")[(lengths == 0).sum():]
     for lo in range(0, len(order), width):
-        rows = order[lo:lo + width]
-        n = lengths[rows]
-        real = np.arange(n[-1]) < n[:, None]
-        at = starts[rows, None] + np.minimum(np.arange(n[-1]), n[:, None] - 1)
+        at, real = pad_positions(starts, lengths, order[lo:lo + width])
         labels[at[real]] = best_ids(at, real)[real]
     # An I-MED at a sentence start or right after an O becomes B-MED.
     after_o = np.append(True, labels[:-1] == _O)
@@ -217,26 +225,22 @@ def label_names(labels: np.ndarray) -> list[str]:
     return _LABEL_NAMES[labels].tolist()
 
 
-def tag_by_sentence(tag: Callable, *model_and_sentences):
-    """Each sentence's label names from one ``tag(*model, tokens,
-    lengths)``, given ``*model, sentences``."""
-    *model, sentences = model_and_sentences
-    lengths = [len(s) for s in sentences]
-    names = iter(label_names(
-        tag(*model, [t for s in sentences for t in s], lengths)))
-    return [list(islice(names, n)) for n in lengths]
+def span_forms(tokens: Sequence[str], lengths: Sequence[int],
+               labels: np.ndarray):
+    """Each span's sentence index and form, its tokens joined by single
+    spaces and lowercased, in token order; spans as ``span_bounds`` reads
+    the label ids of sentences of ``lengths`` tokens end to end."""
+    begins, ends = span_bounds(labels)
+    sentence = np.searchsorted(np.cumsum(lengths), begins, "right")
+    return ((k, " ".join(tokens[a:b]).lower()) for k, a, b
+            in zip(sentence.tolist(), begins.tolist(), ends.tolist()))
 
 
 def term_counts(tokens: Sequence[str], lengths: Sequence[int],
                 labels: np.ndarray, video_ids: Sequence[str]) -> dict:
     """Each video's number of distinct ``span_forms``, given each
-    sentence's video and the label ids of ``decode_in_batches``: as no
-    I-MED starts a sentence, a span is a B-MED and the I-MEDs after it."""
+    sentence's video and the label ids of ``decode_in_batches``."""
     forms = {vid: set() for vid, _ in zip(video_ids, lengths, strict=True)}
-    begins = np.flatnonzero(labels == _B)
-    stops = np.append(np.flatnonzero(labels != _I), len(labels))
-    sentence = np.searchsorted(np.cumsum(lengths), begins, "right")
-    ends = stops[np.searchsorted(stops, begins, "right")]
-    for k, a, b in zip(sentence.tolist(), begins.tolist(), ends.tolist()):
-        forms[video_ids[k]].add(" ".join(tokens[a:b]).lower())
+    for k, form in span_forms(tokens, lengths, labels):
+        forms[video_ids[k]].add(form)
     return {vid: len(f) for vid, f in forms.items()}

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..medterm import TaggedSentence
 from ..numeric import logsumexp
-from ._trainutil import (EVAL_BATCH, N_LABELS, _check_corpus, _pad_batch,
-                         add_l2, decode_in_batches, fit_tagger,
-                         tag_by_sentence)
+from ._trainutil import (EVAL_BATCH, N_LABELS, add_l2, decode_in_batches,
+                         fit_tagger, list_batch)
 from .config import TrainConfig
-from .vocab import PAD_ID, Vocab, build_vocab
+from .vocab import Vocab, build_vocab
 
 PARAM_NAMES = ("embed", "w_fwd", "b_fwd", "w_bwd", "b_bwd", "w_out", "b_out")
 
@@ -291,32 +289,32 @@ def _summed_nll(logp: np.ndarray, labels: np.ndarray,
     return float(-(logp[rows, cols, labels] * mask).sum())
 
 
-def blstm_loss_grad(
+def _batch_loss_grad(
     params: BlstmParams,
-    batch_ids: Sequence[Sequence[int]],
-    batch_labels: Sequence[Sequence[int]],
-    l2: float = 0.0,
+    padded: np.ndarray,
+    labels: np.ndarray,
+    real: np.ndarray,
+    l2: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-token cross-entropy plus L2, with gradients for every block.
+    """Mean per-token cross-entropy plus L2, with gradients for every
+    block, of a (B, T) batch of word ids and label ids whose real tokens
+    ``real`` marks; padding may hold any ids.
 
     The cross-entropy sum is divided by the number of real tokens in the
     batch, so duplicating every sentence leaves the loss unchanged. The L2
     term is `l2` times the sum of squares of all parameters.
     """
-    _check_corpus(batch_ids, batch_labels)
-    padded, mask = _pad_batch(batch_ids, PAD_ID)
-    ids, row, passes = _fold(params, padded[mask > 0])
-    labels, _ = _pad_batch(batch_labels, 0)
+    ids, row, passes = _fold(params, padded[real])
     with np.errstate(over="ignore"):
         order, rows, starts, h_seq, caches, h2, logp = _forward_batch(
-            params, row, passes, _train_direction, padded, mask)
+            params, row, passes, _train_direction, padded, real)
     n, t_max = labels.shape
-    n_tokens = float(mask.sum())
-    loss = _summed_nll(logp, labels, mask) / n_tokens
+    n_tokens = float(real.sum())
+    loss = _summed_nll(logp, labels, real) / n_tokens
 
     dlogits = np.exp(logp)
     dlogits[np.arange(n)[:, None], np.arange(t_max)[None, :], labels] -= 1.0
-    dlogits *= (mask / n_tokens)[:, :, None]
+    dlogits *= (real / n_tokens)[:, :, None]
     dlogits = dlogits[order]
     g_wout = np.einsum("ntl,nth->lh", dlogits, h2)
     g_bout = dlogits.sum(axis=(0, 1))
@@ -348,27 +346,40 @@ def blstm_loss_grad(
     return add_l2(loss, grads, params, l2), grads
 
 
+def blstm_loss_grad(
+    params: BlstmParams,
+    batch_ids: Sequence[Sequence[int]],
+    batch_labels: Sequence[Sequence[int]],
+    l2: float = 0.0,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Training's loss and gradients of one batch of per-sentence word id
+    and label id lists, for the tests."""
+    return _batch_loss_grad(params, *list_batch(batch_ids, batch_labels), l2)
+
+
 def _chunk_loss(
     params: BlstmParams,
-    encoded: Sequence[Sequence[int]],
-    label_ids: Sequence[Sequence[int]],
+    padded: np.ndarray,
+    labels: np.ndarray,
+    real: np.ndarray,
 ) -> tuple[float, float]:
     """Summed per-token cross-entropy, without the L2 term, and the number
-    of tokens."""
-    labels, mask = _pad_batch(label_ids, 0)
-    padded, _ = _pad_batch(encoded, PAD_ID)
+    of tokens, of a batch as ``_batch_loss_grad`` takes it."""
     with np.errstate(over="ignore"):
-        _, row, passes = _fold(params, padded[mask > 0])
+        _, row, passes = _fold(params, padded[real])
         logp = _forward_batch(params, row, passes, _lean_direction, padded,
-                              mask)[-1]
-    return _summed_nll(logp, labels, mask), float(mask.sum())
+                              real)[-1]
+    return _summed_nll(logp, labels, real), float(real.sum())
 
 
 def train_blstm(
-    corpus: Sequence[TaggedSentence],
+    tokens: Sequence[str],
+    labels: Sequence[int],
+    lengths: Sequence[int],
     config: TrainConfig,
 ) -> tuple[BlstmParams, Vocab, list[dict]]:
-    """Mini-batch SGD over a BIO corpus with early stopping.
+    """Mini-batch SGD with early stopping over the tokens and label ids of
+    sentences of ``lengths`` tokens end to end.
 
     The vocabulary is built from the corpus, parameters are seeded from
     the config, and a held-out slice of the seeded shuffle drives early
@@ -376,26 +387,21 @@ def train_blstm(
     stops and the best parameters are restored. A non-finite loss raises
     TrainingDivergedError naming the epoch.
     """
-    vocab = build_vocab(corpus)
-    encoded = [vocab.encode(sent.tokens) for sent in corpus]
+    vocab = build_vocab(tokens)
     # The init weights come from the same generator, before the split.
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_blstm(vocab.size, config, rng)
-    params, history = fit_tagger("blstm", params, blstm_loss_grad,
-                                 _chunk_loss, encoded,
-                                 [sent.labels for sent in corpus], config,
-                                 rng)
+    params, history = fit_tagger("blstm", params, _batch_loss_grad,
+                                 _chunk_loss, vocab.encode(tokens), labels,
+                                 lengths, config, rng)
     return params, vocab, history
 
 
-def tag_with_blstm(params: BlstmParams, vocab: Vocab, tokens: Sequence,
-                   lengths: Optional[Sequence[int]] = None):
+def tag_with_blstm(params: BlstmParams, vocab: Vocab, tokens: Sequence[str],
+                   lengths: Sequence[int]) -> np.ndarray:
     """BIO-repaired argmax label ids (ties keep the lower) of sentences of
     ``lengths`` tokens, end to end in ``tokens``, run in length-sorted
-    batches after one projection of each distinct word id. Without
-    ``lengths``, ``tokens`` lists sentences, each given its label names."""
-    if lengths is None:
-        return tag_by_sentence(tag_with_blstm, params, vocab, tokens)
+    batches after one projection of each distinct word id."""
     encoded = np.array(vocab.encode(tokens), dtype=np.intp)
     with np.errstate(over="ignore"):
         _, row, passes = _fold(params, encoded)

@@ -19,16 +19,14 @@ and in tagging. No table outlives the call.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..medterm import TaggedSentence
-from ._trainutil import (N_LABELS, _check_corpus, _pad_batch, add_l2,
-                         decode_in_batches, encode_labels, fit_tagger,
-                         tag_by_sentence)
+from ..medterm import LABELS
+from ._trainutil import (N_LABELS, add_l2, decode_in_batches, fit_tagger,
+                         list_batch)
 from .config import TrainConfig
 
 _BOS = "<s>"
@@ -115,18 +113,18 @@ class FeatureEncoder:
         return ids
 
 
-def build_feature_index(sentences: Sequence[Sequence[str]]) -> dict[str, int]:
-    """Assign dense ids to every feature seen, in first-seen order: token
-    by token, and each token's features in column order."""
-    words = list(itertools.chain.from_iterable(sentences))
+def build_feature_index(tokens: Sequence[str],
+                        lengths: Sequence[int]) -> dict[str, int]:
+    """Assign dense ids to every feature seen in sentences of ``lengths``
+    tokens end to end, in first-seen order: token by token, and each
+    token's features in column order."""
     names = {f"prev={_BOS}": 0, f"next={_EOS}": 1}
-    for word in dict.fromkeys(words):
+    for word in dict.fromkeys(tokens):
         for name in _word_features(word):
             if name is not None:
                 names.setdefault(name, len(names))
     # Renumber the names that occur, by where each first occurs.
-    flat = FeatureEncoder(names).encode(
-        words, [len(s) for s in sentences]).ravel()
+    flat = FeatureEncoder(names).encode(tokens, lengths).ravel()
     first = np.full(len(names) + 1, flat.size)
     np.minimum.at(first, flat, np.arange(flat.size))
     occurs = np.flatnonzero(first[:-1] < flat.size)
@@ -305,31 +303,30 @@ def _marginals(emit, lengths, trans, start):
     return token.transpose(1, 0, 2), pair.transpose(1, 0, 2, 3), log_z
 
 
-def _padded_batch(params, inputs, label_ids):
-    """Feature ids, emissions, lengths, gold labels and gold scores of a
-    padded batch; ``inputs`` holds each sentence's feature id matrix."""
-    ids = np.concatenate(inputs)
+def _padded_batch(params, inputs, gold, real):
+    """Feature ids of the real tokens, emissions, lengths and gold scores
+    of a (B, T) batch of feature id rows and gold label ids whose real
+    tokens ``real`` marks; padding may hold any ids."""
+    ids = inputs[real]
     w_pad = np.vstack([params.w_emit, np.zeros((1, N_LABELS))])
-    gold, mask = _pad_batch(label_ids, 0)
-    lengths = mask.sum(axis=1).astype(np.intp)
+    lengths = real.sum(axis=1)
     emit = _emissions(w_pad, ids, lengths)
     picked = np.take_along_axis(emit, gold[:, :, None], axis=2)[:, :, 0]
     gold_score = params.w_start[gold[:, 0]] + (
-        (picked * mask).sum(axis=1)
-        + (params.w_trans[gold[:, :-1], gold[:, 1:]] * mask[:, 1:]).sum(axis=1)
+        (picked * real).sum(axis=1)
+        + (params.w_trans[gold[:, :-1], gold[:, 1:]] * real[:, 1:]).sum(axis=1)
     )
-    return ids, emit, lengths, gold, gold_score
+    return ids, emit, lengths, gold_score
 
 
-def _loss_grad_encoded(params: CrfParams, inputs: list, label_ids: list,
-                       l2: float) -> tuple[float, dict[str, np.ndarray]]:
+def _batch_loss_grad(params: CrfParams, inputs: np.ndarray, gold: np.ndarray,
+                     real: np.ndarray,
+                     l2: float) -> tuple[float, dict[str, np.ndarray]]:
     """Mean NLL plus L2 and its gradients: expected minus observed counts."""
-    ids, emit, lengths, gold, gold_score = _padded_batch(params, inputs,
-                                                         label_ids)
+    ids, emit, lengths, gold_score = _padded_batch(params, inputs, gold, real)
     token, pair, log_z = _marginals(emit, lengths, params.w_trans,
                                     params.w_start)
-    rows, cols = np.arange(len(inputs))[:, None], np.arange(emit.shape[1])
-    real = cols < lengths[:, None]
+    rows, cols = np.arange(len(gold))[:, None], np.arange(emit.shape[1])
     token[rows, cols, gold] -= real
     pair[rows, cols[:-1], gold[:, :-1], gold[:, 1:]] -= real[:, 1:]
     # Scattered in row-major order of ids, as the bits depend on the order.
@@ -338,7 +335,7 @@ def _loss_grad_encoded(params: CrfParams, inputs: list, label_ids: list,
     g_emit = g_pad[:-1]
     g_trans = pair.sum(axis=(0, 1))
     g_start = token[:, 0].sum(axis=0)
-    n = len(inputs)
+    n = len(gold)
     loss = float(np.sum(log_z - gold_score)) / n
     grads = {"w_emit": g_emit, "w_trans": g_trans, "w_start": g_start}
     for g in grads.values():
@@ -352,61 +349,55 @@ def crf_loss_grad(
     labels: Sequence[Sequence[str]],
     l2: float = 0.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-sentence negative log-likelihood plus L2, with gradients.
+    """Mean per-sentence negative log-likelihood plus L2, with gradients,
+    of per-sentence token and label-name lists: one batch of training's
+    loss, for the tests.
 
     Gradients come from forward-backward marginals: expected feature
     counts under the model minus observed counts.
     """
-    _check_corpus(sentences, labels)
-    return _loss_grad_encoded(
-        params, _encode_sentences(params.feature_index, sentences),
-        [encode_labels(l) for l in labels], l2)
+    encoder = FeatureEncoder(params.feature_index)
+    return _batch_loss_grad(params, *list_batch(
+        [encoder.encode(s, [len(s)]) for s in sentences],
+        [[LABELS.index(lab) for lab in seq] for seq in labels]), l2)
 
 
-def _encode_sentences(feature_index: dict[str, int],
-                      sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """Each sentence's feature id matrix, as views of one encoding."""
-    lengths = [len(s) for s in sentences]
-    ids = FeatureEncoder(feature_index).encode(
-        list(itertools.chain.from_iterable(sentences)), lengths)
-    return [ids[end - n:end] for n, end in zip(lengths, np.cumsum(lengths))]
-
-
-def _chunk_loss(params: CrfParams, inputs: list,
-                label_ids: list) -> tuple[float, int]:
+def _chunk_loss(params: CrfParams, inputs: np.ndarray, gold: np.ndarray,
+                real: np.ndarray) -> tuple[float, int]:
     """Summed per-sentence negative log-likelihood, without the L2 term,
     and the number of sentences."""
-    _, emit, lengths, _, gold_score = _padded_batch(params, inputs, label_ids)
+    _, emit, lengths, gold_score = _padded_batch(params, inputs, gold, real)
     log_z = _forward_batch(emit, lengths, params.w_trans, params.w_start)[1]
-    return float(np.sum(log_z - gold_score)), len(inputs)
+    return float(np.sum(log_z - gold_score)), len(gold)
 
 
 def train_crf(
-    corpus: Sequence[TaggedSentence],
+    tokens: Sequence[str],
+    labels: Sequence[int],
+    lengths: Sequence[int],
     config: TrainConfig,
 ) -> tuple[CrfParams, list[dict]]:
-    """Mini-batch gradient descent with early stopping on a held-out slice.
+    """Mini-batch gradient descent with early stopping on a held-out slice,
+    over the tokens and label ids of sentences of ``lengths`` tokens end
+    to end.
 
     The dev slice is split off by the seeded shuffle; training stops when
     its mean negative log-likelihood fails to improve for `patience`
     epochs, and the best-scoring parameters are restored.
     """
-    sentences = [s.tokens for s in corpus]
-    params = init_crf(build_feature_index(sentences))
+    params = init_crf(build_feature_index(tokens, lengths))
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    return fit_tagger("crf", params, _loss_grad_encoded, _chunk_loss,
-                      _encode_sentences(params.feature_index, sentences),
-                      [s.labels for s in corpus], config, rng)
+    return fit_tagger(
+        "crf", params, _batch_loss_grad, _chunk_loss,
+        FeatureEncoder(params.feature_index).encode(tokens, lengths),
+        labels, lengths, config, rng)
 
 
-def tag_with_crf(params: CrfParams, tokens: Sequence,
-                 lengths: Optional[Sequence[int]] = None):
+def tag_with_crf(params: CrfParams, tokens: Sequence[str],
+                 lengths: Sequence[int]) -> np.ndarray:
     """BIO-repaired Viterbi label ids (learned transitions may start with
     I-MED) of sentences of ``lengths`` tokens, end to end in ``tokens``,
-    in length-sorted, right-padded batches. Without ``lengths``,
-    ``tokens`` lists sentences, each given its label names."""
-    if lengths is None:
-        return tag_by_sentence(tag_with_crf, params, tokens)
+    in length-sorted, right-padded batches."""
     w_pad = np.vstack([params.w_emit, np.zeros((1, params.w_emit.shape[1]))])
     encoder = FeatureEncoder(params.feature_index)
 

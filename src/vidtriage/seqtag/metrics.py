@@ -1,13 +1,17 @@
-"""Token-level evaluation of tagger output, plus BIO repair."""
+"""Token and span precision/recall/F of tagger label ids, and the span
+rule that the term counts share.
+
+The functions that take label ids import numpy when they run, so the
+command line, which imports :class:`TagMetrics`, loads none.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..medterm import B_MED, I_MED, O, span_offsets
+from ..medterm import B_MED, I_MED, LABELS, O
 
-_POSITIVE = (B_MED, I_MED)
+_B, _I, _O = map(LABELS.index, (B_MED, I_MED, O))
 
 
 @dataclass(frozen=True)
@@ -25,76 +29,55 @@ class TagMetrics:
         return cls(precision=precision, recall=recall, f_measure=f)
 
 
-def repair_bio(labels: Sequence[str]) -> list[str]:
-    """Rewrite an illegal I-MED (after O or at sentence start) as B-MED.
-
-    Per-token softmax output can emit sequences no BIO reading admits;
-    promoting the stray inside-tag to a span start is the minimal fix.
-    """
-    out = []
-    prev = O
-    for lab in labels:
-        if lab == I_MED and prev == O:
-            lab = B_MED
-        out.append(lab)
-        prev = lab
-    return out
+def span_bounds(labels):
+    """Start and end offsets, in token order, of the spans in an array of
+    label ids of sentences end to end in which no I-MED starts a sentence,
+    as in a corpus ``read_conll`` accepts and in tagger output: a span is
+    a B-MED and the I-MEDs after it, so an I-MED after an O starts none
+    and no span crosses a sentence end."""
+    import numpy as np
+    labels = np.asarray(labels)
+    begins = np.flatnonzero(labels == _B)
+    stops = np.append(np.flatnonzero(labels != _I), len(labels))
+    return begins, stops[np.searchsorted(stops, begins, "right")]
 
 
-def _check_aligned(predictions, gold):
-    if len(predictions) != len(gold):
+def _aligned(predicted, gold):
+    import numpy as np
+    predicted, gold = np.asarray(predicted), np.asarray(gold)
+    if predicted.shape != gold.shape:
         raise ValueError(
-            f"{len(predictions)} predicted sequences vs {len(gold)} gold"
-        )
-    for i, (p, g) in enumerate(zip(predictions, gold)):
-        if len(p) != len(g):
-            raise ValueError(
-                f"sequence {i}: {len(p)} predicted labels vs {len(g)} gold"
-            )
+            f"{len(predicted)} predicted labels vs {len(gold)} gold")
+    return predicted, gold
 
 
-def evaluate_tagger(
-    predictions: Sequence[Sequence[str]],
-    gold: Sequence[Sequence[str]],
-) -> TagMetrics:
-    """Token-level precision/recall/F over the positive labels.
+def evaluate_tagger(predicted, gold) -> TagMetrics:
+    """Token-level precision/recall/F over the positive labels, given the
+    label ids of the same tokens.
 
     Micro-averaged across B-MED and I-MED: a token counts as a true
     positive only when predicted and gold labels agree exactly, so a B/I
-    confusion costs both a false positive and a false negative. Predictions
-    are BIO-repaired before scoring.
+    confusion costs both a false positive and a false negative.
     """
-    _check_aligned(predictions, gold)
-    tp = fp = fn = 0
-    for pred_seq, gold_seq in zip(predictions, gold):
-        for p, g in zip(repair_bio(pred_seq), gold_seq):
-            if p in _POSITIVE and p == g:
-                tp += 1
-            else:
-                if p in _POSITIVE:
-                    fp += 1
-                if g in _POSITIVE:
-                    fn += 1
-    return TagMetrics.from_counts(tp, fp, fn)
+    predicted, gold = _aligned(predicted, gold)
+    positive = predicted != _O
+    tp = int((positive & (predicted == gold)).sum())
+    return TagMetrics.from_counts(tp, int(positive.sum()) - tp,
+                                  int((gold != _O).sum()) - tp)
 
 
-def evaluate_tagger_spans(
-    predictions: Sequence[Sequence[str]],
-    gold: Sequence[Sequence[str]],
-) -> TagMetrics:
-    """Secondary report: exact-span precision/recall/F.
+def evaluate_tagger_spans(predicted, gold) -> TagMetrics:
+    """Secondary report: exact-span precision/recall/F, given the label
+    ids of the same tokens, spans as ``span_bounds`` reads them.
 
     A predicted span counts only when both its boundaries match a gold
     span. Stricter than the token-level view and more sensitive to the
     boundary errors dictionary projection tends to make.
     """
-    _check_aligned(predictions, gold)
-    tp = n_pred = n_gold = 0
-    for pred_seq, gold_seq in zip(predictions, gold):
-        pred_spans = set(span_offsets(repair_bio(pred_seq)))
-        gold_spans = set(span_offsets(gold_seq))
-        tp += len(pred_spans & gold_spans)
-        n_pred += len(pred_spans)
-        n_gold += len(gold_spans)
-    return TagMetrics.from_counts(tp, n_pred - tp, n_gold - tp)
-
+    import numpy as np
+    predicted, gold = _aligned(predicted, gold)
+    # A span is one key, its start and end; each start opens one span.
+    keys = [begins * (len(gold) + 1) + ends
+            for begins, ends in map(span_bounds, (predicted, gold))]
+    tp = len(np.intersect1d(*keys, assume_unique=True))
+    return TagMetrics.from_counts(tp, len(keys[0]) - tp, len(keys[1]) - tp)

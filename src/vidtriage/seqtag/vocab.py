@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from ..medterm import TaggedSentence
+from typing import Sequence
 
 UNK_ID = 0
 PAD_ID = 1
@@ -36,18 +34,14 @@ class Vocab:
         return [lookup.get(t, UNK_ID) for t in tokens]
 
 
-def build_vocab(corpus: Iterable[TaggedSentence]) -> Vocab:
-    """Build a vocabulary from every word of a tagged corpus.
+def build_vocab(tokens: Sequence[str]) -> Vocab:
+    """Build a vocabulary from every token of a corpus.
 
     Id order is deterministic: frequency descending, then lexicographic,
     so permuted corpora produce identical vocabularies.
     """
-    counts: Counter[str] = Counter()
-    n_sentences = 0
-    for sent in corpus:
-        n_sentences += 1
-        counts.update(sent.tokens)
-    if n_sentences == 0:
+    if not tokens:
         raise ValueError("build_vocab requires a non-empty corpus")
+    counts = Counter(tokens)
     kept = sorted(counts, key=lambda w: (-counts[w], w))
     return Vocab(id_to_word=(UNK_TOKEN, PAD_TOKEN, *kept))

@@ -68,9 +68,6 @@ class TokenizedText:
     def sentence_count(self) -> int:
         return len(self.sentences)
 
-    def sentence_tokens(self) -> list[list[str]]:
-        return [list(self.tokens[a:b]) for a, b in self.sentences]
-
 
 @dataclass(frozen=True)
 class TextFeatures:

@@ -18,9 +18,11 @@ import pytest
 from scipy.special import expit, logsumexp
 
 import criterion8
+from sentences import (TaggedSentence, flat, flat_tokens, repair_bio,
+                       tag_by_sentence)
 import vidtriage.classify as clf
 from vidtriage.cli import main as cli_main
-from vidtriage.medterm import TaggedSentence, clean_terms, project_labels
+from vidtriage.medterm import clean_terms, project_labels
 from vidtriage.medterm import load_dictionary
 from vidtriage.seqtag import (
     TrainConfig,
@@ -30,7 +32,6 @@ from vidtriage.seqtag import (
     crf_loss_grad,
     crf_viterbi,
     init_blstm,
-    repair_bio,
     tag_with_blstm,
     tag_with_crf,
     train_blstm,
@@ -173,7 +174,7 @@ def test_criterion_2_gradients():
     # CRF over a small feature index.
     sentences = [["colon", "cancer", "facts"], ["drink", "water"]]
     gold = [[B, I, O], [O, O]]
-    crf_params = init_crf(build_feature_index(sentences))
+    crf_params = init_crf(build_feature_index(*flat_tokens(sentences)))
     for arr in (crf_params.w_emit, crf_params.w_trans, crf_params.w_start):
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     _, crf_grads = crf_loss_grad(crf_params, sentences, gold, l2=0.01)
@@ -419,13 +420,15 @@ def test_criterion_9_bio_wellformed(tmp_path):
     plain = ["water", "advice", "doctor", "visit", "home", "rest"]
     corpus = _training_corpus(rng, marked, plain)
     config = TrainConfig(seed=9, epochs=4, batch_size=8)
-    crf_params, _ = train_crf(corpus, config)
-    blstm_params, vocab, _ = train_blstm(corpus, config)
-    assert build_vocab(corpus).encode(["polyp"]) == vocab.encode(["polyp"])
+    crf_params, _ = train_crf(*flat(corpus), config)
+    blstm_params, vocab, _ = train_blstm(*flat(corpus), config)
+    assert build_vocab(flat(corpus)[0]).encode(["polyp"]) \
+        == vocab.encode(["polyp"])
     test_pool = marked + plain + ["neverseen", "mystery"]
     for tagger in (
-        lambda sents: tag_with_crf(crf_params, sents),
-        lambda sents: tag_with_blstm(blstm_params, vocab, sents),
+        lambda sents: tag_by_sentence(tag_with_crf, crf_params, sents),
+        lambda sents: tag_by_sentence(tag_with_blstm, blstm_params, vocab,
+                                      sents),
     ):
         for _ in range(250):
             n = int(rng.integers(1, 9))

@@ -14,16 +14,16 @@ import vidtriage.classify as clf
 from vidtriage.artifacts import (
     FORMAT_VERSION, read_tsv, save_json_model, write_tsv,
 )
-from vidtriage.medterm import (
-    LABELS, TaggedSentence, load_dictionary, read_conll, write_conll,
-)
+from vidtriage.medterm import LABELS, load_dictionary, write_conll
 from vidtriage.seqtag import (
     ARCH_BLSTM, ARCH_CRF, BlstmParams, CrfParams, TrainConfig, load_model,
-    repair_bio, save_model,
+    save_model,
 )
 from vidtriage.seqtag.blstm import N_LABELS, PARAM_NAMES
 from vidtriage.seqtag.vocab import PAD_TOKEN, UNK_TOKEN, Vocab
 from vidtriage.textfeat import load_lexicon
+
+from sentences import TaggedSentence, read_tagged, repair_bio
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Table cells: any text without the tab and line-break characters.
@@ -72,7 +72,7 @@ def test_conll_roundtrip(tmp_path_factory, sentences, with_ids, id_text):
     write_conll(path, [t for s in tagged for t in s.tokens],
                 [lab for s in tagged for lab in s.labels],
                 [len(s.tokens) for s in tagged], video_ids=ids)
-    again, again_ids = read_conll(path)
+    again, again_ids = read_tagged(path)
     assert again == tagged
     assert again_ids == (ids or [None] * len(tagged))
 
@@ -89,7 +89,7 @@ def test_conll_roundtrip(tmp_path_factory, sentences, with_ids, id_text):
      lambda path: set(load_dictionary(path).entries),
      {"colon", "cancer", "colon cancer", "lung", "tumor", "lung tumor"}),
     ("# video_id = v1\r\na\x85b\tB-MED\r\nc\u2028d\tI-MED\r\n\r\n",
-     read_conll,
+     read_tagged,
      ([TaggedSentence(("a\x85b", "c\u2028d"), ("B-MED", "I-MED"))], ["v1"])),
 ], ids=["tsv", "lexicon", "dictionary", "conll"])
 def test_text_readers_end_lines_only_at_newline(tmp_path, text, read,

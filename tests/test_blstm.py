@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vidtriage.medterm import LABELS, TaggedSentence
+from vidtriage.medterm import LABELS
 from vidtriage.numeric import logsumexp, sigmoid
 from vidtriage.seqtag import (
     PAD_ID,
@@ -17,15 +17,18 @@ from vidtriage.seqtag import (
     blstm_loss_grad,
     build_vocab,
     init_blstm,
-    repair_bio,
     tag_with_blstm,
     train_blstm,
 )
 from vidtriage.seqtag import blstm
-from vidtriage.seqtag._trainutil import EVAL_BATCH, _check_corpus, _pad_batch
+from vidtriage.seqtag._trainutil import EVAL_BATCH
 from vidtriage.seqtag.blstm import (N_LABELS, PARAM_NAMES, BlstmParams,
                                     _summed_nll)
 from vidtriage.seqtag.vocab import Vocab
+
+from sentences import TaggedSentence, flat, repair_bio, tag_by_sentence
+from sentences import check_corpus as _check_corpus
+from sentences import pad_batch as _pad_batch
 
 B, I, O = "B-MED", "I-MED", "O"
 
@@ -70,7 +73,7 @@ def test_build_vocab_and_encode():
         TaggedSentence(tokens=("colon", "cancer"), labels=(B, I)),
         TaggedSentence(tokens=("colon", "facts"), labels=(B, O)),
     ]
-    vocab = build_vocab(corpus)
+    vocab = build_vocab(flat(corpus)[0])
     assert vocab.encode(["colon", "neverseen"])[1] == UNK_ID
     assert UNK_ID == 0 and PAD_ID == 1
     ids = vocab.encode(["colon", "cancer", "facts"])
@@ -406,7 +409,8 @@ def test_lean_step_matches_masked_oracle(case):
     np.testing.assert_allclose(logp[real], ref_logp[real], rtol=0,
                                atol=logp_atol(scale))
 
-    total, count = blstm._chunk_loss(params, ids, labels)
+    total, count = blstm._chunk_loss(params, padded,
+                                     _pad_batch(labels, 0)[0], real)
     ref_total = _summed_nll(ref_logp, _pad_batch(labels, 0)[0], mask)
     assert count == real.sum()
     assert abs(total - ref_total) <= 1e-12 * count
@@ -414,8 +418,8 @@ def test_lean_step_matches_masked_oracle(case):
     words = ("<unk>", "<pad>",
              *(f"w{i}" for i in range(2, len(params.embed))))
     vocab = Vocab(id_to_word=words)
-    tagged = tag_with_blstm(params, vocab,
-                            [[words[i] for i in seq] for seq in ids])
+    tagged = tag_by_sentence(tag_with_blstm, params, vocab,
+                             [[words[i] for i in seq] for seq in ids])
     for seq, row, got in zip(ids, ref_logp, tagged):
         best = np.argmax(row[:len(seq)], axis=1)
         assert got == repair_bio([LABELS[i] for i in best])
@@ -446,18 +450,18 @@ def _toy_corpus():
 def test_train_blstm_learns_toy_corpus():
     corpus = _toy_corpus()
     config = TrainConfig(seed=3, epochs=25, batch_size=8, d_emb=16, d_hid=16)
-    params, vocab, history = train_blstm(corpus, config)
+    params, vocab, history = train_blstm(*flat(corpus), config)
     assert history[0]["train_loss"] > history[-1]["train_loss"]
-    pred = tag_with_blstm(params, vocab,
-                          [["polyp", "advice"], ["visit", "colitis"]])
+    pred = tag_by_sentence(tag_with_blstm, params, vocab,
+                           [["polyp", "advice"], ["visit", "colitis"]])
     assert pred == [[B, O], [O, B]]
 
 
 def test_train_blstm_deterministic():
     corpus = _toy_corpus()
     config = TrainConfig(seed=3, epochs=4, batch_size=8, d_emb=8, d_hid=8)
-    p1, v1, h1 = train_blstm(corpus, config)
-    p2, v2, h2 = train_blstm(corpus, config)
+    p1, v1, h1 = train_blstm(*flat(corpus), config)
+    p2, v2, h2 = train_blstm(*flat(corpus), config)
     assert h1 == h2
     for name in PARAM_NAMES:
         np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
@@ -469,20 +473,20 @@ def test_train_blstm_divergence_raises():
                          d_emb=4, d_hid=4)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
-            train_blstm(corpus, config)
+            train_blstm(*flat(corpus), config)
     assert "epoch" in str(err.value)
 
 
 def test_tag_with_blstm_outputs_well_formed():
     corpus = _toy_corpus()
     config = TrainConfig(seed=3, epochs=3, batch_size=8, d_emb=8, d_hid=8)
-    params, vocab, _ = train_blstm(corpus, config)
+    params, vocab, _ = train_blstm(*flat(corpus), config)
     rng = np.random.default_rng(321)
     words = ["polyp", "water", "unseenword", "colitis", "advice"]
     for _ in range(100):
         n = int(rng.integers(1, 9))
         sent = [words[i] for i in rng.integers(0, len(words), size=n)]
-        labels = tag_with_blstm(params, vocab, [sent])[0]
+        labels = tag_by_sentence(tag_with_blstm, params, vocab, [sent])[0]
         prev = O
         for lab in labels:
             assert lab in (B, I, O)
@@ -495,8 +499,8 @@ def _assert_batched_tagging_matches(lengths, seed):
     log-probabilities and labels that tagging it alone gives."""
     rng = np.random.default_rng(seed)
     words = ["polyp", "water", "colitis", "advice", "colon", "visit"]
-    vocab = build_vocab([TaggedSentence(tokens=tuple(words),
-                                        labels=(O,) * len(words))])
+    vocab = build_vocab(flat([TaggedSentence(tokens=tuple(words),
+                                             labels=(O,) * len(words))])[0])
     params = small_params(seed=seed, vocab_size=vocab.size)
     # "unseen" maps to the unknown-word id.
     pool = [*words, "unseen"]
@@ -512,7 +516,7 @@ def _assert_batched_tagging_matches(lengths, seed):
         return out
 
     with mock.patch.object(blstm, "_forward_batch", recording):
-        tagged = tag_with_blstm(params, vocab, sentences)
+        tagged = tag_by_sentence(tag_with_blstm, params, vocab, sentences)
     n_real = sum(1 for n in lengths if n)
     assert len(batches) == -(-n_real // EVAL_BATCH) >= 2
     for ids, batch_lengths, logp in batches:

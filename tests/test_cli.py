@@ -24,12 +24,13 @@ from vidtriage import cli
 from vidtriage.cli import main
 from vidtriage.classify import DOC_FEATURE_NAMES
 from vidtriage.data_files import data_path
-from vidtriage.medterm import read_conll, span_forms
-from vidtriage.seqtag import (blstm, crf, load_model, tag_by_sentence,
-                              tag_sentences)
-from vidtriage.seqtag._trainutil import _pad_batch
+from vidtriage.seqtag import PAD_ID, blstm, crf, load_model, tag_sentences
 from vidtriage.synth import SynthConfig, write_synthetic_corpus
 from vidtriage.textfeat import tokenize
+
+from sentences import (read_tagged, ref_span_forms, sentence_tokens,
+                       tag_by_sentence)
+from sentences import pad_batch as _pad_batch
 
 FIXDIR = "tests/fixtures/corpus"
 
@@ -401,10 +402,10 @@ def test_tag_writes_zero_for_video_without_sentences(tmp_path, capsys, arch):
     # sentence by sentence gives the same counts.
     model = load_model(work / "models" / f"tagger_{arch}.json")
     for doc in videos:
-        sentences = tokenize(doc["description"]).sentence_tokens()
+        sentences = sentence_tokens(tokenize(doc["description"]))
         forms = {form for tokens, labels in zip(sentences, _tag(model,
                                                                 sentences))
-                 for form in span_forms(tokens, labels)}
+                 for form in ref_span_forms(tokens, labels)}
         assert counts[doc["video_id"]] == str(len(forms))
     assert sum(map(int, counts.values())) > 0
 
@@ -727,6 +728,46 @@ def test_bad_conll_label_exits_1_naming_line(tmp_path, caplog, label,
     assert "Traceback" not in caplog.text
 
 
+def test_sentence_without_a_video_id_exits_1_naming_file(tmp_path, caplog):
+    # A sentence before the first video comment belongs to no video, so
+    # the split would count it as a test sentence that eval-tagger never
+    # scores; training refuses the corpus.
+    conll = tmp_path / "ner" / "corpus.conll"
+    conll.parent.mkdir()
+    conll.write_text("polyp\tB-MED\nfound\tO\n\n" + "".join(
+        f"# video_id = v{k}\nwater\tO\n\n" for k in (1, 2, 3)))
+    with caplog.at_level(logging.ERROR):
+        assert main(["train-tagger", "--arch", "crf", "--seed", "1",
+                     "--work-dir", str(tmp_path)]) == 1
+    assert f"{conll}: sentence 1 has no video id" in caplog.text
+    assert not (tmp_path / cli._FILES["tagger"].format(arch="crf")).exists()
+
+
+def test_eval_tagger_refuses_a_corpus_rebuilt_after_training(
+        criterion_8_taggers, tmp_path, caplog):
+    # Rebuilt from fewer videos, the corpus holds fewer test sentences
+    # than the taggers were trained beside; scoring them would report a
+    # subset as the whole test split.
+    work = tmp_path / "work"
+    shutil.copytree(criterion_8_taggers, work)
+    model = load_model(work / cli._FILES["tagger"].format(arch="crf"))
+    dropped = model.train_meta["test_videos"][0]
+    videos = work / cli._FILES["videos"]
+    videos.write_text("".join(
+        line for line in videos.read_text().splitlines(keepends=True)
+        if json.loads(line)["video_id"] != dropped))
+    dictionary = criterion_8_taggers.parent / "corpus" / "dictionary.tsv"
+    assert main(["build-ner-corpus", "--dictionary", str(dictionary),
+                 "--work-dir", str(work)]) == 0
+    with caplog.at_level(logging.ERROR):
+        assert main(["eval-tagger", "--work-dir", str(work)]) == 1
+    n = model.train_meta["n_test_sentences"]
+    assert (f"{work / cli._FILES['ner_corpus']}: {n - 6} test sentences "
+            f"for arch 'crf', but its tagger was trained beside {n}"
+            in caplog.text)
+    assert not (work / cli._FILES["tagger_metrics"]).exists()
+
+
 @pytest.fixture(scope="module")
 def model_work(tmp_path_factory, corpus_paths):
     """Work dir with a feature table, three classifiers and both taggers."""
@@ -939,7 +980,7 @@ def test_tagging_a_sentence_ignores_the_others(criterion_8_taggers, arch):
     # the length-sorted batches it is decoded in change.
     work = criterion_8_taggers
     model = load_model(work / cli._FILES["tagger"].format(arch=arch))
-    tagged, _ = read_conll(work / cli._FILES["ner_corpus"])
+    tagged, _ = read_tagged(work / cli._FILES["ner_corpus"])
     sentences = [s.tokens for s in tagged]
     whole = _tag(model, sentences)
     rng = np.random.default_rng(8)
@@ -956,7 +997,7 @@ def test_crf_decode_width_changes_no_label_or_emission_bit(
     # it is decoded alone, 64 to a batch, or at the tagger's own width.
     work = criterion_8_taggers
     params = load_model(work / cli._FILES["tagger"].format(arch="crf")).params
-    tagged, _ = read_conll(work / cli._FILES["ner_corpus"])
+    tagged, _ = read_tagged(work / cli._FILES["ner_corpus"])
     sentences = sorted((s.tokens for s in tagged), key=len)
     w_pad = np.vstack([params.w_emit, np.zeros((1, crf.N_LABELS))])
     rows, labels = {}, {}
@@ -970,7 +1011,7 @@ def test_crf_decode_width_changes_no_label_or_emission_bit(
                 [t for s in batch for t in s], lengths), lengths)
             rows[width] += [row[:n] for row, n in zip(emit, lengths)]
         monkeypatch.setattr(crf, "_DECODE_BATCH", width)
-        labels[width] = crf.tag_with_crf(params, sentences)
+        labels[width] = tag_by_sentence(crf.tag_with_crf, params, sentences)
     assert len(sentences) > 2 * 64
     for width in (64, crf._DECODE_BATCH):
         assert labels[width] == labels[1]
@@ -985,7 +1026,7 @@ def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
     # values stay within 1e-12 and the labels do not change.
     model = load_model(criterion_8_taggers
                        / cli._FILES["tagger"].format(arch="blstm"))
-    tagged, _ = read_conll(criterion_8_taggers / cli._FILES["ner_corpus"])
+    tagged, _ = read_tagged(criterion_8_taggers / cli._FILES["ner_corpus"])
     sentences = sorted((s.tokens for s in tagged), key=len)
     encoded = [model.vocab.encode(s) for s in sentences]
     _, row_of, passes = blstm._fold(model.params, np.array(
@@ -998,7 +1039,7 @@ def test_blstm_decode_width_moves_log_probabilities_by_rounding_only(
             with np.errstate(over="ignore"):
                 out = blstm._forward_batch(
                     model.params, row_of, passes, blstm._lean_direction,
-                    *_pad_batch(batch, blstm.PAD_ID))[-1]
+                    *_pad_batch(batch, PAD_ID))[-1]
             logp[width] += [row[:len(ids)] for row, ids in zip(out, batch)]
         monkeypatch.setattr(blstm, "EVAL_BATCH", width)
         labels[width] = _tag(model, sentences)

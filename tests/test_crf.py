@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from vidtriage import numeric
 from vidtriage.cli import main as cli_main
-from vidtriage.medterm import LABELS, TaggedSentence
+from vidtriage.medterm import LABELS
 from vidtriage.seqtag import (
     TrainConfig,
     TrainingDivergedError,
@@ -20,7 +20,6 @@ from vidtriage.seqtag import (
     crf_loss_grad,
     crf_sequence_score,
     crf_viterbi,
-    repair_bio,
     tag_with_crf,
     train_crf,
 )
@@ -30,14 +29,15 @@ from vidtriage.seqtag.crf import (
     FeatureEncoder,
     _emissions,
     _forward_batch,
-    _loss_grad_encoded,
     _marginals,
     _viterbi_batch,
     build_feature_index,
-    encode_labels,
     init_crf,
     word_shape,
 )
+
+from sentences import (TaggedSentence, flat, flat_tokens, repair_bio,
+                       tag_by_sentence)
 
 B, I, O = "B-MED", "I-MED", "O"
 
@@ -256,7 +256,7 @@ def test_scaled_forward_backward_matches_log_space(lengths, sigma, seed):
                  for n in lengths]
     labels = [[LABELS[i] for i in rng.integers(0, N_LABELS, size=n)]
               for n in lengths]
-    params = init_crf(build_feature_index(sentences))
+    params = init_crf(build_feature_index(*flat_tokens(sentences)))
     for arr in params.arrays():
         arr += rng.normal(0.0, sigma, size=arr.shape)
     loss, grads = crf_loss_grad(params, sentences, labels, l2=1e-3)
@@ -278,16 +278,13 @@ def test_batch_loss_grad_is_mean_of_single_sentence_calls():
     ]
     labels = [[(B, I, O)[i] for i in rng.integers(0, 3, size=len(s))]
               for s in sentences]
-    params = init_crf(build_feature_index(sentences[:4]))
+    params = init_crf(build_feature_index(*flat_tokens(sentences[:4])))
     for arr in params.arrays():
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     # Sentences past the fourth may carry features the index has not seen.
-    encoder = FeatureEncoder(params.feature_index)
-    encoded = [encoder.encode(s, [len(s)]) for s in sentences]
-    label_ids = [encode_labels(l) for l in labels]
-    loss, grads = _loss_grad_encoded(params, encoded, label_ids, 0.0)
-    singles = [_loss_grad_encoded(params, [e], [y], 0.0)
-               for e, y in zip(encoded, label_ids)]
+    loss, grads = crf_loss_grad(params, sentences, labels, 0.0)
+    singles = [crf_loss_grad(params, [s], [y], 0.0)
+               for s, y in zip(sentences, labels)]
     assert loss == pytest.approx(np.mean([l for l, _ in singles]),
                                  rel=0, abs=1e-12)
     for name, g in grads.items():
@@ -381,7 +378,7 @@ def test_word_shape():
 
 
 def _feature_names(sentences, tokens):
-    index = build_feature_index(sentences)
+    index = build_feature_index(*flat_tokens(sentences))
     names = {i: f for f, i in index.items()}
     return [[names[i] for i in ids if i in names]
             for ids in FeatureEncoder(index).encode(tokens,
@@ -471,7 +468,7 @@ def _ref_id_rows(feature_index, tokens):
 @settings(max_examples=200, deadline=None)
 @given(train=_SENTENCES, other=_SENTENCES, seed=st.integers(0, 2**32 - 1))
 def test_feature_encoder_matches_reference(train, other, seed):
-    index = build_feature_index(train)
+    index = build_feature_index(*flat_tokens(train))
     assert list(index.items()) == list(_ref_build_feature_index(train).items())
     # A word the index has never seen, next to words it has.
     other = other + [[train[0][0], "Unseen-Word", "q", train[0][-1]]]
@@ -524,7 +521,7 @@ def test_tagging_keeps_no_state_between_calls():
                 for _ in range(n)]
 
     def random_model():
-        params = init_crf(build_feature_index(sentences(6)))
+        params = init_crf(build_feature_index(*flat_tokens(sentences(6))))
         for arr in params.arrays():
             arr += rng.normal(0.0, 2.0, size=arr.shape)
         return params
@@ -532,12 +529,12 @@ def test_tagging_keeps_no_state_between_calls():
     model_a, model_b = random_model(), random_model()
     assert model_a.feature_index != model_b.feature_index
     text = sentences(40)
-    tagged_a = tag_with_crf(model_a, text)
-    tagged_b = tag_with_crf(model_b, text)
+    tagged_a = tag_by_sentence(tag_with_crf, model_a, text)
+    tagged_b = tag_by_sentence(tag_with_crf, model_b, text)
     assert tagged_a == _ref_tag(model_a, text)
     assert tagged_b == _ref_tag(model_b, text)
     assert tagged_a != tagged_b
-    assert tag_with_crf(model_a, text) == tagged_a
+    assert tag_by_sentence(tag_with_crf, model_a, text) == tagged_a
 
 
 def test_crf_stages_match_golden_fixture(tmp_path):
@@ -577,7 +574,7 @@ def test_crf_gradient_matches_finite_differences():
     sentences = [["colon", "cancer", "facts"], ["drink", "water"],
                  ["polyp", "found", "during", "test"]]
     labels = [[B, I, O], [O, O], [B, O, O, O]]
-    index = build_feature_index(sentences)
+    index = build_feature_index(*flat_tokens(sentences))
     params = init_crf(index)
     for arr in (params.w_emit, params.w_trans, params.w_start):
         arr += rng.normal(0.0, 0.5, size=arr.shape)
@@ -605,7 +602,7 @@ def test_crf_gradient_matches_finite_differences():
 
 def test_crf_loss_validates():
     sentences = [["a", "b"]]
-    index = build_feature_index(sentences)
+    index = build_feature_index(*flat_tokens(sentences))
     params = init_crf(index)
     with pytest.raises(ValueError):
         crf_loss_grad(params, [], [])
@@ -640,17 +637,18 @@ def _toy_corpus():
 def test_train_crf_learns_toy_corpus():
     corpus = _toy_corpus()
     config = TrainConfig(seed=5, epochs=20, batch_size=8)
-    params, history = train_crf(corpus, config)
+    params, history = train_crf(*flat(corpus), config)
     assert history[0]["train_loss"] > history[-1]["train_loss"]
-    pred = tag_with_crf(params, [["polyp", "advice"], ["visit", "colitis"]])
+    pred = tag_by_sentence(tag_with_crf, params,
+                           [["polyp", "advice"], ["visit", "colitis"]])
     assert pred == [[B, O], [O, B]]
 
 
 def test_train_crf_deterministic():
     corpus = _toy_corpus()
     config = TrainConfig(seed=5, epochs=5, batch_size=8)
-    p1, h1 = train_crf(corpus, config)
-    p2, h2 = train_crf(corpus, config)
+    p1, h1 = train_crf(*flat(corpus), config)
+    p2, h2 = train_crf(*flat(corpus), config)
     assert h1 == h2
     assert np.array_equal(p1.w_emit, p2.w_emit)
     assert np.array_equal(p1.w_trans, p2.w_trans)
@@ -663,7 +661,7 @@ def test_train_crf_divergence_raises():
     config = TrainConfig(seed=5, epochs=5, batch_size=8, lr=1e200, l2=0.0)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
-            train_crf(_toy_corpus(), config)
+            train_crf(*flat(_toy_corpus()), config)
     assert "epoch 1" in str(err.value)
 
 
@@ -674,7 +672,7 @@ def test_train_crf_diverges_without_a_warning():
     # loss stops training.
     config = TrainConfig(seed=5, epochs=5, batch_size=8, lr=1e3, l2=0.0)
     with pytest.raises(TrainingDivergedError, match="epoch 1"):
-        train_crf(_toy_corpus(), config)
+        train_crf(*flat(_toy_corpus()), config)
 
 
 def test_train_crf_weights_match_recorded_digest():
@@ -684,7 +682,7 @@ def test_train_crf_weights_match_recorded_digest():
     # with the log-space reference recursions gives the same weights
     # within 1e-10.
     config = TrainConfig(seed=5, epochs=6, batch_size=8, l2=1e-3)
-    params, history = train_crf(_toy_corpus(), config)
+    params, history = train_crf(*flat(_toy_corpus()), config)
     digest = hashlib.sha256()
     for arr in params.arrays():
         digest.update(arr.tobytes())
@@ -692,7 +690,7 @@ def test_train_crf_weights_match_recorded_digest():
     assert digest.hexdigest() == ("1705bcd838b48a0150d97762175b1102"
                                   "ccdeb476cc6793b08ffe7bc71920bce3")
     with _ref_kernels():
-        ref_params, _ = train_crf(_toy_corpus(), config)
+        ref_params, _ = train_crf(*flat(_toy_corpus()), config)
     for arr, ref in zip(params.arrays(), ref_params.arrays()):
         np.testing.assert_allclose(arr, ref, rtol=0, atol=1e-10)
 
@@ -700,13 +698,13 @@ def test_train_crf_weights_match_recorded_digest():
 def test_tag_with_crf_outputs_well_formed():
     corpus = _toy_corpus()
     config = TrainConfig(seed=5, epochs=3, batch_size=8)
-    params, _ = train_crf(corpus, config)
+    params, _ = train_crf(*flat(corpus), config)
     rng = np.random.default_rng(123)
     vocab = ["polyp", "water", "unseenword", "colitis", "advice"]
     for _ in range(100):
         n = int(rng.integers(1, 9))
         sent = [vocab[i] for i in rng.integers(0, len(vocab), size=n)]
-        labels = tag_with_crf(params, [sent])[0]
+        labels = tag_by_sentence(tag_with_crf, params, [sent])[0]
         prev = O
         for lab in labels:
             assert lab in (B, I, O)

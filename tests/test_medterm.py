@@ -14,18 +14,20 @@ from vidtriage.medterm import (
     LABELS,
     O,
     DictionaryFormatError,
-    TaggedSentence,
     clean_terms,
     load_dictionary,
     project_labels,
     read_conll,
-    span_forms,
-    span_offsets,
     write_conll,
 )
-from vidtriage.seqtag import repair_bio, tag_by_sentence, term_counts
+from vidtriage.seqtag import span_forms, term_counts
 from vidtriage.seqtag._trainutil import decode_in_batches
+from vidtriage.seqtag.metrics import span_bounds
 from vidtriage.textfeat import tokenize
+
+from sentences import (TaggedSentence, label_ids, read_tagged,
+                       ref_read_conll, ref_span_forms, repair_bio,
+                       sentence_tokens, span_offsets, tag_by_sentence)
 
 STOPWORDS = frozenset({"the", "of", "with", "from", "this", "that"})
 
@@ -159,7 +161,8 @@ def test_project_labels_longest_match(small_dict):
     )
     assert list(tagged[0].labels) == [O, B_MED, I_MED, O]
     assert list(tagged[1].labels) == [O, B_MED, O, O, B_MED]
-    assert span_forms(tagged[0].tokens, tagged[0].labels) == ["colon cancer"]
+    assert ref_span_forms(tagged[0].tokens, tagged[0].labels) \
+        == ["colon cancer"]
 
 
 def test_apostrophe_term_projects_onto_its_own_tokens(tmp_path):
@@ -171,10 +174,10 @@ def test_apostrophe_term_projects_onto_its_own_tokens(tmp_path):
     path.write_text("Crohn's disease\tdsyn\n")
     d = load_dictionary(path, stopwords=STOPWORDS)
     assert "crohn's disease" in d.entries
-    sentence, = tokenize("Crohn's disease is common.").sentence_tokens()
+    sentence, = sentence_tokens(tokenize("Crohn's disease is common."))
     tagged, = _project(d, [sentence])
     assert list(tagged.labels) == [B_MED, I_MED, O, O]
-    assert span_forms(tagged.tokens, tagged.labels) == ["crohn's disease"]
+    assert ref_span_forms(tagged.tokens, tagged.labels) == ["crohn's disease"]
 
 
 def test_tagged_sentence_validates():
@@ -194,7 +197,8 @@ def test_span_offsets_ignore_a_stray_inside_tag():
         == [(1, 3), (5, 6)]
     sent = TaggedSentence(tokens=("Colon", "Cancer", "and", "Polyp"),
                           labels=(B_MED, I_MED, O, B_MED))
-    assert span_forms(sent.tokens, sent.labels) == ["colon cancer", "polyp"]
+    assert ref_span_forms(sent.tokens, sent.labels) \
+        == ["colon cancer", "polyp"]
 
 
 def _span_offsets_oracle(labels):
@@ -211,13 +215,17 @@ def _label_sequences(alphabet, max_len):
 
 def test_span_offsets_match_the_pattern_oracle():
     # Every BIO sequence up to length 7, and every sequence up to length 5
-    # that also holds a label outside BIO, as a tuple and as a list.
+    # that also holds a label outside BIO, as a tuple and as a list; the
+    # array rule reads one sentence's BIO label ids the same way.
     cases = itertools.chain(_label_sequences((B_MED, I_MED, O), 7),
                             _label_sequences((B_MED, I_MED, O, "X"), 5))
     for labels in cases:
         expected = _span_offsets_oracle(labels)
         assert span_offsets(labels) == expected, labels
         assert span_offsets(list(labels)) == expected, labels
+        if "X" not in labels:
+            begins, ends = span_bounds(np.array(label_ids(labels)))
+            assert list(zip(begins.tolist(), ends.tolist())) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,17 +238,19 @@ def test_span_forms_lowercase_each_token(tokens, data):
     labels = data.draw(st.lists(st.sampled_from([B_MED, I_MED, O]),
                                 min_size=len(tokens), max_size=len(tokens)))
     tokens = [t.replace("a", "\u03a3") for t in tokens]
-    assert span_forms(tokens, labels) == [
-        " ".join(t.lower() for t in tokens[a:b])
-        for a, b in _span_offsets_oracle(labels)]
+    expected = [" ".join(t.lower() for t in tokens[a:b])
+                for a, b in _span_offsets_oracle(labels)]
+    assert ref_span_forms(tokens, labels) == expected
+    assert [form for _, form in span_forms(
+        tokens, [len(tokens)], np.array(label_ids(labels)))] == expected
 
 
 def _unique_term_counts(video_ids, sentences, labels):
     """The per-sentence oracle of ``term_counts``: each video's number of
-    distinct ``span_forms``, 0 for a video whose sentences hold none."""
+    distinct span forms, 0 for a video whose sentences hold none."""
     forms = {}
     for vid, tokens, labs in zip(video_ids, sentences, labels, strict=True):
-        forms.setdefault(vid, set()).update(span_forms(tokens, labs))
+        forms.setdefault(vid, set()).update(ref_span_forms(tokens, labs))
     return {vid: len(f) for vid, f in forms.items()}
 
 
@@ -311,7 +321,7 @@ def test_flat_repair_and_term_counts_match_the_per_sentence_walk(videos,
                                                                  width):
     # decode_in_batches scatters each batch's ids back to token order and
     # repairs the whole call at once; it equals repair_bio on each
-    # sentence, and term_counts on its output equals counting span_forms
+    # sentence, and term_counts on its output equals counting span forms
     # sentence by sentence.
     video_ids, sentences, names, tokens, raw = _flat(videos)
     lengths = [len(s) for s in sentences]
@@ -338,7 +348,7 @@ def test_conll_roundtrip(tmp_path, small_dict):
     )
     path = tmp_path / "corpus.conll"
     _write_tagged(path, tagged, video_ids=["v1", "v2"])
-    again, vids = read_conll(path)
+    again, vids = read_tagged(path)
     assert again == tagged
     assert vids == ["v1", "v2"]
 
@@ -347,7 +357,7 @@ def test_conll_roundtrip_without_ids(tmp_path, small_dict):
     tagged = _project(small_dict, [["polyp"]])
     path = tmp_path / "c.conll"
     _write_tagged(path, tagged)
-    again, vids = read_conll(path)
+    again, vids = read_tagged(path)
     assert again == tagged
     assert vids == [None]
 
@@ -389,7 +399,7 @@ def test_chunked_write_conll_matches_the_row_by_row_writer(
         [t for s in tagged for t in s.tokens],
         [lab for s in tagged for lab in s.labels],
         [len(s.tokens) for s in tagged], video_ids)
-    assert read_conll(path) == (tagged, video_ids or [None] * n_sentences)
+    assert read_tagged(path) == (tagged, video_ids or [None] * n_sentences)
 @pytest.mark.parametrize("text, line, message", [
     ("a\tO\nb\tI-MED\nc\n\n", 2, "I-MED may not follow O"),
     ("a\tB-MED\nb\tX\nc\td\te\n", 2, "unknown label 'X'"),
@@ -407,6 +417,36 @@ def test_read_conll_names_the_first_bad_line(tmp_path, text, line, message):
     with pytest.raises(DictionaryFormatError, match=f"c.conll:{line}: "
                        f"{re.escape(message)}"):
         read_conll(path)
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except DictionaryFormatError as exc:
+        return str(exc)
+
+
+# CoNLL lines: rows with every label and an unknown one, comments with and
+# without a video id, blank and whitespace-only lines, and bad rows.
+_CONLL_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["polyp", "colon", "the"]),
+              st.sampled_from([*LABELS, "X"])).map("\t".join),
+    st.sampled_from(["", "", " ", "\t", "# video_id = v1",
+                     "# video_id = v2", "# note", "c", "a\tb\tc"])),
+    max_size=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_CONLL_LINES)
+@example(lines=["a\tB-MED", "# note", "b\tI-MED", "", "c\tI-MED"])
+def test_read_conll_matches_the_per_sentence_reader(tmp_path_factory, lines):
+    # The flat reader checks each row as it comes; the per-sentence reader
+    # checked each sentence when it ended. Both read the same sentences
+    # and ids, or both name the same first bad line.
+    path = tmp_path_factory.mktemp("conll") / "c.conll"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_outcome(read_tagged, path) \
+        == _read_outcome(ref_read_conll, path)
 
 
 @pytest.mark.parametrize("tokens, labels, ids", [

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from vidtriage.artifacts import encode_array
-from vidtriage.medterm import TaggedSentence
 from vidtriage.seqtag import (
     ARCH_BLSTM,
     ARCH_CRF,
@@ -23,6 +22,8 @@ from vidtriage.seqtag import (
 )
 from vidtriage.seqtag.blstm import PARAM_NAMES
 
+from sentences import TaggedSentence, flat
+
 B, I, O = "B-MED", "I-MED", "O"
 
 CORPUS = [
@@ -37,7 +38,7 @@ CORPUS = [
 
 def test_crf_roundtrip(tmp_path):
     config = TrainConfig(seed=2, epochs=4, batch_size=4)
-    params, _ = train_crf(CORPUS, config)
+    params, _ = train_crf(*flat(CORPUS), config)
     path = tmp_path / "crf.json"
     save_model(path, params, config, train_meta={"seed": 2})
     loaded = load_model(path)
@@ -52,7 +53,7 @@ def test_crf_roundtrip(tmp_path):
 
 def test_blstm_roundtrip(tmp_path):
     config = TrainConfig(seed=2, epochs=4, batch_size=4, d_emb=8, d_hid=8)
-    params, vocab, _ = train_blstm(CORPUS, config)
+    params, vocab, _ = train_blstm(*flat(CORPUS), config)
     path = tmp_path / "blstm.json"
     save_model(path, params, config, vocab=vocab,
                train_meta={"seed": 2})
@@ -69,7 +70,7 @@ def test_blstm_roundtrip(tmp_path):
 
 def test_save_is_deterministic(tmp_path):
     config = TrainConfig(seed=2, epochs=2, batch_size=4)
-    params, _ = train_crf(CORPUS, config)
+    params, _ = train_crf(*flat(CORPUS), config)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_model(a, params, config)
     save_model(b, params, config)
@@ -82,10 +83,10 @@ def test_saved_model_is_one_line_of_sorted_json(tmp_path, arch):
     # which runs the pure-Python encoder, writes the same text.
     config = TrainConfig(seed=2, epochs=2, batch_size=4, d_emb=4, d_hid=3)
     if arch == ARCH_CRF:
-        params, _ = train_crf(CORPUS, config)
+        params, _ = train_crf(*flat(CORPUS), config)
         vocab = None
     else:
-        params, vocab, _ = train_blstm(CORPUS, config)
+        params, vocab, _ = train_blstm(*flat(CORPUS), config)
     path = tmp_path / "model.json"
     save_model(path, params, config, vocab=vocab,
                train_meta={"note": "caf\u00e9 \u2028", "tiny": 5e-324})
@@ -109,7 +110,7 @@ def test_load_rejects_bad_files(tmp_path):
         load_model(path)
 
     config = TrainConfig(seed=2, epochs=2, batch_size=4)
-    params, _ = train_crf(CORPUS, config)
+    params, _ = train_crf(*flat(CORPUS), config)
     good = tmp_path / "good.json"
     save_model(good, params, config)
     doc = json.loads(good.read_text())

@@ -24,6 +24,8 @@ KEPT = {
                    "enumeration",
     "crf_loss_grad": "acceptance criterion 2 checks its gradient by finite "
                      "differences",
+    "blstm_loss_grad": "acceptance criterion 2 checks its gradient by "
+                       "finite differences",
     "crf_sequence_score": "brute-force oracle of tests/test_crf.py",
     "__getattr__": "the PEP 562 hook of a module that loads names on first "
                    "access; Python calls it, no source line does",

@@ -35,6 +35,8 @@ from vidtriage.textfeat import (
     tokenize,
 )
 
+from sentences import sentence_tokens
+
 
 @pytest.fixture(scope="module")
 def lexicons():
@@ -485,7 +487,7 @@ def test_project_labels_match_reference(keys, odd_keys, texts, raw,
     dictionary = TermDictionary(entries={
         k: frozenset({"dsyn"})
         for k in keys | odd_keys | {" ".join(straddle).lower()}})
-    sentences = [s for t in texts for s in tokenize(t).sentence_tokens()]
+    sentences = [s for t in texts for s in sentence_tokens(tokenize(t))]
     sentences += raw + [straddle[:cut], straddle[cut:]]
     labels = project_labels(dictionary, [t for s in sentences for t in s],
                             [len(s) for s in sentences])

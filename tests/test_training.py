@@ -7,12 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vidtriage.medterm import TaggedSentence
 from vidtriage.seqtag import (TrainConfig, blstm_loss_grad, build_vocab,
                               crf_loss_grad, init_blstm, train_blstm,
                               train_crf)
-from vidtriage.seqtag._trainutil import encode_labels
 from vidtriage.seqtag.crf import build_feature_index, init_crf
+
+from sentences import TaggedSentence, flat, flat_tokens, label_ids
 
 B, O = "B-MED", "O"
 
@@ -36,12 +36,12 @@ def _noisy_corpus():
 
 
 def _crf(corpus, config):
-    params, history = train_crf(corpus, config)
+    params, history = train_crf(*flat(corpus), config)
     return params.arrays(), history
 
 
 def _blstm(corpus, config):
-    params, _, history = train_blstm(corpus, config)
+    params, _, history = train_blstm(*flat(corpus), config)
     return params.arrays(), history
 
 
@@ -76,14 +76,14 @@ def test_gradients_come_in_arrays_order():
     corpus = _noisy_corpus()[:6]
     tokens = [s.tokens for s in corpus]
     labels = [s.labels for s in corpus]
-    crf = init_crf(build_feature_index(tokens))
+    crf = init_crf(build_feature_index(*flat_tokens(tokens)))
     _, crf_grads = crf_loss_grad(crf, tokens, labels, l2=0.1)
-    vocab = build_vocab(corpus)
+    vocab = build_vocab(flat(corpus)[0])
     blstm = init_blstm(vocab.size, TrainConfig(seed=0, d_emb=4, d_hid=4),
                        np.random.default_rng(0))
     _, blstm_grads = blstm_loss_grad(
         blstm, [vocab.encode(t) for t in tokens],
-        [encode_labels(l) for l in labels], l2=0.1)
+        [label_ids(l) for l in labels], l2=0.1)
     for params, grads in [(crf, crf_grads), (blstm, blstm_grads)]:
         assert [id(getattr(params, key)) for key in grads] \
             == [id(w) for w in params.arrays()]
